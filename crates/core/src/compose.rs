@@ -175,7 +175,8 @@ pub const fn scheme_for(id: KernelId) -> TilingScheme {
         KernelId::SpmmWmma => s(16, 64, 32, TileComponent::MmaWmma),
         KernelId::SpmmFpuSubwarp => s(32, 64, 8, TileComponent::Fpu),
         KernelId::SpmmBlockedEll => s(16, 128, 32, TileComponent::MmaWmma),
-        KernelId::SpmmCsrScalar => s(1, 32, 1, TileComponent::Scalar),
+        // Its half chain issues HMUL2/FADD pairs, like the FPU subwarp.
+        KernelId::SpmmCsrScalar => s(1, 32, 1, TileComponent::Fpu),
         KernelId::SpmmDense => s(32, 128, 32, TileComponent::Scalar),
         KernelId::SddmmOctetReg | KernelId::SddmmOctetShfl | KernelId::SddmmOctetArch => {
             s(64, 32, 8, TileComponent::MmaOctet)

@@ -57,6 +57,7 @@
 pub mod api;
 pub mod compose;
 pub mod engine;
+mod native;
 pub mod registry;
 pub mod sddmm;
 pub mod softmax;

@@ -253,13 +253,7 @@ pub fn with_kernel_mut<R>(
                 // Fill the score buffer the way the attention pipeline
                 // would, so the value-checking pass sees live data.
                 let vals = gen::random_dense::<f16>(m, n, Layout::RowMajor, seed);
-                let writes: Vec<_> = vals
-                    .data()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| (i as u32, x.to_f32()))
-                    .collect();
-                mem.apply_writes(kern.input(), &writes);
+                mem.replace(kern.input(), vals.data().iter().map(|x| x.to_f32()));
             }
             f(&mut mem, &kern)
         }

@@ -2,6 +2,7 @@
 //! column-vector sparse encoding (§7.4 — the attention pipeline's middle
 //! stage, where sparsity shrinks both the data and the exponential count).
 
+use crate::native;
 use crate::util::{lanes, upload_vs, width_of, VsBuffers};
 use vecsparse_formats::VectorSparse;
 use vecsparse_fp16::f16;
@@ -195,31 +196,15 @@ impl KernelSpec for SparseSoftmax<'_> {
     }
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
-        // Two-pass row softmax per scalar row: exact max, ascending-i
-        // denominator, one f16 round per stored element — the simulated
-        // functional path verbatim.
+        // Scalar row `e` of each block row.
         let p = self.x.pattern();
         let v = p.v();
-        let vals = ctx.contents(self.bufs.values);
-        let mut writes = Vec::with_capacity(vals.len());
+        let ([vals], out) = ctx.split([self.bufs.values], self.out_buf);
         for br in 0..p.block_rows() {
-            let range = p.block_row_range(br);
             for e in 0..v {
-                let mut maxv = f32::NEG_INFINITY;
-                for i in range.clone() {
-                    maxv = maxv.max(vals[i * v + e]);
-                }
-                let mut denom = 0.0f32;
-                for i in range.clone() {
-                    denom += (vals[i * v + e] - maxv).exp();
-                }
-                for i in range.clone() {
-                    let y = (vals[i * v + e] - maxv).exp() / denom;
-                    writes.push(((i * v + e) as u32, f16::from_f32(y).to_f32()));
-                }
+                native::softmax_row(vals, out, p.block_row_range(br).map(|i| i * v + e));
             }
         }
-        ctx.apply(self.out_buf, &writes);
         true
     }
 }
@@ -399,23 +384,10 @@ impl KernelSpec for DenseSoftmax {
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         let n = self.cols;
-        let x = ctx.contents(self.in_buf);
-        let mut writes = Vec::with_capacity(self.rows * n);
+        let ([x], out) = ctx.split([self.in_buf], self.out_buf);
         for row in 0..self.rows {
-            let mut maxv = f32::NEG_INFINITY;
-            for c in 0..n {
-                maxv = maxv.max(x[row * n + c]);
-            }
-            let mut denom = 0.0f32;
-            for c in 0..n {
-                denom += (x[row * n + c] - maxv).exp();
-            }
-            for c in 0..n {
-                let y = (x[row * n + c] - maxv).exp() / denom;
-                writes.push(((row * n + c) as u32, f16::from_f32(y).to_f32()));
-            }
+            native::softmax_row(x, out, row * n..(row + 1) * n);
         }
-        ctx.apply(self.out_buf, &writes);
         true
     }
 }

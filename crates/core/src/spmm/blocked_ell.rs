@@ -14,6 +14,7 @@
 //! Table 1.
 
 use crate::compose::{scheme_for, TilingScheme};
+use crate::native::{self, Contract};
 use crate::registry::KernelId;
 use crate::util::{download_dense, lanes, upload_dense, upload_ell, width_of, EllBuffers};
 use vecsparse_formats::{BlockedEll, DenseMatrix, Layout, ELL_PAD};
@@ -442,40 +443,23 @@ impl KernelSpec for BlockedEllSpmm<'_> {
     }
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
-        // Per output element the slab pipeline reduces blocks in ascending
-        // slot order, ascending `kk` within each block, into one
-        // persistent f32 accumulator. Padding blocks (`ELL_PAD`) and the
-        // simulated path's zero-skip only move exact ±0.0 terms.
+        // Ascending slots, ascending `kk` within a block, skipping padding
+        // blocks and, like the functional path, exact-zero A values.
         let block = self.a.block();
-        let n = self.b.cols();
-        let rows = self.a.rows();
-        let bpr = self.a.blocks_per_row();
-        let b = ctx.contents(self.b_buf);
-        let mut writes = Vec::with_capacity(rows * n);
-        for br in 0..self.a.block_rows() {
-            for r in 0..block {
-                let row = br * block + r;
-                if row >= rows {
-                    break;
-                }
-                for c in 0..n {
-                    let mut acc = 0.0f32;
-                    for slot in 0..bpr {
-                        let bc = self.a.block_col(br, slot);
-                        if bc == ELL_PAD {
-                            continue;
-                        }
-                        let vals = self.a.block_values(br, slot);
-                        for kk in 0..block {
-                            let a_val = vals[r * block + kk].to_f32();
-                            acc += a_val * b[(bc as usize * block + kk) * n + c];
-                        }
-                    }
-                    writes.push(((row * n + c) as u32, f16::from_f32(acc).to_f32()));
-                }
-            }
-        }
-        ctx.apply(self.out_buf, &writes);
+        let ([b], out) = ctx.split([self.b_buf], self.out_buf);
+        let c = Contract::of(SCHEME.tile, SCHEME.out_bits).skipping_zero_a();
+        native::spmm_rows(out, b, self.b.cols(), c, |row| {
+            let (br, r) = (row / block, row % block);
+            (0..self.a.blocks_per_row())
+                .filter(move |&slot| self.a.block_col(br, slot) != ELL_PAD)
+                .flat_map(move |slot| {
+                    let bc = self.a.block_col(br, slot) as usize;
+                    let vals = &self.a.block_values(br, slot)[r * block..(r + 1) * block];
+                    vals.iter()
+                        .zip(bc * block..)
+                        .map(|(x, kr)| (x.to_f32(), kr))
+                })
+        });
         true
     }
 }

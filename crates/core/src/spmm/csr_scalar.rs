@@ -8,6 +8,9 @@
 //! only pays off towards 95%+ sparsity and falls behind `cublasHgemm`
 //! under half precision (§3.1).
 
+use crate::compose::scheme_for;
+use crate::native::{self, Contract};
+use crate::registry::KernelId;
 use crate::util::{download_dense, lanes, upload_csr, upload_dense, width_of, CsrBuffers};
 use vecsparse_formats::{Csr, DenseMatrix, Layout, Scalar};
 use vecsparse_fp16::{f16, hmul_fadd};
@@ -204,32 +207,15 @@ impl<T: Scalar> KernelSpec for CsrScalarSpmm<'_, T> {
     }
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
-        // One accumulator per output element, walking the row's scalar
-        // nonzeros in ascending order — exactly the simulated kernel's
-        // per-row functional loop.
-        let n = self.b.cols();
-        let half = T::BITS == 16;
+        // The row's scalar nonzeros in ascending order.
+        let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
         let col_idx = self.a.col_idx();
-        let values = ctx.contents(self.bufs.values);
-        let b = ctx.contents(self.b_buf);
-        let mut writes = Vec::with_capacity(self.a.rows() * n);
-        for row in 0..self.a.rows() {
-            let range = self.a.row_range(row);
-            for c in 0..n {
-                let mut acc = 0.0f32;
-                for i in range.clone() {
-                    let a_val = values[i];
-                    let b_val = b[col_idx[i] as usize * n + c];
-                    acc = if half {
-                        hmul_fadd(f16::from_f32(a_val), f16::from_f32(b_val), acc)
-                    } else {
-                        acc + a_val * b_val
-                    };
-                }
-                writes.push(((row * n + c) as u32, T::from_f32(acc).to_f32()));
-            }
-        }
-        ctx.apply(self.out_buf, &writes);
+        let c = Contract::of(scheme_for(KernelId::SpmmCsrScalar).tile, T::BITS);
+        native::spmm_rows(out, b, self.b.cols(), c, |row| {
+            self.a
+                .row_range(row)
+                .map(|i| (values[i], col_idx[i] as usize))
+        });
         true
     }
 }

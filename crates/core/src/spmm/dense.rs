@@ -9,6 +9,7 @@
 //! speedup in the paper is measured against.
 
 use crate::compose::{scheme_for, TilingScheme};
+use crate::native::{self, Contract};
 use crate::registry::KernelId;
 use crate::util::{download_dense, lanes, upload_dense, width_of};
 use vecsparse_formats::{DenseMatrix, Layout, Scalar};
@@ -269,24 +270,14 @@ impl<T: Scalar> KernelSpec for DenseGemm<'_, T> {
     }
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
-        // Functional mode never splits K, so each output element is one
-        // flat ascending-l reduction; the simulated tile loop's zero-skip
-        // only drops exact ±0.0 terms. Rounded to the element grid once
-        // at store, like the real kernel's final F2F.
-        let (m, n, k) = (self.a.rows(), self.b.cols(), self.a.cols());
-        let a = ctx.contents(self.a_buf);
-        let b = ctx.contents(self.b_buf);
-        let mut writes = Vec::with_capacity(m * n);
-        for r in 0..m {
-            for c in 0..n {
-                let mut acc = 0.0f32;
-                for l in 0..k {
-                    acc += a[r * k + l] * b[l * n + c];
-                }
-                writes.push(((r * n + c) as u32, T::from_f32(acc).to_f32()));
-            }
-        }
-        ctx.apply(self.out_buf, &writes);
+        // Functional mode never splits K: one ascending-l reduction that
+        // skips exact-zero A values, rounded once at store (the F2F).
+        let k = self.a.cols();
+        let ([a, b], out) = ctx.split([self.a_buf, self.b_buf], self.out_buf);
+        let c = Contract::of(SCHEME.tile, T::BITS).skipping_zero_a();
+        native::spmm_rows(out, b, self.b.cols(), c, |row| {
+            a[row * k..(row + 1) * k].iter().copied().zip(0..k)
+        });
         true
     }
 }

@@ -17,6 +17,7 @@
 //! dependencies ("Wait"), and the FPU math pipe bounds throughput.
 
 use crate::compose::{scheme_for, TilingScheme};
+use crate::native::{self, Contract};
 use crate::registry::KernelId;
 use crate::util::{download_dense, lanes, upload_dense, upload_vs, width_of, VsBuffers};
 use vecsparse_formats::{DenseMatrix, Layout, Scalar, VectorSparse};
@@ -402,46 +403,10 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<'_, T> {
     }
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
-        // The FPU chain accumulates per element in ascending-j order
-        // across strides. Half precision rounds each product to binary16
-        // before the f32 add (the paper's §4 HMUL/FADD pairing); single
-        // precision is a plain FFMA chain.
-        let v = self.a.v();
-        let p = self.a.pattern();
-        let n = self.b.cols();
-        let rows = self.a.rows();
-        let half = T::BITS == 16;
-        let col_idx = p.col_idx();
-        let values = ctx.contents(self.bufs.values);
-        let b = ctx.contents(self.b_buf);
-        let mut writes = Vec::with_capacity(rows * n);
-        for br in 0..p.block_rows() {
-            let range = p.block_row_range(br);
-            for r in 0..v {
-                let row = br * v + r;
-                if row >= rows {
-                    break;
-                }
-                for c in 0..n {
-                    let mut acc = 0.0f32;
-                    for j in range.clone() {
-                        let a_val = T::from_f32(values[j * v + r]);
-                        let b_val = T::from_f32(b[col_idx[j] as usize * n + c]);
-                        acc = if half {
-                            hmul_fadd(
-                                f16::from_f32(a_val.to_f32()),
-                                f16::from_f32(b_val.to_f32()),
-                                acc,
-                            )
-                        } else {
-                            acc + a_val.to_f32() * b_val.to_f32()
-                        };
-                    }
-                    writes.push(((row * n + c) as u32, T::from_f32(acc).to_f32()));
-                }
-            }
-        }
-        ctx.apply(self.out_buf, &writes);
+        // Ascending-j HMUL/FADD chain across strides (the paper's §4).
+        let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
+        let c = Contract::of(SCHEME.tile, T::BITS);
+        native::spmm_vector_sparse(out, b, self.b.cols(), c, self.a.pattern(), values);
         true
     }
 }

@@ -15,51 +15,6 @@ pub use fpu_subwarp::{profile_spmm_fpu, spmm_fpu, FpuSubwarpSpmm};
 pub use octet::{profile_spmm_octet, profile_spmm_octet_scheme, spmm_octet, OctetSpmm};
 pub use wmma::{profile_spmm_wmma, spmm_wmma, WmmaSpmm};
 
-/// Native lowering shared by the block-row f16 SpMM family (octet and
-/// wmma): per output element, a flat ascending-`j` f32 reduction over the
-/// block row's nonzero vectors, rounded to binary16 once at store.
-///
-/// This is bit-identical to both simulated kernels' functional paths: the
-/// mma pipelines accumulate the strides' products in ascending step order
-/// (4 ascending k-values per HMMA) into one persistent f32 accumulator,
-/// and padding / zero-skip differences only move exact `±0.0` terms,
-/// which never change an accumulator that starts at `+0.0`.
-pub(crate) fn native_block_row_spmm(
-    ctx: &mut vecsparse_gpu_sim::NativeCtx<'_>,
-    pattern: &vecsparse_formats::SparsityPattern,
-    rows: usize,
-    n: usize,
-    values: vecsparse_gpu_sim::BufferId,
-    b_buf: vecsparse_gpu_sim::BufferId,
-    out: vecsparse_gpu_sim::BufferId,
-) {
-    let v_len = pattern.v();
-    let col_idx = pattern.col_idx();
-    let vals = ctx.contents(values);
-    let b = ctx.contents(b_buf);
-    let mut writes = Vec::with_capacity(rows * n);
-    for br in 0..pattern.block_rows() {
-        let range = pattern.block_row_range(br);
-        for r in 0..v_len {
-            let row = br * v_len + r;
-            if row >= rows {
-                break;
-            }
-            for c in 0..n {
-                let mut acc = 0.0f32;
-                for j in range.clone() {
-                    acc += vals[j * v_len + r] * b[col_idx[j] as usize * n + c];
-                }
-                writes.push((
-                    (row * n + c) as u32,
-                    vecsparse_fp16::f16::from_f32(acc).to_f32(),
-                ));
-            }
-        }
-    }
-    ctx.apply(out, &writes);
-}
-
 /// Shard layout for the block-row SpMM family: `block_rows` row blocks
 /// of `rows_per_block` scalar rows each (the last possibly ragged at
 /// `m`), a dense row-major `m × n` output, and `chunks` CTAs per block

@@ -30,6 +30,7 @@
 
 use super::compose::{compile_octet, OctetSites, DEFAULT_SCHEME};
 use crate::compose::{LoadStrategy, TilingScheme};
+use crate::native::{self, Contract};
 use crate::tile::{marshal_spmm_mat_a, marshal_spmm_mat_b, octet_lane};
 use crate::util::{lanes, upload_dense, upload_vs, width_of, VsBuffers};
 use vecsparse_formats::{DenseMatrix, Layout, VectorSparse};
@@ -438,15 +439,9 @@ impl KernelSpec for OctetSpmm<'_> {
         if self.truncate_hmma {
             return false;
         }
-        super::native_block_row_spmm(
-            ctx,
-            self.a.pattern(),
-            self.a.rows(),
-            self.b.cols(),
-            self.bufs.values,
-            self.b_buf,
-            self.out_buf,
-        );
+        let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
+        let c = Contract::of(self.scheme.tile, self.scheme.out_bits);
+        native::spmm_vector_sparse(out, b, self.b.cols(), c, self.a.pattern(), values);
         true
     }
 }

@@ -19,6 +19,7 @@
 //! §5 design-space comparison (fpu → wmma → octet) runnable.
 
 use crate::compose::{scheme_for, TilingScheme};
+use crate::native::{self, Contract};
 use crate::registry::KernelId;
 use crate::util::{download_dense, lanes, upload_dense, upload_vs, width_of, VsBuffers};
 use vecsparse_formats::{DenseMatrix, Layout, VectorSparse};
@@ -318,19 +319,11 @@ impl KernelSpec for WmmaSpmm<'_> {
     }
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
-        // The wmma fragment pipeline reduces each element in ascending
-        // k-step order into one persistent f32 accumulator — the same
-        // flat reduction as the octet kernel (the simulated path's
-        // zero-skip only drops exact ±0.0 terms).
-        super::native_block_row_spmm(
-            ctx,
-            self.a.pattern(),
-            self.a.rows(),
-            self.b.cols(),
-            self.bufs.values,
-            self.b_buf,
-            self.out_buf,
-        );
+        // Ascending k-steps into one f32 accumulator; the functional
+        // path skips exact-zero A values.
+        let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
+        let c = Contract::of(SCHEME.tile, SCHEME.out_bits).skipping_zero_a();
+        native::spmm_vector_sparse(out, b, self.b.cols(), c, self.a.pattern(), values);
         true
     }
 }

@@ -26,17 +26,50 @@ mod packed;
 pub use half_type::f16;
 pub use packed::{vector_load_bits, Float4, Half2, Half4};
 
-/// Fused multiply-add in single precision: `a * b + c`.
-///
-/// The FPU baselines in the paper compute partial sums with `HMUL` (half
-/// multiply) followed by `FADD` (single-precision add) to bound the
-/// accumulation error; this helper mirrors that numeric path: operands are
-/// half precision, the product and the running sum are single precision.
+/// `acc + HMUL(a, b)`: the FPU baselines' `HMUL` (half multiply) then
+/// `FADD` (single-precision add). The product of two binary16 values is
+/// exact in f32, so rounding it to binary16 once is the whole HMUL.
 #[inline]
 pub fn hmul_fadd(a: f16, b: f16, acc: f32) -> f32 {
-    // HMUL rounds the product to half precision before FADD widens it.
-    let prod = f16::from_f32(a.to_f32() * b.to_f32());
-    acc + prod.to_f32()
+    acc + round_to_f16_grid(a.to_f32() * b.to_f32())
+}
+
+/// Round `x` to binary16 and widen it back: bit for bit
+/// `f16::from_f32(x).to_f32()` on every `f32` input, NaN payloads
+/// included. Selects rather than branches, so a loop over it vectorizes.
+#[inline]
+pub fn round_to_f16_grid(x: f32) -> f32 {
+    let bits = x.to_bits();
+    let mag = bits & 0x7FFF_FFFF;
+    // From 65520 up everything overflows to infinity, except NaN, which
+    // stays quiet with the ten payload bits binary16 has room for.
+    let big = match mag > 0x7F80_0000 {
+        true => (bits & 0xFFFF_E000) | 0x0040_0000,
+        false => (bits & 0x8000_0000) | 0x7F80_0000,
+    };
+    let small = round_to_f16_grid_in_range(x).to_bits();
+    f32::from_bits(if mag >= 0x477F_F000 { big } else { small })
+}
+
+/// [`round_to_f16_grid`] for `|x| < 65520`, bit for bit (unspecified for
+/// NaN, infinities and overflow). With `2^E` the binade of `x` clamped to
+/// binary16's smallest normal one, `1.5 · 2^(E+13)` has an f32 ulp of
+/// `2^(E-10)`, binary16's spacing in binade `E`: adding it rounds `x` to
+/// the grid with the FPU's own ties-to-even, and subtracting it is exact.
+#[inline]
+pub fn round_to_f16_grid_in_range(x: f32) -> f32 {
+    const MIN_NORMAL: f32 = 1.0 / 16384.0;
+    let bits = x.to_bits();
+    let binade = f32::from_bits(bits & 0x7F80_0000);
+    // A compare-and-select, which vectorizes as a plain `maxps`.
+    let binade = if binade > MIN_NORMAL {
+        binade
+    } else {
+        MIN_NORMAL
+    };
+    // Times 1.5 · 2^13; a result of zero gets the sign of `x` back.
+    let magic = binade * 12288.0;
+    f32::from_bits(((x + magic) - magic).to_bits() | (bits & 0x8000_0000))
 }
 
 /// The Tensor Core inner product step: four fp16 products accumulated in

@@ -353,7 +353,7 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
             Mode::Functional => {
                 let native = self.backend == Backend::Native
                     && self.ctas.is_none()
-                    && crate::exec_native::run_native(self.mem, self.kernel);
+                    && self.kernel.run_native(&mut crate::NativeCtx::new(self.mem));
                 if !native {
                     run_functional(self.mem, self.kernel, &lc, self.ctas.as_deref());
                 }
@@ -920,10 +920,10 @@ mod tests {
         }
 
         fn run_native(&self, ctx: &mut crate::NativeCtx<'_>) -> bool {
-            let writes: Vec<(u32, f32)> = (0..self.grid * 32)
-                .map(|i| (i as u32, ctx.read(self.input, i) * 2.0))
-                .collect();
-            ctx.apply(self.output, &writes);
+            let ([input], out) = ctx.split([self.input], self.output);
+            for (o, &x) in out.iter_mut().zip(input).take(self.grid * 32) {
+                *o = x * 2.0;
+            }
             true
         }
     }
