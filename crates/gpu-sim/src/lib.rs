@@ -34,7 +34,6 @@
 
 mod cache;
 mod config;
-mod exec_native;
 mod icache;
 mod launch;
 mod mem;
@@ -55,9 +54,8 @@ pub use cache::{
     LINE_BYTES, SECTORS_PER_LINE, SECTOR_BYTES,
 };
 pub use config::{GpuConfig, Timing};
-pub use exec_native::NativeCtx;
 pub use launch::{Backend, KernelSpec, Launch, LaunchConfig, LaunchOutput, Mode, TimingMode};
-pub use mem::{BufferId, ElemWidth, MemPool, PoolMark};
+pub use mem::{BufferId, ElemWidth, MemPool, NativeCtx, PoolMark};
 pub use memo::{LaunchSig, MemoStats, WaveArtifacts, WaveDecision, WaveMemo};
 pub use profile::{InstrCounts, KernelProfile, PipeUtil, Roofline, StallBreakdown};
 // Telemetry types appear in this crate's API (`launch_traced`); re-export
