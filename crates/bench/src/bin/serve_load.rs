@@ -5,8 +5,7 @@
 //! cargo run --release -p vecsparse-bench --bin serve-load -- \
 //!     [--quick] [--jobs J] [--requests R] [--points P] [--workers W] \
 //!     [--shards S] [--max-batch B] [--n N] [--seed SEED] \
-//!     [--timing tick|event] [--backend native|simulated] \
-//!     [--json serve.json] [--diff]
+//!     [--backend native|simulated] [--json serve.json] [--diff]
 //! ```
 //!
 //! Two stages, mirroring how the ISSUE's acceptance criteria are split:
@@ -30,16 +29,13 @@
 //!    binary asserts the p99 column is finite and monotone and that the
 //!    curve has a measurable knee (tail ≥ 2× the light-load floor).
 //!
-//! `--timing event` runs every worker context's simulator in
-//! event-driven timing mode; all served artifacts stay bit-identical.
-//!
 //! `--backend` selects the worker contexts' functional execution backend
 //! (default `native`, the serving default: the CPU fast path with
 //! bit-identical outputs). The `--diff` replay always runs through a
 //! **simulated** direct context, so under the native default it is an
 //! end-to-end cross-backend identity check.
 //!
-//! `--json PATH` writes the schema-v9 `kind: "serve_saturation"`
+//! `--json PATH` writes the schema-v10 `kind: "serve_saturation"`
 //! document (round-tripped through a JSON parser before it is written,
 //! like the sweep binary) for the CI serve-gate.
 
@@ -47,11 +43,11 @@ use std::sync::Arc;
 use vecsparse::engine::Context;
 use vecsparse::SpmmAlgo;
 use vecsparse_bench::sweep_json::{self, ServeMeta};
-use vecsparse_bench::{device, f2, Table};
+use vecsparse_bench::{device, f2, flag, Table};
 use vecsparse_dlmc::{resnet50_shapes, Benchmark};
 use vecsparse_formats::{gen, DenseMatrix, Layout};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{Backend, TimingMode};
+use vecsparse_gpu_sim::Backend;
 use vecsparse_serve::{
     saturation_curve, service_time_ms, JobRequest, ServeConfig, Server, TenantSpec,
 };
@@ -59,47 +55,22 @@ use vecsparse_serve::{
 /// Nominal V100 SM clock, GHz: converts simulated cycles to service time.
 const NOMINAL_GHZ: f64 = 1.53;
 
-fn arg(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
     let quick = vecsparse_bench::quick_mode();
-    let jobs = arg("--jobs", if quick { 12.0 } else { 32.0 }) as usize;
-    let requests = arg("--requests", if quick { 400.0 } else { 2000.0 }) as usize;
-    let points = (arg("--points", if quick { 6.0 } else { 12.0 }) as usize).max(2);
-    let workers = (arg("--workers", 4.0) as usize).max(1);
-    let shards = (arg("--shards", 2.0) as usize).clamp(1, workers);
-    let max_batch = (arg("--max-batch", 8.0) as usize).max(1);
-    let n = arg("--n", if quick { 32.0 } else { 64.0 }) as usize;
-    let seed = arg("--seed", 42.0) as u64;
-    let timing = arg_str("--timing")
-        .map(|s| {
-            TimingMode::parse(&s)
-                .unwrap_or_else(|| panic!("--timing must be tick or event, got {s:?}"))
-        })
-        .unwrap_or_default();
-    let backend = arg_str("--backend")
-        .map(|s| {
-            Backend::parse(&s)
-                .unwrap_or_else(|| panic!("--backend must be simulated or native, got {s:?}"))
-        })
-        .unwrap_or(Backend::Native);
-    let json_path = arg_str("--json");
-    let diff = std::env::args().any(|a| a == "--diff");
+    let jobs: usize = flag(&args, "--jobs").unwrap_or(if quick { 12 } else { 32 });
+    let requests: usize = flag(&args, "--requests").unwrap_or(if quick { 400 } else { 2000 });
+    let points: usize = flag(&args, "--points")
+        .unwrap_or(if quick { 6 } else { 12 })
+        .max(2);
+    let workers: usize = flag(&args, "--workers").unwrap_or(4).max(1);
+    let shards: usize = flag(&args, "--shards").unwrap_or(2).clamp(1, workers);
+    let max_batch: usize = flag(&args, "--max-batch").unwrap_or(8).max(1);
+    let n: usize = flag(&args, "--n").unwrap_or(if quick { 32 } else { 64 });
+    let seed: u64 = flag(&args, "--seed").unwrap_or(42);
+    let backend = flag(&args, "--backend").unwrap_or(Backend::Native);
+    let json_path: Option<String> = flag(&args, "--json");
+    let diff = args.iter().any(|a| a == "--diff");
 
     let gpu = device();
     let gpu_config_hash = gpu.config_hash();
@@ -121,7 +92,6 @@ fn main() {
         .shards(shards)
         .max_batch(max_batch)
         .gpu(gpu.clone())
-        .timing(timing)
         .backend(backend)
         .memoization();
     for (name, weight) in tenants {
@@ -183,7 +153,6 @@ fn main() {
         // workers this asserts cross-backend bit-identity end to end.
         let direct = Context::builder()
             .gpu(gpu.clone())
-            .timing(timing)
             .backend(Backend::Simulated)
             .build();
         for (out, (a, b)) in served.iter().zip(&replay) {
@@ -199,7 +168,7 @@ fn main() {
     // ---- Stage 2: deterministic saturation sweep ------------------------
     // One profile per distinct shape through the engine: the simulator's
     // cycle counts are the queueing model's service times.
-    let profiler = Context::builder().gpu(gpu).timing(timing).build();
+    let profiler = Context::builder().gpu(gpu).build();
     let service_ms: Vec<f64> = benches
         .iter()
         .map(|a| {
@@ -268,7 +237,6 @@ fn main() {
             p99_ms: live_p99,
             cache_hit_ratio: report.cache_hit_ratio(),
             memo_hit_rate: report.memo.as_ref().map(|m| m.hit_rate()),
-            timing,
             backend,
         };
         let out = sweep_json::render_serve(&meta, &curve);

@@ -6,7 +6,7 @@
 //!     --m 2048 --k 1024 --n 256 --v 4 --sparsity 0.9 [--seed 42] \
 //!     [--algo auto] [--json results.json] [--expect-auto spmm-octet] \
 //!     [--sanitize] [--precision] [--trace trace.json] [--csv counters.csv]
-//!     [--report] [--threads N] [--memoize] [--repeat R] [--timing tick|event]
+//!     [--report] [--threads N] [--memoize] [--repeat R]
 //!     [--backend simulated|native] [--shards N]
 //! ```
 //!
@@ -50,16 +50,13 @@
 //!   bit-identical to the unmemoized sweep (the JSON differs only in
 //!   `wall_ms` and the added `memo` block); `VECSPARSE_AUDIT=n` makes the
 //!   memoizer re-simulate every n-th memoized wave and assert identity.
+//!   Without `--memoize`, `VECSPARSE_AUDIT=n` re-times every n-th
+//!   simulated wave with the reference tick scheduler and asserts it
+//!   matches the event scheduler bit for bit.
 //! * `--repeat R` profiles each kernel row R times — the Fig. 17-style
 //!   repeated-shape workload where memoization pays: the first profile
 //!   simulates, the other R−1 replay. The reported row is the last
 //!   profile (all R are identical).
-//! * `--timing tick|event` selects the scheduler's timing mode (default
-//!   `tick`). `event` jumps the simulated clock between issue events and
-//!   falls back to tick-exact stepping inside contended windows, so the
-//!   JSON document is bit-identical to the tick one apart from `wall_ms`
-//!   and the recorded `timing` label; `VECSPARSE_AUDIT=n` cross-checks
-//!   every n-th event-timed wave against a tick re-simulation at runtime.
 //! * `--backend simulated|native` selects the functional execution
 //!   backend (default `simulated`). `native` runs functional launches
 //!   through each kernel's native CPU lowering; profiles always
@@ -83,20 +80,11 @@ use std::time::Instant;
 use vecsparse::engine::Context;
 use vecsparse::SpmmAlgo;
 use vecsparse_bench::sweep_json::{self, SweepMeta, SweepRow};
-use vecsparse_bench::{device, Table};
+use vecsparse_bench::{device, flag, Table};
 use vecsparse_formats::{gen, Layout};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{Backend, KernelProfile, TimingMode};
+use vecsparse_gpu_sim::{Backend, KernelProfile};
 use vecsparse_telemetry::{csv as telemetry_csv, perfetto, TraceSink, DEFAULT_CAPACITY};
-
-fn arg(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// FNV-1a over an output matrix's raw fp16 bits. Feeds the JSON rows'
 /// `out_digest`, which the CI backend gate diffs across `--backend`
@@ -111,50 +99,33 @@ fn out_digest(out: &vecsparse_formats::DenseMatrix<f16>) -> u64 {
     h
 }
 
-fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
-    if let Some(t) = arg_str("--threads").and_then(|s| s.parse::<usize>().ok()) {
+    let args: Vec<String> = std::env::args().collect();
+    let has = |name: &str| args.iter().any(|a| a == name);
+    if let Some(t) = flag::<usize>(&args, "--threads") {
         rayon::ThreadPoolBuilder::new()
             .num_threads(t)
             .build_global()
             .expect("configure worker threads");
     }
-    let m = arg("--m", 2048.0) as usize;
-    let k = arg("--k", 1024.0) as usize;
-    let n = arg("--n", 256.0) as usize;
-    let v = arg("--v", 4.0) as usize;
-    let sparsity = arg("--sparsity", 0.9);
-    let seed = arg("--seed", 42.0) as u64;
-    let expect_auto = arg_str("--expect-auto");
-    let json_path = arg_str("--json");
-    let trace_path = arg_str("--trace");
-    let csv_path = arg_str("--csv");
-    let want_report = std::env::args().any(|a| a == "--report");
-    let memoize = std::env::args().any(|a| a == "--memoize");
-    let shards = arg("--shards", 0.0) as usize;
-    let repeat = (arg("--repeat", 1.0) as usize).max(1);
-    let timing = arg_str("--timing")
-        .map(|s| {
-            TimingMode::parse(&s)
-                .unwrap_or_else(|| panic!("--timing must be tick or event, got {s:?}"))
-        })
-        .unwrap_or_default();
-    let backend = arg_str("--backend")
-        .map(|s| {
-            Backend::parse(&s)
-                .unwrap_or_else(|| panic!("--backend must be simulated or native, got {s:?}"))
-        })
-        .unwrap_or_default();
+    let m: usize = flag(&args, "--m").unwrap_or(2048);
+    let k: usize = flag(&args, "--k").unwrap_or(1024);
+    let n: usize = flag(&args, "--n").unwrap_or(256);
+    let v: usize = flag(&args, "--v").unwrap_or(4);
+    let sparsity: f64 = flag(&args, "--sparsity").unwrap_or(0.9);
+    let seed: u64 = flag(&args, "--seed").unwrap_or(42);
+    let expect_auto: Option<String> = flag(&args, "--expect-auto");
+    let json_path: Option<String> = flag(&args, "--json");
+    let trace_path: Option<String> = flag(&args, "--trace");
+    let csv_path: Option<String> = flag(&args, "--csv");
+    let want_report = has("--report");
+    let memoize = has("--memoize");
+    let shards: usize = flag(&args, "--shards").unwrap_or(0);
+    let repeat = flag::<usize>(&args, "--repeat").unwrap_or(1).max(1);
+    let backend: Backend = flag(&args, "--backend").unwrap_or_default();
     let want_auto = expect_auto.is_some()
-        || arg_str("--algo").as_deref() == Some("auto")
-        || std::env::args().any(|a| a == "--algo-auto");
+        || flag::<String>(&args, "--algo").as_deref() == Some("auto")
+        || has("--algo-auto");
     assert!(matches!(v, 1 | 2 | 4 | 8), "--v must be 1, 2, 4, or 8");
     assert!(m.is_multiple_of(v), "--m must be a multiple of --v");
     assert!((0.0..1.0).contains(&sparsity), "--sparsity in [0,1)");
@@ -162,7 +133,7 @@ fn main() {
     let gpu = device();
     let gpu_config_hash = gpu.config_hash();
 
-    if std::env::args().any(|a| a == "--sanitize") {
+    if has("--sanitize") {
         use vecsparse::registry::{self, Shape, ALL_KERNELS};
         use vecsparse_gpu_sim::Mode;
         use vecsparse_sanitizer::{sanitize, SanitizeOptions};
@@ -189,7 +160,7 @@ fn main() {
         }
     }
 
-    if std::env::args().any(|a| a == "--precision") {
+    if has("--precision") {
         use vecsparse::registry::{self, KernelId, Shape};
         use vecsparse_gpu_sim::Mode;
         use vecsparse_precision::{analyze, check_soundness, shadow_run};
@@ -232,24 +203,21 @@ fn main() {
     };
     let mut builder = Context::builder()
         .gpu(gpu)
-        .timing(timing)
         .backend(backend)
         .telemetry(Arc::clone(&sink));
     if shards >= 1 {
         builder = builder.shard_certification();
     }
-    let mut ctx = builder.build();
     if memoize {
-        ctx.enable_memoization();
+        builder = builder.memoization();
     }
-    let ctx = ctx;
+    let ctx = builder.build();
     let a = gen::random_vector_sparse::<f16>(m, k, v, sparsity, seed);
     let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 1);
 
     println!(
-        "SpMM sweep: A {m}x{k} ({:.1}% sparse, {v}x1 vectors), B {k}x{n}, {} timing",
-        100.0 * a.pattern().sparsity(),
-        timing.label()
+        "SpMM sweep: A {m}x{k} ({:.1}% sparse, {v}x1 vectors), B {k}x{n}",
+        100.0 * a.pattern().sparsity()
     );
     println!();
     let mut algos = vec![
@@ -399,7 +367,6 @@ fn main() {
             wall_ms: sweep_wall_ms,
             repeat,
             memo: ctx.memo_stats(),
-            timing,
             backend,
         };
         let report = ctx.report();

@@ -34,6 +34,39 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
+/// The value after flag `name` in `args`, parsed as `T`: `Ok(None)` when
+/// the flag is absent, `Err` naming the flag when its value is missing or
+/// does not parse.
+pub fn try_flag<T>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|e| format!("{name}: cannot parse {value:?}: {e}"))
+}
+
+/// [`try_flag`] for a binary's `main`: a missing or unparsable value
+/// prints the error and exits with code 2.
+pub fn flag<T>(args: &[String], name: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    try_flag(args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 /// A minimal fixed-width text table printer.
 pub struct Table {
     headers: Vec<String>,
@@ -115,6 +148,18 @@ mod tests {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!(geomean(&[]).is_nan());
+    }
+
+    #[test]
+    fn flags_parse_or_name_the_bad_flag() {
+        let args: Vec<String> = ["sweep", "--m", "512", "--n", "1e3x"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(try_flag::<usize>(&args, "--m"), Ok(Some(512)));
+        assert_eq!(try_flag::<usize>(&args, "--k"), Ok(None));
+        let err = try_flag::<usize>(&args, "--n").expect_err("1e3x is not a usize");
+        assert!(err.contains("--n"), "{err}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Rendering of the JSON documents the bench binaries emit (schema v9):
+//! Rendering of the JSON documents the bench binaries emit (schema v10):
 //! the `sweep` binary's `--json` kernel sweep and the `serve-load`
 //! binary's saturation document, factored out of `src/bin/` so the
 //! layouts can be round-trip tested without running the binaries.
 
-use vecsparse_gpu_sim::{Backend, KernelProfile, MemoStats, TimingMode};
+use vecsparse_gpu_sim::{Backend, KernelProfile, MemoStats};
 use vecsparse_precision::Certificate;
 use vecsparse_serve::SaturationPoint;
 
@@ -41,9 +41,12 @@ use vecsparse_serve::SaturationPoint;
 /// only `wall_ms` and `backend` stripped; `out_digest` is what makes
 /// that diff exercise the native executor, not just the (deliberately
 /// backend-independent) performance model.
+/// v10: removed top-level `timing` from both document kinds: every
+/// performance launch uses the event scheduler, and the tick scheduler
+/// is only the reference that `VECSPARSE_AUDIT` re-times waves with.
 ///
 /// [`TilingScheme`]: vecsparse::compose::TilingScheme
-pub const JSON_SCHEMA_VERSION: u32 = 9;
+pub const JSON_SCHEMA_VERSION: u32 = 10;
 
 /// One profiled kernel row of the sweep.
 pub struct SweepRow {
@@ -90,9 +93,6 @@ pub struct SweepMeta {
     /// Wave-memoizer counters, present only under `--memoize` (strip
     /// before diffing a memoized document against a baseline one).
     pub memo: Option<MemoStats>,
-    /// Scheduler timing mode the profiles were simulated with. Changing
-    /// it must not change any field other than `wall_ms`.
-    pub timing: TimingMode,
     /// Functional execution backend the sweep's functional runs used.
     /// Changing it must not change any field other than `wall_ms` (and
     /// `backend` itself) — the CI backend gate enforces it.
@@ -117,8 +117,7 @@ pub fn render(
     let mut out = String::from("{\n");
     out.push_str(&format!(
         "  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \"kind\": \"sweep\",\n  \
-         \"timing\": \"{}\",\n  \"backend\": \"{}\",\n  \"gpu_config_hash\": \"{:016x}\",\n",
-        meta.timing.label(),
+         \"backend\": \"{}\",\n  \"gpu_config_hash\": \"{:016x}\",\n",
         meta.backend.label(),
         meta.gpu_config_hash
     ));
@@ -234,8 +233,6 @@ pub struct ServeMeta {
     /// Wave-memo hit rate of the live run (absent when memoization was
     /// off).
     pub memo_hit_rate: Option<f64>,
-    /// Scheduler timing mode the worker contexts simulated with.
-    pub timing: TimingMode,
     /// Functional execution backend the worker contexts ran with.
     pub backend: Backend,
 }
@@ -247,8 +244,7 @@ pub fn render_serve(meta: &ServeMeta, curve: &[SaturationPoint]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
         "  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \"kind\": \"serve_saturation\",\n  \
-         \"timing\": \"{}\",\n  \"backend\": \"{}\",\n  \"gpu_config_hash\": \"{:016x}\",\n",
-        meta.timing.label(),
+         \"backend\": \"{}\",\n  \"gpu_config_hash\": \"{:016x}\",\n",
         meta.backend.label(),
         meta.gpu_config_hash
     ));
@@ -343,7 +339,6 @@ mod tests {
             p99_ms: 12.5,
             cache_hit_ratio: 0.875,
             memo_hit_rate: Some(0.5),
-            timing: TimingMode::Event,
             backend: Backend::Native,
         };
         let curve = vec![
@@ -371,7 +366,6 @@ mod tests {
             Some(JSON_SCHEMA_VERSION as u64)
         );
         assert_eq!(parsed["kind"].as_str(), Some("serve_saturation"));
-        assert_eq!(parsed["timing"].as_str(), Some("event"));
         assert_eq!(parsed["backend"].as_str(), Some("native"));
         let serve = &parsed["serve"];
         assert_eq!(serve["workers"].as_u64(), Some(4));
@@ -412,7 +406,6 @@ mod tests {
                 launch_misses: 4,
                 wave_entries: 5,
             }),
-            timing: TimingMode::Tick,
             backend: Backend::Simulated,
         };
         let rows = vec![
@@ -447,7 +440,6 @@ mod tests {
             Some(JSON_SCHEMA_VERSION as u64)
         );
         assert_eq!(parsed["kind"].as_str(), Some("sweep"));
-        assert_eq!(parsed["timing"].as_str(), Some("tick"));
         assert_eq!(parsed["threads"].as_u64(), Some(4));
         assert_eq!(parsed["wall_ms"].as_f64(), Some(17.25));
         assert_eq!(parsed["repeat"].as_u64(), Some(10));
@@ -483,7 +475,7 @@ mod tests {
         // The CI determinism gate diffs two sweeps at different thread
         // counts (and memoize settings) after deleting the machine- and
         // mode-dependent fields.
-        let mk = |threads, wall_ms, memo, timing, backend| {
+        let mk = |threads, wall_ms, memo, backend| {
             let meta = SweepMeta {
                 gpu_config_hash: 1,
                 m: 8,
@@ -496,24 +488,16 @@ mod tests {
                 wall_ms,
                 repeat: 1,
                 memo,
-                timing,
                 backend,
             };
             render(&meta, &[], &[], &[])
         };
-        let a = mk(4, 10.0, None, TimingMode::Tick, Backend::Simulated);
-        let b = mk(
-            4,
-            99.0,
-            Some(MemoStats::default()),
-            TimingMode::Event,
-            Backend::Native,
-        );
+        let a = mk(4, 10.0, None, Backend::Simulated);
+        let b = mk(4, 99.0, Some(MemoStats::default()), Backend::Native);
         let strip = |doc: &str| match serde_json::from_str(doc).unwrap() {
             serde_json::Value::Object(mut map) => {
                 map.remove("wall_ms");
                 map.remove("memo");
-                map.remove("timing");
                 map.remove("backend");
                 serde_json::Value::Object(map)
             }

@@ -38,6 +38,7 @@
 //! ```
 
 mod error;
+mod plan_core;
 mod report;
 mod sddmm_plan;
 mod spmm_plan;
@@ -45,8 +46,8 @@ pub mod tuner;
 
 pub use error::EngineError;
 pub use report::{AlgoReport, Report};
-pub use sddmm_plan::{SddmmDesc, SddmmPlan};
-pub use spmm_plan::{SpmmDesc, SpmmPlan};
+pub use sddmm_plan::SddmmPlan;
+pub use spmm_plan::SpmmPlan;
 
 use crate::api::{SddmmAlgo, SpmmAlgo};
 use crate::compose::TilingScheme;
@@ -58,81 +59,117 @@ use vecsparse_formats::{gen, BlockedEll, DenseMatrix, SparsityPattern, VectorSpa
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{self, Fingerprint};
 use vecsparse_gpu_sim::{
-    Backend, GpuConfig, KernelProfile, LaunchSig, MemoStats, TimingMode, TraceSink, Track, WaveMemo,
+    Backend, GpuConfig, KernelProfile, LaunchSig, MemoStats, TraceSink, Track, WaveMemo,
 };
 use vecsparse_precision::Certificate;
 use vecsparse_waveprove::WaveCertificate;
 
-/// Granularity of the sparsity axis of the plan-cache key: sparsities are
-/// bucketed to 1/64 before lookup, so two problems whose zero fractions
-/// differ by less than ~1.6 % share a tuning decision. Re-exported from
-/// [`vecsparse_gpu_sim::sig`] — the plan cache, the Blocked-ELL twin
-/// seed, and the wave memoizer all key off the same shared hash module.
-pub use vecsparse_gpu_sim::sig::SPARSITY_BUCKETS;
-
-/// Plan-cache key: everything the tuner's decision depends on. Two
-/// problems with the same key get the same algorithm without re-tuning.
-///
-/// The fields are private (read them through the accessors): the key's
-/// composition is an implementation detail of the cache, and callers
-/// observing it — e.g. via [`Context::cached_keys`] — must not be able
-/// to depend on, or forge, its internals.
+/// The operation a plan executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    op: OpKind,
-    m: usize,
-    k: usize,
-    n: usize,
-    v: usize,
-    sparsity_bucket: u32,
-}
-
-impl PlanKey {
-    /// Which operation this key caches a decision for.
-    pub fn op(&self) -> OpKind {
-        self.op
-    }
-    /// Output rows.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-    /// Inner dimension.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-    /// Output columns (SpMM RHS width / SDDMM mask columns).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-    /// Column-vector length of the structural operand.
-    pub fn v(&self) -> usize {
-        self.v
-    }
-    /// Bucketed sparsity (units of `1 /` [`SPARSITY_BUCKETS`]).
-    pub fn sparsity_bucket(&self) -> u32 {
-        self.sparsity_bucket
-    }
-}
-
-/// The operation class of a cached tuning decision.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum OpKind {
+enum OpKind {
     /// Sparse × dense matrix multiply.
     Spmm,
     /// Sampled dense × dense matrix multiply.
     Sddmm,
 }
 
-fn bucket(sparsity: f64) -> u32 {
-    sig::sparsity_bucket(sparsity)
+/// The engine-track span names of one operation.
+struct SpanNames {
+    plan: &'static str,
+    tune: &'static str,
+    stage: &'static str,
+    run: &'static str,
+    profile: &'static str,
 }
 
+impl OpKind {
+    fn spans(self) -> &'static SpanNames {
+        match self {
+            OpKind::Spmm => &SpanNames {
+                plan: "plan spmm",
+                tune: "tune spmm",
+                stage: "stage spmm",
+                run: "run spmm",
+                profile: "run spmm (profile)",
+            },
+            OpKind::Sddmm => &SpanNames {
+                plan: "plan sddmm",
+                tune: "tune sddmm",
+                stage: "stage sddmm",
+                run: "run sddmm",
+                profile: "run sddmm (profile)",
+            },
+        }
+    }
+}
+
+/// A problem's descriptor and plan-cache key: everything the tuner's
+/// decision depends on. Two problems with the same key get the same
+/// algorithm without re-tuning; a plan checks its operands against the
+/// dimensions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct PlanKey {
+    op: OpKind,
+    /// Output rows.
+    m: usize,
+    /// Inner dimension.
+    k: usize,
+    /// Output columns (SpMM RHS width / SDDMM mask columns).
+    n: usize,
+    /// Column-vector length of the structural operand.
+    v: usize,
+    /// Sparsity of the structural operand, bucketed by
+    /// [`sig::sparsity_bucket`].
+    sparsity_bucket: u32,
+}
+
+impl PlanKey {
+    /// The key of an `op` problem over the structural operand `p` (SpMM's
+    /// sparse matrix, SDDMM's mask) whose remaining dimension — SpMM's
+    /// RHS width `n`, SDDMM's inner dimension `k` — is `free`.
+    fn new(op: OpKind, p: &SparsityPattern, free: usize) -> Result<PlanKey, EngineError> {
+        if free == 0 {
+            return Err(EngineError::EmptyDimension {
+                what: match op {
+                    OpKind::Spmm => "n (RHS columns)",
+                    OpKind::Sddmm => "k (inner dimension)",
+                },
+            });
+        }
+        if !matches!(p.v(), 1 | 2 | 4 | 8) {
+            return Err(EngineError::UnsupportedV { v: p.v() });
+        }
+        let (k, n) = match op {
+            OpKind::Spmm => (p.cols(), free),
+            OpKind::Sddmm => (free, p.cols()),
+        };
+        Ok(PlanKey {
+            op,
+            m: p.rows(),
+            k,
+            n,
+            v: p.v(),
+            sparsity_bucket: sig::sparsity_bucket(p.sparsity()),
+        })
+    }
+}
+
+/// A resolved algorithm: what a plan executes and the plan cache holds.
 #[derive(Clone, Copy, Debug)]
 enum Choice {
-    /// A tuned SpMM decision: the winning algorithm plus, when the winner
-    /// is a scheme-compiled kernel, the winning [`TilingScheme`] point.
+    /// An SpMM algorithm plus, when the tuner picked a scheme-compiled
+    /// kernel, the winning [`TilingScheme`] point.
     Spmm(SpmmAlgo, Option<TilingScheme>),
     Sddmm(SddmmAlgo),
+}
+
+impl Choice {
+    fn label(self) -> &'static str {
+        match self {
+            Choice::Spmm(algo, _) => algo.label(),
+            Choice::Sddmm(algo) => algo.label(),
+        }
+    }
 }
 
 /// Counter snapshot for cache/tuner observability (and tests).
@@ -353,16 +390,13 @@ impl Counters {
 /// via [`Context::builder`].
 pub struct Context {
     gpu: GpuConfig,
-    // lint: hash-ok — keyed lookups; cached_keys() sorts before exposing.
+    // lint: hash-ok — keyed lookup/insert only, never iterated.
     cache: Mutex<HashMap<PlanKey, Choice>>,
     counters: Arc<Counters>,
     sink: Arc<TraceSink>,
     /// Certified wave memoizer shared by every plan built through this
     /// context (None: every performance launch simulates honestly).
     memo: Option<Arc<WaveMemo>>,
-    /// Scheduler timing mode every performance launch under this context
-    /// uses (bit-identical results either way; see DESIGN §2h).
-    timing: TimingMode,
     /// Which engine executes functional launches planned through this
     /// context: the warp-accurate simulator or the native CPU fast path
     /// (bit-identical outputs; the tier-1 backend gate enforces it).
@@ -397,7 +431,6 @@ pub struct ContextBuilder {
     gpu: Option<GpuConfig>,
     sink: Option<Arc<TraceSink>>,
     memo: Option<Arc<WaveMemo>>,
-    timing: TimingMode,
     shard_certs: bool,
     backend: Backend,
 }
@@ -443,20 +476,6 @@ impl ContextBuilder {
         self
     }
 
-    /// Select the scheduler timing mode for every performance launch
-    /// planned through the built context: [`TimingMode::Tick`] (default)
-    /// steps the reference scheduler round by round;
-    /// [`TimingMode::Event`] jumps the clock between cached next-event
-    /// times and is several times faster on honest (non-memoized)
-    /// simulations. Profiles, traces, and memo artifacts are
-    /// bit-identical in both modes — tier-1 and the CI `event-gate`
-    /// enforce it, and `VECSPARSE_AUDIT=n` cross-checks every n-th wave
-    /// at runtime.
-    pub fn timing(mut self, timing: TimingMode) -> Self {
-        self.timing = timing;
-        self
-    }
-
     /// Select the functional execution backend for every plan built
     /// through the context: [`Backend::Simulated`] (default) runs the
     /// warp-accurate simulator; [`Backend::Native`] runs each kernel's
@@ -495,7 +514,6 @@ impl ContextBuilder {
             counters,
             sink,
             memo: self.memo,
-            timing: self.timing,
             backend: self.backend,
         }
     }
@@ -506,14 +524,6 @@ impl Context {
     /// chained onto the returned [`ContextBuilder`].
     pub fn builder() -> ContextBuilder {
         ContextBuilder::default()
-    }
-
-    /// Enable certified wave memoization on this context (idempotent).
-    /// Only plans built *after* this call memoize.
-    pub fn enable_memoization(&mut self) {
-        if self.memo.is_none() {
-            self.memo = Some(Arc::new(WaveMemo::new()));
-        }
     }
 
     /// Memoizer counters, when memoization is enabled.
@@ -529,23 +539,6 @@ impl Context {
     /// The telemetry sink this context records to (disabled by default).
     pub fn sink(&self) -> &Arc<TraceSink> {
         &self.sink
-    }
-
-    /// The scheduler timing mode performance launches use.
-    pub fn timing(&self) -> TimingMode {
-        self.timing
-    }
-
-    /// The functional execution backend plans built here use.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The plan-cache keys currently holding a tuning decision.
-    pub fn cached_keys(&self) -> Vec<PlanKey> {
-        let mut keys: Vec<PlanKey> = self.cache_lock().keys().copied().collect();
-        keys.sort_by_key(|k| (k.m, k.k, k.n, k.v, k.sparsity_bucket));
-        keys
     }
 
     // lint: hash-ok (see field)
@@ -604,50 +597,22 @@ impl Context {
         n: usize,
         algo: SpmmAlgo,
     ) -> Result<SpmmPlan, EngineError> {
-        if n == 0 {
-            return Err(EngineError::EmptyDimension {
-                what: "n (RHS columns)",
-            });
-        }
-        if !matches!(a.v(), 1 | 2 | 4 | 8) {
-            return Err(EngineError::UnsupportedV { v: a.v() });
-        }
-        let desc = SpmmDesc {
-            m: a.rows(),
-            k: a.cols(),
-            n,
-            v: a.v(),
-            sparsity: a.pattern().sparsity(),
-        };
-        let mut plan_span = self.sink.span(Track::ENGINE, "plan spmm", "engine");
-        plan_span.arg("m", desc.m);
-        plan_span.arg("k", desc.k);
-        plan_span.arg("n", desc.n);
-        plan_span.arg("v", desc.v);
-        let (resolved, scheme) = self.resolve_spmm(&desc, algo, a);
-        plan_span.arg("algo", resolved.label());
-        if let Some(s) = &scheme {
-            plan_span.arg("scheme", s.label());
-        }
-        self.record_plan_certificate(resolved.label(), desc.m, desc.n, desc.k, desc.v);
-        let plan = {
-            let _stage = self.sink.span(Track::ENGINE, "stage spmm", "engine");
-            SpmmPlan::build(
-                self.gpu.clone(),
-                desc,
-                algo,
-                resolved,
-                scheme,
-                a,
-                Arc::clone(&self.sink),
-                Arc::clone(&self.counters),
-                self.memo.clone(),
-                self.timing,
-                self.backend,
-            )
-        };
-        self.counters.plans_built.fetch_add(1, Ordering::Relaxed);
-        Ok(plan)
+        let key = PlanKey::new(OpKind::Spmm, a.pattern(), n)?;
+        Ok(self.plan(
+            key,
+            || match algo {
+                SpmmAlgo::Auto => self.tuned(key, || {
+                    let (algo, scheme) = tuner::tune_spmm(&self.gpu, a, n, &self.counters);
+                    Choice::Spmm(algo, scheme)
+                }),
+                // A fixed algorithm executes at its default scheme point.
+                fixed => Choice::Spmm(fixed, None),
+            },
+            |choice| match choice {
+                Choice::Spmm(algo, scheme) => SpmmPlan::build(self, key, algo, scheme, a),
+                Choice::Sddmm(_) => unreachable!("an SpMM key caches SpMM choices"),
+            },
+        ))
     }
 
     /// Infallible [`Context::try_plan_spmm`].
@@ -670,46 +635,20 @@ impl Context {
         k: usize,
         algo: SddmmAlgo,
     ) -> Result<SddmmPlan, EngineError> {
-        if k == 0 {
-            return Err(EngineError::EmptyDimension {
-                what: "k (inner dimension)",
-            });
-        }
-        if !matches!(mask.v(), 1 | 2 | 4 | 8) {
-            return Err(EngineError::UnsupportedV { v: mask.v() });
-        }
-        let desc = SddmmDesc {
-            m: mask.rows(),
-            n: mask.cols(),
-            k,
-            v: mask.v(),
-            sparsity: mask.sparsity(),
-        };
-        let mut plan_span = self.sink.span(Track::ENGINE, "plan sddmm", "engine");
-        plan_span.arg("m", desc.m);
-        plan_span.arg("k", desc.k);
-        plan_span.arg("n", desc.n);
-        plan_span.arg("v", desc.v);
-        let resolved = self.resolve_sddmm(&desc, algo, mask);
-        plan_span.arg("algo", resolved.label());
-        self.record_plan_certificate(resolved.label(), desc.m, desc.n, desc.k, desc.v);
-        let plan = {
-            let _stage = self.sink.span(Track::ENGINE, "stage sddmm", "engine");
-            SddmmPlan::build(
-                self.gpu.clone(),
-                desc,
-                algo,
-                resolved,
-                mask,
-                Arc::clone(&self.sink),
-                Arc::clone(&self.counters),
-                self.memo.clone(),
-                self.timing,
-                self.backend,
-            )
-        };
-        self.counters.plans_built.fetch_add(1, Ordering::Relaxed);
-        Ok(plan)
+        let key = PlanKey::new(OpKind::Sddmm, mask, k)?;
+        Ok(self.plan(
+            key,
+            || match algo {
+                SddmmAlgo::Auto => self.tuned(key, || {
+                    Choice::Sddmm(tuner::tune_sddmm(&self.gpu, mask, k, &self.counters))
+                }),
+                fixed => Choice::Sddmm(fixed),
+            },
+            |choice| match choice {
+                Choice::Sddmm(algo) => SddmmPlan::build(self, key, algo, mask),
+                Choice::Spmm(..) => unreachable!("an SDDMM key caches SDDMM choices"),
+            },
+        ))
     }
 
     /// Infallible [`Context::try_plan_sddmm`].
@@ -766,108 +705,67 @@ impl Context {
         self.plan_sddmm(mask, a.cols(), algo).profile(a, b)
     }
 
-    /// Attach the precision certificate of the resolved kernel at this
-    /// descriptor to the context's counters (surfaced in [`Report`]).
-    /// Algorithm labels coincide with registry labels, so the lookup is a
-    /// parse; sparsity does not enter the error model.
-    fn record_plan_certificate(&self, label: &'static str, m: usize, n: usize, k: usize, v: usize) {
-        if let Some(id) = KernelId::parse(label) {
+    /// The plan prologue both operations share: open the plan span,
+    /// `resolve` the algorithm, record its precision certificate, then
+    /// `stage` the plan under the stage span.
+    fn plan<P>(
+        &self,
+        key: PlanKey,
+        resolve: impl FnOnce() -> Choice,
+        stage: impl FnOnce(Choice) -> P,
+    ) -> P {
+        let spans = key.op.spans();
+        let mut plan_span = self.sink.span(Track::ENGINE, spans.plan, "engine");
+        for (name, dim) in [("m", key.m), ("k", key.k), ("n", key.n), ("v", key.v)] {
+            plan_span.arg(name, dim);
+        }
+        let choice = resolve();
+        plan_span.arg("algo", choice.label());
+        if let Choice::Spmm(_, Some(scheme)) = choice {
+            plan_span.arg("scheme", scheme.label());
+        }
+        // Algorithm labels coincide with registry labels, so the
+        // certificate lookup is a parse; sparsity does not enter the
+        // error model.
+        if let Some(id) = KernelId::parse(choice.label()) {
             let shape = registry::Shape {
-                m,
-                n,
-                k,
-                v,
+                m: key.m,
+                n: key.n,
+                k: key.k,
+                v: key.v,
                 sparsity: 0.0,
                 seed: 0,
             };
-            let cert = registry::model_for(id, &shape).certificate(label);
-            self.counters.record_certificate(label, cert);
+            let cert = registry::model_for(id, &shape).certificate(choice.label());
+            self.counters.record_certificate(choice.label(), cert);
         }
+        let plan = {
+            let _stage = self.sink.span(Track::ENGINE, spans.stage, "engine");
+            stage(choice)
+        };
+        self.counters.plans_built.fetch_add(1, Ordering::Relaxed);
+        plan
     }
 
-    fn resolve_spmm(
-        &self,
-        desc: &SpmmDesc,
-        algo: SpmmAlgo,
-        a: &VectorSparse<f16>,
-    ) -> (SpmmAlgo, Option<TilingScheme>) {
-        if algo != SpmmAlgo::Auto {
-            // A fixed algorithm executes at its default scheme point.
-            return (algo, None);
-        }
-        let key = PlanKey {
-            op: OpKind::Spmm,
-            m: desc.m,
-            k: desc.k,
-            n: desc.n,
-            v: desc.v,
-            sparsity_bucket: bucket(desc.sparsity),
-        };
-        if let Some(Choice::Spmm(cached, scheme)) = self.cache_lock().get(&key).copied() {
+    /// The plan cache's choice for `key`, running `tune` under the tune
+    /// span on a miss.
+    fn tuned(&self, key: PlanKey, tune: impl FnOnce() -> Choice) -> Choice {
+        if let Some(choice) = self.cache_lock().get(&key).copied() {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return (cached, scheme);
+            return choice;
         }
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let (tuned, scheme) = {
-            let mut tune_span = self.sink.span(Track::ENGINE, "tune spmm", "engine");
-            let (tuned, scheme) = tuner::tune_spmm(&self.gpu, a, desc.n, &self.counters);
-            tune_span.arg("winner", tuned.label());
-            if let Some(s) = &scheme {
-                tune_span.arg("scheme", s.label());
+        let choice = {
+            let mut tune_span = self.sink.span(Track::ENGINE, key.op.spans().tune, "engine");
+            let choice = tune();
+            tune_span.arg("winner", choice.label());
+            if let Choice::Spmm(_, Some(scheme)) = choice {
+                tune_span.arg("scheme", scheme.label());
             }
-            (tuned, scheme)
+            choice
         };
-        self.cache_lock().insert(key, Choice::Spmm(tuned, scheme));
-        (tuned, scheme)
-    }
-
-    fn resolve_sddmm(
-        &self,
-        desc: &SddmmDesc,
-        algo: SddmmAlgo,
-        mask: &SparsityPattern,
-    ) -> SddmmAlgo {
-        if algo != SddmmAlgo::Auto {
-            return algo;
-        }
-        let key = PlanKey {
-            op: OpKind::Sddmm,
-            m: desc.m,
-            k: desc.k,
-            n: desc.n,
-            v: desc.v,
-            sparsity_bucket: bucket(desc.sparsity),
-        };
-        if let Some(Choice::Sddmm(cached)) = self.cache_lock().get(&key).copied() {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let tuned = {
-            let mut tune_span = self.sink.span(Track::ENGINE, "tune sddmm", "engine");
-            let tuned = tuner::tune_sddmm(&self.gpu, mask, desc.k, &self.counters);
-            tune_span.arg("winner", tuned.label());
-            tuned
-        };
-        self.cache_lock().insert(key, Choice::Sddmm(tuned));
-        tuned
-    }
-}
-
-/// Aggregated cycle estimate for a planned batch executed as a
-/// back-to-back stream of launches of one shape.
-#[derive(Clone, Debug)]
-pub struct BatchProfile {
-    /// Profile of one batch element.
-    pub element: KernelProfile,
-    /// Number of batch elements.
-    pub elements: usize,
-}
-
-impl BatchProfile {
-    /// Total cycles for the stream.
-    pub fn cycles(&self) -> f64 {
-        self.element.cycles * self.elements as f64
+        self.cache_lock().insert(key, choice);
+        choice
     }
 }
 

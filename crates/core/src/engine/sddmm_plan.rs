@@ -1,35 +1,14 @@
 //! A captured SDDMM problem: the mask is the plan's structural operand;
 //! the pool's address space is recycled across runs.
 
-use super::{pattern_structure_hash, BatchProfile, Counters, EngineError};
+use super::plan_core::{Launched, PlanCore};
+use super::{pattern_structure_hash, Context, EngineError, OpKind, PlanKey};
 use crate::api::SddmmAlgo;
 use crate::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, WmmaSddmm};
-use rayon::prelude::*;
-use std::sync::{Arc, Mutex, PoisonError};
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::sig::FingerprintHasher;
-use vecsparse_gpu_sim::{
-    Backend, GpuConfig, KernelProfile, KernelSpec, Launch, LaunchOutput, MemPool, Mode, PoolMark,
-    TimingMode, TraceSink, Track, WaveMemo,
-};
-use vecsparse_waveprove::{certify, CertifyOptions};
-
-/// Problem descriptor captured by [`SddmmPlan`]:
-/// `C = (A[m×k] · B[k×n]) ∘ mask[m×n]`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SddmmDesc {
-    /// Mask (and output) rows.
-    pub m: usize,
-    /// Mask (and output) columns.
-    pub n: usize,
-    /// Inner dimension — fixed at plan time.
-    pub k: usize,
-    /// Column-vector length of the mask.
-    pub v: usize,
-    /// Zero fraction of the mask.
-    pub sparsity: f64,
-}
+use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
+use vecsparse_gpu_sim::{KernelProfile, MemPool, Mode, PoolMark};
 
 #[derive(Clone)]
 struct SddmmState {
@@ -45,114 +24,33 @@ struct SddmmState {
 ///
 /// Built by [`super::Context::plan_sddmm`].
 pub struct SddmmPlan {
-    gpu: GpuConfig,
-    desc: SddmmDesc,
+    key: PlanKey,
     algo: SddmmAlgo,
-    requested: SddmmAlgo,
     mask: SparsityPattern,
-    state: Mutex<SddmmState>,
-    /// Checked-in clones of the primary state for batched fan-out; every
-    /// dispatch rewinds its state to the base mark before allocating.
-    spares: Mutex<Vec<SddmmState>>,
-    sink: Arc<TraceSink>,
-    counters: Arc<Counters>,
-    /// Context-wide wave memoizer (None: honest simulation only).
-    memo: Option<Arc<WaveMemo>>,
-    /// Scheduler timing mode inherited from the context.
-    timing: TimingMode,
-    /// Functional execution backend inherited from the context.
-    backend: Backend,
+    core: PlanCore<SddmmState>,
 }
 
 impl SddmmPlan {
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn build(
-        gpu: GpuConfig,
-        desc: SddmmDesc,
-        requested: SddmmAlgo,
+        ctx: &Context,
+        key: PlanKey,
         algo: SddmmAlgo,
         mask: &SparsityPattern,
-        sink: Arc<TraceSink>,
-        counters: Arc<Counters>,
-        memo: Option<Arc<WaveMemo>>,
-        timing: TimingMode,
-        backend: Backend,
     ) -> Self {
         assert_ne!(algo, SddmmAlgo::Auto, "algo must be resolved");
         let mem = MemPool::new();
         let base = mem.mark();
         SddmmPlan {
-            gpu,
-            desc,
+            key,
             algo,
-            requested,
             mask: mask.clone(),
-            state: Mutex::new(SddmmState { mem, base }),
-            spares: Mutex::new(Vec::new()),
-            sink,
-            counters,
-            memo,
-            timing,
-            backend,
+            core: PlanCore::new(ctx, OpKind::Sddmm, algo.label(), SddmmState { mem, base }),
         }
-    }
-
-    /// Launch through the memoizer for certified performance launches;
-    /// see [`SpmmPlan::launch`](super::SpmmPlan). Unlike SpMM the pool is
-    /// restaged per run, so the operand fingerprint (mask structure +
-    /// descriptor + post-staging pool layout) is taken here — the rewind
-    /// discipline makes it identical across runs of one plan.
-    fn launch(&self, mem: &mut MemPool, kernel: &dyn KernelSpec, mode: Mode) -> LaunchOutput {
-        if mode == Mode::Performance && self.counters.shard_cert_wanted(self.algo.label()) {
-            let cert = vecsparse_shardprove::analyze(mem, kernel);
-            self.counters
-                .record_shard_cert(self.algo.label(), cert.summary());
-        }
-        let memo = if mode == Mode::Performance {
-            self.memo.as_ref().and_then(|m| {
-                let operand_fp = {
-                    let mut h = FingerprintHasher::new();
-                    h.write_bytes(b"sddmm");
-                    h.write_bytes(self.algo.label().as_bytes());
-                    for d in [self.desc.m, self.desc.n, self.desc.k, self.desc.v] {
-                        h.write_u64(d as u64);
-                    }
-                    h.write_u64(pattern_structure_hash(&self.mask));
-                    h.write_u64(mem.layout_hash());
-                    h.finish()
-                };
-                self.counters
-                    .launch_sig_for(self.algo.label(), operand_fp, || {
-                        certify(mem, kernel, &CertifyOptions::default())
-                    })
-                    .map(|sig| (m.as_ref(), sig))
-            })
-        } else {
-            None
-        };
-        Launch::new(mem, kernel)
-            .gpu(&self.gpu)
-            .mode(mode)
-            .timing(self.timing)
-            .traced(&self.sink)
-            .memo_opt(memo)
-            .backend(self.backend)
-            .run()
-    }
-
-    /// The problem descriptor this plan was built for.
-    pub fn desc(&self) -> SddmmDesc {
-        self.desc
     }
 
     /// The concrete algorithm the plan executes (never `Auto`).
     pub fn algo(&self) -> SddmmAlgo {
         self.algo
-    }
-
-    /// The algorithm the caller asked for (possibly `Auto`).
-    pub fn requested_algo(&self) -> SddmmAlgo {
-        self.requested
     }
 
     /// The mask the plan captured.
@@ -165,31 +63,31 @@ impl SddmmPlan {
         a: &DenseMatrix<f16>,
         b: &DenseMatrix<f16>,
     ) -> Result<(), EngineError> {
-        if a.rows() != self.desc.m {
+        if a.rows() != self.key.m {
             return Err(EngineError::DimensionMismatch {
                 what: "A rows",
-                expected: self.desc.m,
+                expected: self.key.m,
                 got: a.rows(),
             });
         }
-        if a.cols() != self.desc.k {
+        if a.cols() != self.key.k {
             return Err(EngineError::DimensionMismatch {
                 what: "A cols",
-                expected: self.desc.k,
+                expected: self.key.k,
                 got: a.cols(),
             });
         }
-        if b.rows() != self.desc.k {
+        if b.rows() != self.key.k {
             return Err(EngineError::DimensionMismatch {
                 what: "B rows",
-                expected: self.desc.k,
+                expected: self.key.k,
                 got: b.rows(),
             });
         }
-        if b.cols() != self.desc.n {
+        if b.cols() != self.key.n {
             return Err(EngineError::DimensionMismatch {
                 what: "B cols",
-                expected: self.desc.n,
+                expected: self.key.n,
                 got: b.cols(),
             });
         }
@@ -210,75 +108,20 @@ impl SddmmPlan {
         Ok(())
     }
 
-    fn dispatch<R>(
-        &self,
-        a: &DenseMatrix<f16>,
-        b: &DenseMatrix<f16>,
-        mode: Mode,
-        finish: impl FnOnce(
-            &MemPool,
-            &dyn Fn(&MemPool) -> VectorSparse<f16>,
-            Option<KernelProfile>,
-        ) -> R,
-    ) -> Result<R, EngineError> {
-        self.check_operands(a, b)?;
-        let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        self.dispatch_with(&mut guard, a, b, mode, finish)
-    }
-
-    /// [`dispatch`](SddmmPlan::dispatch) against a checked-out spare
-    /// state (batched fan-out): pop a spare or clone the primary, run
-    /// without holding the primary lock, then check the state back in.
-    fn dispatch_pooled<R>(
-        &self,
-        a: &DenseMatrix<f16>,
-        b: &DenseMatrix<f16>,
-        mode: Mode,
-        finish: impl FnOnce(
-            &MemPool,
-            &dyn Fn(&MemPool) -> VectorSparse<f16>,
-            Option<KernelProfile>,
-        ) -> R,
-    ) -> Result<R, EngineError> {
-        self.check_operands(a, b)?;
-        let spare = self
-            .spares
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop();
-        let mut state = match spare {
-            Some(s) => s,
-            None => self
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
-        };
-        let out = self.dispatch_with(&mut state, a, b, mode, finish);
-        self.spares
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(state);
-        out
-    }
-
-    /// Dispatch core, against whichever [`SddmmState`] the caller owns.
-    fn dispatch_with<R>(
+    /// Check the operands, rewind `state` to the base mark, stage and
+    /// launch.
+    fn execute(
         &self,
         state: &mut SddmmState,
         a: &DenseMatrix<f16>,
         b: &DenseMatrix<f16>,
         mode: Mode,
-        finish: impl FnOnce(
-            &MemPool,
-            &dyn Fn(&MemPool) -> VectorSparse<f16>,
-            Option<KernelProfile>,
-        ) -> R,
-    ) -> Result<R, EngineError> {
-        let base = state.base;
-        let SddmmState { mem, .. } = state;
-        mem.release_to(base);
-        let out = match self.algo {
+    ) -> Result<Launched<VectorSparse<f16>>, EngineError> {
+        self.check_operands(a, b)?;
+        state.mem.release_to(state.base);
+        let mem = &mut state.mem;
+        let fp = |mem: &MemPool| self.operand_fp(mem);
+        Ok(match self.algo {
             SddmmAlgo::OctetReg | SddmmAlgo::OctetShfl | SddmmAlgo::OctetArch => {
                 let variant = match self.algo {
                     SddmmAlgo::OctetReg => OctetVariant::Reg,
@@ -286,26 +129,41 @@ impl SddmmPlan {
                     _ => OctetVariant::Arch,
                 };
                 let kernel = OctetSddmm::new(mem, a, b, &self.mask, variant, mode);
-                let out = self.launch(mem, &kernel, mode);
-                finish(mem, &|m| kernel.result(m), out.profile)
+                self.core
+                    .launch(mem, &kernel, mode, fp, |m| kernel.result(m))
             }
             SddmmAlgo::FpuSubwarp => {
                 let kernel = FpuSubwarpSddmm::new(mem, a, b, &self.mask, mode);
-                let out = self.launch(mem, &kernel, mode);
-                finish(mem, &|m| kernel.result(m), out.profile)
+                self.core
+                    .launch(mem, &kernel, mode, fp, |m| kernel.result(m))
             }
             SddmmAlgo::Wmma => {
                 let kernel = WmmaSddmm::new(mem, a, b, &self.mask, mode);
-                let out = self.launch(mem, &kernel, mode);
-                finish(mem, &|m| kernel.result(m), out.profile)
+                self.core
+                    .launch(mem, &kernel, mode, fp, |m| kernel.result(m))
             }
             SddmmAlgo::Auto => {
                 return Err(EngineError::Internal {
                     what: "Auto algorithm survived plan build",
                 })
             }
-        };
-        Ok(out)
+        })
+    }
+
+    /// The memoization operand fingerprint: mask structure, descriptor
+    /// and post-staging pool layout. Unlike SpMM the pool is restaged per
+    /// run, so it is taken at launch — the rewind discipline makes it
+    /// identical across runs of one plan.
+    fn operand_fp(&self, mem: &MemPool) -> Fingerprint {
+        let mut h = FingerprintHasher::new();
+        h.write_bytes(b"sddmm");
+        h.write_bytes(self.algo.label().as_bytes());
+        for d in [self.key.m, self.key.n, self.key.k, self.key.v] {
+            h.write_u64(d as u64);
+        }
+        h.write_u64(pattern_structure_hash(&self.mask));
+        h.write_u64(mem.layout_hash());
+        h.finish()
     }
 
     /// Run the planned SDDMM on one `(A, B)` pair.
@@ -314,13 +172,7 @@ impl SddmmPlan {
         a: &DenseMatrix<f16>,
         b: &DenseMatrix<f16>,
     ) -> Result<VectorSparse<f16>, EngineError> {
-        let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
-        let mut span = self.sink.span(Track::ENGINE, "run sddmm", "engine");
-        span.arg("algo", self.algo.label());
-        let out = self.dispatch(a, b, Mode::Functional, |mem, result, _| result(mem))?;
-        self.counters.record_run(self.algo.label());
-        self.counters.add_wall(t0.elapsed());
-        Ok(out)
+        self.core.run(|state, mode| self.execute(state, a, b, mode))
     }
 
     /// Infallible [`SddmmPlan::try_run`].
@@ -339,20 +191,8 @@ impl SddmmPlan {
         a: &DenseMatrix<f16>,
         b: &DenseMatrix<f16>,
     ) -> Result<KernelProfile, EngineError> {
-        let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
-        let mut span = self
-            .sink
-            .span(Track::ENGINE, "run sddmm (profile)", "engine");
-        span.arg("algo", self.algo.label());
-        let profile = self
-            .dispatch(a, b, Mode::Performance, |_, _, profile| profile)?
-            .ok_or(EngineError::Internal {
-                what: "performance launch returned no profile",
-            })?;
-        self.counters
-            .record_profile(self.algo.label(), profile.cycles);
-        self.counters.add_wall(t0.elapsed());
-        Ok(profile)
+        self.core
+            .profile(|state, mode| self.execute(state, a, b, mode))
     }
 
     /// Infallible [`SddmmPlan::try_profile`].
@@ -361,20 +201,6 @@ impl SddmmPlan {
     /// Panics with the [`EngineError`] message on operand mismatch.
     pub fn profile(&self, a: &DenseMatrix<f16>, b: &DenseMatrix<f16>) -> KernelProfile {
         self.try_profile(a, b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`try_run`](SddmmPlan::try_run) against a checked-out spare
-    /// state, for batched fan-out. No per-element engine span:
-    /// concurrent workers would interleave ring pushes
-    /// nondeterministically.
-    fn try_run_pooled(
-        &self,
-        a: &DenseMatrix<f16>,
-        b: &DenseMatrix<f16>,
-    ) -> Result<VectorSparse<f16>, EngineError> {
-        let out = self.dispatch_pooled(a, b, Mode::Functional, |mem, result, _| result(mem))?;
-        self.counters.record_run(self.algo.label());
-        Ok(out)
     }
 
     /// Run every `(A, B)` pair, returning outputs in order. Pairs fan
@@ -394,29 +220,12 @@ impl SddmmPlan {
                 b: b_batch.len(),
             });
         }
-        if a_batch.is_empty() {
-            return Err(EngineError::EmptyBatch);
-        }
         for (a, b) in a_batch.iter().zip(b_batch) {
             self.check_operands(a, b)?;
         }
-        if self.sink.is_enabled() {
-            return a_batch
-                .iter()
-                .zip(b_batch)
-                .map(|(a, b)| self.try_run(a, b))
-                .collect();
-        }
-        let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
-        let out = a_batch
-            .into_par_iter()
-            .zip(b_batch.into_par_iter())
-            .map(|(a, b)| self.try_run_pooled(a, b))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .collect();
-        self.counters.add_wall(t0.elapsed());
-        out
+        self.core.run_batch(a_batch.len(), |state, mode, i| {
+            self.execute(state, &a_batch[i], &b_batch[i], mode)
+        })
     }
 
     /// Infallible [`SddmmPlan::try_run_batch`].
@@ -430,41 +239,6 @@ impl SddmmPlan {
         b_batch: &[DenseMatrix<f16>],
     ) -> Vec<VectorSparse<f16>> {
         self.try_run_batch(a_batch, b_batch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Profile a batch as a back-to-back stream of one shape.
-    pub fn try_profile_batch(
-        &self,
-        a_batch: &[DenseMatrix<f16>],
-        b_batch: &[DenseMatrix<f16>],
-    ) -> Result<BatchProfile, EngineError> {
-        if a_batch.len() != b_batch.len() {
-            return Err(EngineError::BatchLengthMismatch {
-                a: a_batch.len(),
-                b: b_batch.len(),
-            });
-        }
-        if a_batch.is_empty() {
-            return Err(EngineError::EmptyBatch);
-        }
-        Ok(BatchProfile {
-            element: self.try_profile(&a_batch[0], &b_batch[0])?,
-            elements: a_batch.len(),
-        })
-    }
-
-    /// Infallible [`SddmmPlan::try_profile_batch`].
-    ///
-    /// # Panics
-    /// Panics with the [`EngineError`] message on an empty batch or
-    /// mismatched batch lengths.
-    pub fn profile_batch(
-        &self,
-        a_batch: &[DenseMatrix<f16>],
-        b_batch: &[DenseMatrix<f16>],
-    ) -> BatchProfile {
-        self.try_profile_batch(a_batch, b_batch)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 }

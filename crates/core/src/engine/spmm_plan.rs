@@ -1,35 +1,15 @@
 //! A captured SpMM problem: encode once, stage once, run many times.
 
-use super::{ell_twin, pattern_structure_hash, BatchProfile, Counters, EngineError};
+use super::plan_core::{Launched, PlanCore};
+use super::{ell_twin, pattern_structure_hash, Context, EngineError, OpKind, PlanKey};
 use crate::api::SpmmAlgo;
 use crate::compose::TilingScheme;
 use crate::spmm::{BlockedEllSpmm, DenseGemm, FpuSubwarpSpmm, OctetSpmm, WmmaSpmm};
 use crate::util::{download_dense, upload_ell, upload_vs, EllBuffers, VsBuffers};
-use rayon::prelude::*;
-use std::sync::{Arc, Mutex, PoisonError};
 use vecsparse_formats::{BlockedEll, DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
-use vecsparse_gpu_sim::{
-    Backend, BufferId, ElemWidth, GpuConfig, KernelProfile, KernelSpec, Launch, LaunchOutput,
-    MemPool, Mode, TimingMode, TraceSink, Track, WaveMemo,
-};
-use vecsparse_waveprove::{certify, CertifyOptions};
-
-/// Problem descriptor captured by [`SpmmPlan`]: `C[m×n] = A[m×k] · B[k×n]`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpmmDesc {
-    /// Output rows (sparse operand rows).
-    pub m: usize,
-    /// Inner dimension (sparse operand cols, RHS rows).
-    pub k: usize,
-    /// Output columns (RHS cols) — fixed at plan time.
-    pub n: usize,
-    /// Column-vector length of the sparse operand.
-    pub v: usize,
-    /// Zero fraction of the sparse operand.
-    pub sparsity: f64,
-}
+use vecsparse_gpu_sim::{BufferId, ElemWidth, KernelProfile, KernelSpec, MemPool, Mode};
 
 /// Device-side handles of the staged sparse operand.
 #[derive(Clone, Copy)]
@@ -40,9 +20,7 @@ enum Staged {
 }
 
 /// Mutable per-plan device state: the pool plus the reusable RHS and
-/// output buffers. Single runs lock the plan's primary state; batched
-/// runs check clones out of a spare pool so rayon workers each own
-/// private device state and genuinely run concurrently.
+/// output buffers.
 #[derive(Clone)]
 struct PlanState {
     mem: MemPool,
@@ -62,10 +40,8 @@ struct PlanState {
 ///
 /// Built by [`super::Context::plan_spmm`].
 pub struct SpmmPlan {
-    gpu: GpuConfig,
-    desc: SpmmDesc,
+    key: PlanKey,
     algo: SpmmAlgo,
-    requested: SpmmAlgo,
     /// Tiling-scheme point the tuner selected for a scheme-compiled
     /// kernel (`None`: the kernel's default scheme).
     scheme: Option<TilingScheme>,
@@ -75,46 +51,27 @@ pub struct SpmmPlan {
     ell: Option<BlockedEll<f16>>,
     /// Densified twin, derived once. Only for `Dense`.
     dense: Option<DenseMatrix<f16>>,
-    state: Mutex<PlanState>,
-    /// Checked-in clones of the primary state for batched fan-out. A
-    /// clone's RHS/output buffers may hold a previous run's values;
-    /// every functional dispatch overwrites both before launching.
-    spares: Mutex<Vec<PlanState>>,
-    sink: Arc<TraceSink>,
-    counters: Arc<Counters>,
-    /// Context-wide wave memoizer (None: honest simulation only).
-    memo: Option<Arc<WaveMemo>>,
-    /// Scheduler timing mode inherited from the context.
-    timing: TimingMode,
-    /// Functional execution backend inherited from the context.
-    backend: Backend,
     /// Fingerprint of everything the memoization signature must cover
     /// beyond the certificate: operation, algorithm, descriptor, the full
     /// pattern structure, and the staged pool layout.
     operand_fp: Fingerprint,
+    core: PlanCore<PlanState>,
 }
 
 impl SpmmPlan {
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn build(
-        gpu: GpuConfig,
-        desc: SpmmDesc,
-        requested: SpmmAlgo,
+        ctx: &Context,
+        key: PlanKey,
         algo: SpmmAlgo,
         scheme: Option<TilingScheme>,
         a: &VectorSparse<f16>,
-        sink: Arc<TraceSink>,
-        counters: Arc<Counters>,
-        memo: Option<Arc<WaveMemo>>,
-        timing: TimingMode,
-        backend: Backend,
     ) -> Self {
         assert_ne!(algo, SpmmAlgo::Auto, "algo must be resolved");
         let a = a.clone();
         let mut mem = MemPool::new();
         // Address-only staging throughout: operand values are only read
-        // by functional launches, so `dispatch_with` materialises them
-        // lazily and profile-only plans skip the conversion entirely.
+        // by functional launches, so `execute` materialises them lazily
+        // and profile-only plans skip the conversion entirely.
         let (staged, ell, dense) = match algo {
             SpmmAlgo::BlockedEll => {
                 let ell = ell_twin(&a);
@@ -132,8 +89,8 @@ impl SpmmPlan {
                 None,
             ),
         };
-        let b_buf = mem.alloc_zeroed(ElemWidth::B16, desc.k * desc.n);
-        let out_buf = mem.alloc_zeroed(ElemWidth::B16, desc.m * desc.n);
+        let b_buf = mem.alloc_zeroed(ElemWidth::B16, key.k * key.n);
+        let out_buf = mem.alloc_zeroed(ElemWidth::B16, key.m * key.n);
         // Only the octet SpMM compiles from a scheme today; other
         // algorithms execute at their fixed default point.
         let scheme = if algo == SpmmAlgo::Octet {
@@ -154,91 +111,35 @@ impl SpmmPlan {
                     .label()
                     .as_bytes(),
             );
-            for d in [desc.m, desc.k, desc.n, desc.v] {
+            for d in [key.m, key.k, key.n, key.v] {
                 h.write_u64(d as u64);
             }
             h.write_u64(pattern_structure_hash(a.pattern()));
             h.write_u64(mem.layout_hash());
             h.finish()
         };
+        let state = PlanState {
+            mem,
+            staged,
+            resident: false,
+            b_buf,
+            out_buf,
+        };
         SpmmPlan {
-            gpu,
-            desc,
+            key,
             algo,
-            requested,
             scheme,
             a,
             ell,
             dense,
-            state: Mutex::new(PlanState {
-                mem,
-                staged,
-                resident: false,
-                b_buf,
-                out_buf,
-            }),
-            spares: Mutex::new(Vec::new()),
-            sink,
-            counters,
-            memo,
-            timing,
-            backend,
             operand_fp,
+            core: PlanCore::new(ctx, OpKind::Spmm, algo.label(), state),
         }
-    }
-
-    /// Launch through the memoizer when (a) this is a performance launch,
-    /// (b) the context memoizes, and (c) the kernel's wave equivalence is
-    /// certified (proved at most once per (algorithm, operand) by the
-    /// context's signature cache). Everything else simulates honestly.
-    fn launch(&self, mem: &mut MemPool, kernel: &dyn KernelSpec, mode: Mode) -> LaunchOutput {
-        if mode == Mode::Performance && self.counters.shard_cert_wanted(self.algo.label()) {
-            let cert = vecsparse_shardprove::analyze(mem, kernel);
-            self.counters
-                .record_shard_cert(self.algo.label(), cert.summary());
-        }
-        let memo = if mode == Mode::Performance {
-            self.memo.as_ref().and_then(|m| {
-                self.counters
-                    .launch_sig_for(self.algo.label(), self.operand_fp, || {
-                        certify(mem, kernel, &CertifyOptions::default())
-                    })
-                    .map(|sig| (m.as_ref(), sig))
-            })
-        } else {
-            None
-        };
-        Launch::new(mem, kernel)
-            .gpu(&self.gpu)
-            .mode(mode)
-            .timing(self.timing)
-            .traced(&self.sink)
-            .memo_opt(memo)
-            .backend(self.backend)
-            .run()
-    }
-
-    /// The problem descriptor this plan was built for.
-    pub fn desc(&self) -> SpmmDesc {
-        self.desc
     }
 
     /// The concrete algorithm the plan executes (never `Auto`).
     pub fn algo(&self) -> SpmmAlgo {
         self.algo
-    }
-
-    /// The algorithm the caller asked for (possibly `Auto`).
-    pub fn requested_algo(&self) -> SpmmAlgo {
-        self.requested
-    }
-
-    /// The tiling-scheme point the plan's kernel compiles from, when the
-    /// algorithm is scheme-compiled: `Some` only for a tuned octet plan
-    /// whose sweep landed off (or on) the default; `None` means the
-    /// kernel's built-in default scheme.
-    pub fn scheme(&self) -> Option<TilingScheme> {
-        self.scheme
     }
 
     /// Label of the effective tiling scheme the plan executes (the
@@ -252,23 +153,18 @@ impl SpmmPlan {
         }
     }
 
-    /// The functional execution backend inherited from the context.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     fn check_rhs(&self, b: &DenseMatrix<f16>) -> Result<(), EngineError> {
-        if b.rows() != self.desc.k {
+        if b.rows() != self.key.k {
             return Err(EngineError::DimensionMismatch {
                 what: "RHS rows",
-                expected: self.desc.k,
+                expected: self.key.k,
                 got: b.rows(),
             });
         }
-        if b.cols() != self.desc.n {
+        if b.cols() != self.key.n {
             return Err(EngineError::DimensionMismatch {
                 what: "RHS cols",
-                expected: self.desc.n,
+                expected: self.key.n,
                 got: b.cols(),
             });
         }
@@ -282,58 +178,14 @@ impl SpmmPlan {
         Ok(())
     }
 
-    /// Execute against the plan's primary state; `finish` reads results
-    /// back while the state lock is still held.
-    fn dispatch<R>(
-        &self,
-        b: &DenseMatrix<f16>,
-        mode: Mode,
-        finish: impl FnOnce(&MemPool, BufferId, Option<KernelProfile>) -> R,
-    ) -> Result<R, EngineError> {
-        self.check_rhs(b)?;
-        let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        self.dispatch_with(&mut guard, b, mode, finish)
-    }
-
-    /// Execute against a checked-out spare state (batched fan-out): pop
-    /// a spare or clone the primary, run without holding the primary
-    /// lock, then check the state back in for the next element.
-    fn dispatch_pooled<R>(
-        &self,
-        b: &DenseMatrix<f16>,
-        mode: Mode,
-        finish: impl FnOnce(&MemPool, BufferId, Option<KernelProfile>) -> R,
-    ) -> Result<R, EngineError> {
-        self.check_rhs(b)?;
-        let spare = self
-            .spares
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop();
-        let mut state = match spare {
-            Some(s) => s,
-            None => self
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
-        };
-        let out = self.dispatch_with(&mut state, b, mode, finish);
-        self.spares
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(state);
-        out
-    }
-
-    /// Dispatch core, against whichever [`PlanState`] the caller owns.
-    fn dispatch_with<R>(
+    /// Check `b`, stage it into `state` and launch.
+    fn execute(
         &self,
         state: &mut PlanState,
         b: &DenseMatrix<f16>,
         mode: Mode,
-        finish: impl FnOnce(&MemPool, BufferId, Option<KernelProfile>) -> R,
-    ) -> Result<R, EngineError> {
+    ) -> Result<Launched<DenseMatrix<f16>>, EngineError> {
+        self.check_rhs(b)?;
         let PlanState {
             mem,
             staged,
@@ -413,22 +265,19 @@ impl SpmmPlan {
                 })
             }
         };
-        let out = self.launch(mem, kernel.as_ref(), mode);
-        Ok(finish(mem, *out_buf, out.profile))
+        let (m, n, out_buf) = (self.key.m, self.key.n, *out_buf);
+        Ok(self.core.launch(
+            mem,
+            kernel.as_ref(),
+            mode,
+            |_| self.operand_fp,
+            |mem| download_dense(mem, out_buf, m, n),
+        ))
     }
 
     /// Run the planned SpMM on one RHS.
     pub fn try_run(&self, b: &DenseMatrix<f16>) -> Result<DenseMatrix<f16>, EngineError> {
-        let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
-        let mut span = self.sink.span(Track::ENGINE, "run spmm", "engine");
-        span.arg("algo", self.algo.label());
-        let (m, n) = (self.desc.m, self.desc.n);
-        let out = self.dispatch(b, Mode::Functional, |mem, out_buf, _| {
-            download_dense(mem, out_buf, m, n)
-        })?;
-        self.counters.record_run(self.algo.label());
-        self.counters.add_wall(t0.elapsed());
-        Ok(out)
+        self.core.run(|state, mode| self.execute(state, b, mode))
     }
 
     /// Infallible [`SpmmPlan::try_run`].
@@ -442,20 +291,8 @@ impl SpmmPlan {
 
     /// Profile the planned SpMM (sampled performance model).
     pub fn try_profile(&self, b: &DenseMatrix<f16>) -> Result<KernelProfile, EngineError> {
-        let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
-        let mut span = self
-            .sink
-            .span(Track::ENGINE, "run spmm (profile)", "engine");
-        span.arg("algo", self.algo.label());
-        let profile = self
-            .dispatch(b, Mode::Performance, |_, _, profile| profile)?
-            .ok_or(EngineError::Internal {
-                what: "performance launch returned no profile",
-            })?;
-        self.counters
-            .record_profile(self.algo.label(), profile.cycles);
-        self.counters.add_wall(t0.elapsed());
-        Ok(profile)
+        self.core
+            .profile(|state, mode| self.execute(state, b, mode))
     }
 
     /// Infallible [`SpmmPlan::try_profile`].
@@ -464,18 +301,6 @@ impl SpmmPlan {
     /// Panics with the [`EngineError`] message on RHS shape mismatch.
     pub fn profile(&self, b: &DenseMatrix<f16>) -> KernelProfile {
         self.try_profile(b).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`try_run`](SpmmPlan::try_run) against a checked-out spare state,
-    /// for batched fan-out. No per-element engine span: concurrent
-    /// workers would interleave ring pushes nondeterministically.
-    fn try_run_pooled(&self, b: &DenseMatrix<f16>) -> Result<DenseMatrix<f16>, EngineError> {
-        let (m, n) = (self.desc.m, self.desc.n);
-        let out = self.dispatch_pooled(b, Mode::Functional, |mem, out_buf, _| {
-            download_dense(mem, out_buf, m, n)
-        })?;
-        self.counters.record_run(self.algo.label());
-        Ok(out)
     }
 
     /// Run every RHS in the batch, returning outputs in order. Elements
@@ -488,24 +313,12 @@ impl SpmmPlan {
         &self,
         batch: &[DenseMatrix<f16>],
     ) -> Result<Vec<DenseMatrix<f16>>, EngineError> {
-        if batch.is_empty() {
-            return Err(EngineError::EmptyBatch);
-        }
         for b in batch {
             self.check_rhs(b)?;
         }
-        if self.sink.is_enabled() {
-            return batch.iter().map(|b| self.try_run(b)).collect();
-        }
-        let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
-        let out = batch
-            .into_par_iter()
-            .map(|b| self.try_run_pooled(b))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .collect();
-        self.counters.add_wall(t0.elapsed());
-        out
+        self.core.run_batch(batch.len(), |state, mode, i| {
+            self.execute(state, &batch[i], mode)
+        })
     }
 
     /// Infallible [`SpmmPlan::try_run_batch`].
@@ -515,29 +328,5 @@ impl SpmmPlan {
     /// shape mismatch.
     pub fn run_batch(&self, batch: &[DenseMatrix<f16>]) -> Vec<DenseMatrix<f16>> {
         self.try_run_batch(batch).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Profile a batch as a back-to-back stream: one element profile (the
-    /// batch is shape-uniform by construction) scaled by the length.
-    pub fn try_profile_batch(
-        &self,
-        batch: &[DenseMatrix<f16>],
-    ) -> Result<BatchProfile, EngineError> {
-        if batch.is_empty() {
-            return Err(EngineError::EmptyBatch);
-        }
-        Ok(BatchProfile {
-            element: self.try_profile(&batch[0])?,
-            elements: batch.len(),
-        })
-    }
-
-    /// Infallible [`SpmmPlan::try_profile_batch`].
-    ///
-    /// # Panics
-    /// Panics with the [`EngineError`] message on an empty batch.
-    pub fn profile_batch(&self, batch: &[DenseMatrix<f16>]) -> BatchProfile {
-        self.try_profile_batch(batch)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 }

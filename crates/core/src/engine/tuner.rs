@@ -30,8 +30,8 @@
 //! [`spmm_sweep_points`].
 //!
 //! The winner is memoized in the owning [`super::Context`]'s plan cache
-//! under the descriptor's [`super::PlanKey`], so a descriptor is tuned at
-//! most once per context.
+//! under the descriptor's key, so a descriptor is tuned at most once per
+//! context.
 
 use super::Counters;
 use crate::api::{SddmmAlgo, SpmmAlgo};
@@ -44,7 +44,7 @@ use crate::spmm::{
 use rayon::prelude::*;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::GpuConfig;
+use vecsparse_gpu_sim::{GpuConfig, KernelProfile};
 
 /// Minimum density (`1 - sparsity`) at which the dense-GEMM surrogate is
 /// worth profiling at all.
@@ -98,37 +98,20 @@ pub(crate) fn tune_spmm(
     counters: &Counters,
 ) -> (SpmmAlgo, Option<TilingScheme>) {
     let b = DenseMatrix::<f16>::zeros(a.cols(), n, Layout::RowMajor);
-    let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
-                                        // Profile candidates in parallel (each builds its own MemPool), then
-                                        // reduce sequentially in candidate order: strict `<` keeps the
-                                        // earlier candidate on ties, exactly like the old sequential loop.
-    let profiled: Vec<(SpmmAlgo, Option<TilingScheme>, f64)> =
-        spmm_sweep_points(a.v(), a.pattern().sparsity())
-            .into_par_iter()
-            .map(|(algo, scheme)| {
-                counters.count_tuner_launch();
-                let profile = match (algo, scheme) {
-                    (SpmmAlgo::Octet, Some(s)) => profile_spmm_octet_scheme(gpu, a, &b, s),
-                    (SpmmAlgo::Wmma, _) => profile_spmm_wmma(gpu, a, &b),
-                    (SpmmAlgo::FpuSubwarp, _) => profile_spmm_fpu(gpu, a, &b),
-                    (SpmmAlgo::Dense, _) => {
-                        let dense = a.to_dense(Layout::RowMajor);
-                        profile_dense_gemm(gpu, &dense, &b)
-                    }
-                    _ => unreachable!("never a tuner candidate"),
-                };
-                (algo, scheme, profile.cycles)
-            })
-            .collect();
-    counters.add_wall(t0.elapsed());
-    let mut best: Option<(SpmmAlgo, Option<TilingScheme>, f64)> = None;
-    for (algo, scheme, cycles) in profiled {
-        if best.is_none() || cycles < best.unwrap().2 {
-            best = Some((algo, scheme, cycles));
-        }
-    }
-    let (algo, scheme, _) = best.expect("candidate set is never empty");
-    (algo, scheme)
+    fastest(
+        spmm_sweep_points(a.v(), a.pattern().sparsity()),
+        counters,
+        |point| match point {
+            (SpmmAlgo::Octet, Some(s)) => profile_spmm_octet_scheme(gpu, a, &b, s),
+            (SpmmAlgo::Wmma, _) => profile_spmm_wmma(gpu, a, &b),
+            (SpmmAlgo::FpuSubwarp, _) => profile_spmm_fpu(gpu, a, &b),
+            (SpmmAlgo::Dense, _) => {
+                let dense = a.to_dense(Layout::RowMajor);
+                profile_dense_gemm(gpu, &dense, &b)
+            }
+            _ => unreachable!("never a tuner candidate"),
+        },
+    )
 }
 
 pub(crate) fn tune_sddmm(
@@ -139,31 +122,39 @@ pub(crate) fn tune_sddmm(
 ) -> SddmmAlgo {
     let a = DenseMatrix::<f16>::zeros(mask.rows(), k, Layout::RowMajor);
     let b = DenseMatrix::<f16>::zeros(k, mask.cols(), Layout::ColMajor);
+    fastest(sddmm_candidates(mask.v()), counters, |algo| match algo {
+        SddmmAlgo::OctetReg => profile_sddmm_octet(gpu, &a, &b, mask, OctetVariant::Reg),
+        SddmmAlgo::OctetShfl => profile_sddmm_octet(gpu, &a, &b, mask, OctetVariant::Shfl),
+        SddmmAlgo::FpuSubwarp => profile_sddmm_fpu(gpu, &a, &b, mask),
+        SddmmAlgo::Wmma => profile_sddmm_wmma(gpu, &a, &b, mask),
+        SddmmAlgo::OctetArch | SddmmAlgo::Auto => unreachable!("never a tuner candidate"),
+    })
+}
+
+/// The candidate with the fewest profiled cycles. Candidates profile in
+/// parallel (each builds its own `MemPool`), then reduce in candidate
+/// order: strict `<` keeps the earlier candidate on ties.
+fn fastest<C: Copy + Send + Sync>(
+    candidates: Vec<C>,
+    counters: &Counters,
+    profile: impl Fn(C) -> KernelProfile + Sync,
+) -> C {
     let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
-    let profiled: Vec<(SddmmAlgo, f64)> = sddmm_candidates(mask.v())
-        .into_par_iter()
-        .map(|algo| {
+    let cycles: Vec<f64> = candidates
+        .par_iter()
+        .map(|&c| {
             counters.count_tuner_launch();
-            let profile = match algo {
-                SddmmAlgo::OctetReg => profile_sddmm_octet(gpu, &a, &b, mask, OctetVariant::Reg),
-                SddmmAlgo::OctetShfl => profile_sddmm_octet(gpu, &a, &b, mask, OctetVariant::Shfl),
-                SddmmAlgo::FpuSubwarp => profile_sddmm_fpu(gpu, &a, &b, mask),
-                SddmmAlgo::Wmma => profile_sddmm_wmma(gpu, &a, &b, mask),
-                SddmmAlgo::OctetArch | SddmmAlgo::Auto => {
-                    unreachable!("never a tuner candidate")
-                }
-            };
-            (algo, profile.cycles)
+            profile(c).cycles
         })
         .collect();
     counters.add_wall(t0.elapsed());
-    let mut best: Option<(SddmmAlgo, f64)> = None;
-    for (algo, cycles) in profiled {
-        if best.is_none() || cycles < best.unwrap().1 {
-            best = Some((algo, cycles));
+    let mut best = 0;
+    for (i, &c) in cycles.iter().enumerate() {
+        if c < cycles[best] {
+            best = i;
         }
     }
-    best.expect("candidate set is never empty").0
+    candidates[best]
 }
 
 #[cfg(test)]

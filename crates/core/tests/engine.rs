@@ -5,12 +5,13 @@
 //! throwaway-context-per-element batch path.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 use vecsparse::engine::Context;
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, reference, Layout};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::GpuConfig;
+use vecsparse_gpu_sim::{GpuConfig, TraceSink};
 
 /// Strategy shared with `tests/properties.rs`: plausible small problems
 /// with rows divisible by V.
@@ -61,25 +62,38 @@ fn sddmm_auto_caches_per_descriptor_too() {
     assert_eq!(got.values(), want.values());
 }
 
+/// The two contexts the batch tests run under: an untraced one, whose
+/// batches fan out across workers, and a traced one, whose batches run
+/// sequentially.
+fn batch_contexts() -> [Context; 2] {
+    [
+        Context::builder().gpu(GpuConfig::small()).build(),
+        Context::builder()
+            .gpu(GpuConfig::small())
+            .telemetry(Arc::new(TraceSink::enabled(1 << 16)))
+            .build(),
+    ]
+}
+
 #[test]
 fn spmm_batch_matches_sequential_runs() {
-    let ctx = Context::builder().gpu(GpuConfig::small()).build();
     let a = gen::random_vector_sparse::<f16>(32, 64, 4, 0.8, 20);
     let batch: Vec<_> = (0..6u64)
         .map(|i| gen::random_dense::<f16>(64, 40, Layout::RowMajor, 21 + i))
         .collect();
-    let plan = ctx.plan_spmm(&a, 40, SpmmAlgo::Octet);
-    let batched = plan.run_batch(&batch);
-    assert_eq!(batched.len(), batch.len());
-    for (b, got) in batch.iter().zip(&batched) {
-        assert_eq!(got.max_abs_diff(&plan.run(b)), 0.0);
-        assert_eq!(got.max_abs_diff(&reference::spmm_vs(&a, b)), 0.0);
+    for ctx in batch_contexts() {
+        let plan = ctx.plan_spmm(&a, 40, SpmmAlgo::Octet);
+        let batched = plan.run_batch(&batch);
+        assert_eq!(batched.len(), batch.len());
+        for (b, got) in batch.iter().zip(&batched) {
+            assert_eq!(got.max_abs_diff(&plan.run(b)), 0.0);
+            assert_eq!(got.max_abs_diff(&reference::spmm_vs(&a, b)), 0.0);
+        }
     }
 }
 
 #[test]
 fn sddmm_batch_matches_sequential_runs() {
-    let ctx = Context::builder().gpu(GpuConfig::small()).build();
     let mask = gen::random_pattern(32, 48, 4, 0.6, 30);
     let a_batch: Vec<_> = (0..4u64)
         .map(|i| gen::random_dense::<f16>(32, 32, Layout::RowMajor, 31 + i))
@@ -87,11 +101,14 @@ fn sddmm_batch_matches_sequential_runs() {
     let b_batch: Vec<_> = (0..4u64)
         .map(|i| gen::random_dense::<f16>(32, 48, Layout::ColMajor, 41 + i))
         .collect();
-    let plan = ctx.plan_sddmm(&mask, 32, SddmmAlgo::OctetReg);
-    let batched = plan.run_batch(&a_batch, &b_batch);
-    for ((a, b), got) in a_batch.iter().zip(&b_batch).zip(&batched) {
-        assert_eq!(got.values(), plan.run(a, b).values());
-        assert_eq!(got.values(), reference::sddmm(a, b, &mask).values());
+    for ctx in batch_contexts() {
+        let plan = ctx.plan_sddmm(&mask, 32, SddmmAlgo::OctetReg);
+        let batched = plan.run_batch(&a_batch, &b_batch);
+        assert_eq!(batched.len(), a_batch.len());
+        for ((a, b), got) in a_batch.iter().zip(&b_batch).zip(&batched) {
+            assert_eq!(got.values(), plan.run(a, b).values());
+            assert_eq!(got.values(), reference::sddmm(a, b, &mask).values());
+        }
     }
 }
 

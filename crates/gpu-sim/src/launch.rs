@@ -29,38 +29,22 @@ pub enum Mode {
 
 /// How the performance simulation advances time. Both modes produce
 /// bit-identical profiles, traces, and memo artifacts; the choice is
-/// purely a wall-clock trade.
+/// purely a wall-clock trade, so every launch uses the event scheduler
+/// and the tick scheduler is the reference it is checked against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TimingMode {
     /// Reference tick scheduler (`sched.rs`): every warp's readiness is
-    /// recomputed from the live scoreboards each round.
-    #[default]
+    /// recomputed from the live scoreboards each round. Tests select it
+    /// as the oracle, and `VECSPARSE_AUDIT=n` re-times every n-th event
+    /// wave with it.
     Tick,
     /// Event-driven scheduler (`sched_event.rs`): the clock jumps to
     /// cached next-event times, dropping back to tick-exact stepping
     /// inside contended (barrier) windows. Several times faster on
     /// untraced waves; results are bit-identical by construction and
     /// cross-checked at runtime under `VECSPARSE_AUDIT=n`.
+    #[default]
     Event,
-}
-
-impl TimingMode {
-    /// Stable lowercase label, as used by `--timing` and sweep JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            TimingMode::Tick => "tick",
-            TimingMode::Event => "event",
-        }
-    }
-
-    /// Parse a `--timing` flag value.
-    pub fn parse(s: &str) -> Option<TimingMode> {
-        match s {
-            "tick" => Some(TimingMode::Tick),
-            "event" => Some(TimingMode::Event),
-            _ => None,
-        }
-    }
 }
 
 /// Which engine executes a *functional* launch.
@@ -90,13 +74,17 @@ impl Backend {
             Backend::Native => "native",
         }
     }
+}
 
-    /// Parse a `--backend` flag value.
-    pub fn parse(s: &str) -> Option<Backend> {
+impl std::str::FromStr for Backend {
+    type Err = &'static str;
+
+    /// Parse a `--backend` flag value (a [`Backend::label`]).
+    fn from_str(s: &str) -> Result<Backend, Self::Err> {
         match s {
-            "simulated" => Some(Backend::Simulated),
-            "native" => Some(Backend::Native),
-            _ => None,
+            "simulated" => Ok(Backend::Simulated),
+            "native" => Ok(Backend::Native),
+            _ => Err("expected simulated or native"),
         }
     }
 }
@@ -190,7 +178,7 @@ pub struct LaunchOutput {
 /// Launch::new(&mut mem, &kernel)        // functional, default GPU
 ///     .gpu(&cfg)                        // machine to simulate
 ///     .performance()                    // or .mode(Mode::Performance)
-///     .timing(TimingMode::Event)        // tick (default) or event-driven
+///     .timing(TimingMode::Tick)         // reference scheduler (default: event)
 ///     .traced(&sink)                    // telemetry sink
 ///     .memo(&memo, sig)                 // certified wave memoization
 ///     .run()
@@ -276,7 +264,8 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
         self.mode(Mode::Performance)
     }
 
-    /// How the performance simulation advances time.
+    /// How the performance simulation advances time (default
+    /// [`TimingMode::Event`]; [`TimingMode::Tick`] is the reference).
     pub fn timing(mut self, timing: TimingMode) -> Launch<'a, K> {
         self.timing = timing;
         self
@@ -1006,9 +995,9 @@ mod tests {
     #[test]
     fn backend_labels_round_trip() {
         for b in [Backend::Simulated, Backend::Native] {
-            assert_eq!(Backend::parse(b.label()), Some(b));
+            assert_eq!(b.label().parse(), Ok(b));
         }
-        assert_eq!(Backend::parse("cuda"), None);
+        assert!("cuda".parse::<Backend>().is_err());
         assert_eq!(Backend::default(), Backend::Simulated);
     }
 
@@ -1165,13 +1154,13 @@ mod tests {
         let tick = Launch::new(&mut mem, &k)
             .gpu(&cfg)
             .performance()
+            .timing(TimingMode::Tick)
             .run()
             .profile
             .unwrap();
         let event = Launch::new(&mut mem, &k)
             .gpu(&cfg)
             .performance()
-            .timing(TimingMode::Event)
             .run()
             .profile
             .unwrap();
@@ -1194,7 +1183,6 @@ mod tests {
         let audited = Launch::new(&mut mem, &k)
             .gpu(&cfg)
             .performance()
-            .timing(TimingMode::Event)
             .memo(&memo, LaunchSig(crate::sig::Fingerprint::default()))
             .run()
             .profile

@@ -2,7 +2,7 @@
 
 use crate::error::ServeError;
 use std::sync::Arc;
-use vecsparse_gpu_sim::{Backend, GpuConfig, TimingMode};
+use vecsparse_gpu_sim::{Backend, GpuConfig};
 use vecsparse_telemetry::TraceSink;
 
 /// One tenant's contract with the server: identity, fair-share weight,
@@ -71,7 +71,6 @@ pub struct ServeConfig {
     pub(crate) max_batch: usize,
     pub(crate) default_queue_depth: usize,
     pub(crate) gpu: GpuConfig,
-    pub(crate) timing: TimingMode,
     pub(crate) backend: Backend,
     pub(crate) memoization: bool,
     pub(crate) sink: Option<Arc<TraceSink>>,
@@ -107,11 +106,6 @@ impl ServeConfig {
         &self.tenants
     }
 
-    /// Scheduler timing mode the worker contexts simulate with.
-    pub fn timing(&self) -> TimingMode {
-        self.timing
-    }
-
     /// Functional execution backend the worker contexts run with.
     pub fn backend(&self) -> Backend {
         self.backend
@@ -139,7 +133,6 @@ pub struct ServeConfigBuilder {
     max_batch: Option<usize>,
     default_queue_depth: Option<usize>,
     gpu: Option<GpuConfig>,
-    timing: TimingMode,
     backend: Option<Backend>,
     memoization: bool,
     sink: Option<Arc<TraceSink>>,
@@ -177,15 +170,6 @@ impl ServeConfigBuilder {
     /// V100 shape).
     pub fn gpu(mut self, gpu: GpuConfig) -> Self {
         self.gpu = Some(gpu);
-        self
-    }
-
-    /// Scheduler timing mode for every worker context (default
-    /// [`TimingMode::Tick`]). [`TimingMode::Event`] serves bit-identical
-    /// artifacts faster by jumping the simulated clock between issue
-    /// events.
-    pub fn timing(mut self, timing: TimingMode) -> Self {
-        self.timing = timing;
         self
     }
 
@@ -265,7 +249,6 @@ impl ServeConfigBuilder {
             max_batch,
             default_queue_depth: self.default_queue_depth.unwrap_or(256),
             gpu: self.gpu.unwrap_or_default(),
-            timing: self.timing,
             backend: self.backend.unwrap_or(Backend::Native),
             memoization: self.memoization,
             sink: self.sink,

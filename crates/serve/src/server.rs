@@ -153,7 +153,6 @@ impl Server {
             .map(|_| {
                 let mut b = Context::builder()
                     .gpu(config.gpu.clone())
-                    .timing(config.timing)
                     .backend(config.backend)
                     .telemetry(Arc::clone(&sink));
                 if config.memoization {

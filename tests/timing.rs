@@ -1,13 +1,17 @@
-//! Tier-1 equivalence gate for the event-driven timing mode.
+//! Tier-1 equivalence gate for the event-driven scheduler.
 //!
-//! `TimingMode::Event` is a wall-clock optimisation, never an
-//! observable: every simulated artifact — cycle counts, the full
-//! performance profile, functional outputs, and Perfetto trace bytes —
-//! must be bit-identical to `TimingMode::Tick`, at any worker-thread
-//! count, across the whole kernel registry. The event scheduler may
-//! jump the clock only between issue events and must fall back to
-//! tick-exact stepping inside contended (barrier) windows; these tests
-//! are the external check that the fallback rule is airtight.
+//! Every launch times its waves with the event scheduler; the tick
+//! scheduler is the reference it must match. Event timing is a
+//! wall-clock optimisation, never an observable: every simulated
+//! artifact — cycle counts, the full performance profile, functional
+//! outputs, and Perfetto trace bytes — must be bit-identical to
+//! `TimingMode::Tick`, at any worker-thread count, across the whole
+//! kernel registry. The event scheduler may jump the clock only between
+//! issue events and must fall back to tick-exact stepping inside
+//! contended (barrier) windows; these tests are the external check that
+//! the fallback rule is airtight. The `Launch`-level tests select tick
+//! explicitly; the engine-level ones audit every simulated wave against
+//! a tick re-simulation inside the launch (`WaveMemo::with_audit(1)`).
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -16,7 +20,7 @@ use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
 use vecsparse::SpmmAlgo;
 use vecsparse_formats::{gen, Layout};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{GpuConfig, Launch, Mode, TimingMode};
+use vecsparse_gpu_sim::{GpuConfig, Launch, Mode, TimingMode, WaveMemo};
 use vecsparse_telemetry::{perfetto, TraceSink, DEFAULT_CAPACITY};
 
 /// Reconfigure the global worker count (the shim accepts repeated
@@ -92,34 +96,42 @@ fn perfetto_trace_bytes_identical_across_timing_modes() {
     );
 }
 
-/// Engine-level plumbing: a `Context` built with
-/// `.timing(TimingMode::Event)` must produce the same functional
-/// outputs and profile cycles as a tick context.
+/// A context whose plans re-time every simulated wave of their
+/// performance launches with the tick scheduler, panicking on any
+/// difference.
+fn audited_context() -> Context {
+    Context::builder()
+        .gpu(GpuConfig::small())
+        .shared_memoization(Arc::new(WaveMemo::with_audit(1)))
+        .build()
+}
+
+/// Engine-level plumbing: a plan whose launches are audited against
+/// tick must produce the same functional outputs and profile cycles as
+/// a plain context's plan.
 #[test]
 fn engine_context_event_timing_matches_tick() {
     set_threads(1);
     let a = gen::random_vector_sparse::<f16>(64, 128, 4, 0.85, 31);
     let b = gen::random_dense::<f16>(128, 48, Layout::RowMajor, 32);
-    let run = |timing: TimingMode| {
-        let ctx = Context::builder()
-            .gpu(GpuConfig::small())
-            .timing(timing)
-            .build();
-        assert_eq!(ctx.timing(), timing);
+    let run = |ctx: &Context| {
         let plan = ctx.plan_spmm(&a, 48, SpmmAlgo::Octet);
         let out = plan.run(&b);
         let cycles = plan.profile(&b).cycles;
         (out, cycles.to_bits())
     };
-    let tick = run(TimingMode::Tick);
-    let event = run(TimingMode::Event);
+    let audited_ctx = audited_context();
+    let audited = run(&audited_ctx);
+    let stats = audited_ctx.memo_stats().expect("audited context memoizes");
+    assert!(stats.wave_misses > 0, "the profile simulated audited waves");
+    let plain = run(&Context::builder().gpu(GpuConfig::small()).build());
     assert_eq!(
-        event.0, tick.0,
-        "functional output diverged under event timing"
+        audited.0, plain.0,
+        "functional output diverged under the audited context"
     );
     assert_eq!(
-        event.1, tick.1,
-        "profile cycles diverged under event timing"
+        audited.1, plain.1,
+        "profile cycles diverged under the audited context"
     );
 }
 
@@ -163,8 +175,9 @@ fn audited_event_launch_passes_and_matches_tick() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any grid shape, any worker count: the event-timed engine stack
-    /// produces the same output bits and cycle estimate as tick.
+    /// Any grid shape, any worker count: the engine stack, with every
+    /// simulated wave audited against tick, produces the same output bits
+    /// and cycle estimate as a plain single-threaded context.
     #[test]
     fn grid_shape_event_matches_tick_across_threads(
         mb in 1usize..4,
@@ -180,22 +193,19 @@ proptest! {
         let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 1);
 
         set_threads(1);
-        let tick_ctx = Context::builder().gpu(GpuConfig::small()).build();
-        let tick_plan = tick_ctx.plan_spmm(&a, n, SpmmAlgo::Octet);
-        let out_tick = tick_plan.run(&b);
-        let cycles_tick = tick_plan.profile(&b).cycles;
+        let plain_ctx = Context::builder().gpu(GpuConfig::small()).build();
+        let plain_plan = plain_ctx.plan_spmm(&a, n, SpmmAlgo::Octet);
+        let out_plain = plain_plan.run(&b);
+        let cycles_plain = plain_plan.profile(&b).cycles;
 
         set_threads(threads);
-        let ev_ctx = Context::builder()
-            .gpu(GpuConfig::small())
-            .timing(TimingMode::Event)
-            .build();
-        let ev_plan = ev_ctx.plan_spmm(&a, n, SpmmAlgo::Octet);
-        let out_ev = ev_plan.run(&b);
-        let cycles_ev = ev_plan.profile(&b).cycles;
+        let audited_ctx = audited_context();
+        let audited_plan = audited_ctx.plan_spmm(&a, n, SpmmAlgo::Octet);
+        let out_audited = audited_plan.run(&b);
+        let cycles_audited = audited_plan.profile(&b).cycles;
         set_threads(1);
 
-        prop_assert_eq!(out_ev, out_tick);
-        prop_assert_eq!(cycles_ev.to_bits(), cycles_tick.to_bits());
+        prop_assert_eq!(out_audited, out_plain);
+        prop_assert_eq!(cycles_audited.to_bits(), cycles_plain.to_bits());
     }
 }
