@@ -45,7 +45,7 @@
 //!   simulated counters and the JSON document are bit-identical at any
 //!   thread count — only `wall_ms` varies.
 //! * `--memoize` enables certified wave memoization: kernels whose wave
-//!   equivalence `vecsparse-waveprove` proves are simulated once per
+//!   equivalence `vecsparse-certify` proves are simulated once per
 //!   structural signature and replayed thereafter. Profiles are
 //!   bit-identical to the unmemoized sweep (the JSON differs only in
 //!   `wall_ms` and the added `memo` block); `VECSPARSE_AUDIT=n` makes the
@@ -66,8 +66,8 @@
 //!   label — the CI backend gate diffs exactly that, with the digest
 //!   column carrying the cross-backend identity claim.
 //! * `--shards N` (N ≥ 1) enables shard certification: the first
-//!   performance launch of each swept algorithm runs the `shardprove`
-//!   footprint analyzer and the JSON document gains a
+//!   performance launch of each swept algorithm runs the footprint
+//!   certificate's analyzer and the JSON document gains a
 //!   `shard_certificates` array. The array depends only on the shape,
 //!   never on N, so documents at different N diff clean apart from
 //!   `wall_ms`. With N > 1 the sweep additionally runs every registry
@@ -308,8 +308,8 @@ fn main() {
 
     if shards > 1 {
         use vecsparse::registry::{self, Shape, ALL_KERNELS};
+        use vecsparse_certify::{analyze, launch_sharded};
         use vecsparse_gpu_sim::{Launch, Mode};
-        use vecsparse_shardprove::{analyze, launch_sharded};
         let shape = Shape {
             m,
             n,

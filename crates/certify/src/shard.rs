@@ -1,9 +1,12 @@
-//! The footprint-certification pass: strided-interval footprints per
-//! memory region, three shard obligations, and the typed plan.
+//! The footprint certificate: strided-interval footprints per memory
+//! region, three shard obligations, and the typed plan.
 
 use vecsparse_gpu_sim::{
-    sector_of_byte, BufferId, CtaCtx, KernelSpec, Launch, MemPool, Mode, ShardLayout, SECTOR_BYTES,
+    capture, sector_of_byte, BufferId, KernelSpec, Launch, MemPool, ShardLayout, WarpTrace,
+    SECTOR_BYTES,
 };
+
+use crate::fixtures::{Certificate, Expected, Fixture, Kind, Rows};
 
 /// A contiguous byte range `[lo, hi)` of device memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -113,9 +116,9 @@ pub enum ShardFailure {
     NoLayout,
     /// The published layout is structurally malformed.
     BadLayout(String),
-    /// Performance-mode trace generation read operand values — the
-    /// footprint depends on data and the one-trace-per-CTA abstraction
-    /// is unsound (waveprove's obligation, re-checked here).
+    /// A captured CTA read operand values — the footprint depends on
+    /// data and the one-trace-per-CTA abstraction is unsound (the wave
+    /// certificate's first obligation, re-checked here).
     ValueDependentTrace {
         /// CTA whose trace generation read values.
         cta_id: usize,
@@ -364,7 +367,9 @@ impl FootprintCertificate {
     /// straddles, chosen nearest to an even element split; boundaries
     /// that are 32-byte sector-aligned are preferred within a 128-byte
     /// tolerance, and a forced unaligned cut records
-    /// [`ShardLint::SectorFalseSharing`] on the plan.
+    /// [`ShardLint::SectorFalseSharing`] on the plan. Zero shards, or
+    /// more than the cut points allow, are refused with
+    /// [`ShardFailure::UnsplittableGrid`].
     pub fn shard_plan(&self, n: usize) -> Result<ShardPlan, ShardFailure> {
         let layout = match (&self.verdict, &self.layout) {
             (ShardVerdict::NotShardable(reason), _) => return Err(reason.clone()),
@@ -375,7 +380,6 @@ impl FootprintCertificate {
                 return Err(ShardFailure::BadLayout("layout missing".to_string()))
             }
         };
-        assert!(n >= 1, "shard count must be at least 1");
         let rows = layout.rows;
         // Rows strictly inside some CTA's range cannot be cut.
         let mut cuttable = vec![true; rows + 1];
@@ -385,7 +389,7 @@ impl FootprintCertificate {
             }
         }
         let candidates: Vec<u32> = (1..rows as u32).filter(|&r| cuttable[r as usize]).collect();
-        if candidates.len() + 1 < n {
+        if n == 0 || candidates.len() + 1 < n {
             return Err(ShardFailure::UnsplittableGrid {
                 wanted: n,
                 cuts: candidates.len(),
@@ -489,31 +493,13 @@ fn merge(mut raw: Vec<(usize, Span)>) -> Vec<(usize, Span)> {
     out
 }
 
-/// Extract one CTA's footprint by running its performance-mode trace
-/// with per-lane detail recording and mirroring the execution model's
-/// clamping: loads cover `max(1, min(epl, len - off))` elements per
-/// lane (an out-of-bounds load still issues one sector), stores cover
-/// the elements functionally written (`off + e < len`).
-fn cta_footprint<K: KernelSpec + ?Sized>(
-    mem: &MemPool,
-    kernel: &K,
-    lc: &vecsparse_gpu_sim::LaunchConfig,
-    cta_id: usize,
-) -> CtaFoot {
-    let mut cta = CtaCtx::new(
-        cta_id,
-        Mode::Performance,
-        mem,
-        lc.warps_per_cta,
-        lc.smem_elems,
-        lc.smem_elem_bytes,
-    );
-    cta.record_detail = true;
-    kernel.run_cta(&mut cta);
-    let (traces, _) = cta.finish();
-
+/// Extract one CTA's footprint from its detailed traces, mirroring the
+/// execution model's clamping: loads cover `max(1, min(epl, len - off))`
+/// elements per lane (an out-of-bounds load still issues one sector),
+/// stores cover the elements functionally written (`off + e < len`).
+fn cta_footprint(mem: &MemPool, traces: &[WarpTrace]) -> CtaFoot {
     let mut foot = CtaFoot::default();
-    for t in &traces {
+    for t in traces {
         for m in &t.mem {
             if !m.global {
                 continue;
@@ -601,10 +587,10 @@ fn affine_groups(per_cta: &[Vec<Span>]) -> Vec<AffineGroup> {
 ///
 /// `mem` is the pool the kernel was staged into (functionally: split-K
 /// and other profiling-only grid inflations do not apply); it is only
-/// read. Every CTA's performance-mode trace is generated with per-lane
-/// detail inside a value-read window, the per-region footprints are
-/// compressed into affine-in-CTA-index groups, and the three shard
-/// obligations are discharged in order. The first failure decides the
+/// read. Every CTA is captured with per-lane detail and must have read
+/// no operand values; the per-region footprints are compressed into
+/// affine-in-CTA-index groups, and the three shard obligations are
+/// discharged in order. The first failure decides the
 /// verdict; a clean pass yields [`ShardVerdict::Shardable`], from which
 /// [`FootprintCertificate::shard_plan`] mints typed plans.
 pub fn analyze<K: KernelSpec + ?Sized>(mem: &MemPool, kernel: &K) -> FootprintCertificate {
@@ -633,20 +619,17 @@ pub fn analyze<K: KernelSpec + ?Sized>(mem: &MemPool, kernel: &K) -> FootprintCe
     cert.out_base = mem.addr(layout.out, 0);
     cert.out_elem_bytes = mem.width(layout.out).bytes();
 
-    // Trace every CTA sequentially so value reads attribute exactly.
-    let mut feet: Vec<CtaFoot> = Vec::with_capacity(lc.grid);
-    for cta_id in 0..lc.grid {
-        let before = mem.value_reads();
-        let foot = cta_footprint(mem, kernel, &lc, cta_id);
-        let reads = mem.value_reads() - before;
-        if reads > 0 {
-            cert.verdict =
-                ShardVerdict::NotShardable(ShardFailure::ValueDependentTrace { cta_id, reads });
-            cert.layout = Some(layout);
-            return cert;
-        }
-        feet.push(foot);
+    let grid: Vec<usize> = (0..lc.grid).collect();
+    let captured = capture(mem, kernel, &grid, true, |c| {
+        (c.value_reads, cta_footprint(mem, &c.traces))
+    });
+    if let Some((cta_id, &(reads, _))) = captured.iter().enumerate().find(|(_, c)| c.0 > 0) {
+        cert.verdict =
+            ShardVerdict::NotShardable(ShardFailure::ValueDependentTrace { cta_id, reads });
+        cert.layout = Some(layout);
+        return cert;
     }
+    let feet: Vec<CtaFoot> = captured.into_iter().map(|(_, foot)| foot).collect();
     cert.ctas_traced = lc.grid;
 
     // Obligation 1 — write/write disjointness across CTAs.
@@ -786,6 +769,31 @@ pub fn launch_sharded<K: KernelSpec + ?Sized>(mem: &mut MemPool, kernel: &K, pla
             .collect();
         mem.apply_writes(out, &writes);
     }
+}
+
+/// Every footprint fixture: the clean control, one kernel per fatal
+/// obligation, and the advisory false-sharing case.
+pub fn all_fixtures() -> Vec<Fixture> {
+    use Expected::*;
+    use Rows::*;
+    Fixture::table(
+        Certificate::Footprint,
+        [
+            ("clean-row-writer", Kind::RowWriter(Clean), Shardable),
+            ("write-overlap", Kind::RowWriter(Overlap), WriteOverlap),
+            (
+                "out-of-slice-write",
+                Kind::RowWriter(OutOfSlice),
+                OutOfSliceWrite,
+            ),
+            (
+                "sector-false-sharing",
+                Kind::RowWriter(FalseSharing),
+                SectorFalseSharing,
+            ),
+            ("data-dependent-gather", Kind::DataGather, ValueDependent),
+        ],
+    )
 }
 
 /// True when `byte` begins a 32-byte sector: classified through the

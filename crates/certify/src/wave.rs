@@ -1,22 +1,11 @@
-//! The certification pass: proof obligations over sampled CTA traces.
+//! The wave certificate: proof obligations over sampled CTA captures.
 
 use vecsparse_gpu_sim::sig::{fnv1a_u32s, Fingerprint, FingerprintHasher, FNV_OFFSET};
-use vecsparse_gpu_sim::{CtaCtx, KernelSpec, LaunchSig, MemPool, Mode, Tok, WarpTrace};
+use vecsparse_gpu_sim::{
+    capture, sample_ctas, KernelSpec, LaunchSig, MemPool, Tok, WarpTrace, SAMPLE_CTAS,
+};
 
-/// Knobs for one certification run.
-#[derive(Clone, Copy, Debug)]
-pub struct CertifyOptions {
-    /// How many CTAs of the grid to check (evenly spaced, always
-    /// including the first and last — edge CTAs carry the tail
-    /// predication, which is exactly where shape classes split).
-    pub max_ctas: usize,
-}
-
-impl Default for CertifyOptions {
-    fn default() -> Self {
-        CertifyOptions { max_ctas: 4 }
-    }
-}
+use crate::fixtures::{Certificate, Expected, Fixture, Kind};
 
 /// Why a kernel's wave equivalence could not be proven.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -168,20 +157,6 @@ impl WaveCertificate {
     }
 }
 
-/// Evenly-spaced CTA sample including both edges (the sanitizer's
-/// sampling discipline — edge CTAs carry the tail predication).
-fn sample_ctas(grid: usize, max: usize) -> Vec<usize> {
-    let max = max.max(1);
-    if grid <= max {
-        return (0..grid).collect();
-    }
-    let mut out: Vec<usize> = (0..max)
-        .map(|i| i * (grid - 1) / (max - 1).max(1))
-        .collect();
-    out.dedup();
-    out
-}
-
 fn tok_bits(t: Tok) -> u64 {
     t.index().map_or(u64::MAX, |i| i as u64)
 }
@@ -234,37 +209,16 @@ fn shape_class(traces: &[WarpTrace]) -> u64 {
     h
 }
 
-/// First dangling dependency in a CTA's traces, as (warp, instr index).
-fn dangling_dep(traces: &[WarpTrace]) -> Option<(usize, usize)> {
-    for (w, t) in traces.iter().enumerate() {
-        for (idx, i) in t.instrs.iter().enumerate() {
-            let bad = i
-                .deps
-                .iter()
-                .chain(std::iter::once(&i.acc_dep))
-                .any(|d| d.index().is_some_and(|di| di >= idx));
-            if bad {
-                return Some((w, idx));
-            }
-        }
-    }
-    None
-}
-
 /// Certify a staged kernel's wave equivalence.
 ///
-/// `mem` is the pool the kernel was staged into; it is only read. Each
-/// sampled CTA's performance-mode trace is generated twice — once inside
-/// a value-read window, once for the reproducibility comparison — and
-/// checked against the proof obligations in order. The first failure
-/// decides the verdict; a clean pass over every sampled CTA yields
-/// [`WaveVerdict::Provable`] and a trace fingerprint that feeds
-/// [`WaveCertificate::launch_sig`].
-pub fn certify<K: KernelSpec + ?Sized>(
-    mem: &MemPool,
-    kernel: &K,
-    opts: &CertifyOptions,
-) -> WaveCertificate {
+/// `mem` is the pool the kernel was staged into; it is only read. The
+/// sampled CTAs are captured twice, and each CTA is checked against the
+/// proof obligations in order: its first capture read no values, its
+/// second capture equals the first, and its dependency tokens all point
+/// backwards. The first failure decides the verdict; a clean pass over
+/// every sampled CTA yields [`WaveVerdict::Provable`] and a fingerprint
+/// of the first capture that feeds [`WaveCertificate::launch_sig`].
+pub fn certify<K: KernelSpec + ?Sized>(mem: &MemPool, kernel: &K) -> WaveCertificate {
     let lc = kernel.launch_config();
     let program_hash = kernel.program().map_or_else(
         || {
@@ -280,19 +234,10 @@ pub fn certify<K: KernelSpec + ?Sized>(
         |p| p.listing_hash(),
     );
 
-    let gen_trace = |cta_id: usize| -> Vec<WarpTrace> {
-        let mut cta = CtaCtx::new(
-            cta_id,
-            Mode::Performance,
-            mem,
-            lc.warps_per_cta,
-            lc.smem_elems,
-            lc.smem_elem_bytes,
-        );
-        kernel.run_cta(&mut cta);
-        let (t, _) = cta.finish();
-        t
-    };
+    let sample = sample_ctas(lc.grid, SAMPLE_CTAS);
+    let twice: Vec<usize> = sample.iter().chain(&sample).copied().collect();
+    let mut firsts = capture(mem, kernel, &twice, false, |c| c);
+    let seconds = firsts.split_off(sample.len());
 
     let mut fp = FingerprintHasher::new();
     fp.write_u64(program_hash);
@@ -308,44 +253,62 @@ pub fn certify<K: KernelSpec + ?Sized>(
     };
     let mut classes: Vec<u64> = Vec::new();
 
-    for cta_id in sample_ctas(lc.grid, opts.max_ctas) {
-        // Obligation 1 — value independence.
-        let before = mem.value_reads();
-        let first = gen_trace(cta_id);
-        let reads = mem.value_reads() - before;
-        if reads > 0 {
-            cert.verdict =
-                WaveVerdict::NotProvable(ProofFailure::ValueDependentTrace { cta_id, reads });
-            return cert;
-        }
-        // Obligation 2 — reproducibility.
-        let second = gen_trace(cta_id);
-        let h1 = trace_fingerprint(&first);
-        if h1 != trace_fingerprint(&second) {
-            cert.verdict = WaveVerdict::NotProvable(ProofFailure::NonReproducibleTrace { cta_id });
-            return cert;
-        }
-        // Obligation 3 — def-use well-formedness.
-        if let Some((warp, index)) = dangling_dep(&first) {
-            cert.verdict = WaveVerdict::NotProvable(ProofFailure::DanglingDependency {
+    for (first, second) in firsts.iter().zip(&seconds) {
+        let cta_id = first.cta_id;
+        let failure = if first.value_reads > 0 {
+            // Obligation 1 — value independence.
+            Some(ProofFailure::ValueDependentTrace {
                 cta_id,
-                warp,
-                index,
-            });
+                reads: first.value_reads,
+            })
+        } else if first.traces != second.traces {
+            // Obligation 2 — reproducibility.
+            Some(ProofFailure::NonReproducibleTrace { cta_id })
+        } else {
+            // Obligation 3 — def-use well-formedness.
+            first.traces.iter().enumerate().find_map(|(warp, t)| {
+                let (index, _) = t.dangling_deps().next()?;
+                Some(ProofFailure::DanglingDependency {
+                    cta_id,
+                    warp,
+                    index,
+                })
+            })
+        };
+        if let Some(failure) = failure {
+            cert.verdict = WaveVerdict::NotProvable(failure);
             return cert;
         }
 
-        cert.instrs_checked += first.iter().map(|t| t.instrs.len() as u64).sum::<u64>();
-        let class = shape_class(&first);
+        cert.instrs_checked += first
+            .traces
+            .iter()
+            .map(|t| t.instrs.len() as u64)
+            .sum::<u64>();
+        let class = shape_class(&first.traces);
         if !classes.contains(&class) {
             classes.push(class);
         }
         fp.write_u64(cta_id as u64);
-        fp.write_fingerprint(h1);
+        fp.write_fingerprint(trace_fingerprint(&first.traces));
         cert.ctas_checked += 1;
     }
 
     cert.cta_classes = classes.len();
     cert.trace_fingerprint = fp.finish();
     cert
+}
+
+/// Every wave fixture: the provable control plus one kernel per proof
+/// failure.
+pub fn all_fixtures() -> Vec<Fixture> {
+    use Expected::*;
+    Fixture::table(
+        Certificate::Wave,
+        [
+            ("stream-control", Kind::Stream, Provable),
+            ("data-dependent-gather", Kind::DataGather, ValueDependent),
+            ("drifting-addresses", Kind::Drifting, NonReproducible),
+        ],
+    )
 }

@@ -55,6 +55,7 @@ use crate::registry::{self, KernelId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use vecsparse_certify::WaveCertificate;
 use vecsparse_formats::{gen, BlockedEll, DenseMatrix, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{self, Fingerprint};
@@ -62,7 +63,6 @@ use vecsparse_gpu_sim::{
     Backend, GpuConfig, KernelProfile, LaunchSig, MemoStats, TraceSink, Track, WaveMemo,
 };
 use vecsparse_precision::Certificate;
-use vecsparse_waveprove::WaveCertificate;
 
 /// The operation a plan executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -231,7 +231,7 @@ pub(crate) struct Counters {
     /// either.
     // lint: hash-ok — keyed lookup/insert only, never iterated.
     launch_sigs: Mutex<HashMap<(&'static str, Fingerprint), Option<LaunchSig>>>,
-    /// Whether performance launches run the shardprove footprint
+    /// Whether performance launches run the footprint certificate's
     /// analyzer (set once at build via
     /// [`ContextBuilder::shard_certification`]).
     shard_certs_enabled: std::sync::atomic::AtomicBool,
@@ -459,7 +459,7 @@ impl ContextBuilder {
     /// kernels are unaffected. `VECSPARSE_AUDIT=n` re-simulates every
     /// n-th memoized wave and asserts bit-identical timing.
     ///
-    /// [`certify`]: vecsparse_waveprove::certify
+    /// [`certify`]: vecsparse_certify::certify
     pub fn memoization(mut self) -> Self {
         self.memo = Some(Arc::new(WaveMemo::new()));
         self
@@ -489,7 +489,7 @@ impl ContextBuilder {
     }
 
     /// Enable static shard certification: the first performance launch of
-    /// each planned algorithm runs the `shardprove` footprint analyzer
+    /// each planned algorithm runs the footprint certificate's analyzer
     /// over the staged pool and records the certificate verdict in
     /// [`Context::report`] (`shard_certificates`). The analysis is purely
     /// static (functional re-trace of the staged kernel), so enabling it

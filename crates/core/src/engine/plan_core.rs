@@ -5,12 +5,12 @@
 use super::{Context, Counters, EngineError, OpKind};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use vecsparse_certify::{analyze, certify};
 use vecsparse_gpu_sim::sig::Fingerprint;
 use vecsparse_gpu_sim::{
     Backend, GpuConfig, KernelProfile, KernelSpec, Launch, MemPool, Mode, TraceSink, Track,
     WaveMemo,
 };
-use vecsparse_waveprove::{certify, CertifyOptions};
 
 /// What one launch produced: the read-back output of a functional
 /// launch, or the profile of a performance launch.
@@ -92,14 +92,12 @@ impl<S: Clone + Send> PlanCore<S> {
     ) -> Launched<R> {
         let memo = if mode == Mode::Performance {
             if self.counters.shard_cert_wanted(self.label) {
-                let cert = vecsparse_shardprove::analyze(mem, kernel);
+                let cert = analyze(mem, kernel);
                 self.counters.record_shard_cert(self.label, cert.summary());
             }
             self.memo.as_ref().and_then(|m| {
                 self.counters
-                    .launch_sig_for(self.label, operand_fp(mem), || {
-                        certify(mem, kernel, &CertifyOptions::default())
-                    })
+                    .launch_sig_for(self.label, operand_fp(mem), || certify(mem, kernel))
                     .map(|sig| (m.as_ref(), sig))
             })
         } else {

@@ -1,9 +1,9 @@
 //! Aggregated per-context metrics: what the engine did and what it cost.
 
 use super::EngineStats;
+use vecsparse_certify::WaveCertificate;
 use vecsparse_gpu_sim::MemoStats;
 use vecsparse_precision::Certificate;
-use vecsparse_waveprove::WaveCertificate;
 
 /// Run/profile aggregate for one concrete kernel algorithm.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -169,8 +169,8 @@ impl KernelSpec for CsrSddmm<'_> {
             if functional {
                 let mut sum = 0.0f32;
                 for k in 0..k_total {
-                    sum += w.mem().read(self.a_buf, row * k_total + k)
-                        * w.mem().read(self.b_buf, col * k_total + k);
+                    sum += w.read(self.a_buf, row * k_total + k)
+                        * w.read(self.b_buf, col * k_total + k);
                 }
                 *out = sum;
             }

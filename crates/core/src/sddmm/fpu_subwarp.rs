@@ -262,8 +262,8 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
                 if functional {
                     for r in 0..v_len {
                         for k in 0..ks {
-                            let av = w.mem().read(self.a_buf, (row_base + r) * k_total + k0 + k);
-                            let bv = w.mem().read(self.b_buf, col * k_total + k0 + k);
+                            let av = w.read(self.a_buf, (row_base + r) * k_total + k0 + k);
+                            let bv = w.read(self.b_buf, col * k_total + k0 + k);
                             acc[j * v_len + r] = if half {
                                 hmul_fadd(f16::from_f32(av), f16::from_f32(bv), acc[j * v_len + r])
                             } else {

@@ -271,8 +271,8 @@ impl KernelSpec for WmmaSddmm<'_> {
                     for r in 0..v_len {
                         let mut sum = 0.0f32;
                         for k in 0..ks {
-                            sum += w.mem().read(self.a_buf, (row_base + r) * k_total + k0 + k)
-                                * w.mem().read(self.b_buf, col * k_total + k0 + k);
+                            sum += w.read(self.a_buf, (row_base + r) * k_total + k0 + k)
+                                * w.read(self.b_buf, col * k_total + k0 + k);
                         }
                         acc[c * v_len + r] += sum;
                     }

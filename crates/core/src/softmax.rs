@@ -143,7 +143,7 @@ impl KernelSpec for SparseSoftmax<'_> {
             if functional {
                 for i in (chunk * 32)..((chunk * 32 + 32).min(nvec)) {
                     for e in 0..v {
-                        let x = w.mem().read(self.bufs.values, (range.start + i) * v + e);
+                        let x = w.read(self.bufs.values, (range.start + i) * v + e);
                         maxv[e] = maxv[e].max(x);
                     }
                 }
@@ -152,7 +152,7 @@ impl KernelSpec for SparseSoftmax<'_> {
         if functional {
             for i in range.clone() {
                 for e in 0..v {
-                    let x = w.mem().read(self.bufs.values, i * v + e);
+                    let x = w.read(self.bufs.values, i * v + e);
                     denom[e] += (x - maxv[e]).exp();
                     if shadow {
                         denom64[e] += (f64::from(x) - f64::from(maxv[e])).exp();
@@ -179,7 +179,7 @@ impl KernelSpec for SparseSoftmax<'_> {
                         continue;
                     }
                     for e in 0..v.min(epl) {
-                        let x = w.mem().read(self.bufs.values, (range.start + i) * v + e);
+                        let x = w.read(self.bufs.values, (range.start + i) * v + e);
                         let y = (x - maxv[e]).exp() / denom[e];
                         vals.set(l, e, f16::from_f32(y).to_f32());
                         if shadow {
@@ -326,10 +326,10 @@ impl KernelSpec for DenseSoftmax {
         let mut denom64 = 0.0f64;
         if functional {
             for c in 0..n {
-                maxv = maxv.max(w.mem().read(self.in_buf, row * n + c));
+                maxv = maxv.max(w.read(self.in_buf, row * n + c));
             }
             for c in 0..n {
-                let x = w.mem().read(self.in_buf, row * n + c);
+                let x = w.read(self.in_buf, row * n + c);
                 denom += (x - maxv).exp();
                 if shadow {
                     denom64 += (f64::from(x) - f64::from(maxv)).exp();
@@ -366,7 +366,7 @@ impl KernelSpec for DenseSoftmax {
                     for e in 0..8 {
                         let c = chunk * 256 + l * 8 + e;
                         if c < n {
-                            let x = w.mem().read(self.in_buf, row * n + c);
+                            let x = w.read(self.in_buf, row * n + c);
                             vals.set(l, e, f16::from_f32((x - maxv).exp() / denom).to_f32());
                             if shadow {
                                 let y64 = (f64::from(x) - f64::from(maxv)).exp() / denom64;

@@ -381,7 +381,7 @@ impl KernelSpec for BlockedEllSpmm<'_> {
                             }
                             let kr = bc as usize * block + kk;
                             for c in 0..tn {
-                                let b_val = w.mem().read(self.b_buf, kr * n + n0 + c);
+                                let b_val = w.read(self.b_buf, kr * n + n0 + c);
                                 acc[r * tn + c] += a_val * b_val;
                                 if shadow {
                                     acc64[r * tn + c] += f64::from(a_val) * f64::from(b_val);

@@ -8,8 +8,8 @@
 //! per step, the §5.4 fence, two `mma.m8n8k4` per step, and the
 //! shuffle/store epilogue. The default scheme compiles to the exact
 //! program the hand-written kernel shipped with; non-default schemes
-//! shrink or re-order the same sites, which is why waveprove /
-//! shardprove certificates keyed on the listing survive the refactor
+//! shrink or re-order the same sites, which is why the wave and
+//! footprint certificates keyed on the listing survive the refactor
 //! unchanged at the default point.
 
 use crate::compose::{scheme_for, TilingScheme};

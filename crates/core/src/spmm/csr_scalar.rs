@@ -168,9 +168,9 @@ impl<T: Scalar> KernelSpec for CsrScalarSpmm<'_, T> {
             );
 
             if functional {
-                let a_val = w.mem().read(self.bufs.values, i);
+                let a_val = w.read(self.bufs.values, i);
                 for c in 0..n {
-                    let b_val = w.mem().read(self.b_buf, col * n + c);
+                    let b_val = w.read(self.b_buf, col * n + c);
                     acc[c] = if half {
                         hmul_fadd(f16::from_f32(a_val), f16::from_f32(b_val), acc[c])
                     } else {

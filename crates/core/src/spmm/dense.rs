@@ -303,12 +303,12 @@ impl<T: Scalar> DenseGemm<'_, T> {
         let mut tile64 = vec![0.0f64; if shadow { tm * tn } else { 0 }];
         for r in 0..tm {
             for l in 0..k {
-                let av = cta.mem().read(self.a_buf, (m0 + r) * k + l);
+                let av = cta.read(self.a_buf, (m0 + r) * k + l);
                 if av == 0.0 {
                     continue;
                 }
                 for c in 0..tn {
-                    let bv = cta.mem().read(self.b_buf, l * n + n0 + c);
+                    let bv = cta.read(self.b_buf, l * n + n0 + c);
                     tile[r * tn + c] += av * bv;
                     if shadow {
                         tile64[r * tn + c] += f64::from(av) * f64::from(bv);

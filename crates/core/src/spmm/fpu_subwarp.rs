@@ -331,9 +331,9 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<'_, T> {
 
                 if functional {
                     for e in 0..v {
-                        let a_val = T::from_f32(w.mem().read(self.bufs.values, vec_idx * v + e));
+                        let a_val = T::from_f32(w.read(self.bufs.values, vec_idx * v + e));
                         for c in 0..TILE_N.min(n - n0) {
-                            let b_val = T::from_f32(w.mem().read(self.b_buf, col * n + n0 + c));
+                            let b_val = T::from_f32(w.read(self.b_buf, col * n + n0 + c));
                             acc[e * TILE_N + c] = if half {
                                 hmul_fadd(
                                     f16::from_f32(a_val.to_f32()),

@@ -256,12 +256,12 @@ impl KernelSpec for WmmaSpmm<'_> {
                 for kstep in 0..real {
                     let col = p.col_idx()[i + kstep] as usize;
                     for e in 0..v_len {
-                        let a_val = w.mem().read(self.bufs.values, (i + kstep) * v_len + e);
+                        let a_val = w.read(self.bufs.values, (i + kstep) * v_len + e);
                         if a_val == 0.0 {
                             continue;
                         }
                         for c in 0..tn {
-                            let b_val = w.mem().read(self.b_buf, col * n + n0 + c);
+                            let b_val = w.read(self.b_buf, col * n + n0 + c);
                             acc[e * TILE_N + c] += a_val * b_val;
                             if shadow {
                                 acc64[e * TILE_N + c] += f64::from(a_val) * f64::from(b_val);

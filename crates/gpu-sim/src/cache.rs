@@ -71,8 +71,9 @@ pub const SECTORS_PER_LINE: u64 = LINE_BYTES / SECTOR_BYTES;
 /// Convert a byte address to its 32-byte sector address.
 ///
 /// Shared address-classification math: the cache model, the sanitizer's
-/// coalescing checker, and shardprove's false-sharing lint all classify
-/// addresses through these helpers so the geometry cannot drift.
+/// coalescing checker, and the footprint certificate's false-sharing
+/// lint all classify addresses through these helpers so the geometry
+/// cannot drift.
 #[inline]
 pub fn sector_of_byte(byte_addr: u64) -> u64 {
     byte_addr / SECTOR_BYTES

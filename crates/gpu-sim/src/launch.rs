@@ -2,6 +2,7 @@
 //! simulation with occupancy-aware wave sampling and extrapolation.
 
 use crate::cache::{replay_l2, CacheStats, RecordingL2, SectorCache};
+use crate::capture::capture;
 use crate::config::GpuConfig;
 use crate::mem::MemPool;
 use crate::memo::{LaunchSig, WaveArtifacts, WaveDecision, WaveMemo};
@@ -140,7 +141,7 @@ pub trait KernelSpec: Sync {
     }
     /// The kernel's declared output-row decomposition for shard
     /// certification. `None` (the default) means the kernel publishes no
-    /// layout and the shardprove analyzer can never certify it.
+    /// layout and the footprint certificate can never certify it.
     fn shard_layout(&self) -> Option<crate::shard::ShardLayout> {
         None
     }
@@ -293,7 +294,7 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
     /// certified shard's grid. Only the listed CTAs run (in parallel, as
     /// usual), and only their buffered writes are applied, in subset
     /// order. Functional mode only; shard soundness is established by a
-    /// shardprove `FootprintCertificate`, not by this method.
+    /// `vecsparse-certify` `FootprintCertificate`, not by this method.
     pub fn ctas(mut self, ctas: Vec<usize>) -> Launch<'a, K> {
         self.ctas = Some(ctas);
         self
@@ -558,7 +559,8 @@ fn simulate<K: KernelSpec + ?Sized>(
         })
         .collect();
 
-    // Phase 1 — trace generation, in parallel (each CTA is independent).
+    // Phase 1 — trace generation through the shared capture, in parallel
+    // (each CTA is independent).
     // Only CTAs belonging to waves that actually simulate (fresh or
     // audited) generate traces; replayed waves skip the kernel body
     // entirely — that skip is where the memoized speedup comes from.
@@ -570,24 +572,15 @@ fn simulate<K: KernelSpec + ?Sized>(
             }
         }
     }
-    let traces: Vec<Option<Vec<WarpTrace>>> = (0..sample_ids.len())
-        .into_par_iter()
-        .map(|i| {
-            cta_needs_trace[i].then(|| {
-                let mut cta = CtaCtx::new(
-                    sample_ids[i],
-                    Mode::Performance,
-                    mem,
-                    lc.warps_per_cta,
-                    lc.smem_elems,
-                    lc.smem_elem_bytes,
-                );
-                cta.reserve_traces(lc.static_instrs as usize);
-                kernel.run_cta(&mut cta);
-                let (t, _) = cta.finish();
-                t
-            })
-        })
+    let needed: Vec<usize> = sample_ids
+        .iter()
+        .zip(&cta_needs_trace)
+        .filter_map(|(&id, &need)| need.then_some(id))
+        .collect();
+    let mut captured = capture(mem, kernel, &needed, false, |c| c.traces).into_iter();
+    let traces: Vec<Option<Vec<WarpTrace>>> = cta_needs_trace
+        .iter()
+        .map(|&need| need.then(|| captured.next().expect("one capture per traced CTA")))
         .collect();
 
     // Telemetry: claim a process-track group for this launch and name

@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 mod cache;
+mod capture;
 mod config;
 mod icache;
 mod launch;
@@ -53,6 +54,7 @@ pub use cache::{
     line_of_sector, replay_l2, sector_of_byte, CacheStats, L2Op, L2Port, RecordingL2, SectorCache,
     LINE_BYTES, SECTORS_PER_LINE, SECTOR_BYTES,
 };
+pub use capture::{capture, sample_ctas, CtaCapture, SAMPLE_CTAS};
 pub use config::{GpuConfig, Timing};
 pub use launch::{Backend, KernelSpec, Launch, LaunchConfig, LaunchOutput, Mode, TimingMode};
 pub use mem::{BufferId, ElemWidth, MemPool, NativeCtx, PoolMark};

@@ -61,27 +61,10 @@ struct Buffer {
 /// `Clone` gives a value-identical pool at the same virtual addresses —
 /// batched plan execution clones the staged pool so concurrent runs each
 /// own private device state.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct MemPool {
     buffers: Vec<Buffer>,
     next_base: u64,
-    /// Count of functional value reads ([`MemPool::read`]) served by this
-    /// pool. The wave-equivalence prover snapshots it around a
-    /// performance-mode trace generation: any delta means the kernel's
-    /// trace depends on operand *values*, which voids memoization.
-    value_reads: std::sync::atomic::AtomicU64,
-}
-
-impl Clone for MemPool {
-    fn clone(&self) -> Self {
-        MemPool {
-            buffers: self.buffers.clone(),
-            next_base: self.next_base,
-            value_reads: std::sync::atomic::AtomicU64::new(
-                self.value_reads.load(std::sync::atomic::Ordering::Relaxed),
-            ),
-        }
-    }
 }
 
 /// A high-water mark of a [`MemPool`], captured with [`MemPool::mark`] and
@@ -101,7 +84,6 @@ impl MemPool {
         MemPool {
             buffers: Vec::new(),
             next_base: 256,
-            value_reads: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -238,22 +220,12 @@ impl MemPool {
     /// Read element `idx` (0.0 for ghost buffers).
     #[inline]
     pub fn read(&self, buf: BufferId, idx: usize) -> f32 {
-        self.value_reads
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let b = &self.buffers[buf.0];
         if b.data.is_empty() {
             0.0
         } else {
             b.data[idx]
         }
-    }
-
-    /// Number of [`MemPool::read`] calls served so far. Exact when the
-    /// pool is not being accessed concurrently — which is how the
-    /// wave-equivalence prover uses it: a before/after snapshot around a
-    /// sequential performance-mode trace generation.
-    pub fn value_reads(&self) -> u64 {
-        self.value_reads.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Fingerprint of the pool's *address layout*: every buffer's base,
@@ -313,9 +285,7 @@ impl MemPool {
 /// semantics on the host, sequentially (so its outputs cannot depend on
 /// the thread count), and must leave the pool **bit-identical** to a
 /// simulated functional launch; DESIGN.md §2j argues it for the shipped
-/// lowerings. Its reads do not perturb the pool's `value_reads` counter —
-/// the counter is a wave-equivalence proof input and must only observe
-/// simulated launches.
+/// lowerings.
 pub struct NativeCtx<'a> {
     mem: &'a mut MemPool,
 }
@@ -433,22 +403,6 @@ mod tests {
         let mut pool = MemPool::new();
         let buf = pool.alloc_init(ElemWidth::B32, vec![1.0, 2.0]);
         pool.replace(buf, [1.0].into_iter());
-    }
-
-    #[test]
-    fn value_reads_count_and_survive_clone() {
-        let mut pool = MemPool::new();
-        let a = pool.alloc_init(ElemWidth::B32, vec![1.0, 2.0]);
-        assert_eq!(pool.value_reads(), 0);
-        pool.read(a, 0);
-        pool.read(a, 1);
-        assert_eq!(pool.value_reads(), 2);
-        // Address-only queries are not value reads.
-        pool.addr(a, 1);
-        pool.len(a);
-        assert_eq!(pool.value_reads(), 2);
-        let c = pool.clone();
-        assert_eq!(c.value_reads(), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! config, L1 geometry, the wave's traces): each wave is timed against a
 //! cold private L1 and a recording L2, so no state leaks between waves.
 //! When a kernel additionally carries a wave-equivalence certificate —
-//! a static proof (computed by `vecsparse-waveprove`) that its
+//! a static proof (computed by `vecsparse-certify`) that its
 //! performance-mode traces are a pure function of (program, operand
 //! structure, pool layout, CTA id), never of operand *values* — the
 //! traces themselves are determined by a small structural signature.
@@ -41,7 +41,7 @@ use crate::sig::Fingerprint;
 use vecsparse_telemetry::TraceShard;
 
 /// A certified launch signature: the structural identity of a launch,
-/// produced by composing a `vecsparse-waveprove` certificate with the
+/// produced by composing a `vecsparse-certify` wave certificate with the
 /// operand-structure fingerprint and pool layout. Only launches whose
 /// kernel holds a `Provable` certificate may carry one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

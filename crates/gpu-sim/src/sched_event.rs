@@ -16,12 +16,12 @@
 //! resume, and its own issue-port serialisation) is computed once when the
 //! warp advances to a new instruction and cached until something that can
 //! move it actually happens. Because dependency tokens only ever point at
-//! *earlier instructions of the same warp* (waveprove certifies def-use
-//! well-formedness, and `simulate_wave` would index out of bounds
-//! otherwise), a warp's readiness can change only when (a) the warp itself
-//! issues, or (b) a barrier release rewrites its `resume_at`. Both sites
-//! refresh the cache, so the cached next-event time is always exactly the
-//! value the tick scheduler would recompute.
+//! *earlier instructions of the same warp* (the wave certificate checks
+//! def-use well-formedness, and `simulate_wave` would index out of
+//! bounds otherwise), a warp's readiness can change only when (a) the
+//! warp itself issues, or (b) a barrier release rewrites its `resume_at`.
+//! Both sites refresh the cache, so the cached next-event time is always
+//! exactly the value the tick scheduler would recompute.
 //!
 //! **Fallback-window rule.** Inside *contended windows* — any warp parked
 //! at an unreleased barrier, or any barrier with a partial arrival count —

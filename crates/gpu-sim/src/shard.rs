@@ -2,8 +2,8 @@
 //!
 //! A kernel that wants to be provably shardable describes, ahead of any
 //! execution, how its output buffer decomposes into *row blocks* and
-//! which row blocks each CTA is allowed to write. The shardprove
-//! analyzer checks the kernel's actual traced footprint against this
+//! which row blocks each CTA is allowed to write. The footprint
+//! certificate checks the kernel's actual traced footprint against this
 //! declaration; the declaration alone proves nothing.
 
 use crate::mem::BufferId;

@@ -140,7 +140,7 @@ impl Tok {
 ///
 /// `global`/`store` mirror the instruction kind for consumers that only
 /// see the access (e.g. external trace analyses).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(dead_code)] // `global`/`store` are part of the public trace record.
 pub struct MemAccess {
     /// 32-byte-aligned sector addresses (deduplicated).
@@ -175,7 +175,7 @@ impl Default for MemAccess {
 
 /// Per-lane detail of one memory access, for offline analyses that need
 /// more than sector addresses (races, bounds, bank layout).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AccessDetail {
     /// The buffer accessed, for global accesses (`None` for shared).
     pub buf: Option<BufferId>,
@@ -192,7 +192,7 @@ pub struct AccessDetail {
 }
 
 /// One warp-level instruction in a trace.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceInstr {
     /// Static program counter (site id); drives the L0 icache model.
     pub pc: u32,
@@ -216,7 +216,7 @@ impl TraceInstr {
 }
 
 /// The full trace of one warp.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WarpTrace {
     pub instrs: Vec<TraceInstr>,
     /// Memory accesses, referenced by [`TraceInstr::mem_idx`].
@@ -244,6 +244,18 @@ impl WarpTrace {
     #[inline]
     pub fn mem_of(&self, instr: &TraceInstr) -> Option<&MemAccess> {
         self.mem.get(instr.mem_idx as usize)
+    }
+
+    /// Dependencies that point at or after their consumer, as
+    /// `(consumer index, token index)` in instruction order: tokens the
+    /// scoreboard walk could never resolve from earlier instructions.
+    pub fn dangling_deps(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.instrs.iter().enumerate().flat_map(|(i, ins)| {
+            ins.deps
+                .iter()
+                .chain(std::iter::once(&ins.acc_dep))
+                .filter_map(move |d| d.index().filter(|&idx| idx >= i).map(|idx| (i, idx)))
+        })
     }
 
     /// Number of dynamic instructions.
@@ -291,5 +303,21 @@ mod tests {
         assert_eq!(a.0, 0);
         assert_eq!(b.0, 1);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn dangling_deps_name_self_and_forward_tokens() {
+        let instr = |deps, acc_dep| TraceInstr {
+            pc: 0,
+            kind: InstrKind::Misc,
+            deps,
+            acc_dep,
+            mem_idx: TraceInstr::NO_MEM,
+        };
+        let mut t = WarpTrace::default();
+        let a = t.push(instr([Tok::NONE; 3], Tok::NONE));
+        t.push(instr([a, Tok(1), Tok::NONE], Tok::NONE));
+        t.push(instr([a; 3], Tok(5)));
+        assert_eq!(t.dangling_deps().collect::<Vec<_>>(), [(1, 1), (2, 5)]);
     }
 }

@@ -147,6 +147,7 @@ pub struct CtaCtx<'a> {
     /// bit-identical either way, and performance mode never looks at it.
     pub shadow_exec: bool,
     mem: &'a MemPool,
+    value_reads: u64,
     shared: SharedMem,
     traces: Vec<WarpTrace>,
     pending_writes: Vec<(BufferId, u32, f32)>,
@@ -173,6 +174,7 @@ impl<'a> CtaCtx<'a> {
             check_values: false,
             shadow_exec: false,
             mem,
+            value_reads: 0,
             shared: SharedMem::new(smem_elems, smem_elem_bytes, mode == Mode::Functional),
             traces: vec![WarpTrace::default(); warps],
             pending_writes: Vec::new(),
@@ -231,10 +233,18 @@ impl<'a> CtaCtx<'a> {
         WarpCtx { cta: self, w }
     }
 
-    /// Read-only access to global memory (kernels use this for *metadata*
-    /// such as row pointers, alongside the traced `ldg` of the same data).
-    pub fn mem(&self) -> &MemPool {
-        self.mem
+    /// Read element `idx` of `buf` on the host (0.0 for ghost buffers):
+    /// a kernel's only untraced way to see an operand value. Every call
+    /// is counted per CTA, so a performance-mode [`capture`](crate::capture())
+    /// can prove a trace never depended on one.
+    pub fn read(&mut self, buf: BufferId, idx: usize) -> f32 {
+        self.value_reads += 1;
+        self.mem.read(buf, idx)
+    }
+
+    /// Number of [`CtaCtx::read`] calls this CTA has made.
+    pub(crate) fn value_reads(&self) -> u64 {
+        self.value_reads
     }
 
     /// Consume the CTA, returning warp traces and buffered global writes.
@@ -295,10 +305,9 @@ impl WarpCtx<'_, '_> {
         self.w
     }
 
-    /// Read-only global memory access (metadata reads while the warp
-    /// context is borrowed).
-    pub fn mem(&self) -> &MemPool {
-        self.cta.mem
+    /// [`CtaCtx::read`] while the warp context is borrowed.
+    pub fn read(&mut self, buf: BufferId, idx: usize) -> f32 {
+        self.cta.read(buf, idx)
     }
 
     fn functional(&self) -> bool {

@@ -4,14 +4,17 @@
 //! vsan [--kernel NAME[,NAME...]] [--m M] [--n N] [--k K] [--v V]
 //!      [--sparsity S] [--seed SEED] [--max-ctas C] [--no-values]
 //!      [--deny-warnings] [--list]
-//! vsan precision [--kernel NAME[,NAME...]] [--m M] [--n N] [--k K]
-//!      [--v V] [--sparsity S] [--seed SEED] [--max-f16-chain D]
-//!      [--skip-fixtures] [--list]
+//! vsan precision [SHARED FLAGS] [--max-f16-chain D] [--skip-fixtures]
+//! vsan waveprove [SHARED FLAGS] [--skip-fixtures]
+//! vsan shardprove [SHARED FLAGS] [--skip-fixtures]
 //! ```
 //!
-//! With no `--kernel`, every registered kernel is checked. The exit code
-//! is 1 if any deny-level finding exists (or any warning, under
-//! `--deny-warnings`), 0 otherwise — CI-friendly.
+//! Every subcommand takes the shared flags `--kernel`, `--m`, `--n`,
+//! `--k`, `--v`, `--sparsity`, `--seed`, `--list` and `--help`. With no
+//! `--kernel`, every registered kernel is checked. The exit code is 1 if
+//! any deny-level finding exists (or any warning, under
+//! `--deny-warnings`), 0 otherwise — CI-friendly. An unknown flag, or a
+//! missing or unparsable flag value, exits 2 naming the flag.
 //!
 //! `vsan precision` runs the two-sided numerical checker instead: the
 //! static abstract interpreter over each kernel's program (lints +
@@ -22,133 +25,91 @@
 //!
 //! `vsan waveprove` runs the wave-equivalence certifier: every registry
 //! kernel is certified (value independence, trace reproducibility,
-//! def-use well-formedness over sampled CTAs), and the waveprove fixtures
-//! — one deliberately broken kernel per proof obligation — must each fail
+//! def-use well-formedness over sampled CTAs), and the wave fixtures —
+//! one deliberately broken kernel per proof obligation — must each fail
 //! with exactly their own failure. A registry kernel that cannot be
 //! certified, or a fixture that does not fail as expected, exits 1.
 //!
 //! `vsan shardprove` runs the memory-footprint certifier: every registry
 //! kernel must publish a shard layout and discharge the three shard
 //! obligations (write/write disjointness, slice containment, read
-//! invariance), and the shardprove fixtures — one kernel per lint plus a
+//! invariance), and the footprint fixtures — one kernel per lint plus a
 //! clean control — must each produce exactly their expected verdict. A
 //! registry kernel certified `NotShardable`, or a fixture mismatch,
 //! exits 1.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
-use vecsparse_gpu_sim::{GpuConfig, KernelSpec, Mode};
+use vecsparse_certify::{shard, wave, Fixture};
+use vecsparse_gpu_sim::{GpuConfig, KernelSpec, MemPool, Mode};
 use vecsparse_precision::{all_fixtures, analyze, check_soundness, shadow_run};
 use vecsparse_sanitizer::{sanitize, SanitizeOptions};
-use vecsparse_shardprove::{all_fixtures as shard_fixtures, analyze as shard_analyze};
-use vecsparse_waveprove::{all_fixtures as wave_fixtures, certify, CertifyOptions};
-
-struct Args {
-    kernels: Vec<KernelId>,
-    shape: Shape,
-    opts: SanitizeOptions,
-    deny_warnings: bool,
-}
 
 const USAGE: &str = "usage: vsan [--kernel NAME[,NAME...]] [--m M] [--n N] [--k K] \
      [--v V] [--sparsity S] [--seed SEED] [--max-ctas C] [--no-values] \
      [--deny-warnings] [--list]";
 
-fn usage() -> ! {
-    eprintln!("{USAGE}");
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        kernels: ALL_KERNELS.to_vec(),
-        shape: Shape::default(),
-        opts: SanitizeOptions::default(),
-        deny_warnings: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--list" => {
-                for k in ALL_KERNELS {
-                    println!("{}", k.label());
-                }
-                std::process::exit(0);
-            }
-            "--kernel" => {
-                args.kernels = value("--kernel")
-                    .split(',')
-                    .map(|s| {
-                        KernelId::parse(s.trim()).unwrap_or_else(|| {
-                            eprintln!("unknown kernel {s:?}; try --list");
-                            usage()
-                        })
-                    })
-                    .collect();
-            }
-            "--m" => args.shape.m = value("--m").parse().unwrap_or_else(|_| usage()),
-            "--n" => args.shape.n = value("--n").parse().unwrap_or_else(|_| usage()),
-            "--k" => args.shape.k = value("--k").parse().unwrap_or_else(|_| usage()),
-            "--v" => args.shape.v = value("--v").parse().unwrap_or_else(|_| usage()),
-            "--sparsity" => {
-                args.shape.sparsity = value("--sparsity").parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => args.shape.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--max-ctas" => {
-                args.opts.max_ctas = value("--max-ctas").parse().unwrap_or_else(|_| usage())
-            }
-            "--no-values" => args.opts.check_values = false,
-            "--deny-warnings" => args.deny_warnings = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                usage();
-            }
-        }
-    }
-    args
-}
-
-struct PrecArgs {
-    kernels: Vec<KernelId>,
-    shape: Shape,
-    max_f16_chain: Option<u32>,
-    skip_fixtures: bool,
-}
-
 const PREC_USAGE: &str = "usage: vsan precision [--kernel NAME[,NAME...]] [--m M] [--n N] \
      [--k K] [--v V] [--sparsity S] [--seed SEED] [--max-f16-chain D] \
      [--skip-fixtures] [--list]";
 
-fn prec_usage() -> ! {
-    eprintln!("{PREC_USAGE}");
-    std::process::exit(2)
+const WAVE_USAGE: &str = "usage: vsan waveprove [--kernel NAME[,NAME...]] [--m M] [--n N] \
+     [--k K] [--v V] [--sparsity S] [--seed SEED] [--skip-fixtures] [--list]";
+
+const SHARD_USAGE: &str = "usage: vsan shardprove [--kernel NAME[,NAME...]] [--m M] [--n N] \
+     [--k K] [--v V] [--sparsity S] [--seed SEED] [--skip-fixtures] [--list]";
+
+/// The remaining command-line words of one subcommand.
+struct Flags {
+    words: std::vec::IntoIter<String>,
+    usage: &'static str,
 }
 
-fn parse_precision_args(mut it: impl Iterator<Item = String>) -> PrecArgs {
-    let mut args = PrecArgs {
+impl Flags {
+    fn usage(&self) -> ! {
+        eprintln!("{}", self.usage);
+        std::process::exit(2)
+    }
+
+    /// The value following `flag`, parsed.
+    fn value<T: FromStr>(&mut self, flag: &str) -> T {
+        let Some(word) = self.words.next() else {
+            eprintln!("missing value for {flag}");
+            self.usage()
+        };
+        word.parse().unwrap_or_else(|_| {
+            eprintln!("invalid value {word:?} for {flag}");
+            self.usage()
+        })
+    }
+}
+
+/// The flags every subcommand shares.
+struct Common {
+    kernels: Vec<KernelId>,
+    shape: Shape,
+}
+
+/// Parse one subcommand's flags. The shared ones fill [`Common`]; `own`
+/// handles each other flag (reading its value from the [`Flags`]) and
+/// returns false for a flag it does not know.
+fn parse(
+    words: Vec<String>,
+    usage: &'static str,
+    mut own: impl FnMut(&str, &mut Flags) -> bool,
+) -> Common {
+    let mut flags = Flags {
+        words: words.into_iter(),
+        usage,
+    };
+    let mut common = Common {
         kernels: ALL_KERNELS.to_vec(),
         shape: Shape::default(),
-        max_f16_chain: None,
-        skip_fixtures: false,
     };
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                prec_usage()
-            })
-        };
+    while let Some(flag) = flags.words.next() {
+        let shape = &mut common.shape;
         match flag.as_str() {
             "--list" => {
                 for k in ALL_KERNELS {
@@ -157,69 +118,96 @@ fn parse_precision_args(mut it: impl Iterator<Item = String>) -> PrecArgs {
                 std::process::exit(0);
             }
             "--kernel" => {
-                args.kernels = value("--kernel")
+                common.kernels = flags
+                    .value::<String>("--kernel")
                     .split(',')
                     .map(|s| {
                         KernelId::parse(s.trim()).unwrap_or_else(|| {
                             eprintln!("unknown kernel {s:?}; try --list");
-                            prec_usage()
+                            flags.usage()
                         })
                     })
                     .collect();
             }
-            "--m" => args.shape.m = value("--m").parse().unwrap_or_else(|_| prec_usage()),
-            "--n" => args.shape.n = value("--n").parse().unwrap_or_else(|_| prec_usage()),
-            "--k" => args.shape.k = value("--k").parse().unwrap_or_else(|_| prec_usage()),
-            "--v" => args.shape.v = value("--v").parse().unwrap_or_else(|_| prec_usage()),
-            "--sparsity" => {
-                args.shape.sparsity = value("--sparsity").parse().unwrap_or_else(|_| prec_usage())
-            }
-            "--seed" => args.shape.seed = value("--seed").parse().unwrap_or_else(|_| prec_usage()),
-            "--max-f16-chain" => {
-                args.max_f16_chain = Some(
-                    value("--max-f16-chain")
-                        .parse()
-                        .unwrap_or_else(|_| prec_usage()),
-                )
-            }
-            "--skip-fixtures" => args.skip_fixtures = true,
+            "--m" => shape.m = flags.value("--m"),
+            "--n" => shape.n = flags.value("--n"),
+            "--k" => shape.k = flags.value("--k"),
+            "--v" => shape.v = flags.value("--v"),
+            "--sparsity" => shape.sparsity = flags.value("--sparsity"),
+            "--seed" => shape.seed = flags.value("--seed"),
             "--help" | "-h" => {
-                println!("{PREC_USAGE}");
+                println!("{usage}");
                 std::process::exit(0);
             }
             other => {
-                eprintln!("unknown flag {other:?}");
-                prec_usage();
-            }
-        }
-    }
-    args
-}
-
-fn run_precision(args: &PrecArgs) -> ExitCode {
-    let mut failed = false;
-
-    if !args.skip_fixtures {
-        println!("== precision fixtures (one broken kernel per lint)");
-        for fx in all_fixtures() {
-            match fx.verify() {
-                Ok(()) => println!("   {:<26} ok [{}]", fx.name(), fx.expected_lint().name()),
-                Err(e) => {
-                    println!("   {:<26} FAIL: {e}", fx.name());
-                    failed = true;
+                if !own(other, &mut flags) {
+                    eprintln!("unknown flag {other:?}");
+                    flags.usage();
                 }
             }
         }
     }
+    common
+}
 
-    let s = &args.shape;
+fn exit_code(failed: bool) -> ExitCode {
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// Print one `ok`/`FAIL` line per `(name, expected, outcome)` fixture;
+/// true when every fixture verified.
+fn fixtures_pass<N: std::fmt::Display>(
+    heading: &str,
+    fixtures: impl IntoIterator<Item = (N, &'static str, Result<(), String>)>,
+) -> bool {
+    println!("== {heading}");
+    let mut pass = true;
+    for (name, expected, outcome) in fixtures {
+        match outcome {
+            Ok(()) => println!("   {name:<26} ok [{expected}]"),
+            Err(e) => {
+                println!("   {name:<26} FAIL: {e}");
+                pass = false;
+            }
+        }
+    }
+    pass
+}
+
+fn shape_heading(heading: &str, s: &Shape) {
     println!(
-        "== precision certificates (m={} n={} k={} v={} sparsity={})",
+        "== {heading} (m={} n={} k={} v={} sparsity={})",
         s.m, s.n, s.k, s.v, s.sparsity
     );
+}
+
+fn run_precision(words: Vec<String>) -> ExitCode {
+    let mut max_f16_chain: Option<u32> = None;
+    let mut skip_fixtures = false;
+    let args = parse(words, PREC_USAGE, |flag, flags| {
+        match flag {
+            "--max-f16-chain" => max_f16_chain = Some(flags.value(flag)),
+            "--skip-fixtures" => skip_fixtures = true,
+            _ => return false,
+        }
+        true
+    });
+    let mut failed = !skip_fixtures
+        && !fixtures_pass(
+            "precision fixtures (one broken kernel per lint)",
+            all_fixtures()
+                .iter()
+                .map(|fx| (fx.name(), fx.expected_lint().name(), fx.verify())),
+        );
+
+    shape_heading("precision certificates", &args.shape);
     for id in &args.kernels {
         let mut model = registry::model_for(*id, &args.shape);
-        if let Some(d) = args.max_f16_chain {
+        if let Some(d) = max_f16_chain {
             model.max_f16_chain = d;
         }
         let (analysis, report) =
@@ -246,263 +234,105 @@ fn run_precision(args: &PrecArgs) -> ExitCode {
             failed = true;
         }
     }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(failed)
 }
 
-struct WaveArgs {
-    kernels: Vec<KernelId>,
-    shape: Shape,
-    max_ctas: usize,
-    skip_fixtures: bool,
+/// One certificate family as `vsan` drives it: its fixtures, then every
+/// selected registry kernel staged in `mode` and certified by `cert`,
+/// which returns the rendered certificate and whether it passed.
+struct Certifier {
+    usage: &'static str,
+    fixtures_heading: &'static str,
+    fixtures: fn() -> Vec<Fixture>,
+    heading: &'static str,
+    mode: Mode,
+    cert: fn(&MemPool, &dyn KernelSpec) -> (String, bool),
 }
 
-const WAVE_USAGE: &str = "usage: vsan waveprove [--kernel NAME[,NAME...]] [--m M] [--n N] \
-     [--k K] [--v V] [--sparsity S] [--seed SEED] [--max-ctas C] \
-     [--skip-fixtures] [--list]";
-
-fn wave_usage() -> ! {
-    eprintln!("{WAVE_USAGE}");
-    std::process::exit(2)
-}
-
-fn parse_waveprove_args(mut it: impl Iterator<Item = String>) -> WaveArgs {
-    let mut args = WaveArgs {
-        kernels: ALL_KERNELS.to_vec(),
-        shape: Shape::default(),
-        max_ctas: CertifyOptions::default().max_ctas,
-        skip_fixtures: false,
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                wave_usage()
-            })
-        };
-        match flag.as_str() {
-            "--list" => {
-                for k in ALL_KERNELS {
-                    println!("{}", k.label());
-                }
-                std::process::exit(0);
-            }
-            "--kernel" => {
-                args.kernels = value("--kernel")
-                    .split(',')
-                    .map(|s| {
-                        KernelId::parse(s.trim()).unwrap_or_else(|| {
-                            eprintln!("unknown kernel {s:?}; try --list");
-                            wave_usage()
-                        })
-                    })
-                    .collect();
-            }
-            "--m" => args.shape.m = value("--m").parse().unwrap_or_else(|_| wave_usage()),
-            "--n" => args.shape.n = value("--n").parse().unwrap_or_else(|_| wave_usage()),
-            "--k" => args.shape.k = value("--k").parse().unwrap_or_else(|_| wave_usage()),
-            "--v" => args.shape.v = value("--v").parse().unwrap_or_else(|_| wave_usage()),
-            "--sparsity" => {
-                args.shape.sparsity = value("--sparsity").parse().unwrap_or_else(|_| wave_usage())
-            }
-            "--seed" => args.shape.seed = value("--seed").parse().unwrap_or_else(|_| wave_usage()),
-            "--max-ctas" => {
-                args.max_ctas = value("--max-ctas").parse().unwrap_or_else(|_| wave_usage())
-            }
-            "--skip-fixtures" => args.skip_fixtures = true,
-            "--help" | "-h" => {
-                println!("{WAVE_USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                wave_usage();
-            }
+fn run_certifier(words: Vec<String>, c: &Certifier) -> ExitCode {
+    let mut skip_fixtures = false;
+    let args = parse(words, c.usage, |flag, _| match flag {
+        "--skip-fixtures" => {
+            skip_fixtures = true;
+            true
         }
-    }
-    args
-}
+        _ => false,
+    });
+    let mut failed = !skip_fixtures
+        && !fixtures_pass(
+            c.fixtures_heading,
+            (c.fixtures)()
+                .iter()
+                .map(|fx| (fx.name(), fx.expected_verdict(), fx.verify())),
+        );
 
-fn run_waveprove(args: &WaveArgs) -> ExitCode {
-    let mut failed = false;
-
-    if !args.skip_fixtures {
-        println!("== waveprove fixtures (one broken kernel per proof obligation)");
-        for fx in wave_fixtures() {
-            match fx.verify() {
-                Ok(()) => println!("   {:<26} ok [{}]", fx.name(), fx.expected_verdict()),
-                Err(e) => {
-                    println!("   {:<26} FAIL: {e}", fx.name());
-                    failed = true;
-                }
-            }
-        }
-    }
-
-    let s = &args.shape;
-    println!(
-        "== wave-equivalence certificates (m={} n={} k={} v={} sparsity={})",
-        s.m, s.n, s.k, s.v, s.sparsity
-    );
-    let opts = CertifyOptions {
-        max_ctas: args.max_ctas,
-    };
+    shape_heading(c.heading, &args.shape);
     for id in &args.kernels {
-        let cert = registry::with_kernel(*id, &args.shape, Mode::Performance, |mem, kernel| {
-            certify(mem, kernel, &opts)
-        });
-        print!("{}", cert.render());
-        if !cert.is_provable() {
-            failed = true;
+        let (render, pass) = registry::with_kernel(*id, &args.shape, c.mode, c.cert);
+        print!("{render}");
+        failed |= !pass;
+    }
+    exit_code(failed)
+}
+
+const WAVEPROVE: Certifier = Certifier {
+    usage: WAVE_USAGE,
+    fixtures_heading: "waveprove fixtures (one broken kernel per proof obligation)",
+    fixtures: wave::all_fixtures,
+    heading: "wave-equivalence certificates",
+    mode: Mode::Performance,
+    cert: |mem, kernel| {
+        let cert = wave::certify(mem, kernel);
+        (cert.render(), cert.is_provable())
+    },
+};
+
+const SHARDPROVE: Certifier = Certifier {
+    usage: SHARD_USAGE,
+    fixtures_heading: "shardprove fixtures (one kernel per lint, plus the clean control)",
+    fixtures: shard::all_fixtures,
+    heading: "memory-footprint certificates",
+    mode: Mode::Functional,
+    cert: |mem, kernel| {
+        let cert = shard::analyze(mem, kernel);
+        (cert.render(), cert.is_shardable())
+    },
+};
+
+fn run_sanitizer(words: Vec<String>) -> ExitCode {
+    let mut opts = SanitizeOptions::default();
+    let mut deny_warnings = false;
+    let args = parse(words, USAGE, |flag, flags| {
+        match flag {
+            "--max-ctas" => opts.max_ctas = flags.value(flag),
+            "--no-values" => opts.check_values = false,
+            "--deny-warnings" => deny_warnings = true,
+            _ => return false,
         }
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-struct ShardArgs {
-    kernels: Vec<KernelId>,
-    shape: Shape,
-    skip_fixtures: bool,
-}
-
-const SHARD_USAGE: &str = "usage: vsan shardprove [--kernel NAME[,NAME...]] [--m M] [--n N] \
-     [--k K] [--v V] [--sparsity S] [--seed SEED] [--skip-fixtures] [--list]";
-
-fn shard_usage() -> ! {
-    eprintln!("{SHARD_USAGE}");
-    std::process::exit(2)
-}
-
-fn parse_shardprove_args(mut it: impl Iterator<Item = String>) -> ShardArgs {
-    let mut args = ShardArgs {
-        kernels: ALL_KERNELS.to_vec(),
-        shape: Shape::default(),
-        skip_fixtures: false,
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                shard_usage()
-            })
-        };
-        match flag.as_str() {
-            "--list" => {
-                for k in ALL_KERNELS {
-                    println!("{}", k.label());
-                }
-                std::process::exit(0);
-            }
-            "--kernel" => {
-                args.kernels = value("--kernel")
-                    .split(',')
-                    .map(|s| {
-                        KernelId::parse(s.trim()).unwrap_or_else(|| {
-                            eprintln!("unknown kernel {s:?}; try --list");
-                            shard_usage()
-                        })
-                    })
-                    .collect();
-            }
-            "--m" => args.shape.m = value("--m").parse().unwrap_or_else(|_| shard_usage()),
-            "--n" => args.shape.n = value("--n").parse().unwrap_or_else(|_| shard_usage()),
-            "--k" => args.shape.k = value("--k").parse().unwrap_or_else(|_| shard_usage()),
-            "--v" => args.shape.v = value("--v").parse().unwrap_or_else(|_| shard_usage()),
-            "--sparsity" => {
-                args.shape.sparsity = value("--sparsity")
-                    .parse()
-                    .unwrap_or_else(|_| shard_usage())
-            }
-            "--seed" => args.shape.seed = value("--seed").parse().unwrap_or_else(|_| shard_usage()),
-            "--skip-fixtures" => args.skip_fixtures = true,
-            "--help" | "-h" => {
-                println!("{SHARD_USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                shard_usage();
-            }
-        }
-    }
-    args
-}
-
-fn run_shardprove(args: &ShardArgs) -> ExitCode {
-    let mut failed = false;
-
-    if !args.skip_fixtures {
-        println!("== shardprove fixtures (one kernel per lint, plus the clean control)");
-        for fx in shard_fixtures() {
-            match fx.verify() {
-                Ok(()) => println!("   {:<26} ok [{}]", fx.name(), fx.expected_verdict()),
-                Err(e) => {
-                    println!("   {:<26} FAIL: {e}", fx.name());
-                    failed = true;
-                }
-            }
-        }
-    }
-
-    let s = &args.shape;
-    println!(
-        "== memory-footprint certificates (m={} n={} k={} v={} sparsity={})",
-        s.m, s.n, s.k, s.v, s.sparsity
-    );
-    for id in &args.kernels {
-        let cert = registry::with_kernel(*id, &args.shape, Mode::Functional, |mem, kernel| {
-            shard_analyze(mem, kernel)
-        });
-        print!("{}", cert.render());
-        if !cert.is_shardable() {
-            failed = true;
-        }
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn main() -> ExitCode {
-    if std::env::args().nth(1).as_deref() == Some("precision") {
-        let args = parse_precision_args(std::env::args().skip(2));
-        return run_precision(&args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("waveprove") {
-        let args = parse_waveprove_args(std::env::args().skip(2));
-        return run_waveprove(&args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("shardprove") {
-        let args = parse_shardprove_args(std::env::args().skip(2));
-        return run_shardprove(&args);
-    }
-    let args = parse_args();
+        true
+    });
     let cfg = GpuConfig::default();
     let mut failed = false;
     for id in &args.kernels {
         let report = registry::with_kernel(*id, &args.shape, Mode::Functional, |mem, kernel| {
-            sanitize(&cfg, mem, kernel, &args.opts)
+            sanitize(&cfg, mem, kernel, &opts)
         });
         print!("{}", report.render());
-        if !report.is_clean() || (args.deny_warnings && report.warn_count() > 0) {
+        if !report.is_clean() || (deny_warnings && report.warn_count() > 0) {
             failed = true;
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(failed)
+}
+
+fn main() -> ExitCode {
+    let mut words: Vec<String> = std::env::args().skip(1).collect();
+    let run: fn(Vec<String>) -> ExitCode = match words.first().map(String::as_str) {
+        Some("precision") => run_precision,
+        Some("waveprove") => |words| run_certifier(words, &WAVEPROVE),
+        Some("shardprove") => |words| run_certifier(words, &SHARDPROVE),
+        _ => return run_sanitizer(words),
+    };
+    words.remove(0);
+    run(words)
 }

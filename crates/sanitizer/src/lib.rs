@@ -6,8 +6,9 @@
 //! Volta substrate in `vecsparse-gpu-sim` deserve the same. This crate
 //! analyses a kernel **without scheduling it**:
 //!
-//! 1. **Trace phase** (static + address checks). Each sampled CTA is run
-//!    in performance mode with [`CtaCtx::record_detail`] on, so every
+//! 1. **Trace phase** (static + address checks). The sampled CTAs are
+//!    captured in performance mode with [`CtaCtx::record_detail`] on
+//!    (through [`vecsparse_gpu_sim::capture`](capture())), so every
 //!    memory instruction carries per-lane offsets. The passes then check
 //!    def-use integrity (dangling tokens, unstaged HMMA operands,
 //!    uninitialised stores), barrier discipline (divergent `BAR.SYNC`
@@ -51,8 +52,9 @@ mod values;
 
 pub use diag::{Category, Diagnostic, Report, Severity};
 
-use rayon::prelude::*;
-use vecsparse_gpu_sim::{CtaCtx, GpuConfig, KernelSpec, MemPool, Mode, SanEvent, WarpTrace};
+use vecsparse_gpu_sim::{
+    capture, sample_ctas, CtaCtx, GpuConfig, KernelSpec, MemPool, Mode, SAMPLE_CTAS,
+};
 
 /// Knobs for one sanitizer run.
 #[derive(Clone, Copy, Debug)]
@@ -69,23 +71,10 @@ pub struct SanitizeOptions {
 impl Default for SanitizeOptions {
     fn default() -> Self {
         SanitizeOptions {
-            max_ctas: 4,
+            max_ctas: SAMPLE_CTAS,
             check_values: true,
         }
     }
-}
-
-/// Evenly-spaced CTA sample including both edges.
-fn sample_ctas(grid: usize, max: usize) -> Vec<usize> {
-    let max = max.max(1);
-    if grid <= max {
-        return (0..grid).collect();
-    }
-    let mut out: Vec<usize> = (0..max)
-        .map(|i| i * (grid - 1) / (max - 1).max(1))
-        .collect();
-    out.dedup();
-    out
 }
 
 /// Run every sanitizer pass over `kernel` and collect a [`Report`].
@@ -113,57 +102,34 @@ pub fn sanitize<K: KernelSpec + ?Sized>(
         program: kernel.program(),
     };
     traces::check_static(&env, &mut report);
-    // Per-CTA trace generation (the simulation itself) fans out across
-    // rayon workers — each sampled CTA's performance and functional
-    // passes are independent. The check passes then consume the scans
-    // sequentially in CTA order, so the report's diagnostic order is
-    // identical to the old sequential loop at any thread count.
-    struct CtaScan {
-        cta_id: usize,
-        warp_traces: Vec<WarpTrace>,
-        san_events: Vec<SanEvent>,
-    }
-    let scans: Vec<CtaScan> = sample_ctas(lc.grid, opts.max_ctas)
-        .into_par_iter()
-        .map(|cta_id| {
+    // The capture fans the sampled CTAs out across workers, and each
+    // worker also runs its CTA's functional value phase. The check
+    // passes then consume the scans sequentially in CTA order, so the
+    // report's diagnostic order is the same at any thread count.
+    let sample = sample_ctas(lc.grid, opts.max_ctas);
+    let scans = capture(mem, kernel, &sample, true, |scan| {
+        let san_events = if opts.check_values {
             let mut cta = CtaCtx::new(
-                cta_id,
-                Mode::Performance,
+                scan.cta_id,
+                Mode::Functional,
                 mem,
                 lc.warps_per_cta,
                 lc.smem_elems,
                 lc.smem_elem_bytes,
             );
-            cta.record_detail = true;
+            cta.check_values = true;
             kernel.run_cta(&mut cta);
-            let (warp_traces, _writes) = cta.finish();
-            let san_events = if opts.check_values {
-                let mut fcta = CtaCtx::new(
-                    cta_id,
-                    Mode::Functional,
-                    mem,
-                    lc.warps_per_cta,
-                    lc.smem_elems,
-                    lc.smem_elem_bytes,
-                );
-                fcta.check_values = true;
-                kernel.run_cta(&mut fcta);
-                fcta.take_san_events()
-            } else {
-                Vec::new()
-            };
-            CtaScan {
-                cta_id,
-                warp_traces,
-                san_events,
-            }
-        })
-        .collect();
-    for scan in &scans {
-        report.instrs_checked += scan.warp_traces.iter().map(|t| t.len() as u64).sum::<u64>();
-        traces::check_cta(&env, scan.cta_id, &scan.warp_traces, &mut report);
+            cta.take_san_events()
+        } else {
+            Vec::new()
+        };
+        (scan, san_events)
+    });
+    for (scan, san_events) in &scans {
+        report.instrs_checked += scan.traces.iter().map(|t| t.len() as u64).sum::<u64>();
+        traces::check_cta(&env, scan.cta_id, &scan.traces, &mut report);
         if opts.check_values {
-            values::check_events(kernel.program(), scan.cta_id, &scan.san_events, &mut report);
+            values::check_events(kernel.program(), scan.cta_id, san_events, &mut report);
         }
         report.ctas_checked += 1;
     }
@@ -189,19 +155,4 @@ pub fn sanitize_clean<K: KernelSpec + ?Sized>(
         report.render()
     );
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cta_sampling_covers_edges() {
-        assert_eq!(sample_ctas(3, 4), vec![0, 1, 2]);
-        assert_eq!(sample_ctas(100, 4), vec![0, 33, 66, 99]);
-        assert_eq!(sample_ctas(2, 1), vec![0]);
-        let s = sample_ctas(1000, 5);
-        assert_eq!(s.first(), Some(&0));
-        assert_eq!(s.last(), Some(&999));
-    }
 }

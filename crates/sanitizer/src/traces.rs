@@ -132,26 +132,23 @@ pub(crate) fn check_cta(env: &Env<'_>, cta: usize, traces: &[WarpTrace], report:
 
 /// Def-use pass over one warp trace, plus the trace-PC range check.
 fn check_def_use(env: &Env<'_>, cta: usize, w: usize, trace: &WarpTrace, report: &mut Report) {
+    let mut dangling = trace.dangling_deps().peekable();
     for (i, ins) in trace.instrs.iter().enumerate() {
-        for d in ins.deps.iter().chain(std::iter::once(&ins.acc_dep)) {
-            if let Some(idx) = d.index() {
-                if idx >= i {
-                    report.push(env.diag(
-                        Category::DanglingToken,
-                        Severity::Deny,
-                        cta,
-                        w,
-                        Some(i),
-                        Some(ins.pc),
-                        None,
-                        format!(
-                            "dependency token #{idx} has no producer before \
-                             instruction #{i} in this warp (cross-warp or \
-                             future token)"
-                        ),
-                    ));
-                }
-            }
+        while let Some((_, idx)) = dangling.next_if(|&(at, _)| at == i) {
+            report.push(env.diag(
+                Category::DanglingToken,
+                Severity::Deny,
+                cta,
+                w,
+                Some(i),
+                Some(ins.pc),
+                None,
+                format!(
+                    "dependency token #{idx} has no producer before \
+                     instruction #{i} in this warp (cross-warp or \
+                     future token)"
+                ),
+            ));
         }
         let no_deps = ins.deps.iter().all(|&d| d == Tok::NONE);
         match ins.kind {

@@ -26,12 +26,11 @@ use vecsparse::spmm::compose::octet_schemes;
 use vecsparse::spmm::{
     BlockedEllSpmm, CsrScalarSpmm, DenseGemm, FpuSubwarpSpmm, OctetSpmm, WmmaSpmm,
 };
+use vecsparse_certify::{analyze, certify};
 use vecsparse_formats::{gen, reference, BlockedEll, DenseMatrix, Layout, VectorSparse, ELL_PAD};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{Backend, GpuConfig, KernelSpec, Launch, MemPool, Mode};
 use vecsparse_sanitizer::sanitize_clean;
-use vecsparse_shardprove::analyze;
-use vecsparse_waveprove::{certify, CertifyOptions};
 
 /// Reconfigure the global worker count (the shim accepts repeated
 /// configuration, as tests/determinism.rs relies on).
@@ -374,7 +373,7 @@ fn swept_octet_schemes_stay_certified_and_native_exact() {
         let kernel = OctetSpmm::with_scheme(&mut mem, &a, &b, Mode::Functional, scheme);
 
         sanitize_clean(&gpu, &mem, &kernel);
-        let wave = certify(&mem, &kernel, &CertifyOptions::default());
+        let wave = certify(&mem, &kernel);
         assert!(wave.is_provable(), "{label}: wave certification failed");
         let shard = analyze(&mem, &kernel);
         assert!(shard.is_shardable(), "{label}: {}", shard.summary());

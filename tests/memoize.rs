@@ -12,6 +12,7 @@ use std::sync::Arc;
 use vecsparse::engine::Context;
 use vecsparse::registry::{self, KernelId, Shape};
 use vecsparse::SpmmAlgo;
+use vecsparse_certify::{certify, ProofFailure, WaveVerdict};
 use vecsparse_formats::{gen, DenseMatrix, Layout};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::Fingerprint;
@@ -20,7 +21,6 @@ use vecsparse_gpu_sim::{
     Program, Site, WVec, WaveMemo, NO_LANES,
 };
 use vecsparse_telemetry::{perfetto, TraceSink, DEFAULT_CAPACITY};
-use vecsparse_waveprove::{certify, CertifyOptions, ProofFailure, WaveVerdict};
 
 fn set_threads(n: usize) {
     rayon::ThreadPoolBuilder::new()
@@ -136,7 +136,7 @@ fn traced_replay_timeline_is_bit_identical() {
         &shape,
         Mode::Performance,
         |mem, kernel| {
-            let cert = certify(&*mem, kernel, &CertifyOptions::default());
+            let cert = certify(&*mem, kernel);
             let sig = cert
                 .launch_sig(Fingerprint::default())
                 .expect("registry kernels are provable");
@@ -211,7 +211,7 @@ impl KernelSpec for ValueGather {
         let mut w = cta.warp(0);
         let mut offs = NO_LANES;
         for (l, o) in offs.iter_mut().enumerate() {
-            *o = w.mem().read(self.indices, cta_id * 32 + l) as u32;
+            *o = w.read(self.indices, cta_id * 32 + l) as u32;
         }
         let v = w.ldg(self.sites.0, self.data, &offs, 1, &[]);
         let mut store_offs = NO_LANES;
@@ -228,7 +228,7 @@ impl KernelSpec for ValueGather {
 fn data_dependent_kernel_is_not_provable_and_never_memoized() {
     let mut mem = MemPool::new();
     let kernel = ValueGather::stage(&mut mem);
-    let cert = certify(&mem, &kernel, &CertifyOptions::default());
+    let cert = certify(&mem, &kernel);
     assert!(
         matches!(
             cert.verdict,

@@ -12,8 +12,8 @@
 
 use proptest::prelude::*;
 use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
-use vecsparse_gpu_sim::{CtaCtx, KernelSpec, Launch, MemPool, Mode};
-use vecsparse_shardprove::{analyze, launch_sharded, AccessKind, FootprintCertificate};
+use vecsparse_certify::{analyze, launch_sharded, AccessKind, FootprintCertificate};
+use vecsparse_gpu_sim::{capture, KernelSpec, Launch, MemPool, Mode};
 
 /// Reconfigure the global worker count (the shim accepts repeated
 /// configuration, as tests/determinism.rs relies on).
@@ -24,27 +24,17 @@ fn set_threads(n: usize) {
         .expect("thread-pool shim accepts reconfiguration");
 }
 
-/// Independently re-trace every CTA with per-lane detail and assert that
-/// each byte the trace touches is covered by the certificate for that
-/// CTA and access kind. This mirrors the execution model's clamping
+/// Independently re-capture every CTA with per-lane detail and assert
+/// that each byte the trace touches is covered by the certificate for
+/// that CTA and access kind. This mirrors the execution model's clamping
 /// (loads issue at least one element, stores only functionally written
 /// ones) but goes through the *certificate*, not the analyzer's
 /// internal footprints — the abstraction is what is on trial.
 fn assert_observed_within(mem: &MemPool, kernel: &dyn KernelSpec, cert: &FootprintCertificate) {
-    let lc = kernel.launch_config();
-    for cta_id in 0..lc.grid {
-        let mut cta = CtaCtx::new(
-            cta_id,
-            Mode::Performance,
-            mem,
-            lc.warps_per_cta,
-            lc.smem_elems,
-            lc.smem_elem_bytes,
-        );
-        cta.record_detail = true;
-        kernel.run_cta(&mut cta);
-        let (traces, _) = cta.finish();
-        for t in &traces {
+    let grid: Vec<usize> = (0..kernel.launch_config().grid).collect();
+    capture(mem, kernel, &grid, true, |c| {
+        let cta_id = c.cta_id;
+        for t in &c.traces {
             for acc in &t.mem {
                 if !acc.global {
                     continue;
@@ -78,7 +68,7 @@ fn assert_observed_within(mem: &MemPool, kernel: &dyn KernelSpec, cert: &Footpri
                 }
             }
         }
-    }
+    });
 }
 
 /// Certify every registry kernel at `shape` and check observed ⊆
@@ -166,9 +156,10 @@ fn four_way_row_split_is_bit_identical() {
 
 #[test]
 fn observed_within_certified_across_threads() {
-    // The certificate is derived from sequential traces; re-check the
-    // soundness relation under both worker-pool widths the determinism
-    // gate uses, so threading can never widen the observed set.
+    // Both the certificate and the oracle capture CTAs in parallel;
+    // re-check the soundness relation under both worker-pool widths the
+    // determinism gate uses, so threading can never widen the observed
+    // set.
     set_threads(1);
     check_soundness_at(&Shape::default());
     set_threads(4);

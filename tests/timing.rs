@@ -141,9 +141,9 @@ fn engine_context_event_timing_matches_tick() {
 /// the launch) and still produce tick-identical cycles.
 #[test]
 fn audited_event_launch_passes_and_matches_tick() {
+    use vecsparse_certify::certify;
     use vecsparse_gpu_sim::sig::Fingerprint;
     use vecsparse_gpu_sim::WaveMemo;
-    use vecsparse_waveprove::{certify, CertifyOptions};
 
     set_threads(1);
     let gpu = GpuConfig::small();
@@ -154,7 +154,7 @@ fn audited_event_launch_passes_and_matches_tick() {
         &shape,
         Mode::Performance,
         |mem, kernel| {
-            let cert = certify(&*mem, kernel, &CertifyOptions::default());
+            let cert = certify(&*mem, kernel);
             let sig = cert
                 .launch_sig(Fingerprint::default())
                 .expect("registry kernels are provable");

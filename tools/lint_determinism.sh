@@ -15,7 +15,7 @@
 # Scope: derived from the workspace, not hard-coded — gpu-sim itself,
 # every workspace crate gpu-sim depends on, and every workspace crate
 # that depends on gpu-sim. A new analysis crate built on the simulator
-# (waveprove, shardprove, ...) is covered the day its manifest lands.
+# (certify, precision, ...) is covered the day its manifest lands.
 # Host-side bookkeeping in those crates (engine wall timing, serving
 # queues) is fine but must carry an explicit `lint: hash-ok`
 # justification, so the reviewer sees the determinism argument.
