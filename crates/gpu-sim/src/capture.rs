@@ -1,7 +1,7 @@
 //! The one performance-mode trace capture.
 //!
-//! Every consumer of warp traces — [`Launch`](crate::Launch)'s trace
-//! phase, the sanitizer's trace passes, and both certificates — runs
+//! Every consumer of warp traces — [`Launch`](crate::Launch)'s wave
+//! tasks, the sanitizer's trace passes, and both certificates — runs
 //! kernels through [`capture`]. Each captured CTA comes back with the
 //! number of operand values it read through [`CtaCtx::read`]; a trace
 //! whose CTA read none depends on structure alone.

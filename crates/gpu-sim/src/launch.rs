@@ -192,15 +192,16 @@ pub struct LaunchOutput {
 /// [`LaunchOutput::shadow`] (the working f32/f16 results are
 /// bit-identical — the twin never feeds back).
 ///
-/// In [`Mode::Performance`], the simulation runs as a three-phase
-/// pipeline: traces are generated for `sim_sms × ctas_per_sm ×
-/// sim_waves` CTAs sampled evenly across the grid (parallel), each SM
-/// wave is timed with its own L1 and a recording L2 (parallel), and the
-/// recorded L2 sector traffic is replayed into the shared device L2 in
-/// canonical wave order (sequential) before counters are extrapolated
-/// to the full grid. Results are bit-identical at any thread count and
-/// in either [`TimingMode`]. The final cycle estimate is the maximum of
-/// the issue-model cycles and the DRAM/L2 bandwidth lower bounds.
+/// In [`Mode::Performance`], the simulation samples `sim_sms ×
+/// ctas_per_sm × sim_waves` CTAs evenly across the grid and runs as a
+/// two-phase pipeline: each SM wave captures its own CTAs' traces and
+/// is timed with its own L1 and a recording L2 (waves in parallel, one
+/// parallel region per launch), then the recorded L2 sector traffic is
+/// replayed into the shared device L2 in canonical wave order
+/// (sequential) before counters are extrapolated to the full grid.
+/// Results are bit-identical at any thread count and in either
+/// [`TimingMode`]. The final cycle estimate is the maximum of the
+/// issue-model cycles and the DRAM/L2 bandwidth lower bounds.
 ///
 /// With an enabled sink ([`Launch::traced`]), the launch claims a fresh
 /// process id on the timeline and records a kernel-wide span (tid 0,
@@ -559,30 +560,6 @@ fn simulate<K: KernelSpec + ?Sized>(
         })
         .collect();
 
-    // Phase 1 — trace generation through the shared capture, in parallel
-    // (each CTA is independent).
-    // Only CTAs belonging to waves that actually simulate (fresh or
-    // audited) generate traces; replayed waves skip the kernel body
-    // entirely — that skip is where the memoized speedup comes from.
-    let mut cta_needs_trace = vec![false; sample_ids.len()];
-    for (&(start, end), (_, decision)) in wave_ranges.iter().zip(&decisions) {
-        if !matches!(decision, WaveDecision::Replay(_)) {
-            for slot in &mut cta_needs_trace[start..end] {
-                *slot = true;
-            }
-        }
-    }
-    let needed: Vec<usize> = sample_ids
-        .iter()
-        .zip(&cta_needs_trace)
-        .filter_map(|(&id, &need)| need.then_some(id))
-        .collect();
-    let mut captured = capture(mem, kernel, &needed, false, |c| c.traces).into_iter();
-    let traces: Vec<Option<Vec<WarpTrace>>> = cta_needs_trace
-        .iter()
-        .map(|&need| need.then(|| captured.next().expect("one capture per traced CTA")))
-        .collect();
-
     // Telemetry: claim a process-track group for this launch and name
     // one thread track per scheduler. Waves run back to back on the
     // timeline starting at the current virtual time.
@@ -602,17 +579,23 @@ fn simulate<K: KernelSpec + ?Sized>(
         }
     }
 
-    // Phase 2 — per-wave timing, in parallel. Each simulated wave owns a
-    // fresh L1 (each wave runs on "its own" SM slot, as before) and a
-    // private *recording* L2: latency decisions come from the wave-local
-    // cache (cold at wave start, so timing is independent of wave order
-    // and of every other wave), while the wave's L2-bound sector traffic
-    // is captured in an op log. Telemetry, when on, is buffered into a
-    // wave-local shard at wave-relative ticks. The cold-start discipline
-    // is also what makes the artifacts *replayable*: a wave's outputs
-    // depend only on (config, L1 geometry, its own traces), so memoized
-    // waves reuse the cached [`WaveArtifacts`] verbatim, and audited
-    // waves re-simulate and must match them bit for bit.
+    // Phase 1 — per-wave capture and timing, in parallel: one region per
+    // launch. A wave that simulates (fresh or audited) captures its own
+    // CTAs' traces, which live only as long as the wave; a replayed wave
+    // skips the kernel body entirely, which is where the memoized speedup
+    // comes from. Inside a pool worker the capture runs inline; a
+    // one-wave launch runs this region inline, so its capture fans out.
+    // Each simulated wave owns a fresh L1 (each wave runs on "its own" SM
+    // slot) and a private *recording* L2: latency decisions come from the
+    // wave-local cache (cold at wave start, so timing is independent of
+    // wave order and of every other wave), while the wave's L2-bound
+    // sector traffic is captured in an op log. Telemetry, when on, is
+    // buffered into a wave-local shard at wave-relative ticks. The
+    // cold-start discipline is also what makes the artifacts
+    // *replayable*: a wave's outputs depend only on (config, L1 geometry,
+    // its own traces), so memoized waves reuse the cached
+    // [`WaveArtifacts`] verbatim, and audited waves re-simulate and must
+    // match them bit for bit.
     let wave_sims: Vec<Arc<WaveArtifacts>> = (0..wave_ranges.len())
         .into_par_iter()
         .map(|w| {
@@ -621,10 +604,8 @@ fn simulate<K: KernelSpec + ?Sized>(
             if let WaveDecision::Replay(cached) = decision {
                 return cached.clone();
             }
-            let wave: Vec<&[WarpTrace]> = traces[start..end]
-                .iter()
-                .map(|t| t.as_deref().expect("simulated wave has traces"))
-                .collect();
+            let traces = capture(mem, kernel, &sample_ids[start..end], false, |c| c.traces);
+            let wave: Vec<&[WarpTrace]> = traces.iter().map(Vec::as_slice).collect();
             let mut l1 = SectorCache::new(l1_cache_bytes.max(128 * cfg.l1_ways), cfg.l1_ways);
             let mut l2 = RecordingL2::new(cfg.l2_bytes, cfg.l2_ways);
             let obs = tracing.then(WaveObs::new);
@@ -668,7 +649,7 @@ fn simulate<K: KernelSpec + ?Sized>(
         })
         .collect();
 
-    // Phase 3 — sequential replay and merge, in canonical wave order.
+    // Phase 2 — sequential replay and merge, in canonical wave order.
     // The shared L2 sees every wave's recorded sector traffic in the
     // same order a sequential simulation would apply it, so the
     // device-wide CacheStats (and the DRAM/L2 bandwidth bounds below)
@@ -681,7 +662,7 @@ fn simulate<K: KernelSpec + ?Sized>(
     let mut instrs = InstrCounts::default();
     let mut pipe_busy: Vec<(crate::trace::Pipe, u64)> = Vec::new();
     let mut wave_cycles: Vec<u64> = Vec::new();
-    let mut pc_issues: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
+    let mut pc_issues: Vec<u64> = Vec::new();
     for (wave_idx, ws) in wave_sims.iter().enumerate() {
         let r = &ws.result;
         replay_l2(&ws.l2_ops, &mut l2);
@@ -702,8 +683,12 @@ fn simulate<K: KernelSpec + ?Sized>(
         wave_cycles.push(r.cycles);
         stalls.merge(&r.stalls);
         instrs.merge(&r.instrs);
-        for (pc, n) in &r.pc_issues {
-            *pc_issues.entry(*pc).or_insert(0) += n;
+        for (&pc, &n) in &r.pc_issues {
+            let pc = pc as usize;
+            if pc >= pc_issues.len() {
+                pc_issues.resize(pc + 1, 0);
+            }
+            pc_issues[pc] += n;
         }
         l1_stats.merge(&ws.l1_stats);
         if pipe_busy.is_empty() {
@@ -755,7 +740,7 @@ fn simulate<K: KernelSpec + ?Sized>(
 
     // Hottest static instructions, labelled through the kernel's program
     // listing when it kept one.
-    let mut hot: Vec<(u32, u64)> = pc_issues.into_iter().collect();
+    let mut hot: Vec<(u32, u64)> = (0u32..).zip(pc_issues).filter(|&(_, n)| n > 0).collect();
     hot.sort_by_key(|&(pc, n)| (std::cmp::Reverse(n), pc));
     let hot_pcs: Vec<HotPc> = hot
         .into_iter()

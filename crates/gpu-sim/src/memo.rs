@@ -47,7 +47,7 @@ use vecsparse_telemetry::TraceShard;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LaunchSig(pub Fingerprint);
 
-/// Everything phase 2 produces for one SM wave — the replayable artifact.
+/// Everything phase 1 produces for one SM wave — the replayable artifact.
 #[derive(Debug)]
 pub struct WaveArtifacts {
     /// Timing result of the wave's discrete-event simulation.
@@ -57,7 +57,7 @@ pub struct WaveArtifacts {
     /// The wave-private L1's counters.
     pub l1_stats: CacheStats,
     /// Recorded L2-bound sector traffic, replayed into the shared L2 in
-    /// canonical wave order by phase 3.
+    /// canonical wave order by phase 2.
     pub l2_ops: Vec<L2Op>,
     /// Wave-relative telemetry spans, when the wave was simulated under
     /// an enabled sink. `None` entries are upgraded (re-simulated) the

@@ -1,17 +1,20 @@
-//! Offline stand-in for the subset of `rayon` this workspace uses —
-//! **now a real `std::thread`-based pool**, no longer a sequential alias.
+//! Offline stand-in for the subset of `rayon` this workspace uses — a
+//! real `std::thread`-based pool.
 //!
 //! `into_par_iter()` / `par_iter()` materialize the input and fan the
-//! mapped work out over scoped worker threads. Determinism is structural:
-//! the input is split into contiguous index-ordered chunks, each worker
-//! writes results into its chunk's pre-allocated slots, and `collect`
-//! reads the slots back in index order — so results are bit-identical to
-//! the sequential path at any thread count.
+//! mapped work out over the calling thread, which takes the first chunk,
+//! and up to `width − 1` scoped worker threads. Determinism is
+//! structural: the input is split into contiguous index-ordered chunks,
+//! each worker writes results into its chunk's pre-allocated slots, and
+//! `collect` reads the slots back in index order — so results are
+//! bit-identical to the sequential path at any thread count.
 //!
 //! Thread-count resolution (first match wins):
 //! 1. a [`ThreadPoolBuilder::build_global`] override,
 //! 2. the `VECSPARSE_THREADS` environment variable,
 //! 3. `std::thread::available_parallelism()`.
+//!
+//! Steps 2 and 3 are resolved on first use and cached.
 //!
 //! `VECSPARSE_THREADS=1` (or a 1-thread global build) forces the exact
 //! sequential path: no worker threads are spawned at all. Parallel
@@ -33,9 +36,11 @@ use std::sync::OnceLock;
 /// [`ThreadPoolBuilder::build_global`]; `0` means "not set".
 static GLOBAL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Cached `VECSPARSE_THREADS` parse (read once, like rayon's
-/// `RAYON_NUM_THREADS`).
-static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
+/// The width without an override: `VECSPARSE_THREADS`, else the host's
+/// available parallelism. Resolved once, as real rayon fixes its width
+/// when its pool starts; `available_parallelism` reads the cgroup CPU
+/// quota on Linux, too slow to pay per parallel region.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
     /// Set while running inside a pool worker: nested parallel regions
@@ -43,26 +48,37 @@ thread_local! {
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-fn env_threads() -> Option<usize> {
-    *ENV_THREADS.get_or_init(|| {
-        std::env::var("VECSPARSE_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-    })
+/// Marks the current thread as a pool worker while alive and clears the
+/// mark on drop, unwinding included: a caller whose chunk panicked must
+/// still fan out its later regions.
+struct WorkerMark;
+
+impl WorkerMark {
+    fn enter() -> WorkerMark {
+        IN_WORKER.with(|w| w.set(true));
+        WorkerMark
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.with(|w| w.set(false));
+    }
 }
 
 /// The number of threads parallel regions will use, after the override /
 /// `VECSPARSE_THREADS` / available-parallelism resolution.
 pub fn current_num_threads() -> usize {
-    let o = GLOBAL_OVERRIDE.load(Ordering::Relaxed);
-    if o >= 1 {
-        return o;
+    match GLOBAL_OVERRIDE.load(Ordering::Relaxed) {
+        0 => *DEFAULT_THREADS.get_or_init(|| {
+            std::env::var("VECSPARSE_THREADS")
+                .ok()
+                .and_then(|s| s.trim().parse::<usize>().ok())
+                .filter(|&n| n >= 1)
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        }),
+        o => o,
     }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Subset of rayon's `ThreadPoolBuilder`: only the global thread-count
@@ -105,9 +121,10 @@ impl std::fmt::Display for ThreadPoolBuildError {
 
 impl std::error::Error for ThreadPoolBuildError {}
 
-/// Fan `items` out over scoped workers, returning results in input
-/// order. The sequential path (1 thread, ≤1 item, or already inside a
-/// worker) runs inline with zero spawns.
+/// Fan `items` out over the calling thread and `width − 1` scoped
+/// workers, returning results in input order. The caller runs chunk 0
+/// as a worker would. The sequential path (1 thread, ≤1 item, or
+/// already inside a worker) runs inline with zero spawns.
 fn pool_run<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -125,16 +142,20 @@ where
     let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
     let mut out: Vec<Option<R>> = (0..slots.len()).map(|_| None).collect();
     let chunk = slots.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|s| {
-        for (in_chunk, out_chunk) in slots.chunks_mut(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                for (slot, res) in in_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                    *res = Some(f(slot.take().expect("input slot filled once")));
-                }
-            });
+    let run = |in_chunk: &mut [Option<T>], out_chunk: &mut [Option<R>]| {
+        let _mark = WorkerMark::enter();
+        for (slot, res) in in_chunk.iter_mut().zip(out_chunk.iter_mut()) {
+            *res = Some(f(slot.take().expect("input slot filled once")));
         }
+    };
+    let run = &run;
+    std::thread::scope(|s| {
+        let mut chunks = slots.chunks_mut(chunk).zip(out.chunks_mut(chunk));
+        let (in0, out0) = chunks.next().expect("items is non-empty");
+        for (in_chunk, out_chunk) in chunks {
+            s.spawn(move || run(in_chunk, out_chunk));
+        }
+        run(in0, out0);
     });
     out.into_iter()
         .map(|r| r.expect("worker filled every slot"))
@@ -265,6 +286,20 @@ impl<T> ParIter<T> {
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Tests that set the global width hold this, so one cannot change
+    /// the width under another.
+    static WIDTH: Mutex<()> = Mutex::new(());
+
+    fn width(n: usize) -> MutexGuard<'static, ()> {
+        let guard = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+        ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build_global()
+            .unwrap();
+        guard
+    }
 
     #[test]
     fn range_into_par_iter_collects_in_order() {
@@ -294,6 +329,7 @@ mod tests {
     #[test]
     fn forced_width_matches_sequential() {
         // Same results at every width, including widths > items.
+        let _width = width(1);
         let seq: Vec<u64> = (0..23u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
         for threads in [1usize, 2, 4, 8, 64] {
             ThreadPoolBuilder::new()
@@ -314,10 +350,7 @@ mod tests {
 
     #[test]
     fn nested_regions_run_inline() {
-        ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build_global()
-            .unwrap();
+        let _width = width(4);
         let v: Vec<usize> = (0..4usize)
             .into_par_iter()
             .map(|i| {
@@ -326,6 +359,49 @@ mod tests {
             })
             .collect();
         assert_eq!(v, vec![6, 22, 38, 54]);
+        ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build_global()
+            .unwrap();
+    }
+
+    #[test]
+    fn caller_chunk_panic_joins_workers_and_keeps_fan_out() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        let _width = width(2);
+        // Item 0 is the caller's chunk, item 1 the spawned worker's. Both
+        // pass the barrier; then the caller panics while the worker is
+        // still finishing its item.
+        let barrier = Barrier::new(2);
+        let worker_done = AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (0..2usize)
+                .into_par_iter()
+                .map(|i| {
+                    barrier.wait();
+                    if i == 0 {
+                        panic!("caller chunk");
+                    }
+                    worker_done.store(true, Ordering::SeqCst);
+                })
+                .collect::<Vec<()>>()
+        }));
+        let payload = caught.expect_err("the caller's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller chunk"));
+        assert!(
+            worker_done.load(Ordering::SeqCst),
+            "the panic surfaced before the spawned worker joined"
+        );
+
+        // The caller is no longer marked as a worker: its next region
+        // still fans out.
+        let ids: Vec<std::thread::ThreadId> = (0..2usize)
+            .into_par_iter()
+            .map(|_| std::thread::current().id())
+            .collect();
+        assert_ne!(ids[0], ids[1], "region after a caught panic ran inline");
         ThreadPoolBuilder::new()
             .num_threads(1)
             .build_global()

@@ -5,7 +5,7 @@
 //! throughput knob, never an observable. Every simulated artifact —
 //! functional kernel outputs, performance-model profiles, precision
 //! certificates, and the launch-level Perfetto timeline — must be
-//! bit-identical whether the simulator runs on 1, 4, or 8 workers.
+//! bit-identical whether the simulator runs on 1, 2, 4, or 8 workers.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -105,7 +105,7 @@ fn snapshot_with(memoize: bool) -> Snapshot {
 fn all_artifacts_bit_identical_across_thread_counts() {
     set_threads(1);
     let baseline = snapshot();
-    for threads in [4usize, 8] {
+    for threads in [2usize, 4, 8] {
         set_threads(threads);
         let got = snapshot();
         assert_eq!(
@@ -146,7 +146,7 @@ fn all_artifacts_bit_identical_across_thread_counts() {
 fn memoized_artifacts_match_honest_baseline_across_thread_counts() {
     set_threads(1);
     let baseline = snapshot();
-    for threads in [1usize, 4, 8] {
+    for threads in [1usize, 2, 4, 8] {
         set_threads(threads);
         let got = snapshot_with(true);
         assert_eq!(
