@@ -126,23 +126,27 @@ struct PlanKey {
 impl PlanKey {
     /// The key of an `op` problem over the structural operand `p` (SpMM's
     /// sparse matrix, SDDMM's mask) whose remaining dimension — SpMM's
-    /// RHS width `n`, SDDMM's inner dimension `k` — is `free`.
+    /// RHS width `n`, SDDMM's inner dimension `k` — is `free`. Every
+    /// dimension must be positive: no kernel launches an empty grid.
     fn new(op: OpKind, p: &SparsityPattern, free: usize) -> Result<PlanKey, EngineError> {
-        if free == 0 {
-            return Err(EngineError::EmptyDimension {
-                what: match op {
-                    OpKind::Spmm => "n (RHS columns)",
-                    OpKind::Sddmm => "k (inner dimension)",
-                },
-            });
-        }
-        if !matches!(p.v(), 1 | 2 | 4 | 8) {
-            return Err(EngineError::UnsupportedV { v: p.v() });
-        }
         let (k, n) = match op {
             OpKind::Spmm => (p.cols(), free),
             OpKind::Sddmm => (free, p.cols()),
         };
+        let names = match op {
+            OpKind::Spmm => ["m (rows of A)", "k (columns of A)", "n (RHS columns)"],
+            OpKind::Sddmm => ["m (mask rows)", "k (inner dimension)", "n (mask columns)"],
+        };
+        if let Some((_, what)) = [p.rows(), k, n]
+            .into_iter()
+            .zip(names)
+            .find(|&(d, _)| d == 0)
+        {
+            return Err(EngineError::EmptyDimension { what });
+        }
+        if !matches!(p.v(), 1 | 2 | 4 | 8) {
+            return Err(EngineError::UnsupportedV { v: p.v() });
+        }
         Ok(PlanKey {
             op,
             m: p.rows(),
@@ -618,8 +622,8 @@ impl Context {
     /// Infallible [`Context::try_plan_spmm`].
     ///
     /// # Panics
-    /// Panics with the [`EngineError`] message if `n == 0` or the
-    /// operand's V is unsupported.
+    /// Panics with the [`EngineError`] message if a dimension is zero or
+    /// the operand's V is unsupported.
     pub fn plan_spmm(&self, a: &VectorSparse<f16>, n: usize, algo: SpmmAlgo) -> SpmmPlan {
         self.try_plan_spmm(a, n, algo)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -654,8 +658,8 @@ impl Context {
     /// Infallible [`Context::try_plan_sddmm`].
     ///
     /// # Panics
-    /// Panics with the [`EngineError`] message if `k == 0` or the mask's
-    /// V is unsupported.
+    /// Panics with the [`EngineError`] message if a dimension is zero or
+    /// the mask's V is unsupported.
     pub fn plan_sddmm(&self, mask: &SparsityPattern, k: usize, algo: SddmmAlgo) -> SddmmPlan {
         self.try_plan_sddmm(mask, k, algo)
             .unwrap_or_else(|e| panic!("{e}"))

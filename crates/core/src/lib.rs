@@ -57,6 +57,7 @@
 pub mod api;
 pub mod compose;
 pub mod engine;
+pub mod listing;
 mod native;
 pub mod registry;
 pub mod sddmm;

@@ -7,10 +7,13 @@
 //! prologue, two-register A and B fragment loads, `tile_k / 16` mma
 //! slices per sub-step, the cross-octet shuffle/FADD reduction, and the
 //! vector store. As with the SpMM composer, the default scheme compiles
-//! to the exact program the hand-written kernel shipped with.
+//! to the exact program the hand-written kernel shipped with, and each
+//! scheme compiles once per process ([`crate::listing`]).
 
 use crate::compose::{scheme_for, TilingScheme};
+use crate::listing::{Listing, ListingCache};
 use crate::registry::KernelId;
+use std::sync::Arc;
 use vecsparse_gpu_sim::{Program, Site};
 
 /// The octet SDDMM's default scheme — the paper's evaluated kernel
@@ -40,14 +43,21 @@ impl SddmmOctetSites {
     }
 }
 
-/// Compile `scheme` into the octet SDDMM program. `tile_n / sub_warp`
-/// sub-step rounds are unrolled, each with `tile_k / 16` mma slices
-/// spanning 4 static HMMA slots.
+/// The process-wide listings, keyed by scheme.
+static LISTINGS: ListingCache<TilingScheme, SddmmOctetSites> = ListingCache::new();
+
+/// Compile `scheme` into the octet SDDMM listing, once per process.
+/// `tile_n / sub_warp` sub-step rounds are unrolled, each with
+/// `tile_k / 16` mma slices spanning 4 static HMMA slots.
 ///
 /// # Panics
 /// Panics if `tile_k` is not a positive multiple of 16 or `sub_warp`
 /// does not divide `tile_n`.
-pub fn compile_octet(scheme: &TilingScheme) -> (Program, SddmmOctetSites, u32) {
+pub fn compile_octet(scheme: &TilingScheme) -> Arc<Listing<SddmmOctetSites>> {
+    LISTINGS.get(*scheme, || build(scheme))
+}
+
+fn build(scheme: &TilingScheme) -> Listing<SddmmOctetSites> {
     assert!(
         scheme.tile_k >= 16 && scheme.tile_k % 16 == 0,
         "sddmm octet tile_k {} must be a positive multiple of 16",
@@ -96,7 +106,11 @@ pub fn compile_octet(scheme: &TilingScheme) -> (Program, SddmmOctetSites, u32) {
         addr,
         stg,
     };
-    (p, sites, static_len)
+    Listing {
+        prog: p,
+        sites,
+        static_len,
+    }
 }
 
 #[cfg(test)]
@@ -105,10 +119,10 @@ mod tests {
 
     #[test]
     fn default_scheme_compiles_four_by_four_mma_table() {
-        let (p, sites, static_len) = compile_octet(&DEFAULT_SCHEME);
-        assert_eq!(sites.subs(), 4);
-        assert_eq!(sites.mma[0].len(), 4);
-        assert_eq!(static_len, p.static_len() + 48);
+        let l = compile_octet(&DEFAULT_SCHEME);
+        assert_eq!(l.sites.subs(), 4);
+        assert_eq!(l.sites.mma[0].len(), 4);
+        assert_eq!(l.static_len, l.prog.static_len() + 48);
     }
 
     #[test]

@@ -14,9 +14,11 @@
 
 use super::vector_tiles;
 use crate::compose::{scheme_for, TilingScheme};
+use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract, Grouping};
 use crate::registry::KernelId;
 use crate::util::{lanes, upload_dense, upload_pattern, width_of, VsBuffers};
+use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, Scalar, SparsityPattern, VectorSparse};
 use vecsparse_fp16::{f16, hmul_fadd};
 use vecsparse_gpu_sim::{
@@ -44,9 +46,7 @@ pub struct FpuSubwarpSddmm<'m, T: Scalar> {
     idx: VsBuffers,
     out_buf: BufferId,
     tiles: Vec<(usize, usize, usize)>,
-    sites: Sites,
-    prog: Program,
-    static_len: u32,
+    listing: Arc<Listing<Sites>>,
 }
 
 struct Sites {
@@ -57,6 +57,47 @@ struct Sites {
     addr: Vec<Site>,
     red: Site,
     stg: Site,
+}
+
+/// The process-wide listings, keyed by V.
+static LISTINGS: ListingCache<usize, Sites> = ListingCache::new();
+
+/// The listing at vector length `v`, the only input it reads.
+fn listing(v: usize) -> Listing<Sites> {
+    let mut p = Program::new();
+    let ld_idx = p.site("ld_idx", 0);
+    let ldg_a = p.site("ldg_a", 0);
+    let mut ldg_b = Vec::new();
+    let mut math = Vec::new();
+    let mut addr = Vec::new();
+    // Fully unrolled over the TILE_N vectors and the per-thread V×8
+    // products — the §6.1 program-size pathology.
+    for j in 0..TILE_N as u32 {
+        ldg_b.push(p.site("ldg_b", j));
+        for mi in 0..(v as u32 * 4).max(1) {
+            math.push(p.site("math", j * 64 + mi));
+        }
+        for ai in 0..(v as u32 * 2).max(2) {
+            addr.push(p.site("addr", j * 32 + ai));
+        }
+    }
+    // Shuffle + add of each butterfly round sit at adjacent pcs.
+    let red = p.site_span("red", 0, 2);
+    let stg = p.site("stg", 0);
+    let static_len = p.static_len() * 2 + 58;
+    Listing {
+        prog: p,
+        sites: Sites {
+            ld_idx,
+            ldg_a,
+            ldg_b,
+            math,
+            addr,
+            red,
+            stg,
+        },
+        static_len,
+    }
 }
 
 impl<'m, T: Scalar> FpuSubwarpSddmm<'m, T> {
@@ -84,30 +125,6 @@ impl<'m, T: Scalar> FpuSubwarpSddmm<'m, T> {
             Mode::Performance => mem.alloc_ghost(width_of::<T>(), mask.nnz()),
         };
         let tiles = vector_tiles(mask, TILE_N);
-
-        let v = mask.v();
-        let mut p = Program::new();
-        let ld_idx = p.site("ld_idx", 0);
-        let ldg_a = p.site("ldg_a", 0);
-        let mut ldg_b = Vec::new();
-        let mut math = Vec::new();
-        let mut addr = Vec::new();
-        // Fully unrolled over the TILE_N vectors and the per-thread V×8
-        // products — the §6.1 program-size pathology.
-        for j in 0..TILE_N as u32 {
-            ldg_b.push(p.site("ldg_b", j));
-            for mi in 0..(v as u32 * 4).max(1) {
-                math.push(p.site("math", j * 64 + mi));
-            }
-            for ai in 0..(v as u32 * 2).max(2) {
-                addr.push(p.site("addr", j * 32 + ai));
-            }
-        }
-        // Shuffle + add of each butterfly round sit at adjacent pcs.
-        let red = p.site_span("red", 0, 2);
-        let stg = p.site("stg", 0);
-        let static_len = p.static_len() * 2 + 58;
-
         FpuSubwarpSddmm {
             a,
             b,
@@ -117,17 +134,7 @@ impl<'m, T: Scalar> FpuSubwarpSddmm<'m, T> {
             idx,
             out_buf,
             tiles,
-            sites: Sites {
-                ld_idx,
-                ldg_a,
-                ldg_b,
-                math,
-                addr,
-                red,
-                stg,
-            },
-            prog: p,
-            static_len,
+            listing: LISTINGS.get(mask.v(), || listing(mask.v())),
         }
     }
 
@@ -158,12 +165,12 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
             regs_per_thread: (self.mask.v() * TILE_N) as u32 + 40,
             smem_elems: 0,
             smem_elem_bytes: T::bytes() as u64,
-            static_instrs: self.static_len,
+            static_instrs: self.listing.static_len,
         }
     }
 
     fn program(&self) -> Option<&Program> {
-        Some(&self.prog)
+        Some(&self.listing.prog)
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
@@ -177,7 +184,7 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
         debug_assert_eq!(k_total, self.b.rows());
         let functional = cta.mode == Mode::Functional;
         let half = T::BITS == 16;
-        let s = &self.sites;
+        let s = &self.listing.sites;
         let row_base = br * v_len;
         let epl = if half { 8 } else { 4 };
 

@@ -33,9 +33,11 @@
 use super::compose::{compile_octet, SddmmOctetSites, DEFAULT_SCHEME};
 use super::vector_tiles;
 use crate::compose::TilingScheme;
+use crate::listing::Listing;
 use crate::native::{self, Contract, Grouping};
 use crate::tile::{marshal_sddmm_frag, octet_lane};
 use crate::util::{lanes, upload_dense, upload_pattern, width_of, VsBuffers};
+use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
@@ -76,9 +78,7 @@ pub struct OctetSddmm<'m> {
     idx: VsBuffers,
     out_buf: BufferId,
     tiles: Vec<(usize, usize, usize)>,
-    sites: SddmmOctetSites,
-    prog: Program,
-    static_len: u32,
+    listing: Arc<Listing<SddmmOctetSites>>,
 }
 
 impl<'m> OctetSddmm<'m> {
@@ -109,7 +109,6 @@ impl<'m> OctetSddmm<'m> {
             Mode::Performance => mem.alloc_ghost(width_of::<f16>(), mask.nnz()),
         };
         let tiles = vector_tiles(mask, scheme.tile_n);
-        let (prog, sites, static_len) = compile_octet(&scheme);
 
         OctetSddmm {
             a,
@@ -122,9 +121,7 @@ impl<'m> OctetSddmm<'m> {
             idx,
             out_buf,
             tiles,
-            sites,
-            prog,
-            static_len,
+            listing: compile_octet(&scheme),
         }
     }
 
@@ -162,12 +159,12 @@ impl KernelSpec for OctetSddmm<'_> {
             },
             smem_elems: 0,
             smem_elem_bytes: 2,
-            static_instrs: self.static_len,
+            static_instrs: self.listing.static_len,
         }
     }
 
     fn program(&self) -> Option<&Program> {
-        Some(&self.prog)
+        Some(&self.listing.prog)
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
@@ -187,7 +184,7 @@ impl KernelSpec for OctetSddmm<'_> {
         let shadow = functional && cta.shadow_exec;
         let switch = self.variant == OctetVariant::Arch;
         let flavor = self.flavor();
-        let s = &self.sites;
+        let s = &self.listing.sites;
         let row_base = br * v_len;
 
         let mut w = cta.warp(0);

@@ -12,9 +12,11 @@
 
 use super::vector_tiles;
 use crate::compose::{scheme_for, TilingScheme};
+use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract, Grouping};
 use crate::registry::KernelId;
 use crate::util::{lanes, upload_dense, upload_pattern, width_of, VsBuffers};
+use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
@@ -39,9 +41,7 @@ pub struct WmmaSddmm<'m> {
     idx: VsBuffers,
     out_buf: BufferId,
     tiles: Vec<(usize, usize, usize)>,
-    sites: Sites,
-    prog: Program,
-    static_len: u32,
+    listing: Arc<Listing<Sites>>,
 }
 
 struct Sites {
@@ -55,6 +55,58 @@ struct Sites {
     wmma: [Site; 4],
     addr: Site,
     stg: Site,
+}
+
+/// The process-wide listing (it reads no input).
+static LISTINGS: ListingCache<(), Sites> = ListingCache::new();
+
+fn listing() -> Listing<Sites> {
+    let mut p = Program::new();
+    let sites = Sites {
+        ld_idx: p.site("ld_idx", 0),
+        ldg_a: p.site("ldg_a", 0),
+        sts_a: p.site("sts_a", 0),
+        lds_a: [
+            p.site("lds_a", 0),
+            p.site("lds_a", 1),
+            p.site("lds_a", 2),
+            p.site("lds_a", 3),
+        ],
+        ldg_b: [
+            p.site("ldg_b", 0),
+            p.site("ldg_b", 1),
+            p.site("ldg_b", 2),
+            p.site("ldg_b", 3),
+        ],
+        sts_b: [
+            p.site("sts_b", 0),
+            p.site("sts_b", 1),
+            p.site("sts_b", 2),
+            p.site("sts_b", 3),
+        ],
+        lds_b: [
+            p.site("lds_b", 0),
+            p.site("lds_b", 1),
+            p.site("lds_b", 2),
+            p.site("lds_b", 3),
+        ],
+        wmma: [
+            p.site_span("wmma", 0, 16),
+            p.site_span("wmma", 16, 16),
+            p.site_span("wmma", 32, 16),
+            p.site_span("wmma", 48, 16),
+        ],
+        addr: p.site("addr", 0),
+        stg: p.site("stg", 0),
+    };
+    // The wmma spans reserve their 16 HMMA slots each; the tail pad
+    // models the predication/residue copies.
+    let static_len = p.static_len() + 60;
+    Listing {
+        prog: p,
+        sites,
+        static_len,
+    }
 }
 
 impl<'m> WmmaSddmm<'m> {
@@ -83,48 +135,6 @@ impl<'m> WmmaSddmm<'m> {
         };
         let tiles = vector_tiles(mask, TILE_N);
 
-        let mut p = Program::new();
-        let sites = Sites {
-            ld_idx: p.site("ld_idx", 0),
-            ldg_a: p.site("ldg_a", 0),
-            sts_a: p.site("sts_a", 0),
-            lds_a: [
-                p.site("lds_a", 0),
-                p.site("lds_a", 1),
-                p.site("lds_a", 2),
-                p.site("lds_a", 3),
-            ],
-            ldg_b: [
-                p.site("ldg_b", 0),
-                p.site("ldg_b", 1),
-                p.site("ldg_b", 2),
-                p.site("ldg_b", 3),
-            ],
-            sts_b: [
-                p.site("sts_b", 0),
-                p.site("sts_b", 1),
-                p.site("sts_b", 2),
-                p.site("sts_b", 3),
-            ],
-            lds_b: [
-                p.site("lds_b", 0),
-                p.site("lds_b", 1),
-                p.site("lds_b", 2),
-                p.site("lds_b", 3),
-            ],
-            wmma: [
-                p.site_span("wmma", 0, 16),
-                p.site_span("wmma", 16, 16),
-                p.site_span("wmma", 32, 16),
-                p.site_span("wmma", 48, 16),
-            ],
-            addr: p.site("addr", 0),
-            stg: p.site("stg", 0),
-        };
-        // The wmma spans reserve their 16 HMMA slots each; the tail pad
-        // models the predication/residue copies.
-        let static_len = p.static_len() + 60;
-
         WmmaSddmm {
             a,
             b,
@@ -134,9 +144,7 @@ impl<'m> WmmaSddmm<'m> {
             idx,
             out_buf,
             tiles,
-            sites,
-            prog: p,
-            static_len,
+            listing: LISTINGS.get((), listing),
         }
     }
 
@@ -160,12 +168,12 @@ impl KernelSpec for WmmaSddmm<'_> {
             // Staged A (V×64) and B (64×32) slabs.
             smem_elems: self.mask.v() * TILE_K + TILE_K * TILE_N,
             smem_elem_bytes: 2,
-            static_instrs: self.static_len,
+            static_instrs: self.listing.static_len,
         }
     }
 
     fn program(&self) -> Option<&Program> {
-        Some(&self.prog)
+        Some(&self.listing.prog)
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
@@ -178,7 +186,7 @@ impl KernelSpec for WmmaSddmm<'_> {
         let k_total = self.a.cols();
         debug_assert_eq!(k_total, self.b.rows());
         let functional = cta.mode == Mode::Functional;
-        let s = &self.sites;
+        let s = &self.listing.sites;
         let row_base = br * v_len;
 
         let mut w = cta.warp(0);

@@ -14,9 +14,11 @@
 //! Table 1.
 
 use crate::compose::{scheme_for, TilingScheme};
+use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract};
 use crate::registry::KernelId;
 use crate::util::{download_dense, lanes, upload_dense, upload_ell, width_of, EllBuffers};
+use std::sync::Arc;
 use vecsparse_formats::{BlockedEll, DenseMatrix, Layout, ELL_PAD};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
@@ -37,9 +39,11 @@ pub struct BlockedEllSpmm<'m> {
     bufs: EllBuffers,
     b_buf: BufferId,
     out_buf: BufferId,
-    sites: Sites,
-    prog: Program,
-    static_len: u32,
+    /// One unrolled copy of the slot-group body. The compiler unrolls the
+    /// ELL loop `phases(block)`-fold, so consecutive groups execute at PC
+    /// offsets `phase * listing.static_len` — which is what overflows the
+    /// L0 instruction cache at small block sizes.
+    listing: Arc<Listing<Sites>>,
 }
 
 struct Sites {
@@ -54,11 +58,63 @@ struct Sites {
     addr: Vec<Site>,
     bar: Site,
     stg: Site,
-    /// Static instructions in one unrolled copy of the slot-group body.
-    /// The compiler unrolls the ELL loop `PHASES`-fold, so consecutive
-    /// groups execute at PC offsets `phase * phase_pcs` — which is what
-    /// overflows the L0 instruction cache at small block sizes.
-    phase_pcs: u32,
+}
+
+/// The process-wide listing (it reads no input).
+static LISTINGS: ListingCache<(), Sites> = ListingCache::new();
+
+/// One unrolled copy of the group body.
+fn listing() -> Listing<Sites> {
+    let group = 1usize;
+    let mut p = Program::new();
+    let ld_idx = p.site("ld_idx", 0);
+    let ldg_blk = p.site("ldg_blk", 0);
+    let sts_blk = p.site("sts_blk", 0);
+    let lds_blk = p.site("lds_blk", 0);
+    let mut ldg_b = [Site(0); 8];
+    let mut sts_b = [Site(0); 8];
+    let mut lds_b = [Site(0); 8];
+    for i in 0..8u32 {
+        ldg_b[i as usize] = p.site("ldg_b", i);
+        sts_b[i as usize] = p.site("sts_b", i);
+        lds_b[i as usize] = p.site("lds_b", i);
+    }
+    // 4 wmma per group, 16 HMMA each: reserve 64 static HMMA slots.
+    let mma: Vec<Site> = (0..4usize)
+        .map(|i| {
+            let base = p.site("wmma", (i * 16) as u32);
+            for k in 1..16u32 {
+                p.site("wmma", (i * 16) as u32 + k);
+            }
+            base
+        })
+        .collect();
+    // Per-block addressing in the unrolled group body: the real SASS
+    // spends ≈27% of its instructions on IMAD/IADD3 tile-address math
+    // (§3.2), roughly 48 static slots per block.
+    let addr: Vec<Site> = (0..(group as u32 * 48))
+        .map(|i| p.site("addr", i))
+        .collect();
+    let bar = p.site("bar", 0);
+    let stg = p.site("stg", 0);
+    let static_len = p.static_len();
+    Listing {
+        prog: p,
+        sites: Sites {
+            ld_idx,
+            ldg_blk,
+            sts_blk,
+            lds_blk,
+            ldg_b,
+            sts_b,
+            lds_b,
+            mma,
+            addr,
+            bar,
+            stg,
+        },
+        static_len,
+    }
 }
 
 /// Unroll factor of the slot-group loop: the real kernel's SASS shrinks
@@ -70,7 +126,7 @@ fn phases(block: usize) -> u32 {
 }
 
 impl<'m> BlockedEllSpmm<'m> {
-    /// Stage inputs and build the static program.
+    /// Stage inputs and bind the shared listing.
     ///
     /// # Panics
     /// Panics on shape mismatch.
@@ -104,69 +160,13 @@ impl<'m> BlockedEllSpmm<'m> {
         assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
         assert_eq!(b.layout(), Layout::RowMajor);
 
-        let block = a.block();
-        let group = 1usize;
-        let mut p = Program::new();
-        let ld_idx = p.site("ld_idx", 0);
-        let ldg_blk = p.site("ldg_blk", 0);
-        let sts_blk = p.site("sts_blk", 0);
-        let lds_blk = p.site("lds_blk", 0);
-        let mut ldg_b = [Site(0); 8];
-        let mut sts_b = [Site(0); 8];
-        let mut lds_b = [Site(0); 8];
-        for i in 0..8u32 {
-            ldg_b[i as usize] = p.site("ldg_b", i);
-            sts_b[i as usize] = p.site("sts_b", i);
-            lds_b[i as usize] = p.site("lds_b", i);
-        }
-        // 4 wmma per group, 16 HMMA each: reserve 64 static HMMA slots.
-        let mma: Vec<Site> = (0..4usize)
-            .map(|i| {
-                let base = p.site("wmma", (i * 16) as u32);
-                for k in 1..16u32 {
-                    p.site("wmma", (i * 16) as u32 + k);
-                }
-                base
-            })
-            .collect();
-        // Per-block addressing in the unrolled group body: the real SASS
-        // spends ≈27% of its instructions on IMAD/IADD3 tile-address math
-        // (§3.2), roughly 48 static slots per block.
-        let addr: Vec<Site> = (0..(group as u32 * 48))
-            .map(|i| p.site("addr", i))
-            .collect();
-        let bar = p.site("bar", 0);
-        let stg = p.site("stg", 0);
-
-        // One unrolled copy of the group body; the executed PC stream
-        // rotates over PHASES copies plus a residue clone, matching the
-        // several-thousand-line SASS the paper measured (≈4600 lines at
-        // block size 4; larger blocks need fewer specialised copies).
-        let phase_pcs = p.static_len();
-        let static_len = phase_pcs * phases(block);
-
         BlockedEllSpmm {
             a,
             b,
             bufs,
             b_buf,
             out_buf,
-            sites: Sites {
-                ld_idx,
-                ldg_blk,
-                sts_blk,
-                lds_blk,
-                ldg_b,
-                sts_b,
-                lds_b,
-                mma,
-                addr,
-                bar,
-                stg,
-                phase_pcs,
-            },
-            prog: p,
-            static_len,
+            listing: LISTINGS.get((), listing),
         }
     }
 
@@ -198,12 +198,16 @@ impl KernelSpec for BlockedEllSpmm<'_> {
             // Staged: one k-slab of B (16 × 128) plus a block group.
             smem_elems: 16 * TILE_N + 16 * self.a.block(),
             smem_elem_bytes: 2,
-            static_instrs: self.static_len,
+            // The executed PC stream rotates over the unrolled copies plus
+            // a residue clone, matching the several-thousand-line SASS the
+            // paper measured (≈4600 lines at block size 4; larger blocks
+            // need fewer specialised copies).
+            static_instrs: self.listing.static_len * phases(self.a.block()),
         }
     }
 
     fn program(&self) -> Option<&Program> {
-        Some(&self.prog)
+        Some(&self.listing.prog)
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
@@ -230,7 +234,7 @@ impl KernelSpec for BlockedEllSpmm<'_> {
         let tn = TILE_N.min(n - n0);
         let functional = cta.mode == Mode::Functional;
         let bpr = self.a.blocks_per_row();
-        let s = &self.sites;
+        let s = &self.listing.sites;
 
         let shadow = functional && cta.shadow_exec;
         let cta_id = cta.cta_id;
@@ -254,7 +258,7 @@ impl KernelSpec for BlockedEllSpmm<'_> {
             // the unrolled program (they desynchronise on memory), so the
             // phase is staggered by CTA id: the warps' combined fetch
             // working set is what overflows the L0 cache.
-            let phase = ((group_idx + cta_id as u32) % phases(block)) * s.phase_pcs;
+            let phase = ((group_idx + cta_id as u32) % phases(block)) * self.listing.static_len;
             group_idx += 1;
             let ph = |site: Site| Site(site.0 + phase);
             // Load the group's block-column indices.

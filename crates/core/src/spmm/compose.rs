@@ -10,10 +10,13 @@
 //! program the hand-written kernel shipped with; non-default schemes
 //! shrink or re-order the same sites, which is why the wave and
 //! footprint certificates keyed on the listing survive the refactor
-//! unchanged at the default point.
+//! unchanged at the default point. Each scheme compiles once per process
+//! ([`crate::listing`]).
 
 use crate::compose::{scheme_for, TilingScheme};
+use crate::listing::{Listing, ListingCache};
 use crate::registry::KernelId;
+use std::sync::Arc;
 use vecsparse_gpu_sim::{Program, Site};
 
 /// The octet SpMM's default scheme — the paper's evaluated kernel.
@@ -45,14 +48,22 @@ impl OctetSites {
     }
 }
 
-/// Compile `scheme` into the octet SpMM program. The site order is the
-/// listing order: prologue loads, staging, the unrolled load batch, the
-/// fence, the unrolled mma batch, then the epilogue.
+/// The process-wide listings, keyed by scheme.
+static LISTINGS: ListingCache<TilingScheme, OctetSites> = ListingCache::new();
+
+/// Compile `scheme` into the octet SpMM listing, once per process. The
+/// site order is the listing order: prologue loads, staging, the
+/// unrolled load batch, the fence, the unrolled mma batch, then the
+/// epilogue.
 ///
 /// # Panics
 /// Panics if the scheme's staging window is not a positive multiple of
 /// 4 that fits the 32-lane staging load.
-pub fn compile_octet(scheme: &TilingScheme) -> (Program, OctetSites, u32) {
+pub fn compile_octet(scheme: &TilingScheme) -> Arc<Listing<OctetSites>> {
+    LISTINGS.get(*scheme, || build(scheme))
+}
+
+fn build(scheme: &TilingScheme) -> Listing<OctetSites> {
     let stage_k = scheme.stage_k();
     assert!(
         stage_k >= 4 && stage_k % 4 == 0 && stage_k <= 32,
@@ -100,7 +111,11 @@ pub fn compile_octet(scheme: &TilingScheme) -> (Program, OctetSites, u32) {
         shfl_out,
         stg,
     };
-    (p, sites, static_len)
+    Listing {
+        prog: p,
+        sites,
+        static_len,
+    }
 }
 
 /// The scheme points the `SpmmAlgo::Auto` tuner sweeps for the octet
@@ -130,17 +145,17 @@ mod tests {
 
     #[test]
     fn default_scheme_compiles_to_eight_steps() {
-        let (p, sites, static_len) = compile_octet(&DEFAULT_SCHEME);
-        assert_eq!(sites.steps(), 8);
-        assert_eq!(sites.mma.len(), 8);
-        assert_eq!(static_len, p.static_len() + 48);
-        assert!(static_len < 600, "static {static_len}");
+        let l = compile_octet(&DEFAULT_SCHEME);
+        assert_eq!(l.sites.steps(), 8);
+        assert_eq!(l.sites.mma.len(), 8);
+        assert_eq!(l.static_len, l.prog.static_len() + 48);
+        assert!(l.static_len < 600, "static {}", l.static_len);
     }
 
     #[test]
     fn shorter_stages_compile_to_fewer_steps() {
         for scheme in octet_schemes() {
-            let (_, sites, _) = compile_octet(&scheme);
+            let sites = &compile_octet(&scheme).sites;
             assert_eq!(sites.steps(), scheme.stage_k() / 4, "{}", scheme.label());
         }
     }

@@ -9,9 +9,11 @@
 //! speedup in the paper is measured against.
 
 use crate::compose::{scheme_for, TilingScheme};
+use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract};
 use crate::registry::KernelId;
 use crate::util::{download_dense, lanes, upload_dense, width_of};
+use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, Scalar};
 use vecsparse_gpu_sim::{
     BufferId, GpuConfig, InstrKind, KernelProfile, KernelSpec, Launch, LaunchConfig, MemPool, Mode,
@@ -41,9 +43,7 @@ pub struct DenseGemm<'m, T: Scalar> {
     /// at these sizes). Performance mode only; the functional path keeps
     /// one CTA per output tile.
     split_k: usize,
-    sites: Sites,
-    prog: Program,
-    static_len: u32,
+    listing: Arc<Listing<Sites>>,
 }
 
 struct Sites {
@@ -58,6 +58,48 @@ struct Sites {
     addr: Site,
     stg: Site,
     loopb: Site,
+}
+
+/// The process-wide listings, keyed by the unrolled HMMA and FFMA counts
+/// (tile shape and precision reach the listing only through them).
+static LISTINGS: ListingCache<(usize, usize), Sites> = ListingCache::new();
+
+/// The listing with `mma_count` HMMA and `fma_count` FFMA sites.
+fn listing((mma_count, fma_count): (usize, usize)) -> Listing<Sites> {
+    let mut p = Program::new();
+    let sites = Sites {
+        ldg_a: [p.site("ldg_a", 0), p.site("ldg_a", 1)],
+        ldg_b: [p.site("ldg_b", 0), p.site("ldg_b", 1)],
+        sts: [
+            p.site("sts", 0),
+            p.site("sts", 1),
+            p.site("sts", 2),
+            p.site("sts", 3),
+        ],
+        bar: p.site("bar", 0),
+        lds_a: [
+            p.site("lds_a", 0),
+            p.site("lds_a", 1),
+            p.site("lds_a", 2),
+            p.site("lds_a", 3),
+        ],
+        lds_b: [p.site("lds_b", 0), p.site("lds_b", 1)],
+        mma: (0..mma_count as u32 * 4)
+            .step_by(4)
+            .map(|i| p.site_span("hmma", i, 4))
+            .collect(),
+        fma: (0..fma_count as u32).map(|i| p.site("ffma", i)).collect(),
+        addr: p.site("addr", 0),
+        stg: p.site("stg", 0),
+        loopb: p.site("loop", 0),
+    };
+    // HMMA sites reserve their 4 static steps via `site_span`.
+    let static_len = p.static_len();
+    Listing {
+        prog: p,
+        sites,
+        static_len,
+    }
 }
 
 impl<'m, T: Scalar> DenseGemm<'m, T> {
@@ -119,7 +161,6 @@ impl<'m, T: Scalar> DenseGemm<'m, T> {
             Mode::Performance => (160usize.div_ceil(base_grid)).clamp(1, 8).min(k_slices),
         };
 
-        let mut p = Program::new();
         let tensor = T::BITS == 16;
         let mma_count = if tensor {
             // Per warp per 16-k fragment group: warp tile (tile_m/2 ×
@@ -132,34 +173,7 @@ impl<'m, T: Scalar> DenseGemm<'m, T> {
             0
         };
         let fma_count = if tensor { 0 } else { 64 };
-        let sites = Sites {
-            ldg_a: [p.site("ldg_a", 0), p.site("ldg_a", 1)],
-            ldg_b: [p.site("ldg_b", 0), p.site("ldg_b", 1)],
-            sts: [
-                p.site("sts", 0),
-                p.site("sts", 1),
-                p.site("sts", 2),
-                p.site("sts", 3),
-            ],
-            bar: p.site("bar", 0),
-            lds_a: [
-                p.site("lds_a", 0),
-                p.site("lds_a", 1),
-                p.site("lds_a", 2),
-                p.site("lds_a", 3),
-            ],
-            lds_b: [p.site("lds_b", 0), p.site("lds_b", 1)],
-            mma: (0..mma_count as u32 * 4)
-                .step_by(4)
-                .map(|i| p.site_span("hmma", i, 4))
-                .collect(),
-            fma: (0..fma_count as u32).map(|i| p.site("ffma", i)).collect(),
-            addr: p.site("addr", 0),
-            stg: p.site("stg", 0),
-            loopb: p.site("loop", 0),
-        };
-        // HMMA sites reserve their 4 static steps via `site_span`.
-        let static_len = p.static_len();
+        let key = (mma_count, fma_count);
 
         DenseGemm {
             a,
@@ -170,9 +184,7 @@ impl<'m, T: Scalar> DenseGemm<'m, T> {
             tile_m,
             tile_n,
             split_k,
-            sites,
-            prog: p,
-            static_len,
+            listing: LISTINGS.get(key, || listing(key)),
         }
     }
 
@@ -213,12 +225,12 @@ impl<T: Scalar> KernelSpec for DenseGemm<'_, T> {
             regs_per_thread: if T::BITS == 16 { 120 } else { 128 },
             smem_elems,
             smem_elem_bytes: T::bytes() as u64,
-            static_instrs: self.static_len,
+            static_instrs: self.listing.static_len,
         }
     }
 
     fn program(&self) -> Option<&Program> {
-        Some(&self.prog)
+        Some(&self.listing.prog)
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
@@ -320,7 +332,7 @@ impl<T: Scalar> DenseGemm<'_, T> {
         // final F2F on store.
         let round = |v: f32| T::from_f32(v).to_f32();
         // Store row by row: 32 lanes × up to 4 elements per store.
-        let stg = self.sites.stg;
+        let stg = self.listing.sites.stg;
         for r in 0..tm {
             let mut c = 0;
             while c < tn {
@@ -366,7 +378,7 @@ impl<T: Scalar> DenseGemm<'_, T> {
         n: usize,
         k_stride: usize,
     ) {
-        let s = &self.sites;
+        let s = &self.listing.sites;
         let tensor = T::BITS == 16;
         let tile_m = self.tile_m;
         let tile_n = self.tile_n;

@@ -17,9 +17,11 @@
 //! dependencies ("Wait"), and the FPU math pipe bounds throughput.
 
 use crate::compose::{scheme_for, TilingScheme};
+use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract};
 use crate::registry::KernelId;
 use crate::util::{download_dense, lanes, upload_dense, upload_vs, width_of, VsBuffers};
+use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, Scalar, VectorSparse};
 use vecsparse_fp16::{f16, hmul_fadd};
 use vecsparse_gpu_sim::{
@@ -45,9 +47,7 @@ pub struct FpuSubwarpSpmm<'m, T: Scalar> {
     bufs: VsBuffers,
     b_buf: BufferId,
     out_buf: BufferId,
-    sites: Sites,
-    prog: Program,
-    static_len: u32,
+    listing: Arc<Listing<Sites>>,
 }
 
 struct Sites {
@@ -63,8 +63,58 @@ struct Sites {
     stg: Site,
 }
 
+/// The process-wide listings, keyed by V.
+static LISTINGS: ListingCache<usize, Sites> = ListingCache::new();
+
+/// The listing at vector length `v`, the only input it reads.
+fn listing(v: usize) -> Listing<Sites> {
+    let mut p = Program::new();
+    let ld_rowptr = p.site("ld_rowptr", 0);
+    let ld_colidx = p.site("ld_colidx", 0);
+    let ld_avals = p.site("ld_avals", 0);
+    let sts_avals = p.site("sts_avals", 0);
+    let mut lds_a = Vec::new();
+    let mut ldg_b = Vec::new();
+    let mut math = Vec::new();
+    let mut addr = Vec::new();
+    // The inner loops over V, TileK and the per-thread columns are
+    // fully unrolled (the compiler must know register indices at
+    // compile time, §5.1), so every vector iteration owns static
+    // instruction slots.
+    let math_per_vec = v * COLS_PER_THREAD / 2; // paired half2/FFMA
+    let addr_per_vec = v * 2;
+    for j in 0..TILE_K as u32 {
+        lds_a.push(p.site("lds_a", j));
+        ldg_b.push(p.site("ldg_b", j));
+        for m in 0..math_per_vec as u32 {
+            math.push(p.site("math", j * 64 + m));
+        }
+        for i in 0..addr_per_vec as u32 {
+            addr.push(p.site("addr", j * 64 + i));
+        }
+    }
+    let stg = p.site("stg", 0);
+    // The residue loop is a second unrolled copy of the body.
+    let static_len = p.static_len() * 2 + 40;
+    Listing {
+        prog: p,
+        sites: Sites {
+            ld_rowptr,
+            ld_colidx,
+            ld_avals,
+            sts_avals,
+            lds_a,
+            ldg_b,
+            math,
+            addr,
+            stg,
+        },
+        static_len,
+    }
+}
+
 impl<'m, T: Scalar> FpuSubwarpSpmm<'m, T> {
-    /// Stage inputs and build the static program.
+    /// Stage inputs and bind the shared listing.
     ///
     /// # Panics
     /// Panics on shape mismatch or unsupported V.
@@ -98,56 +148,13 @@ impl<'m, T: Scalar> FpuSubwarpSpmm<'m, T> {
         assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
         assert_eq!(b.layout(), Layout::RowMajor);
         assert!(matches!(a.v(), 1 | 2 | 4 | 8));
-
-        let v = a.v();
-        let mut p = Program::new();
-        let ld_rowptr = p.site("ld_rowptr", 0);
-        let ld_colidx = p.site("ld_colidx", 0);
-        let ld_avals = p.site("ld_avals", 0);
-        let sts_avals = p.site("sts_avals", 0);
-        let mut lds_a = Vec::new();
-        let mut ldg_b = Vec::new();
-        let mut math = Vec::new();
-        let mut addr = Vec::new();
-        // The inner loops over V, TileK and the per-thread columns are
-        // fully unrolled (the compiler must know register indices at
-        // compile time, §5.1), so every vector iteration owns static
-        // instruction slots.
-        let math_per_vec = v * COLS_PER_THREAD / 2; // paired half2/FFMA
-        let addr_per_vec = v * 2;
-        for j in 0..TILE_K as u32 {
-            lds_a.push(p.site("lds_a", j));
-            ldg_b.push(p.site("ldg_b", j));
-            for m in 0..math_per_vec as u32 {
-                math.push(p.site("math", j * 64 + m));
-            }
-            for i in 0..addr_per_vec as u32 {
-                addr.push(p.site("addr", j * 64 + i));
-            }
-        }
-        let stg = p.site("stg", 0);
-        // The residue loop is a second unrolled copy of the body.
-        let static_len = p.static_len() * 2 + 40;
-
         FpuSubwarpSpmm {
             a,
             b,
             bufs,
             b_buf,
             out_buf,
-            sites: Sites {
-                ld_rowptr,
-                ld_colidx,
-                ld_avals,
-                sts_avals,
-                lds_a,
-                ldg_b,
-                math,
-                addr,
-                stg,
-            },
-            prog: p,
-            static_len,
+            listing: LISTINGS.get(a.v(), || listing(a.v())),
         }
     }
 
@@ -179,12 +186,12 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<'_, T> {
             regs_per_thread: (self.a.v() as u32 * COLS_PER_THREAD as u32) + 32,
             smem_elems: TILE_K * self.a.v(),
             smem_elem_bytes: T::bytes() as u64,
-            static_instrs: self.static_len,
+            static_instrs: self.listing.static_len,
         }
     }
 
     fn program(&self) -> Option<&Program> {
-        Some(&self.prog)
+        Some(&self.listing.prog)
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
@@ -209,7 +216,7 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<'_, T> {
         let range = p.block_row_range(br);
         let functional = cta.mode == Mode::Functional;
         let shadow = functional && cta.shadow_exec;
-        let s = &self.sites;
+        let s = &self.listing.sites;
         let half = T::BITS == 16;
         // Vector width of a B-row fragment load per thread: 8 halves is
         // one LDG.128; 8 floats needs two LDG.128.

@@ -30,9 +30,11 @@
 
 use super::compose::{compile_octet, OctetSites, DEFAULT_SCHEME};
 use crate::compose::{LoadStrategy, TilingScheme};
+use crate::listing::Listing;
 use crate::native::{self, Contract};
 use crate::tile::{marshal_spmm_mat_a, marshal_spmm_mat_b, octet_lane};
 use crate::util::{lanes, upload_dense, upload_vs, width_of, VsBuffers};
+use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
@@ -53,9 +55,7 @@ pub struct OctetSpmm<'m> {
     truncate_hmma: bool,
     /// The tiling-configuration point this instance was compiled at.
     scheme: TilingScheme,
-    sites: OctetSites,
-    prog: Program,
-    static_len: u32,
+    listing: Arc<Listing<OctetSites>>,
 }
 
 impl<'m> OctetSpmm<'m> {
@@ -131,8 +131,6 @@ impl<'m> OctetSpmm<'m> {
             "column vector length must be 1, 2, 4, or 8"
         );
 
-        let (prog, sites, static_len) = compile_octet(&scheme);
-
         OctetSpmm {
             a,
             b,
@@ -141,9 +139,7 @@ impl<'m> OctetSpmm<'m> {
             out_buf,
             truncate_hmma: false,
             scheme,
-            sites,
-            prog,
-            static_len,
+            listing: compile_octet(&scheme),
         }
     }
 
@@ -211,12 +207,12 @@ impl KernelSpec for OctetSpmm<'_> {
             // Staged A vectors: stage_k × V halves.
             smem_elems: self.scheme.stage_k() * self.a.v(),
             smem_elem_bytes: 2,
-            static_instrs: self.static_len,
+            static_instrs: self.listing.static_len,
         }
     }
 
     fn program(&self) -> Option<&Program> {
-        Some(&self.prog)
+        Some(&self.listing.prog)
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
@@ -243,7 +239,7 @@ impl KernelSpec for OctetSpmm<'_> {
         let row_ptr_base = br;
         let flavor = self.flavor();
         let functional = cta.mode == Mode::Functional;
-        let s = &self.sites;
+        let s = &self.listing.sites;
 
         let mut w = cta.warp(0);
 
@@ -459,13 +455,13 @@ impl OctetSpmm<'_> {
         acc: &mut [WVec; 2],
         flavor: MmaFlavor,
     ) {
-        let steps = self.sites.steps();
+        let steps = self.listing.sites.steps();
         let b_frag =
             marshal_spmm_mat_b(staged_a, step % steps, v_len, self.scheme.stage_k(), a_tok);
         for (sel, acc_frag) in acc.iter_mut().enumerate() {
             let a_frag = marshal_spmm_mat_a(loaded_b, sel);
             w.mma_m8n8k4(
-                self.sites.mma[step % steps][sel],
+                self.listing.sites.mma[step % steps][sel],
                 &a_frag,
                 &b_frag,
                 acc_frag,

@@ -19,9 +19,11 @@
 //! §5 design-space comparison (fpu → wmma → octet) runnable.
 
 use crate::compose::{scheme_for, TilingScheme};
+use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract};
 use crate::registry::KernelId;
 use crate::util::{download_dense, lanes, upload_dense, upload_vs, width_of, VsBuffers};
+use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
@@ -43,9 +45,7 @@ pub struct WmmaSpmm<'m> {
     bufs: VsBuffers,
     b_buf: BufferId,
     out_buf: BufferId,
-    sites: Sites,
-    prog: Program,
-    static_len: u32,
+    listing: Arc<Listing<Sites>>,
 }
 
 struct Sites {
@@ -56,6 +56,38 @@ struct Sites {
     wmma: [Site; 2],
     addr: Site,
     stg: Site,
+}
+
+/// The process-wide listing (it reads no input).
+static LISTINGS: ListingCache<(), Sites> = ListingCache::new();
+
+fn listing() -> Listing<Sites> {
+    let mut p = Program::new();
+    let ld_rowptr = p.site("ld_rowptr", 0);
+    let ld_colidx = p.site("ld_colidx", 0);
+    let ld_avals = p.site("ld_avals", 0);
+    let mut ldg_b = [Site(0); 8];
+    for (i, s) in ldg_b.iter_mut().enumerate() {
+        *s = p.site("ldg_b", i as u32);
+    }
+    // Two wmma.m8n32k16 per step (64 output columns), 16 HMMA each.
+    let wmma = [p.site_span("wmma", 0, 16), p.site_span("wmma", 16, 16)];
+    let addr = p.site("addr", 0);
+    let stg = p.site("stg", 0);
+    let static_len = p.static_len() + 60;
+    Listing {
+        prog: p,
+        sites: Sites {
+            ld_rowptr,
+            ld_colidx,
+            ld_avals,
+            ldg_b,
+            wmma,
+            addr,
+            stg,
+        },
+        static_len,
+    }
 }
 
 impl<'m> WmmaSpmm<'m> {
@@ -93,36 +125,13 @@ impl<'m> WmmaSpmm<'m> {
         assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
         assert_eq!(b.layout(), Layout::RowMajor);
         assert!(matches!(a.v(), 1 | 2 | 4 | 8));
-        let mut p = Program::new();
-        let ld_rowptr = p.site("ld_rowptr", 0);
-        let ld_colidx = p.site("ld_colidx", 0);
-        let ld_avals = p.site("ld_avals", 0);
-        let mut ldg_b = [Site(0); 8];
-        for (i, s) in ldg_b.iter_mut().enumerate() {
-            *s = p.site("ldg_b", i as u32);
-        }
-        // Two wmma.m8n32k16 per step (64 output columns), 16 HMMA each.
-        let wmma = [p.site_span("wmma", 0, 16), p.site_span("wmma", 16, 16)];
-        let addr = p.site("addr", 0);
-        let stg = p.site("stg", 0);
-        let static_len = p.static_len() + 60;
         WmmaSpmm {
             a,
             b,
             bufs,
             b_buf,
             out_buf,
-            sites: Sites {
-                ld_rowptr,
-                ld_colidx,
-                ld_avals,
-                ldg_b,
-                wmma,
-                addr,
-                stg,
-            },
-            prog: p,
-            static_len,
+            listing: LISTINGS.get((), listing),
         }
     }
 
@@ -148,12 +157,12 @@ impl KernelSpec for WmmaSpmm<'_> {
             regs_per_thread: 56,
             smem_elems: 0,
             smem_elem_bytes: 2,
-            static_instrs: self.static_len,
+            static_instrs: self.listing.static_len,
         }
     }
 
     fn program(&self) -> Option<&Program> {
-        Some(&self.prog)
+        Some(&self.listing.prog)
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
@@ -178,7 +187,7 @@ impl KernelSpec for WmmaSpmm<'_> {
         let range = p.block_row_range(br);
         let functional = cta.mode == Mode::Functional;
         let shadow = functional && cta.shadow_exec;
-        let s = &self.sites;
+        let s = &self.listing.sites;
 
         let mut acc = vec![0.0f32; v_len * TILE_N];
         let mut acc64 = vec![0.0f64; if shadow { v_len * TILE_N } else { 0 }];

@@ -72,6 +72,11 @@ impl std::error::Error for SmtxError {}
 impl Smtx {
     /// Parse from the text format.
     ///
+    /// Hostile input gives an error, never a panic or an abort: header
+    /// counts are checked before any arithmetic, preallocation never
+    /// exceeds what the text can hold, and a column index above
+    /// `u32::MAX` is a [`SmtxError::BadNumber`].
+    ///
     /// # Errors
     /// Returns an [`SmtxError`] for malformed input.
     pub fn parse(text: &str) -> Result<Smtx, SmtxError> {
@@ -84,40 +89,41 @@ impl Smtx {
         if fields.len() != 3 {
             return Err(SmtxError::BadHeader);
         }
-        let parse = |s: &str| -> Result<usize, SmtxError> {
-            s.trim()
-                .parse()
-                .map_err(|_| SmtxError::BadNumber(s.trim().to_string()))
-        };
+        let bad = |s: &str| SmtxError::BadNumber(s.trim().to_string());
+        let parse = |s: &str| -> Result<usize, SmtxError> { s.trim().parse().map_err(|_| bad(s)) };
         let rows = parse(fields[0])?;
         let cols = parse(fields[1])?;
         let nnz = parse(fields[2])?;
+        let n_ptrs = rows.checked_add(1).ok_or_else(|| bad(fields[0]))?;
+        // Every number takes a digit and a separator, so the text holds at
+        // most this many: a header cannot make the parser reserve more.
+        let room = text.len() / 2 + 1;
 
         // Remaining numbers may be split across any number of lines.
         let mut numbers = lines.flat_map(|l| l.split_whitespace());
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        for _ in 0..=rows {
+        let mut row_ptr = Vec::with_capacity(n_ptrs.min(room));
+        for _ in 0..n_ptrs {
             let tok = numbers.next().ok_or(SmtxError::LengthMismatch {
                 what: "row pointers",
-                expected: rows + 1,
+                expected: n_ptrs,
                 actual: row_ptr.len(),
             })?;
             row_ptr.push(parse(tok)?);
         }
-        let mut col_idx = Vec::with_capacity(nnz);
+        let mut col_idx = Vec::with_capacity(nnz.min(room));
         for _ in 0..nnz {
             let tok = numbers.next().ok_or(SmtxError::LengthMismatch {
                 what: "column indices",
                 expected: nnz,
                 actual: col_idx.len(),
             })?;
-            col_idx.push(parse(tok)? as u32);
+            col_idx.push(u32::try_from(parse(tok)?).map_err(|_| bad(tok))?);
         }
 
         if row_ptr.windows(2).any(|w| w[0] > w[1]) {
             return Err(SmtxError::Inconsistent("row pointers not monotone"));
         }
-        if *row_ptr.last().unwrap() != nnz {
+        if row_ptr.last() != Some(&nnz) {
             return Err(SmtxError::Inconsistent("last row pointer != nnz"));
         }
         if col_idx.iter().any(|&c| c as usize >= cols) {
@@ -216,6 +222,7 @@ mod tests {
     use super::*;
     use crate::gen;
     use crate::Layout;
+    use proptest::prelude::*;
     use vecsparse_fp16::f16;
 
     const SAMPLE: &str = "3, 8, 6\n0 3 4 6\n0 2 6 3 1 6\n";
@@ -257,6 +264,104 @@ mod tests {
             Smtx::parse("1, 8, 1\n0 1\n9\n"),
             Err(SmtxError::Inconsistent(_))
         ));
+    }
+
+    /// Inputs that once aborted the process, overflowed a count or
+    /// truncated an index.
+    #[test]
+    fn hostile_headers_and_indices_are_errors() {
+        // An nnz of 10^14 used to reserve 400 TB up front and abort.
+        assert!(matches!(
+            Smtx::parse("1, 1, 100000000000000\n0 100000000000000\n0\n"),
+            Err(SmtxError::LengthMismatch {
+                what: "column indices",
+                actual: 1,
+                ..
+            })
+        ));
+        // rows + 1 overflowed.
+        let max = usize::MAX.to_string();
+        assert_eq!(
+            Smtx::parse(&format!("{max}, 1, 0\n0\n")),
+            Err(SmtxError::BadNumber(max))
+        );
+        // 2^32 used to wrap to column 0 and be accepted.
+        assert_eq!(
+            Smtx::parse("1, 4294967297, 1\n0 1\n4294967296\n"),
+            Err(SmtxError::BadNumber("4294967296".into()))
+        );
+    }
+
+    /// A random valid structure with up to `max_rows` rows.
+    fn random_smtx(rng: &mut StdRng, max_rows: usize) -> Smtx {
+        let rows = rng.gen_range(0..=max_rows);
+        let cols = rng.gen_range(0..12usize);
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for _ in 0..rows {
+            if cols > 0 {
+                for _ in 0..rng.gen_range(0..4) {
+                    col_idx.push(rng.gen_range(0..cols as u32));
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Smtx {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+        }
+    }
+
+    /// `text` with one random edit: a byte replaced, deleted or
+    /// duplicated, or a hostile number spliced in.
+    fn mutate(rng: &mut StdRng, text: &str) -> String {
+        const BYTES: &[u8] = b"0123456789 ,\n-+x";
+        const SPLICES: [&str; 5] = [
+            "100000000000000",
+            "4294967296",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-1",
+        ];
+        let mut bytes = text.as_bytes().to_vec();
+        let at = rng.gen_range(0..=bytes.len());
+        match rng.gen_range(0..4) {
+            0 if at < bytes.len() => bytes[at] = BYTES[rng.gen_range(0..BYTES.len())],
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            2 => {
+                let end = rng.gen_range(at..=bytes.len());
+                let copy = bytes[at..end].to_vec();
+                bytes.splice(at..at, copy);
+            }
+            _ => {
+                let splice = SPLICES[rng.gen_range(0..SPLICES.len())].bytes();
+                bytes.splice(at..at, splice);
+            }
+        }
+        String::from_utf8(bytes).expect("ASCII edits of ASCII text")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every prefix and random edits of a valid structure's text parse
+        /// to an error or to a structure that re-parses to itself.
+        #[test]
+        fn truncated_and_mutated_text_never_panics(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let text = random_smtx(&mut rng, 6).to_text();
+            let mut inputs: Vec<String> = (0..text.len()).map(|n| text[..n].to_string()).collect();
+            inputs.extend((0..16).map(|_| mutate(&mut rng, &text)));
+            for input in inputs {
+                if let Ok(s) = Smtx::parse(&input) {
+                    prop_assert_eq!(Smtx::parse(&s.to_text()), Ok(s.clone()), "from {:?}", input);
+                }
+            }
+        }
     }
 
     #[test]

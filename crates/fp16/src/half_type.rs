@@ -89,95 +89,67 @@ impl f16 {
     ///
     /// Overflow saturates to infinity (IEEE default), underflow produces
     /// subnormals or signed zero. NaNs are preserved as quiet NaNs.
+    ///
+    /// Branch-free: all four result classes are computed and one is
+    /// selected, so loops over it vectorize.
+    #[inline]
     pub fn from_f32(value: f32) -> f16 {
         let bits = value.to_bits();
-        let sign = ((bits >> 16) & 0x8000) as u16;
-        let exp = ((bits >> 23) & 0xFF) as i32;
-        let man = bits & 0x007F_FFFF;
-
-        if exp == 0xFF {
-            // Infinity or NaN.
-            return if man == 0 {
-                f16(sign | EXP_MASK)
-            } else {
-                // Quiet NaN; keep the top mantissa bits for debuggability.
-                f16(sign | EXP_MASK | 0x0200 | ((man >> 13) as u16 & MAN_MASK))
-            };
-        }
-
-        // Unbiased exponent.
-        let unbiased = exp - 127;
-        // Target half exponent.
-        let half_exp = unbiased + 15;
-
-        if half_exp >= 0x1F {
-            // Overflow to infinity.
-            return f16(sign | EXP_MASK);
-        }
-
-        if half_exp <= 0 {
-            // Subnormal or zero. The implicit leading 1 must be made
-            // explicit before shifting it below the representable range.
-            if half_exp < -10 {
-                // Rounds to zero even after the sticky bit is considered.
-                return f16(sign);
-            }
-            let full_man = man | 0x0080_0000;
-            // Shift so that 10 mantissa bits remain for half_exp == 0,
-            // one fewer for each step below.
-            let shift = (14 - half_exp) as u32;
-            let halfway = 1u32 << (shift - 1);
-            let mut half_man = (full_man >> shift) as u16;
-            let rem = full_man & ((1u32 << shift) - 1);
-            if rem > halfway || (rem == halfway && (half_man & 1) == 1) {
-                half_man += 1; // May carry into the exponent; that is correct.
-            }
-            return f16(sign | half_man);
-        }
-
-        // Normal number: round 23-bit mantissa to 10 bits.
-        let mut out = sign | ((half_exp as u16) << 10) | ((man >> 13) as u16);
-        let rem = man & 0x1FFF;
-        if rem > 0x1000 || (rem == 0x1000 && (out & 1) == 1) {
-            // Round up; carry may overflow into the exponent and even to
-            // infinity, both of which are correct IEEE behaviour.
-            out = out.wrapping_add(1);
-        }
-        f16(out)
+        let sign = (bits >> 16) as u16 & SIGN_MASK;
+        let mag = bits & 0x7FFF_FFFF;
+        // Normal result: rebias the exponent by 127 - 15, then round the
+        // 13 dropped mantissa bits to nearest even by adding 0xFFF plus
+        // the kept mantissa's odd bit. A carry into the exponent is the
+        // next binade, or infinity past 65504.
+        let normal = mag
+            .wrapping_sub(112 << 23)
+            .wrapping_add(0x0FFF + ((mag >> 13) & 1))
+            >> 13;
+        // Subnormal result (|x| < 2^-14): 0.5 has an f32 ulp of 2^-24,
+        // binary16's subnormal spacing, so adding it rounds |x| to that
+        // grid with the FPU's ties-to-even; the sum's low bits are then
+        // the binary16 magnitude (a carry to 0x400 is the smallest normal).
+        let subnormal = (f32::from_bits(mag) + 0.5)
+            .to_bits()
+            .wrapping_sub(0x3F00_0000);
+        // NaN: quiet, keeping the top ten payload bits.
+        let nan = 0x7E00 | ((mag >> 13) & 0x03FF);
+        let out = if mag > 0x7F80_0000 {
+            nan
+        } else if mag >= 0x4780_0000 {
+            u32::from(EXP_MASK) // |x| >= 2^16 and infinity.
+        } else if mag >= 0x3880_0000 {
+            normal
+        } else {
+            subnormal
+        };
+        f16(sign | out as u16)
     }
 
     /// Convert to `f32` exactly (every binary16 value is representable).
+    ///
+    /// Branch-free: a normal half widens by rebiasing its exponent in
+    /// place, a subnormal one is its mantissa times 2^-24 (an integer
+    /// conversion and one exact multiply, so no f32 denormal ever reaches
+    /// the FPU, where it would cost a microcode assist), and infinities
+    /// and NaNs (payload kept, quiet bit set) are selected instead.
+    #[inline]
     pub fn to_f32(self) -> f32 {
-        let sign = u32::from(self.0 & SIGN_MASK) << 16;
-        let exp = (self.0 & EXP_MASK) >> 10;
-        let man = u32::from(self.0 & MAN_MASK);
-
-        let bits = match exp {
-            0 => {
-                if man == 0 {
-                    sign // Signed zero.
-                } else {
-                    // Subnormal: value = man * 2^-24. Normalise around the
-                    // highest set bit p: 1.f * 2^(p-24).
-                    let p = 31 - man.leading_zeros();
-                    let exp = 103 + p; // 127 + p - 24
-                    let man = (man << (23 - p)) & 0x007F_FFFF;
-                    sign | (exp << 23) | man
-                }
-            }
-            0x1F => {
-                if man == 0 {
-                    sign | 0x7F80_0000 // Infinity.
-                } else {
-                    sign | 0x7FC0_0000 | (man << 13) // NaN.
-                }
-            }
-            _ => {
-                let exp = u32::from(exp) + 127 - 15;
-                sign | (exp << 23) | (man << 13)
-            }
+        let h = u32::from(self.0);
+        let sign = (h & u32::from(SIGN_MASK)) << 16;
+        let mag = h & 0x7FFF;
+        let normal = (mag << 13) + ((127 - 15) << 23);
+        let subnormal = (mag as f32 * f32::from_bits((127 - 24) << 23)).to_bits();
+        let man = mag & u32::from(MAN_MASK);
+        let special = 0x7F80_0000 | (man << 13) | (u32::from(man != 0) << 22);
+        let out = if mag >= u32::from(EXP_MASK) {
+            special
+        } else if mag < 0x0400 {
+            subnormal
+        } else {
+            normal
         };
-        f32::from_bits(bits)
+        f32::from_bits(sign | out)
     }
 
     /// Convert from `f64` with a **single** round-to-nearest-even.

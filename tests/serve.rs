@@ -12,13 +12,16 @@
 //!    bit-identical to running the same requests through a direct
 //!    engine [`Context`], at any simulator thread count.
 
-use std::sync::Arc;
-use vecsparse::engine::Context;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+use vecsparse::engine::{Context, EngineError};
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::GpuConfig;
-use vecsparse_serve::{JobOutput, JobRequest, ServeConfig, Server, TenantSpec};
+use vecsparse_serve::{
+    JobHandle, JobOutput, JobRequest, ServeConfig, ServeError, Server, TenantSpec,
+};
 use vecsparse_telemetry::{ArgValue, EventKind, TraceSink, DEFAULT_CAPACITY};
 
 /// Reconfigure the global worker count (the thread-pool shim accepts
@@ -317,4 +320,68 @@ fn serving_is_bit_identical_to_direct_execution() {
         let served = serve_all(&reqs);
         assert_identical(&served, &direct);
     }
+}
+
+/// `handle.wait()` on a helper thread, so a job that never completes
+/// fails the test after `timeout` instead of hanging it.
+fn wait_within(handle: JobHandle, timeout: Duration) -> Result<JobOutput, ServeError> {
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = tx.send(handle.wait());
+    });
+    let got = rx
+        .recv_timeout(timeout)
+        .unwrap_or_else(|_| panic!("wait() still blocked after {timeout:?}"));
+    waiter.join().expect("the waiter returned after sending");
+    got
+}
+
+/// A zero-row job fails its own handle with the engine's typed error: it
+/// neither kills the worker nor leaves its client blocked, and the
+/// worker goes on serving.
+#[test]
+fn zero_row_job_fails_instead_of_hanging() {
+    let server = Server::start(
+        ServeConfig::builder()
+            .workers(1)
+            .shards(1)
+            .gpu(GpuConfig::small())
+            .tenant(TenantSpec::new("solo"))
+            .build(),
+    );
+    let client = server.client("solo").unwrap();
+    let timeout = Duration::from_secs(10);
+    let no_rows = SparsityPattern::new(0, 64, 4, vec![0], Vec::new());
+    let empty_jobs = [
+        JobRequest::Spmm {
+            a: Arc::new(VectorSparse::new(no_rows.clone(), Vec::new())),
+            b: rhs(64, 16, 1),
+            algo: SpmmAlgo::Auto,
+        },
+        JobRequest::Sddmm {
+            mask: Arc::new(no_rows),
+            a: gen::random_dense::<f16>(0, 32, Layout::RowMajor, 2),
+            b: gen::random_dense::<f16>(32, 64, Layout::ColMajor, 3),
+            algo: SddmmAlgo::Auto,
+        },
+    ];
+    for job in empty_jobs {
+        let handle = client.submit(job).expect("admission");
+        match wait_within(handle, timeout) {
+            Err(ServeError::Engine(EngineError::EmptyDimension { what })) => {
+                assert!(what.starts_with('m'), "reported {what:?}")
+            }
+            Err(other) => panic!("expected an engine EmptyDimension error, got {other}"),
+            Ok(_) => panic!("a zero-row job must not be served"),
+        }
+    }
+    let ok = client
+        .submit(JobRequest::Spmm {
+            a: weights(5),
+            b: rhs(64, 16, 6),
+            algo: SpmmAlgo::Auto,
+        })
+        .expect("admission");
+    assert!(wait_within(ok, timeout).is_ok(), "the worker kept serving");
+    server.finish();
 }

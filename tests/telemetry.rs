@@ -6,9 +6,9 @@
 use std::sync::Arc;
 use vecsparse::engine::{Context, EngineError};
 use vecsparse::{SddmmAlgo, SpmmAlgo};
-use vecsparse_formats::{gen, Layout};
+use vecsparse_formats::{gen, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{GpuConfig, TraceSink};
+use vecsparse_gpu_sim::{Backend, GpuConfig, TraceSink};
 use vecsparse_telemetry::perfetto;
 
 #[test]
@@ -34,6 +34,73 @@ fn try_plan_rejects_malformed_inputs() {
         Err(EngineError::EmptyDimension { what }) => assert!(what.contains('k')),
         Err(other) => panic!("expected EmptyDimension, got {other:?}"),
         Ok(_) => panic!("expected EmptyDimension, got a plan"),
+    }
+}
+
+/// A `rows × cols` pattern with no stored vectors.
+fn empty_pattern(rows: usize, cols: usize, v: usize) -> SparsityPattern {
+    SparsityPattern::new(rows, cols, v, vec![0; rows / v + 1], Vec::new())
+}
+
+/// A zero dimension anywhere in the descriptor is a typed error at plan
+/// time, for every algorithm (`Auto` included) on both backends: no
+/// kernel is asked to launch an empty grid.
+#[test]
+fn every_empty_dimension_fails_at_plan_time() {
+    let spmm_algos = [
+        SpmmAlgo::Octet,
+        SpmmAlgo::Wmma,
+        SpmmAlgo::FpuSubwarp,
+        SpmmAlgo::BlockedEll,
+        SpmmAlgo::Dense,
+        SpmmAlgo::Auto,
+    ];
+    let sddmm_algos = [
+        SddmmAlgo::OctetReg,
+        SddmmAlgo::OctetShfl,
+        SddmmAlgo::OctetArch,
+        SddmmAlgo::FpuSubwarp,
+        SddmmAlgo::Wmma,
+        SddmmAlgo::Auto,
+    ];
+    let full = gen::random_vector_sparse::<f16>(32, 64, 4, 0.7, 1);
+    let no_rows = VectorSparse::<f16>::new(empty_pattern(0, 64, 4), Vec::new());
+    let no_cols = VectorSparse::<f16>::new(empty_pattern(32, 0, 4), Vec::new());
+    let spmm_cases = [(&no_rows, 64, 'm'), (&no_cols, 64, 'k'), (&full, 0, 'n')];
+    let mask = gen::random_pattern(32, 32, 4, 0.7, 2);
+    let (mask_no_rows, mask_no_cols) = (empty_pattern(0, 32, 4), empty_pattern(32, 0, 4));
+    let sddmm_cases = [
+        (&mask_no_rows, 64, 'm'),
+        (&mask, 0, 'k'),
+        (&mask_no_cols, 64, 'n'),
+    ];
+    let expect_empty = |got: Result<(), EngineError>, dim: char, what: &str| match got {
+        Err(EngineError::EmptyDimension { what: name }) => {
+            assert!(
+                name.starts_with(dim),
+                "{what}: reported {name:?}, want {dim}"
+            )
+        }
+        Err(other) => panic!("{what}: expected EmptyDimension, got {other:?}"),
+        Ok(()) => panic!("{what}: expected EmptyDimension, got a plan"),
+    };
+    for backend in [Backend::Simulated, Backend::Native] {
+        let ctx = Context::builder()
+            .gpu(GpuConfig::small())
+            .backend(backend)
+            .build();
+        for algo in spmm_algos {
+            for (a, n, dim) in spmm_cases {
+                let what = format!("{backend:?} {} with {dim} = 0", algo.label());
+                expect_empty(ctx.try_plan_spmm(a, n, algo).map(drop), dim, &what);
+            }
+        }
+        for algo in sddmm_algos {
+            for (mask, k, dim) in sddmm_cases {
+                let what = format!("{backend:?} {} with {dim} = 0", algo.label());
+                expect_empty(ctx.try_plan_sddmm(mask, k, algo).map(drop), dim, &what);
+            }
+        }
     }
 }
 
