@@ -11,11 +11,11 @@
 //!   reuse grows with V while the nonzero count stays fixed.
 
 use vecsparse::spmm::OctetSpmm;
+use vecsparse::util::profile;
 use vecsparse_bench::{device, f2, Table};
 use vecsparse_dlmc::{Benchmark, LayerShape};
 use vecsparse_formats::{gen, Layout};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{Launch, MemPool, Mode};
 
 fn main() {
     let gpu = device();
@@ -32,16 +32,11 @@ fn main() {
     for v in [2usize, 4, 8] {
         let bench = Benchmark::build(shape, v, 0.9);
         let run = |truncated: bool, ilp: bool| {
-            let mut mem = MemPool::new();
-            let kernel = OctetSpmm::new(&mut mem, &bench.matrix, &b, Mode::Performance)
-                .with_truncated_hmma(truncated)
-                .with_ilp_batching(ilp);
-            Launch::new(&mut mem, &kernel)
-                .gpu(&gpu)
-                .performance()
-                .run()
-                .profile
-                .expect("profile")
+            profile(&gpu, |mem, mode| {
+                OctetSpmm::new(mem, &bench.matrix, &b, mode)
+                    .with_truncated_hmma(truncated)
+                    .with_ilp_batching(ilp)
+            })
         };
         let base = run(false, true);
         let no_ilp = run(false, false);

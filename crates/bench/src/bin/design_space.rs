@@ -3,14 +3,15 @@
 //! warp tiling (kernel/compute-optimal), and the TCU 1-D octet tiling
 //! that achieves all five guidelines at once.
 
-use vecsparse::spmm::{profile_spmm_fpu, profile_spmm_octet, profile_spmm_wmma};
+use vecsparse::engine::Context;
+use vecsparse::SpmmAlgo;
 use vecsparse_bench::{device, pct, Table};
 use vecsparse_dlmc::{Benchmark, LayerShape};
 use vecsparse_formats::{gen, Layout};
 use vecsparse_fp16::f16;
 
 fn main() {
-    let gpu = device();
+    let ctx = Context::builder().gpu(device()).build();
     let shape = LayerShape {
         name: "design_space",
         rows: 2048,
@@ -33,16 +34,11 @@ fn main() {
             "no-instr",
             "wait",
         ]);
-        let octet = profile_spmm_octet(&gpu, &bench.matrix, &b);
+        let profile = |algo| ctx.profile_spmm(&bench.matrix, &b, algo);
+        let octet = profile(SpmmAlgo::Octet);
         for (name, p) in [
-            (
-                "fpu 1-D subwarp (§5.1)",
-                profile_spmm_fpu(&gpu, &bench.matrix, &b),
-            ),
-            (
-                "tcu 1-D warp (§5.2)",
-                profile_spmm_wmma(&gpu, &bench.matrix, &b),
-            ),
+            ("fpu 1-D subwarp (§5.1)", profile(SpmmAlgo::FpuSubwarp)),
+            ("tcu 1-D warp (§5.2)", profile(SpmmAlgo::Wmma)),
             ("tcu 1-D octet (§5.3)", octet.clone()),
         ] {
             t.row(vec![

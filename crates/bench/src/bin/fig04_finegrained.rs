@@ -7,8 +7,11 @@
 //! precision they only catch cublasHgemm at extreme sparsity (the TCU +
 //! data-reuse advantage of the dense kernel).
 
-use vecsparse::sddmm::{profile_sddmm_csr, profile_sddmm_fpu};
-use vecsparse::spmm::{profile_spmm_csr, profile_spmm_fpu};
+use vecsparse::engine::Context;
+use vecsparse::sddmm::{CsrSddmm, FpuSubwarpSddmm};
+use vecsparse::spmm::{CsrScalarSpmm, FpuSubwarpSpmm};
+use vecsparse::util::profile;
+use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_bench::sweeps::DenseCache;
 use vecsparse_bench::{device, f2, geomean, quick_mode, rhs_for, Table};
 use vecsparse_dlmc::{representative_shapes, Benchmark, SPARSITIES};
@@ -17,6 +20,7 @@ use vecsparse_fp16::f16;
 
 fn main() {
     let gpu = device();
+    let ctx = Context::builder().gpu(gpu.clone()).build();
     let quick = quick_mode();
     let shapes: Vec<_> = if quick {
         representative_shapes().into_iter().take(2).collect()
@@ -55,10 +59,15 @@ fn main() {
 
             // SpMM: the Sputnik-style subwarp kernel and the cuSPARSE
             // CSR kernel, in both precisions.
-            cols[0].push(sgemm / profile_spmm_fpu(&gpu, &a32, &b32).cycles);
-            cols[1].push(sgemm / profile_spmm_csr(&gpu, &a32.to_csr(), &b32).cycles);
-            cols[2].push(hgemm / profile_spmm_fpu(&gpu, &a16, &b16).cycles);
-            cols[3].push(hgemm / profile_spmm_csr(&gpu, &a16.to_csr(), &b16).cycles);
+            let (c32, c16) = (a32.to_csr(), a16.to_csr());
+            let fpu32 = profile(&gpu, |mem, mode| FpuSubwarpSpmm::new(mem, &a32, &b32, mode));
+            let csr32 = profile(&gpu, |mem, mode| CsrScalarSpmm::new(mem, &c32, &b32, mode));
+            let fpu16 = ctx.profile_spmm(&a16, &b16, SpmmAlgo::FpuSubwarp);
+            let csr16 = profile(&gpu, |mem, mode| CsrScalarSpmm::new(mem, &c16, &b16, mode));
+            cols[0].push(sgemm / fpu32.cycles);
+            cols[1].push(sgemm / csr32.cycles);
+            cols[2].push(hgemm / fpu16.cycles);
+            cols[3].push(hgemm / csr16.cycles);
 
             // SDDMM on the same structure as mask: dense inputs m×64 and
             // 64×k (the DLMC SDDMM setup uses the layer as the output).
@@ -70,9 +79,16 @@ fn main() {
             let t16 = t32.cast::<f16>();
             let sgemm_dd = dense.sgemm_cycles(m, kd, k);
             let hgemm_dd = dense.hgemm_cycles(m, kd, k);
-            cols[4].push(sgemm_dd / profile_sddmm_fpu(&gpu, &q32, &t32, &mask).cycles);
-            cols[5].push(sgemm_dd / profile_sddmm_csr(&gpu, &q32, &t32, &mask).cycles);
-            cols[6].push(hgemm_dd / profile_sddmm_fpu(&gpu, &q16, &t16, &mask).cycles);
+            let fpu32 = profile(&gpu, |mem, mode| {
+                FpuSubwarpSddmm::new(mem, &q32, &t32, &mask, mode)
+            });
+            let csr32 = profile(&gpu, |mem, mode| {
+                CsrSddmm::new(mem, &q32, &t32, &mask, mode)
+            });
+            let fpu16 = ctx.profile_sddmm(&q16, &t16, &mask, SddmmAlgo::FpuSubwarp);
+            cols[4].push(sgemm_dd / fpu32.cycles);
+            cols[5].push(sgemm_dd / csr32.cycles);
+            cols[6].push(hgemm_dd / fpu16.cycles);
         }
         table.row(vec![
             format!("{s:.2}"),

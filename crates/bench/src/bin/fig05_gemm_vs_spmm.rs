@@ -7,7 +7,10 @@
 //! far more than SpMM's (data reuse), moves GEMM's bound from the FMA
 //! pipe to the tensor pipe, and removes >90% of its math instructions.
 
-use vecsparse::spmm::{profile_dense_gemm, profile_spmm_fpu};
+use vecsparse::engine::Context;
+use vecsparse::spmm::{DenseGemm, FpuSubwarpSpmm};
+use vecsparse::util::profile;
+use vecsparse::SpmmAlgo;
 use vecsparse_bench::sweeps::profiling_benchmark;
 use vecsparse_bench::{device, Table};
 use vecsparse_formats::{gen, Layout};
@@ -16,6 +19,7 @@ use vecsparse_gpu_sim::Pipe;
 
 fn main() {
     let gpu = device();
+    let ctx = Context::builder().gpu(gpu.clone()).build();
     let bench = profiling_benchmark(1);
     let (m, k, n) = (bench.rows(), bench.cols(), 256);
 
@@ -28,10 +32,12 @@ fn main() {
     let rhs32 = b32.clone();
     let rhs16 = b16.clone();
 
-    let gemm_s = profile_dense_gemm(&gpu, &a32, &b32);
-    let gemm_h = profile_dense_gemm(&gpu, &a16, &b16);
-    let spmm_s = profile_spmm_fpu(&gpu, &sp32, &rhs32);
-    let spmm_h = profile_spmm_fpu(&gpu, &sp16, &rhs16);
+    let gemm_s = profile(&gpu, |mem, mode| DenseGemm::new(mem, &a32, &b32, mode));
+    let gemm_h = profile(&gpu, |mem, mode| DenseGemm::new(mem, &a16, &b16, mode));
+    let spmm_s = profile(&gpu, |mem, mode| {
+        FpuSubwarpSpmm::new(mem, &sp32, &rhs32, mode)
+    });
+    let spmm_h = ctx.profile_spmm(&sp16, &rhs16, SpmmAlgo::FpuSubwarp);
 
     println!("Figure 5 — GEMM vs SpMM (V=1, 90% sparsity), 2048x1024x256");
     println!();

@@ -6,7 +6,8 @@
 //! above at high sparsity — motivating the paper's search for practical
 //! speedup at *small* grain sizes.
 
-use vecsparse::spmm::profile_spmm_blocked_ell;
+use vecsparse::spmm::BlockedEllSpmm;
+use vecsparse::util::profile;
 use vecsparse_bench::sweeps::DenseCache;
 use vecsparse_bench::{device, f2, geomean, quick_mode, Table};
 use vecsparse_dlmc::{representative_shapes, SPARSITIES};
@@ -37,7 +38,7 @@ fn main() {
             let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, 7);
             for (i, block) in [4usize, 8, 16].into_iter().enumerate() {
                 let ell = gen::random_blocked_ell::<f16>(rows, k, block, s, 0xE11 ^ block as u64);
-                let p = profile_spmm_blocked_ell(&gpu, &ell, &b);
+                let p = profile(&gpu, |mem, mode| BlockedEllSpmm::new(mem, &ell, &b, mode));
                 cols[i].push(base / p.cycles);
             }
         }

@@ -8,12 +8,13 @@
 //! dense baseline moves from ~80% sparsity at V=2 to ~70% at V=4 and
 //! ~50% at V=8 (§7.2.1).
 
+use vecsparse::engine::Context;
 use vecsparse_bench::sweeps::{spmm_cell, DenseCache};
 use vecsparse_bench::{device, f2, geomean, quick_mode, Table};
 use vecsparse_dlmc::{representative_shapes, Benchmark, SPARSITIES};
 
 fn main() {
-    let gpu = device();
+    let ctx = Context::builder().gpu(device()).build();
     let quick = quick_mode();
     let shapes: Vec<_> = if quick {
         representative_shapes().into_iter().take(2).collect()
@@ -29,7 +30,7 @@ fn main() {
         for &n in ns {
             println!();
             println!("V={v}, N={n}");
-            let mut dense = DenseCache::new(&gpu);
+            let mut dense = DenseCache::new(ctx.gpu());
             let mut t = Table::new(vec!["sparsity", "fpu", "blocked-ELL", "mma"]);
             for &s in sparsities {
                 let mut fpu = Vec::new();
@@ -37,7 +38,7 @@ fn main() {
                 let mut mma = Vec::new();
                 for shape in &shapes {
                     let bench = Benchmark::build(*shape, v, s);
-                    let cell = spmm_cell(&gpu, &mut dense, &bench, n);
+                    let cell = spmm_cell(&ctx, &mut dense, &bench, n);
                     fpu.push(cell.fpu);
                     ell.push(cell.ell);
                     mma.push(cell.mma);

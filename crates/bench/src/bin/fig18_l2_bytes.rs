@@ -6,15 +6,17 @@
 //! moves no more L2→L1 traffic than the Blocked-ELL kernel, at every
 //! sparsity level.
 
-use vecsparse::spmm::{profile_spmm_blocked_ell, profile_spmm_octet};
-use vecsparse_bench::sweeps::DenseCache;
+use vecsparse::engine::Context;
+use vecsparse::spmm::BlockedEllSpmm;
+use vecsparse::util::profile;
+use vecsparse::SpmmAlgo;
 use vecsparse_bench::{device, quick_mode, Table};
 use vecsparse_dlmc::{Benchmark, LayerShape, SPARSITIES};
 use vecsparse_formats::{gen, Layout};
 use vecsparse_fp16::f16;
 
 fn main() {
-    let gpu = device();
+    let ctx = Context::builder().gpu(device()).build();
     let quick = quick_mode();
     let sparsities: &[f64] = if quick { &[0.7, 0.9] } else { &SPARSITIES };
     let vs: &[usize] = if quick { &[4] } else { &[2, 4, 8] };
@@ -25,7 +27,6 @@ fn main() {
     };
     let n = 256;
     let b = gen::random_dense::<f16>(1024, n, Layout::RowMajor, 1);
-    let _ = DenseCache::new(&gpu);
 
     println!("Figure 18 — bytes L2 -> L1, Blocked-ELL vs vector-sparse (2048x1024x{n})");
     for &v in vs {
@@ -40,8 +41,10 @@ fn main() {
         for &s in sparsities {
             let bench = Benchmark::build(shape, v, s);
             let ell = bench.blocked_ell_twin();
-            let pe = profile_spmm_blocked_ell(&gpu, &ell, &b);
-            let pv = profile_spmm_octet(&gpu, &bench.matrix, &b);
+            let pe = profile(ctx.gpu(), |mem, mode| {
+                BlockedEllSpmm::new(mem, &ell, &b, mode)
+            });
+            let pv = ctx.profile_spmm(&bench.matrix, &b, SpmmAlgo::Octet);
             let mb = |x: u64| x as f64 / 1e6;
             t.row(vec![
                 format!("{s:.2}"),

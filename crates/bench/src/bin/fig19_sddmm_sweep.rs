@@ -8,12 +8,13 @@
 //! SHFL+FADD reduction offsets the tiling advantage), and mma (arch)
 //! is consistently the fastest variant.
 
+use vecsparse::engine::Context;
 use vecsparse_bench::sweeps::{sddmm_cell, DenseCache};
 use vecsparse_bench::{device, f2, geomean, quick_mode, Table};
 use vecsparse_dlmc::{representative_shapes, Benchmark, SPARSITIES};
 
 fn main() {
-    let gpu = device();
+    let ctx = Context::builder().gpu(device()).build();
     let quick = quick_mode();
     let shapes: Vec<_> = if quick {
         representative_shapes().into_iter().take(2).collect()
@@ -29,7 +30,7 @@ fn main() {
         for &k in ks {
             println!();
             println!("V={v}, K={k}");
-            let mut dense = DenseCache::new(&gpu);
+            let mut dense = DenseCache::new(ctx.gpu());
             let mut t = Table::new(vec![
                 "sparsity",
                 "fpu",
@@ -42,7 +43,7 @@ fn main() {
                 let mut acc: [Vec<f64>; 5] = Default::default();
                 for shape in &shapes {
                     let bench = Benchmark::build(*shape, v, s);
-                    let cell = sddmm_cell(&gpu, &mut dense, &bench, k);
+                    let cell = sddmm_cell(&ctx, &mut dense, &bench, k);
                     acc[0].push(cell.fpu);
                     acc[1].push(cell.wmma);
                     acc[2].push(cell.mma_reg);

@@ -9,19 +9,21 @@
 //! survive: **octet > blocked-ELL > fpu, and octet ≳ 1× vs dense at 70%
 //! and clearly >1× at 90%.**
 
+use vecsparse::engine::Context;
 use vecsparse_bench::sweeps::{spmm_cell, DenseCache};
 use vecsparse_bench::{f2, geomean, Table};
 use vecsparse_dlmc::{representative_shapes, Benchmark};
 use vecsparse_gpu_sim::GpuConfig;
 
 fn measure(gpu: &GpuConfig, sparsity: f64) -> (f64, f64, f64) {
+    let ctx = Context::builder().gpu(gpu.clone()).build();
     let mut dense = DenseCache::new(gpu);
     let mut fpu = Vec::new();
     let mut ell = Vec::new();
     let mut mma = Vec::new();
     for shape in representative_shapes() {
         let bench = Benchmark::build(shape, 4, sparsity);
-        let cell = spmm_cell(gpu, &mut dense, &bench, 256);
+        let cell = spmm_cell(&ctx, &mut dense, &bench, 256);
         fpu.push(cell.fpu);
         ell.push(cell.ell);
         mma.push(cell.mma);

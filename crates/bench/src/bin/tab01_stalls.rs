@@ -5,7 +5,8 @@
 //! followed by "Wait" (fixed-latency integer address chains) and "Short
 //! Scoreboard" (shared-memory round trips).
 
-use vecsparse::spmm::profile_spmm_blocked_ell;
+use vecsparse::spmm::BlockedEllSpmm;
+use vecsparse::util::profile;
 use vecsparse_bench::{device, pct, Table};
 use vecsparse_formats::{gen, Layout};
 use vecsparse_fp16::f16;
@@ -14,7 +15,7 @@ fn main() {
     let gpu = device();
     let ell = gen::random_blocked_ell::<f16>(2048, 1024, 4, 0.9, 0xE11);
     let b = gen::random_dense::<f16>(1024, 256, Layout::RowMajor, 1);
-    let p = profile_spmm_blocked_ell(&gpu, &ell, &b);
+    let p = profile(&gpu, |mem, mode| BlockedEllSpmm::new(mem, &ell, &b, mode));
 
     println!("Table 1 — stall reasons, Blocked-ELL SpMM, block size 4");
     println!("(paper: No Instruction 42.6% | Wait 21.0% | Short Scoreboard 11.9%)");

@@ -7,11 +7,12 @@
 //! "Short Scoreboard" → IV (shared-memory use), "Sectors/Req" → V
 //! (coalescing/vector width).
 
+use vecsparse::engine::Context;
 use vecsparse_bench::sweeps::spmm_guideline_profiles;
 use vecsparse_bench::{device, pct, Table};
 
 fn main() {
-    let gpu = device();
+    let ctx = Context::builder().gpu(device()).build();
     println!("Table 2 — the 5 guidelines across SpMM implementations");
     for v in [4usize, 8] {
         println!();
@@ -25,7 +26,7 @@ fn main() {
             "Sectors/Req",
             "static instrs",
         ]);
-        for (name, p) in spmm_guideline_profiles(&gpu, v) {
+        for (name, p) in spmm_guideline_profiles(&ctx, v) {
             t.row(vec![
                 name,
                 pct(p.stalls.pct_no_instruction()),

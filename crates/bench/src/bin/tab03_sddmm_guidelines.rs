@@ -3,11 +3,12 @@
 //! TCU mapping), at V = 4 and V = 8 on `A(2048×256) × B(256×1024)`
 //! masked at 90% sparsity.
 
+use vecsparse::engine::Context;
 use vecsparse_bench::sweeps::sddmm_guideline_profiles;
 use vecsparse_bench::{device, pct, Table};
 
 fn main() {
-    let gpu = device();
+    let ctx = Context::builder().gpu(device()).build();
     println!("Table 3 — the 5 guidelines across SDDMM implementations");
     for v in [4usize, 8] {
         println!();
@@ -21,7 +22,7 @@ fn main() {
             "Sectors/Req",
             "regs/thread",
         ]);
-        for (name, p) in sddmm_guideline_profiles(&gpu, v) {
+        for (name, p) in sddmm_guideline_profiles(&ctx, v) {
             t.row(vec![
                 name,
                 pct(p.stalls.pct_no_instruction()),

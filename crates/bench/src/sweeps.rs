@@ -2,10 +2,10 @@
 
 use std::collections::HashMap;
 
-use vecsparse::sddmm::{profile_sddmm_fpu, profile_sddmm_octet, profile_sddmm_wmma, OctetVariant};
-use vecsparse::spmm::{
-    profile_dense_gemm, profile_spmm_blocked_ell, profile_spmm_fpu, profile_spmm_octet,
-};
+use vecsparse::engine::Context;
+use vecsparse::spmm::{BlockedEllSpmm, DenseGemm};
+use vecsparse::util::profile;
+use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_dlmc::{Benchmark, LayerShape};
 use vecsparse_formats::{gen, DenseMatrix, Layout};
 use vecsparse_fp16::f16;
@@ -47,7 +47,7 @@ impl DenseCache {
         *self.cache.entry((m, k, n)).or_insert_with(|| {
             let a = gen::random_dense::<f16>(m, k, Layout::RowMajor, 0xD1);
             let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, 0xD2);
-            profile_dense_gemm(&self.gpu, &a, &b).cycles
+            profile(&self.gpu, |mem, mode| DenseGemm::new(mem, &a, &b, mode)).cycles
         })
     }
 
@@ -56,19 +56,27 @@ impl DenseCache {
         *self.cache.entry((m | 1 << 60, k, n)).or_insert_with(|| {
             let a = gen::random_dense::<f32>(m, k, Layout::RowMajor, 0xD1);
             let b = gen::random_dense::<f32>(k, n, Layout::RowMajor, 0xD2);
-            profile_dense_gemm(&self.gpu, &a, &b).cycles
+            profile(&self.gpu, |mem, mode| DenseGemm::new(mem, &a, &b, mode)).cycles
         })
     }
 }
 
 /// Run the Fig. 17 SpMM sweep for one benchmark and RHS width.
-pub fn spmm_cell(gpu: &GpuConfig, dense: &mut DenseCache, bench: &Benchmark, n: usize) -> SpmmCell {
+pub fn spmm_cell(ctx: &Context, dense: &mut DenseCache, bench: &Benchmark, n: usize) -> SpmmCell {
     let b = rhs_for(bench, n);
     let base = dense.hgemm_cycles(bench.rows(), bench.cols(), n);
-    let fpu = profile_spmm_fpu(gpu, &bench.matrix, &b).cycles;
+    let fpu = ctx
+        .profile_spmm(&bench.matrix, &b, SpmmAlgo::FpuSubwarp)
+        .cycles;
+    // DLMC's Blocked-ELL twin rounds rows and columns up to the block: a
+    // different surrogate from a `BlockedEll` plan's, so it launches
+    // outside the engine.
     let ell_matrix = bench.blocked_ell_twin();
-    let ell = profile_spmm_blocked_ell(gpu, &ell_matrix, &b).cycles;
-    let mma = profile_spmm_octet(gpu, &bench.matrix, &b).cycles;
+    let ell = profile(ctx.gpu(), |mem, mode| {
+        BlockedEllSpmm::new(mem, &ell_matrix, &b, mode)
+    })
+    .cycles;
+    let mma = ctx.profile_spmm(&bench.matrix, &b, SpmmAlgo::Octet).cycles;
     SpmmCell {
         shape: bench.shape,
         v: bench.v,
@@ -99,12 +107,7 @@ pub struct SddmmCell {
 ///
 /// The benchmark's sparse structure becomes the output mask
 /// (`M × N = shape`), and the dense inputs are `M × k` and `k × N`.
-pub fn sddmm_cell(
-    gpu: &GpuConfig,
-    dense: &mut DenseCache,
-    bench: &Benchmark,
-    k: usize,
-) -> SddmmCell {
+pub fn sddmm_cell(ctx: &Context, dense: &mut DenseCache, bench: &Benchmark, k: usize) -> SddmmCell {
     let mask = bench.mask();
     let m = mask.rows();
     let n = mask.cols();
@@ -112,16 +115,17 @@ pub fn sddmm_cell(
     let bt: DenseMatrix<f16> = gen::random_dense(k, n, Layout::ColMajor, 0xA2);
     // Dense baseline computes the full M×N product.
     let base = dense.hgemm_cycles(m, k, n);
+    let speedup = |algo| base / ctx.profile_sddmm(&a, &bt, &mask, algo).cycles;
     SddmmCell {
         shape: bench.shape,
         v: bench.v,
         k,
         sparsity: bench.sparsity,
-        fpu: base / profile_sddmm_fpu(gpu, &a, &bt, &mask).cycles,
-        wmma: base / profile_sddmm_wmma(gpu, &a, &bt, &mask).cycles,
-        mma_reg: base / profile_sddmm_octet(gpu, &a, &bt, &mask, OctetVariant::Reg).cycles,
-        mma_shfl: base / profile_sddmm_octet(gpu, &a, &bt, &mask, OctetVariant::Shfl).cycles,
-        mma_arch: base / profile_sddmm_octet(gpu, &a, &bt, &mask, OctetVariant::Arch).cycles,
+        fpu: speedup(SddmmAlgo::FpuSubwarp),
+        wmma: speedup(SddmmAlgo::Wmma),
+        mma_reg: speedup(SddmmAlgo::OctetReg),
+        mma_shfl: speedup(SddmmAlgo::OctetShfl),
+        mma_arch: speedup(SddmmAlgo::OctetArch),
     }
 }
 
@@ -140,23 +144,31 @@ pub fn profiling_benchmark(v: usize) -> Benchmark {
 }
 
 /// Convenience: collect a (name → profile) set for the Table 2 rows.
-pub fn spmm_guideline_profiles(gpu: &GpuConfig, v: usize) -> Vec<(String, KernelProfile)> {
+pub fn spmm_guideline_profiles(ctx: &Context, v: usize) -> Vec<(String, KernelProfile)> {
     let bench = profiling_benchmark(v);
     let b = rhs_for(&bench, 256);
     let ell = bench.blocked_ell_twin();
     vec![
-        ("MMA".into(), profile_spmm_octet(gpu, &bench.matrix, &b)),
-        ("CUDA".into(), profile_spmm_fpu(gpu, &bench.matrix, &b)),
+        (
+            "MMA".into(),
+            ctx.profile_spmm(&bench.matrix, &b, SpmmAlgo::Octet),
+        ),
+        (
+            "CUDA".into(),
+            ctx.profile_spmm(&bench.matrix, &b, SpmmAlgo::FpuSubwarp),
+        ),
         (
             "Blocked-ELL".into(),
-            profile_spmm_blocked_ell(gpu, &ell, &b),
+            profile(ctx.gpu(), |mem, mode| {
+                BlockedEllSpmm::new(mem, &ell, &b, mode)
+            }),
         ),
     ]
 }
 
 /// Convenience: the Table 3 rows (SDDMM profiling benchmark is
 /// `A(2048×256) × B(256×1024)` masked at 90%).
-pub fn sddmm_guideline_profiles(gpu: &GpuConfig, v: usize) -> Vec<(String, KernelProfile)> {
+pub fn sddmm_guideline_profiles(ctx: &Context, v: usize) -> Vec<(String, KernelProfile)> {
     let bench = Benchmark::build(
         LayerShape {
             name: "profile_2048x1024_mask",
@@ -169,12 +181,12 @@ pub fn sddmm_guideline_profiles(gpu: &GpuConfig, v: usize) -> Vec<(String, Kerne
     let mask = bench.mask();
     let a: DenseMatrix<f16> = gen::random_dense(mask.rows(), 256, Layout::RowMajor, 0xA1);
     let bt: DenseMatrix<f16> = gen::random_dense(256, mask.cols(), Layout::ColMajor, 0xA2);
-    vec![
-        (
-            "MMA".into(),
-            profile_sddmm_octet(gpu, &a, &bt, &mask, OctetVariant::Reg),
-        ),
-        ("CUDA".into(), profile_sddmm_fpu(gpu, &a, &bt, &mask)),
-        ("WMMA".into(), profile_sddmm_wmma(gpu, &a, &bt, &mask)),
+    [
+        ("MMA", SddmmAlgo::OctetReg),
+        ("CUDA", SddmmAlgo::FpuSubwarp),
+        ("WMMA", SddmmAlgo::Wmma),
     ]
+    .into_iter()
+    .map(|(name, algo)| (name.into(), ctx.profile_sddmm(&a, &bt, &mask, algo)))
+    .collect()
 }

@@ -1,23 +1,6 @@
-//! Algorithm selectors for the engine's plan API.
-//!
-//! This module once also carried the pre-engine free-function entry
-//! points (`spmm`, `sddmm`, `profile_*`) as deprecated one-line shims
-//! over throwaway [`crate::engine::Context`]s. They are gone; the plan
-//! workflow is the only entry point:
-//!
-//! ```text
-//! api::spmm(&a, &b, algo)          -> ctx.plan_spmm(&a, b.cols(), algo).run(&b)
-//! api::profile_spmm(&g, a, b, al)  -> Context::builder().gpu(g).build()
-//!                                        .plan_spmm(...).profile(&b)
-//! api::sddmm(&a, &b, &m, algo)     -> ctx.plan_sddmm(&m, a.cols(), algo).run(&a, &b)
-//! api::profile_sddmm(...)          -> Context::builder().gpu(g).build()
-//!                                        .plan_sddmm(...).profile(...)
-//! api::spmm_batch / sddmm_batch    -> plan.run_batch(...)
-//! ```
-//!
-//! (The one-shot convenience methods [`crate::engine::Context::spmm`] /
-//! [`crate::engine::Context::sddmm`] remain for callers that genuinely
-//! run a problem once — they still go through the plan cache.)
+//! Algorithm selectors for the engine's plan API
+//! ([`crate::engine::Context::plan_spmm`] and
+//! [`crate::engine::Context::plan_sddmm`]).
 
 /// SpMM algorithm selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -1,10 +1,7 @@
 //! The vecsparse execution engine: a cuSPARSE-style handle / plan API.
 //!
 //! The paper's kernels are meant to be launched the way `cusparseSpMM` is:
-//! create a handle, describe the problem once, then execute it many times.
-//! The original free functions in [`crate::api`] re-encode the sparse
-//! operand, re-stage memory, and re-select the algorithm on *every* call.
-//! This module introduces the stateful workflow:
+//! create a handle, describe the problem once, then execute it many times:
 //!
 //! * [`Context`] — the handle. Owns the simulated device, the auto-tuner,
 //!   and a **plan cache** keyed by problem shape and sparsity, so a
@@ -413,9 +410,8 @@ impl Default for Context {
     }
 }
 
-/// Builder for [`Context`] — the single construction path that replaced
-/// the PR-2 constructor family (`new` / `with_gpu` / `with_telemetry` /
-/// `with_memoization`). Every knob is optional and composable:
+/// Builder for [`Context`], its single construction path. Every knob is
+/// optional and composable:
 ///
 /// ```
 /// use vecsparse::engine::Context;
@@ -427,9 +423,6 @@ impl Default for Context {
 ///     .build();
 /// assert!(ctx.memo_stats().is_some());
 /// ```
-///
-/// See DESIGN.md §2b for the migration table from the deprecated
-/// constructors.
 #[derive(Default)]
 pub struct ContextBuilder {
     gpu: Option<GpuConfig>,
@@ -777,11 +770,9 @@ impl Context {
 /// Fig. 16 construction: the Blocked-ELL benchmark shares shape and
 /// sparsity, not exact structure).
 ///
-/// The seed hashes the **full pattern structure**, fixing the PR-2 bug
-/// where the old `api::ell_equivalent` seeded only by `nnz`: two distinct
-/// problems with equal nonzero counts shared one surrogate, and every
-/// call paid for a fresh re-encoding. A plan computes this once and
-/// reuses it across all of its runs.
+/// The seed hashes the **full pattern structure**, so two distinct
+/// problems with equal nonzero counts get distinct surrogates. A plan
+/// computes this once and reuses it across all of its runs.
 pub(crate) fn ell_twin(a: &VectorSparse<f16>) -> BlockedEll<f16> {
     let p = a.pattern();
     let block = p.v().max(2); // Blocked-ELL needs square blocks ≥ 2.

@@ -46,8 +46,7 @@ pub struct SpmmPlan {
     /// kernel (`None`: the kernel's default scheme).
     scheme: Option<TilingScheme>,
     a: VectorSparse<f16>,
-    /// Blocked-ELL surrogate, derived once (fixes the old per-call
-    /// re-encoding in `api::ell_equivalent`). Only for `BlockedEll`.
+    /// Blocked-ELL surrogate, derived once. Only for `BlockedEll`.
     ell: Option<BlockedEll<f16>>,
     /// Densified twin, derived once. Only for `Dense`.
     dense: Option<DenseMatrix<f16>>,

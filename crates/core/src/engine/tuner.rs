@@ -36,11 +36,10 @@
 use super::Counters;
 use crate::api::{SddmmAlgo, SpmmAlgo};
 use crate::compose::TilingScheme;
-use crate::sddmm::{profile_sddmm_fpu, profile_sddmm_octet, profile_sddmm_wmma, OctetVariant};
-use crate::spmm::compose::octet_schemes;
-use crate::spmm::{
-    profile_dense_gemm, profile_spmm_fpu, profile_spmm_octet_scheme, profile_spmm_wmma,
-};
+use crate::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, WmmaSddmm};
+use crate::spmm::compose::{octet_schemes, DEFAULT_SCHEME};
+use crate::spmm::{DenseGemm, FpuSubwarpSpmm, OctetSpmm, WmmaSpmm};
+use crate::util::profile;
 use rayon::prelude::*;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
@@ -101,16 +100,7 @@ pub(crate) fn tune_spmm(
     fastest(
         spmm_sweep_points(a.v(), a.pattern().sparsity()),
         counters,
-        |point| match point {
-            (SpmmAlgo::Octet, Some(s)) => profile_spmm_octet_scheme(gpu, a, &b, s),
-            (SpmmAlgo::Wmma, _) => profile_spmm_wmma(gpu, a, &b),
-            (SpmmAlgo::FpuSubwarp, _) => profile_spmm_fpu(gpu, a, &b),
-            (SpmmAlgo::Dense, _) => {
-                let dense = a.to_dense(Layout::RowMajor);
-                profile_dense_gemm(gpu, &dense, &b)
-            }
-            _ => unreachable!("never a tuner candidate"),
-        },
+        |point| probe_spmm(gpu, a, &b, point),
     )
 }
 
@@ -122,13 +112,56 @@ pub(crate) fn tune_sddmm(
 ) -> SddmmAlgo {
     let a = DenseMatrix::<f16>::zeros(mask.rows(), k, Layout::RowMajor);
     let b = DenseMatrix::<f16>::zeros(k, mask.cols(), Layout::ColMajor);
-    fastest(sddmm_candidates(mask.v()), counters, |algo| match algo {
-        SddmmAlgo::OctetReg => profile_sddmm_octet(gpu, &a, &b, mask, OctetVariant::Reg),
-        SddmmAlgo::OctetShfl => profile_sddmm_octet(gpu, &a, &b, mask, OctetVariant::Shfl),
-        SddmmAlgo::FpuSubwarp => profile_sddmm_fpu(gpu, &a, &b, mask),
-        SddmmAlgo::Wmma => profile_sddmm_wmma(gpu, &a, &b, mask),
-        SddmmAlgo::OctetArch | SddmmAlgo::Auto => unreachable!("never a tuner candidate"),
+    fastest(sddmm_candidates(mask.v()), counters, |algo| {
+        probe_sddmm(gpu, &a, &b, mask, algo)
     })
+}
+
+/// Profile one SpMM sweep point in a fresh pool: the number the tuner
+/// ranks it by. Probes bypass plans, so they never touch a context's
+/// memoizer or report.
+fn probe_spmm(
+    gpu: &GpuConfig,
+    a: &VectorSparse<f16>,
+    b: &DenseMatrix<f16>,
+    (algo, scheme): (SpmmAlgo, Option<TilingScheme>),
+) -> KernelProfile {
+    match algo {
+        SpmmAlgo::Octet => profile(gpu, |mem, mode| {
+            OctetSpmm::with_scheme(mem, a, b, mode, scheme.unwrap_or(DEFAULT_SCHEME))
+        }),
+        SpmmAlgo::Wmma => profile(gpu, |mem, mode| WmmaSpmm::new(mem, a, b, mode)),
+        SpmmAlgo::FpuSubwarp => profile(gpu, |mem, mode| FpuSubwarpSpmm::new(mem, a, b, mode)),
+        SpmmAlgo::Dense => {
+            let dense = a.to_dense(Layout::RowMajor);
+            profile(gpu, |mem, mode| DenseGemm::new(mem, &dense, b, mode))
+        }
+        SpmmAlgo::BlockedEll | SpmmAlgo::Auto => unreachable!("never a tuner candidate"),
+    }
+}
+
+/// Profile one SDDMM candidate in a fresh pool (see [`probe_spmm`]).
+fn probe_sddmm(
+    gpu: &GpuConfig,
+    a: &DenseMatrix<f16>,
+    b: &DenseMatrix<f16>,
+    mask: &SparsityPattern,
+    algo: SddmmAlgo,
+) -> KernelProfile {
+    let octet = |variant| {
+        profile(gpu, |mem, mode| {
+            OctetSddmm::new(mem, a, b, mask, variant, mode)
+        })
+    };
+    match algo {
+        SddmmAlgo::OctetReg => octet(OctetVariant::Reg),
+        SddmmAlgo::OctetShfl => octet(OctetVariant::Shfl),
+        SddmmAlgo::FpuSubwarp => {
+            profile(gpu, |mem, mode| FpuSubwarpSddmm::new(mem, a, b, mask, mode))
+        }
+        SddmmAlgo::Wmma => profile(gpu, |mem, mode| WmmaSddmm::new(mem, a, b, mask, mode)),
+        SddmmAlgo::OctetArch | SddmmAlgo::Auto => unreachable!("never a tuner candidate"),
+    }
 }
 
 /// The candidate with the fewest profiled cycles. Candidates profile in
@@ -189,7 +222,7 @@ mod tests {
         assert!(octet.len() >= 4, "default + >= 3 variants");
         assert_eq!(
             points[0],
-            (SpmmAlgo::Octet, Some(crate::spmm::compose::DEFAULT_SCHEME)),
+            (SpmmAlgo::Octet, Some(DEFAULT_SCHEME)),
             "default scheme profiles first so ties keep it"
         );
         assert!(octet.iter().all(|(_, s)| s.is_some()));
@@ -208,26 +241,56 @@ mod tests {
         for (v, sparsity, seed) in [(4, 0.85, 11), (8, 0.7, 12), (2, 0.5, 13)] {
             let a = gen::random_vector_sparse::<f16>(32, 64, v, sparsity, seed);
             let b = DenseMatrix::<f16>::zeros(64, 64, Layout::RowMajor);
-            let (algo, scheme) = tune_spmm(&gpu, &a, 64, &counters);
+            let winner = tune_spmm(&gpu, &a, 64, &counters);
             // The swept winner must be at least as fast as every
             // fixed-kernel candidate the old tuner could have returned.
-            let winner_cycles = match (algo, scheme) {
-                (SpmmAlgo::Octet, Some(s)) => profile_spmm_octet_scheme(&gpu, &a, &b, s).cycles,
-                (SpmmAlgo::Wmma, _) => profile_spmm_wmma(&gpu, &a, &b).cycles,
-                (SpmmAlgo::FpuSubwarp, _) => profile_spmm_fpu(&gpu, &a, &b).cycles,
-                (SpmmAlgo::Dense, _) => {
-                    let dense = a.to_dense(Layout::RowMajor);
-                    profile_dense_gemm(&gpu, &dense, &b).cycles
-                }
-                _ => unreachable!(),
-            };
-            let default_octet =
-                profile_spmm_octet_scheme(&gpu, &a, &b, crate::spmm::compose::DEFAULT_SCHEME);
+            let winner_cycles = probe_spmm(&gpu, &a, &b, winner).cycles;
+            let default_octet = probe_spmm(&gpu, &a, &b, (SpmmAlgo::Octet, Some(DEFAULT_SCHEME)));
             assert!(
                 winner_cycles <= default_octet.cycles,
                 "v={v}: sweep winner {winner_cycles} worse than default octet {}",
                 default_octet.cycles
             );
+        }
+    }
+
+    /// The tuner ranks candidates by the profile a plan of the same
+    /// point reports: every sweep point and SDDMM candidate, probed in a
+    /// fresh pool, equals the plan's profile in every field.
+    #[test]
+    fn probes_equal_plan_profiles() {
+        use super::super::{Context, OpKind, PlanKey, SddmmPlan, SpmmPlan};
+        use vecsparse_formats::gen;
+        let same = |probe: &KernelProfile, plan: &KernelProfile, what: String| {
+            assert_eq!(probe.csv_row(), plan.csv_row(), "{what}");
+            assert_eq!(probe.cycles.to_bits(), plan.cycles.to_bits(), "{what}");
+        };
+        for gpu in [GpuConfig::small(), GpuConfig::default()] {
+            let ctx = Context::builder().gpu(gpu.clone()).build();
+            for (i, v) in [1usize, 2, 4, 8].into_iter().enumerate() {
+                let (m, k, n) = (32, 64, 64);
+                let seed = 40 + i as u64;
+                let a = gen::random_vector_sparse::<f16>(m, k, v, 0.5, seed);
+                let b = DenseMatrix::<f16>::zeros(k, n, Layout::RowMajor);
+                let key = PlanKey::new(OpKind::Spmm, a.pattern(), n).unwrap();
+                for point in spmm_sweep_points(v, a.pattern().sparsity()) {
+                    let plan = SpmmPlan::build(&ctx, key, point.0, point.1, &a).profile(&b);
+                    same(
+                        &probe_spmm(&gpu, &a, &b, point),
+                        &plan,
+                        format!("V={v} {point:?}"),
+                    );
+                }
+                let mask = gen::random_pattern(m, n, v, 0.5, seed);
+                let lhs = DenseMatrix::<f16>::zeros(m, k, Layout::RowMajor);
+                let rhs = DenseMatrix::<f16>::zeros(k, n, Layout::ColMajor);
+                let key = PlanKey::new(OpKind::Sddmm, &mask, k).unwrap();
+                for algo in sddmm_candidates(v) {
+                    let plan = SddmmPlan::build(&ctx, key, algo, &mask).profile(&lhs, &rhs);
+                    let probe = probe_sddmm(&gpu, &lhs, &rhs, &mask, algo);
+                    same(&probe, &plan, format!("V={v} {algo:?}"));
+                }
+            }
         }
     }
 }

@@ -43,9 +43,9 @@
 //! assert_eq!(c.rows(), 64);
 //! ```
 //!
-//! The pre-engine free-function entry points (`api::spmm` and friends,
-//! `batch::spmm_batch`) have been removed; [`api`] now carries only the
-//! algorithm selectors.
+//! Kernels no plan covers (dense×dense GEMM, the f32 and CSR baselines,
+//! softmax, explicit Blocked-ELL operands) launch once in a fresh pool
+//! through [`util::profile`] and [`util::run`].
 
 #![forbid(unsafe_code)]
 // Kernel and backprop code index several parallel arrays in lock-step;

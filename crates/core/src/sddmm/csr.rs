@@ -13,8 +13,8 @@ use crate::registry::KernelId;
 use crate::util::{lanes, upload_dense, upload_pattern, width_of, VsBuffers};
 use vecsparse_formats::{DenseMatrix, Layout, Scalar, SparsityPattern, VectorSparse};
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, GpuConfig, InstrKind, KernelProfile, KernelSpec, Launch, LaunchConfig,
-    MemPool, Mode, NativeCtx, Program, Site, Tok, WVec,
+    BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site,
+    Tok, WVec,
 };
 
 /// The fine-grained SDDMM kernel (single precision, like cuSPARSE's).
@@ -209,40 +209,12 @@ impl KernelSpec for CsrSddmm<'_> {
     }
 }
 
-/// Functional fine-grained SDDMM.
-pub fn sddmm_csr(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<f32>,
-    b: &DenseMatrix<f32>,
-    mask: &SparsityPattern,
-) -> VectorSparse<f32> {
-    let mut mem = MemPool::new();
-    let kernel = CsrSddmm::new(&mut mem, a, b, mask, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Profile the fine-grained SDDMM kernel.
-pub fn profile_sddmm_csr(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<f32>,
-    b: &DenseMatrix<f32>,
-    mask: &SparsityPattern,
-) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = CsrSddmm::new(&mut mem, a, b, mask, Mode::Performance);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("profile")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
+    use vecsparse_gpu_sim::GpuConfig;
 
     #[test]
     fn matches_reference() {
@@ -250,7 +222,11 @@ mod tests {
         let a = gen::random_dense::<f32>(16, 64, Layout::RowMajor, 1);
         let b = gen::random_dense::<f32>(64, 48, Layout::ColMajor, 2);
         let mask = gen::random_pattern(16, 48, 1, 0.8, 3);
-        let got = sddmm_csr(&gpu, &a, &b, &mask);
+        let got = run(
+            &gpu,
+            |mem, mode| CsrSddmm::new(mem, &a, &b, &mask, mode),
+            CsrSddmm::result,
+        );
         let want = reference::sddmm(&a, &b, &mask);
         for (g, wv) in got.values().iter().zip(want.values()) {
             assert!((g - wv).abs() < 1e-4);
@@ -263,7 +239,7 @@ mod tests {
         let a = gen::random_dense::<f32>(64, 64, Layout::RowMajor, 4);
         let b = gen::random_dense::<f32>(64, 256, Layout::ColMajor, 5);
         let mask = gen::random_pattern(64, 256, 1, 0.9, 6);
-        let p = profile_sddmm_csr(&gpu, &a, &b, &mask);
+        let p = profile(&gpu, |mem, mode| CsrSddmm::new(mem, &a, &b, &mask, mode));
         // Five shuffles per nonzero.
         assert_eq!(p.instrs.shfl, 5 * mask.nnz() as u64);
     }

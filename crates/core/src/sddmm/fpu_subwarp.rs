@@ -22,8 +22,8 @@ use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, Scalar, SparsityPattern, VectorSparse};
 use vecsparse_fp16::{f16, hmul_fadd};
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, GpuConfig, InstrKind, KernelProfile, KernelSpec, Launch, LaunchConfig,
-    MemPool, Mode, NativeCtx, Program, Site, Tok, WVec,
+    BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site,
+    Tok, WVec,
 };
 
 /// The kernel's named default point in the tiling space.
@@ -330,40 +330,12 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
     }
 }
 
-/// Functional FPU subwarp SDDMM.
-pub fn sddmm_fpu<T: Scalar>(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<T>,
-    b: &DenseMatrix<T>,
-    mask: &SparsityPattern,
-) -> VectorSparse<T> {
-    let mut mem = MemPool::new();
-    let kernel = FpuSubwarpSddmm::new(&mut mem, a, b, mask, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Profile the FPU subwarp SDDMM kernel.
-pub fn profile_sddmm_fpu<T: Scalar>(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<T>,
-    b: &DenseMatrix<T>,
-    mask: &SparsityPattern,
-) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = FpuSubwarpSddmm::new(&mut mem, a, b, mask, Mode::Performance);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("profile")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
+    use vecsparse_gpu_sim::GpuConfig;
 
     #[test]
     fn matches_reference_half() {
@@ -371,7 +343,11 @@ mod tests {
         let a = gen::random_dense::<f16>(16, 64, Layout::RowMajor, 1);
         let b = gen::random_dense::<f16>(64, 64, Layout::ColMajor, 2);
         let mask = gen::random_pattern(16, 64, 4, 0.6, 3);
-        let got = sddmm_fpu(&gpu, &a, &b, &mask);
+        let got = run(
+            &gpu,
+            |mem, mode| FpuSubwarpSddmm::new(mem, &a, &b, &mask, mode),
+            FpuSubwarpSddmm::result,
+        );
         let want = reference::sddmm(&a, &b, &mask);
         for (g, wv) in got.values().iter().zip(want.values()) {
             assert_eq!(g, wv);
@@ -384,7 +360,11 @@ mod tests {
         let a = gen::random_dense::<f32>(16, 96, Layout::RowMajor, 4);
         let b = gen::random_dense::<f32>(96, 64, Layout::ColMajor, 5);
         let mask = gen::random_pattern(16, 64, 8, 0.8, 6);
-        let got = sddmm_fpu(&gpu, &a, &b, &mask);
+        let got = run(
+            &gpu,
+            |mem, mode| FpuSubwarpSddmm::new(mem, &a, &b, &mask, mode),
+            FpuSubwarpSddmm::result,
+        );
         let want = reference::sddmm(&a, &b, &mask);
         for (g, wv) in got.values().iter().zip(want.values()) {
             assert!((g.to_f32() - wv.to_f32()).abs() < 1e-4);
@@ -397,7 +377,9 @@ mod tests {
         let a = gen::random_dense::<f16>(256, 256, Layout::RowMajor, 7);
         let b = gen::random_dense::<f16>(256, 512, Layout::ColMajor, 8);
         let mask = gen::random_pattern(256, 512, 8, 0.9, 9);
-        let p = profile_sddmm_fpu(&gpu, &a, &b, &mask);
+        let p = profile(&gpu, |mem, mode| {
+            FpuSubwarpSddmm::new(mem, &a, &b, &mask, mode)
+        });
         // V=8 × TILE_N=16 partials ⇒ 168 regs/thread: occupancy-limited.
         assert!(p.regs_per_thread >= 160);
         assert!(p.ctas_per_sm <= 16, "ctas/SM {}", p.ctas_per_sm);

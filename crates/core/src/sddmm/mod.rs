@@ -9,10 +9,10 @@ mod fpu_subwarp;
 mod octet;
 mod wmma;
 
-pub use csr::{profile_sddmm_csr, sddmm_csr, CsrSddmm};
-pub use fpu_subwarp::{profile_sddmm_fpu, sddmm_fpu, FpuSubwarpSddmm};
-pub use octet::{profile_sddmm_octet, sddmm_octet, OctetSddmm, OctetVariant};
-pub use wmma::{profile_sddmm_wmma, sddmm_wmma, WmmaSddmm};
+pub use csr::CsrSddmm;
+pub use fpu_subwarp::FpuSubwarpSddmm;
+pub use octet::{OctetSddmm, OctetVariant};
+pub use wmma::WmmaSddmm;
 
 /// Tile lists: each CTA owns one (block row, vector range) chunk of at
 /// most `tile` nonzero vectors. Returns `(block_row, start, len)` triples.

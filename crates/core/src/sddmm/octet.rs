@@ -41,8 +41,8 @@ use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, GpuConfig, InstrKind, KernelProfile, KernelSpec, Launch, LaunchConfig,
-    MemPool, MmaFlavor, Mode, NativeCtx, Program, Tok, WVec,
+    BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx,
+    Program, Tok, WVec,
 };
 
 /// How the inverted source-operand pattern is handled (§6.3).
@@ -123,11 +123,6 @@ impl<'m> OctetSddmm<'m> {
             tiles,
             listing: compile_octet(&scheme),
         }
-    }
-
-    /// The tiling-configuration point this instance runs at.
-    pub fn scheme(&self) -> &TilingScheme {
-        &self.scheme
     }
 
     /// Download the functional result.
@@ -395,49 +390,23 @@ impl KernelSpec for OctetSddmm<'_> {
     }
 }
 
-/// Functional octet SDDMM.
-pub fn sddmm_octet(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<f16>,
-    b: &DenseMatrix<f16>,
-    mask: &SparsityPattern,
-    variant: OctetVariant,
-) -> VectorSparse<f16> {
-    let mut mem = MemPool::new();
-    let kernel = OctetSddmm::new(&mut mem, a, b, mask, variant, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Profile the octet SDDMM kernel.
-pub fn profile_sddmm_octet(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<f16>,
-    b: &DenseMatrix<f16>,
-    mask: &SparsityPattern,
-    variant: OctetVariant,
-) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = OctetSddmm::new(&mut mem, a, b, mask, variant, Mode::Performance);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("profile")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
+    use vecsparse_gpu_sim::GpuConfig;
 
     fn check(variant: OctetVariant, m: usize, k: usize, n: usize, v: usize, s: f64, seed: u64) {
         let gpu = GpuConfig::small();
         let a = gen::random_dense::<f16>(m, k, Layout::RowMajor, seed);
         let b = gen::random_dense::<f16>(k, n, Layout::ColMajor, seed + 1);
         let mask = gen::random_pattern(m, n, v, s, seed + 2);
-        let got = sddmm_octet(&gpu, &a, &b, &mask, variant);
+        let got = run(
+            &gpu,
+            |mem, mode| OctetSddmm::new(mem, &a, &b, &mask, variant, mode),
+            OctetSddmm::result,
+        );
         let want = reference::sddmm(&a, &b, &mask);
         for (g, wv) in got.values().iter().zip(want.values()) {
             assert_eq!(g, wv, "variant {variant:?} V={v}");
@@ -478,9 +447,15 @@ mod tests {
         let a = gen::random_dense::<f16>(256, 256, Layout::RowMajor, 8);
         let b = gen::random_dense::<f16>(256, 512, Layout::ColMajor, 9);
         let mask = gen::random_pattern(256, 512, 8, 0.9, 10);
-        let pr = profile_sddmm_octet(&gpu, &a, &b, &mask, OctetVariant::Reg);
-        let pa = profile_sddmm_octet(&gpu, &a, &b, &mask, OctetVariant::Arch);
-        let ps = profile_sddmm_octet(&gpu, &a, &b, &mask, OctetVariant::Shfl);
+        let pr = profile(&gpu, |mem, mode| {
+            OctetSddmm::new(mem, &a, &b, &mask, OctetVariant::Reg, mode)
+        });
+        let pa = profile(&gpu, |mem, mode| {
+            OctetSddmm::new(mem, &a, &b, &mask, OctetVariant::Arch, mode)
+        });
+        let ps = profile(&gpu, |mem, mode| {
+            OctetSddmm::new(mem, &a, &b, &mask, OctetVariant::Shfl, mode)
+        });
         // 33% fewer registers (§7.3.2) and fewer instructions than shfl.
         assert!(f64::from(pa.regs_per_thread) <= 0.67 * f64::from(pr.regs_per_thread));
         assert!(pa.instrs.shfl < ps.instrs.shfl);

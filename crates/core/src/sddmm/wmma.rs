@@ -20,8 +20,8 @@ use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, GpuConfig, KernelProfile, KernelSpec, Launch, LaunchConfig, MemPool,
-    MmaFlavor, Mode, NativeCtx, Program, Site, Tok, WVec,
+    BufferId, CtaCtx, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program, Site,
+    Tok, WVec,
 };
 
 /// The kernel's named default point in the tiling space.
@@ -327,40 +327,12 @@ impl KernelSpec for WmmaSddmm<'_> {
     }
 }
 
-/// Functional wmma SDDMM.
-pub fn sddmm_wmma(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<f16>,
-    b: &DenseMatrix<f16>,
-    mask: &SparsityPattern,
-) -> VectorSparse<f16> {
-    let mut mem = MemPool::new();
-    let kernel = WmmaSddmm::new(&mut mem, a, b, mask, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Profile the wmma SDDMM kernel.
-pub fn profile_sddmm_wmma(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<f16>,
-    b: &DenseMatrix<f16>,
-    mask: &SparsityPattern,
-) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = WmmaSddmm::new(&mut mem, a, b, mask, Mode::Performance);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("profile")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
+    use vecsparse_gpu_sim::GpuConfig;
 
     #[test]
     fn matches_reference() {
@@ -368,7 +340,11 @@ mod tests {
         let a = gen::random_dense::<f16>(32, 64, Layout::RowMajor, 1);
         let b = gen::random_dense::<f16>(64, 96, Layout::ColMajor, 2);
         let mask = gen::random_pattern(32, 96, 4, 0.75, 3);
-        let got = sddmm_wmma(&gpu, &a, &b, &mask);
+        let got = run(
+            &gpu,
+            |mem, mode| WmmaSddmm::new(mem, &a, &b, &mask, mode),
+            WmmaSddmm::result,
+        );
         let want = reference::sddmm(&a, &b, &mask);
         for (g, wv) in got.values().iter().zip(want.values()) {
             assert_eq!(g, wv);
@@ -382,7 +358,7 @@ mod tests {
         let a = gen::random_dense::<f16>(256, 256, Layout::RowMajor, 4);
         let b = gen::random_dense::<f16>(256, 512, Layout::ColMajor, 5);
         let mask = gen::random_pattern(256, 512, 8, 0.9, 6);
-        let p = profile_sddmm_wmma(&gpu, &a, &b, &mask);
+        let p = profile(&gpu, |mem, mode| WmmaSddmm::new(mem, &a, &b, &mask, mode));
         assert!(p.instrs.lds > 0 && p.instrs.sts > 0);
         assert!(
             p.stalls.pct_short_scoreboard() > 1.0,

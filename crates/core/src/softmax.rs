@@ -7,8 +7,8 @@ use crate::util::{lanes, upload_vs, width_of, VsBuffers};
 use vecsparse_formats::VectorSparse;
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, GpuConfig, InstrKind, KernelProfile, KernelSpec, Launch, LaunchConfig,
-    MemPool, Mode, NativeCtx, Program, Site, Tok, WVec,
+    BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site,
+    Tok, WVec,
 };
 
 /// Sparse softmax over a vector-sparse matrix: each *scalar row's* stored
@@ -209,26 +209,6 @@ impl KernelSpec for SparseSoftmax<'_> {
     }
 }
 
-/// Functional sparse softmax through the kernel.
-pub fn softmax_vs(gpu: &GpuConfig, x: &VectorSparse<f16>) -> VectorSparse<f16> {
-    let mut mem = MemPool::new();
-    let kernel = SparseSoftmax::new(&mut mem, x, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Profile the sparse softmax kernel.
-pub fn profile_softmax_vs(gpu: &GpuConfig, x: &VectorSparse<f16>) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = SparseSoftmax::new(&mut mem, x, Mode::Performance);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("profile")
-}
-
 /// A dense row-wise softmax kernel (the baseline's middle stage): one warp
 /// per row over an `l × l` score matrix.
 pub struct DenseSoftmax {
@@ -395,13 +375,19 @@ impl KernelSpec for DenseSoftmax {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
+    use vecsparse_gpu_sim::GpuConfig;
 
     #[test]
     fn sparse_softmax_matches_reference() {
         let gpu = GpuConfig::small();
         let x = gen::random_vector_sparse::<f16>(32, 64, 4, 0.75, 1);
-        let got = softmax_vs(&gpu, &x);
+        let got = run(
+            &gpu,
+            |mem, mode| SparseSoftmax::new(mem, &x, mode),
+            SparseSoftmax::result,
+        );
         let want = reference::softmax_vs(&x);
         for (g, w) in got.values().iter().zip(want.values()) {
             assert!((g.to_f32() - w.to_f32()).abs() < 2e-3, "{g:?} vs {w:?}");
@@ -412,7 +398,11 @@ mod tests {
     fn sparse_softmax_rows_sum_to_one() {
         let gpu = GpuConfig::small();
         let x = gen::random_vector_sparse::<f16>(16, 128, 8, 0.9, 2);
-        let s = softmax_vs(&gpu, &x);
+        let s = run(
+            &gpu,
+            |mem, mode| SparseSoftmax::new(mem, &x, mode),
+            SparseSoftmax::result,
+        );
         let p = s.pattern();
         for br in 0..p.block_rows() {
             for e in 0..p.v() {
@@ -430,8 +420,8 @@ mod tests {
         let gpu = GpuConfig::small();
         let dense_ish = gen::random_vector_sparse::<f16>(512, 512, 8, 0.5, 3);
         let sparse = gen::random_vector_sparse::<f16>(512, 512, 8, 0.95, 4);
-        let pd = profile_softmax_vs(&gpu, &dense_ish);
-        let ps = profile_softmax_vs(&gpu, &sparse);
+        let pd = profile(&gpu, |mem, mode| SparseSoftmax::new(mem, &dense_ish, mode));
+        let ps = profile(&gpu, |mem, mode| SparseSoftmax::new(mem, &sparse, mode));
         assert!(ps.cycles < pd.cycles);
     }
 }

@@ -22,8 +22,8 @@ use std::sync::Arc;
 use vecsparse_formats::{BlockedEll, DenseMatrix, Layout, ELL_PAD};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, GpuConfig, KernelProfile, KernelSpec, Launch, LaunchConfig, MemPool,
-    MmaFlavor, Mode, NativeCtx, Program, Site, Tok, WVec,
+    BufferId, CtaCtx, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program, Site,
+    Tok, WVec,
 };
 
 /// The kernel's named default point in the tiling space.
@@ -168,11 +168,6 @@ impl<'m> BlockedEllSpmm<'m> {
             out_buf,
             listing: LISTINGS.get((), listing),
         }
-    }
-
-    /// Output buffer id.
-    pub fn output(&self) -> BufferId {
-        self.out_buf
     }
 
     /// Download the functional result.
@@ -468,44 +463,22 @@ impl KernelSpec for BlockedEllSpmm<'_> {
     }
 }
 
-/// Functional Blocked-ELL SpMM.
-pub fn spmm_blocked_ell(
-    gpu: &GpuConfig,
-    a: &BlockedEll<f16>,
-    b: &DenseMatrix<f16>,
-) -> DenseMatrix<f16> {
-    let mut mem = MemPool::new();
-    let kernel = BlockedEllSpmm::new(&mut mem, a, b, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Profile the Blocked-ELL SpMM kernel.
-pub fn profile_spmm_blocked_ell(
-    gpu: &GpuConfig,
-    a: &BlockedEll<f16>,
-    b: &DenseMatrix<f16>,
-) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = BlockedEllSpmm::new(&mut mem, a, b, Mode::Performance);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("profile")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
+    use vecsparse_gpu_sim::GpuConfig;
 
     fn check(m: usize, k: usize, n: usize, block: usize, sparsity: f64, seed: u64) {
         let gpu = GpuConfig::small();
         let a = gen::random_blocked_ell::<f16>(m, k, block, sparsity, seed);
         let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 1);
-        let got = spmm_blocked_ell(&gpu, &a, &b);
+        let got = run(
+            &gpu,
+            |mem, mode| BlockedEllSpmm::new(mem, &a, &b, mode),
+            BlockedEllSpmm::result,
+        );
         let want = reference::gemm(&a.to_dense(Layout::RowMajor), &b);
         assert_eq!(got.max_abs_diff(&want), 0.0, "block={block}");
     }
@@ -530,7 +503,7 @@ mod tests {
         let gpu = GpuConfig::small();
         let b = gen::random_dense::<f16>(512, 256, Layout::RowMajor, 4);
         let a4 = gen::random_blocked_ell::<f16>(512, 512, 4, 0.9, 5);
-        let p4 = profile_spmm_blocked_ell(&gpu, &a4, &b);
+        let p4 = profile(&gpu, |mem, mode| BlockedEllSpmm::new(mem, &a4, &b, mode));
         assert!(p4.static_instrs > 768 * 2, "static {}", p4.static_instrs);
         // Table 1's signature: "No Instruction" and "Wait" are both
         // material, and both dominate "Short Scoreboard".
@@ -550,8 +523,8 @@ mod tests {
         let b = gen::random_dense::<f16>(512, 256, Layout::RowMajor, 6);
         let a4 = gen::random_blocked_ell::<f16>(512, 512, 4, 0.9, 7);
         let a16 = gen::random_blocked_ell::<f16>(512, 512, 16, 0.9, 8);
-        let p4 = profile_spmm_blocked_ell(&gpu, &a4, &b);
-        let p16 = profile_spmm_blocked_ell(&gpu, &a16, &b);
+        let p4 = profile(&gpu, |mem, mode| BlockedEllSpmm::new(mem, &a4, &b, mode));
+        let p16 = profile(&gpu, |mem, mode| BlockedEllSpmm::new(mem, &a16, &b, mode));
         assert!(
             p16.cycles < p4.cycles,
             "block16 {} vs block4 {}",

@@ -15,8 +15,8 @@ use crate::util::{download_dense, lanes, upload_csr, upload_dense, width_of, Csr
 use vecsparse_formats::{Csr, DenseMatrix, Layout, Scalar};
 use vecsparse_fp16::{f16, hmul_fadd};
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, GpuConfig, InstrKind, KernelProfile, KernelSpec, Launch, LaunchConfig,
-    MemPool, Mode, NativeCtx, Program, Site, Tok, WVec,
+    BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site,
+    Tok, WVec,
 };
 
 /// The fine-grained CSR SpMM kernel, generic over precision.
@@ -220,41 +220,23 @@ impl<T: Scalar> KernelSpec for CsrScalarSpmm<'_, T> {
     }
 }
 
-/// Functional fine-grained CSR SpMM.
-pub fn spmm_csr<T: Scalar>(gpu: &GpuConfig, a: &Csr<T>, b: &DenseMatrix<T>) -> DenseMatrix<T> {
-    let mut mem = MemPool::new();
-    let kernel = CsrScalarSpmm::new(&mut mem, a, b, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Profile the fine-grained CSR SpMM kernel.
-pub fn profile_spmm_csr<T: Scalar>(
-    gpu: &GpuConfig,
-    a: &Csr<T>,
-    b: &DenseMatrix<T>,
-) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = CsrScalarSpmm::new(&mut mem, a, b, Mode::Performance);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("profile")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
+    use vecsparse_gpu_sim::GpuConfig;
 
     #[test]
     fn matches_reference_half() {
         let gpu = GpuConfig::small();
         let a = gen::random_csr::<f16>(16, 64, 0.8, 1);
         let b = gen::random_dense::<f16>(64, 64, Layout::RowMajor, 2);
-        let got = spmm_csr(&gpu, &a, &b);
+        let got = run(
+            &gpu,
+            |mem, mode| CsrScalarSpmm::new(mem, &a, &b, mode),
+            CsrScalarSpmm::result,
+        );
         let want = reference::spmm_csr(&a, &b);
         assert_eq!(got.max_abs_diff(&want), 0.0);
     }
@@ -264,7 +246,11 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_csr::<f32>(16, 64, 0.9, 3);
         let b = gen::random_dense::<f32>(64, 96, Layout::RowMajor, 4);
-        let got = spmm_csr(&gpu, &a, &b);
+        let got = run(
+            &gpu,
+            |mem, mode| CsrScalarSpmm::new(mem, &a, &b, mode),
+            CsrScalarSpmm::result,
+        );
         let want = reference::spmm_csr(&a, &b);
         assert!(got.max_abs_diff(&want) < 1e-5);
     }
@@ -275,8 +261,10 @@ mod tests {
         let b = gen::random_dense::<f16>(512, 256, Layout::RowMajor, 5);
         let dense_ish = gen::random_csr::<f16>(512, 512, 0.5, 6);
         let sparse = gen::random_csr::<f16>(512, 512, 0.98, 7);
-        let pd = profile_spmm_csr(&gpu, &dense_ish, &b);
-        let ps = profile_spmm_csr(&gpu, &sparse, &b);
+        let pd = profile(&gpu, |mem, mode| {
+            CsrScalarSpmm::new(mem, &dense_ish, &b, mode)
+        });
+        let ps = profile(&gpu, |mem, mode| CsrScalarSpmm::new(mem, &sparse, &b, mode));
         assert!(
             ps.cycles * 4.0 < pd.cycles,
             "{} vs {}",

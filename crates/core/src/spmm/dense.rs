@@ -16,8 +16,7 @@ use crate::util::{download_dense, lanes, upload_dense, width_of};
 use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, Scalar};
 use vecsparse_gpu_sim::{
-    BufferId, GpuConfig, InstrKind, KernelProfile, KernelSpec, Launch, LaunchConfig, MemPool, Mode,
-    NativeCtx, Program, Site, WVec,
+    BufferId, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site, WVec,
 };
 
 /// The kernel's named default point in the tiling space (`tile_n` is the
@@ -186,11 +185,6 @@ impl<'m, T: Scalar> DenseGemm<'m, T> {
             split_k,
             listing: LISTINGS.get(key, || listing(key)),
         }
-    }
-
-    /// Output buffer id.
-    pub fn output(&self) -> BufferId {
-        self.out_buf
     }
 
     /// Download the functional result.
@@ -516,46 +510,24 @@ impl<T: Scalar> DenseGemm<'_, T> {
     }
 }
 
-/// Convenience: functional dense GEMM through the kernel.
-pub fn dense_gemm<T: Scalar>(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<T>,
-    b: &DenseMatrix<T>,
-) -> DenseMatrix<T> {
-    let mut mem = MemPool::new();
-    let kernel = DenseGemm::new(&mut mem, a, b, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Convenience: profile the dense GEMM kernel.
-pub fn profile_dense_gemm<T: Scalar>(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<T>,
-    b: &DenseMatrix<T>,
-) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = DenseGemm::new(&mut mem, a, b, Mode::Performance);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("performance launch returns a profile")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
     use vecsparse_fp16::f16;
+    use vecsparse_gpu_sim::GpuConfig;
 
     #[test]
     fn functional_matches_reference_f32() {
         let gpu = GpuConfig::small();
         let a = gen::random_dense::<f32>(96, 48, Layout::RowMajor, 1);
         let b = gen::random_dense::<f32>(48, 80, Layout::RowMajor, 2);
-        let got = dense_gemm(&gpu, &a, &b);
+        let got = run(
+            &gpu,
+            |mem, mode| DenseGemm::new(mem, &a, &b, mode),
+            DenseGemm::result,
+        );
         let want = reference::gemm(&a, &b);
         assert!(
             got.max_abs_diff(&want) < 1e-4,
@@ -569,7 +541,11 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_dense::<f16>(64, 64, Layout::RowMajor, 3);
         let b = gen::random_dense::<f16>(64, 64, Layout::RowMajor, 4);
-        let got = dense_gemm(&gpu, &a, &b);
+        let got = run(
+            &gpu,
+            |mem, mode| DenseGemm::new(mem, &a, &b, mode),
+            DenseGemm::result,
+        );
         let want = reference::gemm(&a, &b);
         assert_eq!(got.max_abs_diff(&want), 0.0);
     }
@@ -579,7 +555,7 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_dense::<f16>(256, 256, Layout::RowMajor, 5);
         let b = gen::random_dense::<f16>(256, 256, Layout::RowMajor, 6);
-        let p = profile_dense_gemm(&gpu, &a, &b);
+        let p = profile(&gpu, |mem, mode| DenseGemm::new(mem, &a, &b, mode));
         assert!(p.instrs.hmma > 0);
         assert_eq!(p.instrs.ffma, 0);
         assert!(p.cycles > 0.0);
@@ -590,7 +566,7 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_dense::<f32>(256, 256, Layout::RowMajor, 5);
         let b = gen::random_dense::<f32>(256, 256, Layout::RowMajor, 6);
-        let p = profile_dense_gemm(&gpu, &a, &b);
+        let p = profile(&gpu, |mem, mode| DenseGemm::new(mem, &a, &b, mode));
         assert_eq!(p.instrs.hmma, 0);
         assert!(p.instrs.ffma > 0);
     }
@@ -601,10 +577,10 @@ mod tests {
         let gpu = GpuConfig::small();
         let ah = gen::random_dense::<f16>(512, 512, Layout::RowMajor, 7);
         let bh = gen::random_dense::<f16>(512, 512, Layout::RowMajor, 8);
-        let ph = profile_dense_gemm(&gpu, &ah, &bh);
+        let ph = profile(&gpu, |mem, mode| DenseGemm::new(mem, &ah, &bh, mode));
         let as_ = gen::random_dense::<f32>(512, 512, Layout::RowMajor, 7);
         let bs = gen::random_dense::<f32>(512, 512, Layout::RowMajor, 8);
-        let ps = profile_dense_gemm(&gpu, &as_, &bs);
+        let ps = profile(&gpu, |mem, mode| DenseGemm::new(mem, &as_, &bs, mode));
         assert!(
             ph.cycles * 2.0 < ps.cycles,
             "hgemm {} vs sgemm {}",

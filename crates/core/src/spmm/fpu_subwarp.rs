@@ -25,8 +25,8 @@ use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, Scalar, VectorSparse};
 use vecsparse_fp16::{f16, hmul_fadd};
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, GpuConfig, InstrKind, KernelProfile, KernelSpec, Launch, LaunchConfig,
-    MemPool, Mode, NativeCtx, Program, Site, Tok,
+    BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site,
+    Tok,
 };
 
 /// The kernel's named default point in the tiling space.
@@ -156,11 +156,6 @@ impl<'m, T: Scalar> FpuSubwarpSpmm<'m, T> {
             out_buf,
             listing: LISTINGS.get(a.v(), || listing(a.v())),
         }
-    }
-
-    /// Output buffer id.
-    pub fn output(&self) -> BufferId {
-        self.out_buf
     }
 
     /// Download the functional result.
@@ -418,44 +413,22 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<'_, T> {
     }
 }
 
-/// Functional FPU subwarp SpMM.
-pub fn spmm_fpu<T: Scalar>(
-    gpu: &GpuConfig,
-    a: &VectorSparse<T>,
-    b: &DenseMatrix<T>,
-) -> DenseMatrix<T> {
-    let mut mem = MemPool::new();
-    let kernel = FpuSubwarpSpmm::new(&mut mem, a, b, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Profile the FPU subwarp SpMM kernel.
-pub fn profile_spmm_fpu<T: Scalar>(
-    gpu: &GpuConfig,
-    a: &VectorSparse<T>,
-    b: &DenseMatrix<T>,
-) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = FpuSubwarpSpmm::new(&mut mem, a, b, Mode::Performance);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("profile")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
+    use vecsparse_gpu_sim::GpuConfig;
 
     fn check_f16(m: usize, k: usize, n: usize, v: usize, sparsity: f64, seed: u64) {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(m, k, v, sparsity, seed);
         let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 1);
-        let got = spmm_fpu(&gpu, &a, &b);
+        let got = run(
+            &gpu,
+            |mem, mode| FpuSubwarpSpmm::new(mem, &a, &b, mode),
+            FpuSubwarpSpmm::result,
+        );
         let want = reference::spmm_vs(&a, &b);
         assert_eq!(got.max_abs_diff(&want), 0.0, "V={v}");
     }
@@ -472,7 +445,11 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f32>(16, 64, 4, 0.6, 20);
         let b = gen::random_dense::<f32>(64, 128, Layout::RowMajor, 21);
-        let got = spmm_fpu(&gpu, &a, &b);
+        let got = run(
+            &gpu,
+            |mem, mode| FpuSubwarpSpmm::new(mem, &a, &b, mode),
+            FpuSubwarpSpmm::result,
+        );
         let want = reference::spmm_vs(&a, &b);
         assert!(got.max_abs_diff(&want) < 1e-5);
     }
@@ -488,7 +465,7 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(256, 256, 4, 0.9, 40);
         let b = gen::random_dense::<f16>(256, 64, Layout::RowMajor, 41);
-        let p = profile_spmm_fpu(&gpu, &a, &b);
+        let p = profile(&gpu, |mem, mode| FpuSubwarpSpmm::new(mem, &a, &b, mode));
         assert!(p.static_instrs > 768, "static {}", p.static_instrs);
         assert_eq!(p.instrs.hmma, 0);
         assert!(p.instrs.hfma2 > 0);
@@ -500,7 +477,7 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(2048, 256, 4, 0.9, 50);
         let b = gen::random_dense::<f16>(256, 256, Layout::RowMajor, 51);
-        let p = profile_spmm_fpu(&gpu, &a, &b);
+        let p = profile(&gpu, |mem, mode| FpuSubwarpSpmm::new(mem, &a, &b, mode));
         assert_eq!(p.grid, 2048); // 512 block rows × 4 column chunks.
     }
 }

@@ -8,12 +8,12 @@ mod fpu_subwarp;
 mod octet;
 mod wmma;
 
-pub use blocked_ell::{profile_spmm_blocked_ell, spmm_blocked_ell, BlockedEllSpmm};
-pub use csr_scalar::{profile_spmm_csr, spmm_csr, CsrScalarSpmm};
-pub use dense::{dense_gemm, profile_dense_gemm, DenseGemm};
-pub use fpu_subwarp::{profile_spmm_fpu, spmm_fpu, FpuSubwarpSpmm};
-pub use octet::{profile_spmm_octet, profile_spmm_octet_scheme, spmm_octet, OctetSpmm};
-pub use wmma::{profile_spmm_wmma, spmm_wmma, WmmaSpmm};
+pub use blocked_ell::BlockedEllSpmm;
+pub use csr_scalar::CsrScalarSpmm;
+pub use dense::DenseGemm;
+pub use fpu_subwarp::FpuSubwarpSpmm;
+pub use octet::OctetSpmm;
+pub use wmma::WmmaSpmm;
 
 /// Shard layout for the block-row SpMM family: `block_rows` row blocks
 /// of `rows_per_block` scalar rows each (the last possibly ragged at

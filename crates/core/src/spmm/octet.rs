@@ -38,8 +38,8 @@ use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, GpuConfig, KernelProfile, KernelSpec, Launch, LaunchConfig, MemPool,
-    MmaFlavor, Mode, NativeCtx, Program, Tok, WVec,
+    BufferId, CtaCtx, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program, Tok,
+    WVec,
 };
 
 /// The octet-tiling SpMM kernel.
@@ -94,24 +94,9 @@ impl<'m> OctetSpmm<'m> {
         Self::from_staged_scheme(a, b, bufs, b_buf, out_buf, scheme)
     }
 
-    /// Build the kernel over operands **already staged** in a pool —
-    /// the engine's plan path, which uploads the sparse operand once and
-    /// reuses its buffers across launches. Compiles the default scheme.
-    ///
-    /// # Panics
-    /// Panics if shapes disagree, `B` is not row-major, or V > 8.
-    pub fn from_staged(
-        a: &'m VectorSparse<f16>,
-        b: &'m DenseMatrix<f16>,
-        bufs: VsBuffers,
-        b_buf: BufferId,
-        out_buf: BufferId,
-    ) -> Self {
-        Self::from_staged_scheme(a, b, bufs, b_buf, out_buf, DEFAULT_SCHEME)
-    }
-
-    /// [`Self::from_staged`] at an explicit tiling scheme — the plan
-    /// path once the tuner has picked a non-default point.
+    /// Build the kernel at `scheme` over operands **already staged** in
+    /// a pool — the engine's plan path, which uploads the sparse operand
+    /// once and reuses its buffers across launches.
     ///
     /// # Panics
     /// Panics if shapes disagree, `B` is not row-major, V > 8, or the
@@ -162,11 +147,6 @@ impl<'m> OctetSpmm<'m> {
             LoadStrategy::SyncBufferCyclic
         };
         self
-    }
-
-    /// The tiling-configuration point this instance runs at.
-    pub fn scheme(&self) -> &TilingScheme {
-        &self.scheme
     }
 
     /// Output buffer id.
@@ -471,55 +451,22 @@ impl OctetSpmm<'_> {
     }
 }
 
-/// Functional octet SpMM.
-pub fn spmm_octet(
-    gpu: &GpuConfig,
-    a: &VectorSparse<f16>,
-    b: &DenseMatrix<f16>,
-) -> DenseMatrix<f16> {
-    let mut mem = MemPool::new();
-    let kernel = OctetSpmm::new(&mut mem, a, b, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Profile the octet SpMM kernel at the default scheme.
-pub fn profile_spmm_octet(
-    gpu: &GpuConfig,
-    a: &VectorSparse<f16>,
-    b: &DenseMatrix<f16>,
-) -> KernelProfile {
-    profile_spmm_octet_scheme(gpu, a, b, DEFAULT_SCHEME)
-}
-
-/// Profile the octet SpMM kernel at an explicit tiling scheme — the
-/// Auto tuner's scheme-sweep probe.
-pub fn profile_spmm_octet_scheme(
-    gpu: &GpuConfig,
-    a: &VectorSparse<f16>,
-    b: &DenseMatrix<f16>,
-    scheme: TilingScheme,
-) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = OctetSpmm::with_scheme(&mut mem, a, b, Mode::Performance, scheme);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("profile")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
+    use vecsparse_gpu_sim::GpuConfig;
 
     fn check(m: usize, k: usize, n: usize, v: usize, sparsity: f64, seed: u64) {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(m, k, v, sparsity, seed);
         let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 1);
-        let got = spmm_octet(&gpu, &a, &b);
+        let got = run(
+            &gpu,
+            |mem, mode| OctetSpmm::new(mem, &a, &b, mode),
+            OctetSpmm::result,
+        );
         let want = reference::spmm_vs(&a, &b);
         assert_eq!(
             got.max_abs_diff(&want),
@@ -565,10 +512,11 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(16, 64, 4, 0.5, 7);
         let b = gen::random_dense::<f16>(64, 64, Layout::RowMajor, 8);
-        let mut mem = MemPool::new();
-        let kernel = OctetSpmm::new(&mut mem, &a, &b, Mode::Functional).with_truncated_hmma(true);
-        Launch::new(&mut mem, &kernel).gpu(&gpu).run();
-        let got = kernel.result(&mem);
+        let got = run(
+            &gpu,
+            |mem, mode| OctetSpmm::new(mem, &a, &b, mode).with_truncated_hmma(true),
+            OctetSpmm::result,
+        );
         let want = reference::spmm_vs(&a, &b);
         assert_eq!(got.max_abs_diff(&want), 0.0);
     }
@@ -583,10 +531,11 @@ mod tests {
         let b = gen::random_dense::<f16>(256, 96, Layout::RowMajor, 14);
         let want = reference::spmm_vs(&a, &b);
         for scheme in super::super::compose::octet_schemes() {
-            let mut mem = MemPool::new();
-            let kernel = OctetSpmm::with_scheme(&mut mem, &a, &b, Mode::Functional, scheme);
-            Launch::new(&mut mem, &kernel).gpu(&gpu).run();
-            let got = kernel.result(&mem);
+            let got = run(
+                &gpu,
+                |mem, mode| OctetSpmm::with_scheme(mem, &a, &b, mode, scheme),
+                OctetSpmm::result,
+            );
             assert_eq!(got.max_abs_diff(&want), 0.0, "scheme {}", scheme.label());
         }
     }
@@ -597,7 +546,7 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(64, 256, 4, 0.9, 9);
         let b = gen::random_dense::<f16>(256, 64, Layout::RowMajor, 10);
-        let p = profile_spmm_octet(&gpu, &a, &b);
+        let p = profile(&gpu, |mem, mode| OctetSpmm::new(mem, &a, &b, mode));
         let nnz_row = 26; // round(256 * 0.1)
         let expected = (64 / 4) * (nnz_row as u64).div_ceil(4) * 8;
         assert_eq!(p.instrs.hmma, expected);
@@ -610,7 +559,7 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(2048, 256, 4, 0.9, 11);
         let b = gen::random_dense::<f16>(256, 256, Layout::RowMajor, 12);
-        let p = profile_spmm_octet(&gpu, &a, &b);
+        let p = profile(&gpu, |mem, mode| OctetSpmm::new(mem, &a, &b, mode));
         // ⌈M/V⌉ × ⌈N/64⌉ = 512 × 4 = 2048 thread blocks (Table 2).
         assert_eq!(p.grid, 2048);
     }
@@ -619,7 +568,9 @@ mod tests {
 #[cfg(test)]
 mod trace_shape_tests {
     use super::*;
+    use crate::util::profile;
     use vecsparse_formats::gen;
+    use vecsparse_gpu_sim::GpuConfig;
 
     /// Closed-form check of the octet kernel's memory-instruction counts:
     /// per CTA, one LDG.128 B-fragment load per 4-vector step plus the
@@ -630,7 +581,7 @@ mod trace_shape_tests {
         // 64 nonzero vectors per block row: exactly 2 strides of 32.
         let a = gen::random_vector_sparse::<f16>(64, 256, 4, 0.75, 21);
         let b = gen::random_dense::<f16>(256, 64, Layout::RowMajor, 22);
-        let p = profile_spmm_octet(&gpu, &a, &b);
+        let p = profile(&gpu, |mem, mode| OctetSpmm::new(mem, &a, &b, mode));
         let ctas = 64 / 4; // block rows × one N chunk
         let nnz_row = 64u64;
         let strides = nnz_row / 32;

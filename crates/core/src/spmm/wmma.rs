@@ -27,8 +27,8 @@ use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, GpuConfig, KernelProfile, KernelSpec, Launch, LaunchConfig, MemPool,
-    MmaFlavor, Mode, NativeCtx, Program, Site, Tok, WVec,
+    BufferId, CtaCtx, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program, Site,
+    Tok, WVec,
 };
 
 /// The kernel's named default point in the tiling space.
@@ -337,35 +337,13 @@ impl KernelSpec for WmmaSpmm<'_> {
     }
 }
 
-/// Functional §5.2 warp-tiling SpMM.
-pub fn spmm_wmma(gpu: &GpuConfig, a: &VectorSparse<f16>, b: &DenseMatrix<f16>) -> DenseMatrix<f16> {
-    let mut mem = MemPool::new();
-    let kernel = WmmaSpmm::new(&mut mem, a, b, Mode::Functional);
-    Launch::new(&mut mem, &kernel).gpu(gpu).run();
-    kernel.result(&mem)
-}
-
-/// Profile the §5.2 warp-tiling SpMM.
-pub fn profile_spmm_wmma(
-    gpu: &GpuConfig,
-    a: &VectorSparse<f16>,
-    b: &DenseMatrix<f16>,
-) -> KernelProfile {
-    let mut mem = MemPool::new();
-    let kernel = WmmaSpmm::new(&mut mem, a, b, Mode::Performance);
-    Launch::new(&mut mem, &kernel)
-        .gpu(gpu)
-        .performance()
-        .run()
-        .profile
-        .expect("profile")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spmm::{profile_spmm_fpu, profile_spmm_octet};
+    use crate::spmm::{FpuSubwarpSpmm, OctetSpmm};
+    use crate::util::{profile, run};
     use vecsparse_formats::{gen, reference};
+    use vecsparse_gpu_sim::GpuConfig;
 
     #[test]
     fn matches_reference() {
@@ -373,7 +351,11 @@ mod tests {
         for v in [2usize, 4, 8] {
             let a = gen::random_vector_sparse::<f16>(32, 64, v, 0.6, v as u64);
             let b = gen::random_dense::<f16>(64, 128, Layout::RowMajor, 9);
-            let got = spmm_wmma(&gpu, &a, &b);
+            let got = run(
+                &gpu,
+                |mem, mode| WmmaSpmm::new(mem, &a, &b, mode),
+                WmmaSpmm::result,
+            );
             let want = reference::spmm_vs(&a, &b);
             assert_eq!(got.max_abs_diff(&want), 0.0, "V={v}");
         }
@@ -385,7 +367,11 @@ mod tests {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(16, 128, 4, 1.0 - 19.0 / 128.0, 3);
         let b = gen::random_dense::<f16>(128, 64, Layout::RowMajor, 4);
-        let got = spmm_wmma(&gpu, &a, &b);
+        let got = run(
+            &gpu,
+            |mem, mode| WmmaSpmm::new(mem, &a, &b, mode),
+            WmmaSpmm::result,
+        );
         assert_eq!(got.max_abs_diff(&reference::spmm_vs(&a, &b)), 0.0);
     }
 
@@ -395,9 +381,9 @@ mod tests {
         let gpu = GpuConfig::default();
         let a = gen::random_vector_sparse::<f16>(1024, 1024, 4, 0.9, 5);
         let b = gen::random_dense::<f16>(1024, 256, Layout::RowMajor, 6);
-        let octet = profile_spmm_octet(&gpu, &a, &b);
-        let wmma = profile_spmm_wmma(&gpu, &a, &b);
-        let fpu = profile_spmm_fpu(&gpu, &a, &b);
+        let octet = profile(&gpu, |mem, mode| OctetSpmm::new(mem, &a, &b, mode));
+        let wmma = profile(&gpu, |mem, mode| WmmaSpmm::new(mem, &a, &b, mode));
+        let fpu = profile(&gpu, |mem, mode| FpuSubwarpSpmm::new(mem, &a, &b, mode));
         assert!(
             octet.cycles < wmma.cycles,
             "octet {} wmma {}",

@@ -1,9 +1,44 @@
-//! Shared kernel plumbing: uploading matrices into simulator memory and
-//! building warp lane-offset patterns.
+//! Shared kernel plumbing: one-shot launches in a fresh pool, uploading
+//! matrices into simulator memory and building warp lane-offset patterns.
 
 use vecsparse_formats::{BlockedEll, Csr, DenseMatrix, Scalar, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{BufferId, ElemWidth, MemPool, Mode, WARP_SIZE};
+use vecsparse_gpu_sim::{
+    BufferId, ElemWidth, GpuConfig, KernelProfile, KernelSpec, Launch, MemPool, Mode, WARP_SIZE,
+};
+
+/// Profile the kernel `build` stages into a fresh pool. This is the launch
+/// path for kernels no [`crate::engine`] plan covers (dense×dense GEMM,
+/// the f32 and CSR baselines, softmax, explicit Blocked-ELL operands) and
+/// for the tuner's candidate probes:
+/// `profile(gpu, |mem, mode| DenseGemm::new(mem, &a, &b, mode))`.
+pub fn profile<K: KernelSpec>(
+    gpu: &GpuConfig,
+    build: impl FnOnce(&mut MemPool, Mode) -> K,
+) -> KernelProfile {
+    let mut mem = MemPool::new();
+    let kernel = build(&mut mem, Mode::Performance);
+    Launch::new(&mut mem, &kernel)
+        .gpu(gpu)
+        .performance()
+        .run()
+        .profile
+        .expect("performance launch returns a profile")
+}
+
+/// Run the kernel `build` stages into a fresh pool functionally and read
+/// its output back with `read`:
+/// `run(gpu, |mem, mode| SparseSoftmax::new(mem, &x, mode), SparseSoftmax::result)`.
+pub fn run<K: KernelSpec, R>(
+    gpu: &GpuConfig,
+    build: impl FnOnce(&mut MemPool, Mode) -> K,
+    read: impl FnOnce(&K, &MemPool) -> R,
+) -> R {
+    let mut mem = MemPool::new();
+    let kernel = build(&mut mem, Mode::Functional);
+    Launch::new(&mut mem, &kernel).gpu(gpu).run();
+    read(&kernel, &mem)
+}
 
 /// Lane offset array with all lanes inactive.
 pub const NO_LANES: [u32; WARP_SIZE] = [u32::MAX; WARP_SIZE];

@@ -2,12 +2,13 @@
 
 use std::sync::Arc;
 use vecsparse::engine::{Context, SddmmPlan};
-use vecsparse::softmax::{profile_softmax_vs, softmax_vs, DenseSoftmax};
-use vecsparse::spmm::profile_dense_gemm;
+use vecsparse::softmax::{DenseSoftmax, SparseSoftmax};
+use vecsparse::spmm::DenseGemm;
+use vecsparse::util::{profile, run};
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, reference, DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{GpuConfig, KernelSpec, Launch, MemPool, Mode, TraceSink};
+use vecsparse_gpu_sim::{GpuConfig, KernelSpec, TraceSink};
 
 /// Shape of one attention layer instance.
 #[derive(Clone, Copy, Debug)]
@@ -100,7 +101,11 @@ pub fn sparse_attention_head_planned(
             .map(|x| f16::from_f32(x.to_f32() * scale))
             .collect(),
     );
-    let attn = softmax_vs(ctx.gpu(), &scaled);
+    let attn = run(
+        ctx.gpu(),
+        |mem, mode| SparseSoftmax::new(mem, &scaled, mode),
+        SparseSoftmax::result,
+    );
     ctx.spmm(&attn, v, SpmmAlgo::Octet)
 }
 
@@ -178,7 +183,7 @@ pub fn sparse_attention_latency_traced(
     let qk = ctx
         .plan_sddmm(&mask, d, SddmmAlgo::OctetArch)
         .profile(&q, &kt);
-    let sm = profile_softmax_vs(gpu, &attn);
+    let sm = profile(gpu, |mem, mode| SparseSoftmax::new(mem, &attn, mode));
     let av = ctx.plan_spmm(&attn, d, SpmmAlgo::Octet).profile(&v);
     AttentionLatency {
         qk: qk.cycles * heads,
@@ -199,19 +204,10 @@ pub fn dense_attention_latency(gpu: &GpuConfig, cfg: &AttentionConfig) -> Attent
     let scores = gen::random_dense::<f16>(l, l, Layout::RowMajor, 3);
     let v = gen::random_dense::<f16>(l, d, Layout::RowMajor, 4);
 
-    let qk = profile_dense_gemm(gpu, &q, &kt);
+    let qk = profile(gpu, |mem, mode| DenseGemm::new(mem, &q, &kt, mode));
     // Dense softmax kernel over the l×l score matrix.
-    let sm = {
-        let mut mem = MemPool::new();
-        let kernel = DenseSoftmax::new(&mut mem, l, l, Mode::Performance);
-        Launch::new(&mut mem, &kernel)
-            .gpu(gpu)
-            .performance()
-            .run()
-            .profile
-            .expect("profile")
-    };
-    let av = profile_dense_gemm(gpu, &scores, &v);
+    let sm = profile(gpu, |mem, mode| DenseSoftmax::new(mem, l, l, mode));
+    let av = profile(gpu, |mem, mode| DenseGemm::new(mem, &scores, &v, mode));
     AttentionLatency {
         qk: qk.cycles * heads,
         softmax: sm.cycles * heads,
@@ -226,8 +222,7 @@ fn projection_cycles(gpu: &GpuConfig, cfg: &AttentionConfig) -> f64 {
     let d_model = cfg.head_dim * cfg.heads;
     let x = gen::random_dense::<f16>(cfg.seq_len, d_model, Layout::RowMajor, 5);
     let w = gen::random_dense::<f16>(d_model, d_model, Layout::RowMajor, 6);
-    let p = profile_dense_gemm(gpu, &x, &w);
-    p.cycles * 4.0
+    profile(gpu, |mem, mode| DenseGemm::new(mem, &x, &w, mode)).cycles * 4.0
 }
 
 /// Check that a profiled kernel's name mentions the expected algorithm

@@ -10,7 +10,8 @@
 
 use crate::attention::{sparse_attention_head_planned, AttentionConfig};
 use vecsparse::engine::{Context, SddmmPlan};
-use vecsparse::spmm::dense_gemm;
+use vecsparse::spmm::DenseGemm;
+use vecsparse::util::run;
 use vecsparse::SddmmAlgo;
 use vecsparse_formats::{gen, DenseMatrix, Layout, SparsityPattern};
 use vecsparse_fp16::f16;
@@ -96,12 +97,18 @@ impl SparseEncoder {
         let d = self.cfg.head_dim;
         let heads = self.cfg.heads;
         let d_model = d * heads;
-        let gpu = ctx.gpu();
+        let gemm = |a: &DenseMatrix<f16>, b: &DenseMatrix<f16>| {
+            run(
+                ctx.gpu(),
+                |mem, mode| DenseGemm::new(mem, a, b, mode),
+                DenseGemm::result,
+            )
+        };
 
         // Projections through the dense GEMM kernel.
-        let q = dense_gemm(gpu, x, &w.wq);
-        let k = dense_gemm(gpu, x, &w.wk);
-        let v = dense_gemm(gpu, x, &w.wv);
+        let q = gemm(x, &w.wq);
+        let k = gemm(x, &w.wk);
+        let v = gemm(x, &w.wv);
 
         // Per-head sparse attention against the shared mask plan.
         let mut concat = DenseMatrix::zeros(l, d_model, Layout::RowMajor);
@@ -116,7 +123,7 @@ impl SparseEncoder {
                 }
             }
         }
-        let attn_out = dense_gemm(gpu, &concat, &w.wo);
+        let attn_out = gemm(&concat, &w.wo);
 
         // Residual 1.
         let mut h = DenseMatrix::zeros(l, d_model, Layout::RowMajor);
@@ -128,13 +135,13 @@ impl SparseEncoder {
         }
 
         // FFN with ReLU + residual 2.
-        let mut mid = dense_gemm(gpu, &h, &w.w1);
+        let mut mid = gemm(&h, &w.w1);
         for v in mid.data_mut() {
             if v.to_f32() < 0.0 {
                 *v = f16::ZERO;
             }
         }
-        let ffn = dense_gemm(gpu, &mid, &w.w2);
+        let ffn = gemm(&mid, &w.w2);
         let mut out = DenseMatrix::zeros(l, d_model, Layout::RowMajor);
         for r in 0..l {
             for c in 0..d_model {

@@ -15,15 +15,14 @@
 //! cargo run --release --example sparse_training_step
 //! ```
 
-use vecsparse::sddmm::{sddmm_octet, OctetVariant};
-use vecsparse::spmm::spmm_octet;
+use vecsparse::engine::Context;
+use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::square_block::{random_square_block_pattern, transpose_square_block};
 use vecsparse_formats::{gen, reference, Layout};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::GpuConfig;
 
 fn main() {
-    let gpu = GpuConfig::default();
+    let ctx = Context::default();
     let (m, k, batch) = (128, 256, 64); // W: m×k, X: k×batch.
     let v = 4;
 
@@ -37,7 +36,7 @@ fn main() {
     );
 
     // Forward: V = W · X.
-    let out = spmm_octet(&gpu, &w, &x);
+    let out = ctx.spmm(&w, &x, SpmmAlgo::Octet);
     let want = reference::spmm_vs(&w, &x);
     println!("forward  SpMM   max|err| = {}", out.max_abs_diff(&want));
 
@@ -46,14 +45,14 @@ fn main() {
     // blocks — no new kernel needed.
     let wt = transpose_square_block(&w);
     let dv = gen::random_dense::<f16>(m, batch, Layout::RowMajor, 4);
-    let dx = spmm_octet(&gpu, &wt, &dv);
+    let dx = ctx.spmm(&wt, &dv, SpmmAlgo::Octet);
     let dx_want = reference::spmm_vs(&wt, &dv);
     println!("backward SpMM   max|err| = {}", dx.max_abs_diff(&dx_want));
 
     // Weight gradient: ∂L/∂W = ∂L/∂V · Xᵀ, but only at W's nonzeros —
     // exactly an SDDMM with W's pattern as the mask.
     let xt = x.transpose().to_layout(Layout::ColMajor);
-    let dw = sddmm_octet(&gpu, &dv, &xt, &pattern, OctetVariant::Arch);
+    let dw = ctx.sddmm(&dv, &xt, &pattern, SddmmAlgo::OctetArch);
     let dw_want = reference::sddmm(&dv, &xt, &pattern);
     let worst = dw
         .values()

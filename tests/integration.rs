@@ -2,8 +2,9 @@
 //! kernels → application — exercised together.
 
 use vecsparse::engine::Context;
-use vecsparse::sddmm::OctetVariant;
-use vecsparse::softmax::softmax_vs;
+use vecsparse::softmax::SparseSoftmax;
+use vecsparse::spmm::{BlockedEllSpmm, DenseGemm};
+use vecsparse::util::{profile, run};
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_dlmc::{Benchmark, LayerShape};
 use vecsparse_formats::{gen, reference, Layout};
@@ -99,7 +100,11 @@ fn sddmm_then_softmax_rows_sum_to_one() {
     let scores = Context::builder()
         .build()
         .sddmm(&a, &bt, &mask, SddmmAlgo::OctetArch);
-    let probs = softmax_vs(&gpu, &scores);
+    let probs = run(
+        &gpu,
+        |mem, mode| SparseSoftmax::new(mem, &scores, mode),
+        SparseSoftmax::result,
+    );
     let p = probs.pattern();
     for br in 0..p.block_rows() {
         for e in 0..p.v() {
@@ -170,7 +175,6 @@ fn sddmm_arch_variant_is_best() {
     let shfl = ctx.profile_sddmm(&a, &bt, &mask, SddmmAlgo::OctetShfl);
     assert!(arch.cycles <= reg.cycles * 1.02);
     assert!(arch.cycles <= shfl.cycles * 1.02);
-    let _ = OctetVariant::Arch;
 }
 
 /// Table 4's memory claim end-to-end: dense(float) ≈ 2× dense(half) ≫
@@ -192,10 +196,10 @@ fn half_precision_raises_the_bar() {
     let gpu = GpuConfig::default();
     let a16 = gen::random_dense::<f16>(1024, 512, Layout::RowMajor, 16);
     let b16 = gen::random_dense::<f16>(512, 256, Layout::RowMajor, 17);
-    let h = vecsparse::spmm::profile_dense_gemm(&gpu, &a16, &b16);
+    let h = profile(&gpu, |mem, mode| DenseGemm::new(mem, &a16, &b16, mode));
     let a32 = a16.cast::<f32>();
     let b32 = b16.cast::<f32>();
-    let s = vecsparse::spmm::profile_dense_gemm(&gpu, &a32, &b32);
+    let s = profile(&gpu, |mem, mode| DenseGemm::new(mem, &a32, &b32, mode));
     assert!(h.cycles * 1.5 < s.cycles, "h {} s {}", h.cycles, s.cycles);
 }
 
@@ -283,25 +287,25 @@ fn row_sparse_case2() {
 /// a square-block layer all agree with dense references.
 #[test]
 fn square_block_training_step() {
-    use vecsparse::sddmm::{sddmm_octet, OctetVariant};
-    use vecsparse::spmm::spmm_octet;
     use vecsparse_formats::square_block::{random_square_block_pattern, transpose_square_block};
-    let gpu = GpuConfig::small();
+    let ctx = Context::builder().gpu(GpuConfig::small()).build();
     let pattern = random_square_block_pattern(32, 64, 4, 0.75, 28);
     let w = gen::fill_pattern::<f16>(pattern.clone(), 29);
     let x = gen::random_dense::<f16>(64, 32, Layout::RowMajor, 30);
     assert_eq!(
-        spmm_octet(&gpu, &w, &x).max_abs_diff(&reference::spmm_vs(&w, &x)),
+        ctx.spmm(&w, &x, SpmmAlgo::Octet)
+            .max_abs_diff(&reference::spmm_vs(&w, &x)),
         0.0
     );
     let wt = transpose_square_block(&w);
     let dv = gen::random_dense::<f16>(32, 32, Layout::RowMajor, 31);
     assert_eq!(
-        spmm_octet(&gpu, &wt, &dv).max_abs_diff(&reference::spmm_vs(&wt, &dv)),
+        ctx.spmm(&wt, &dv, SpmmAlgo::Octet)
+            .max_abs_diff(&reference::spmm_vs(&wt, &dv)),
         0.0
     );
     let xt = x.transpose().to_layout(Layout::ColMajor);
-    let dw = sddmm_octet(&gpu, &dv, &xt, &pattern, OctetVariant::Arch);
+    let dw = ctx.sddmm(&dv, &xt, &pattern, SddmmAlgo::OctetArch);
     let dw_want = reference::sddmm(&dv, &xt, &pattern);
     for (g, want) in dw.values().iter().zip(dw_want.values()) {
         assert_eq!(g, want);
@@ -320,9 +324,12 @@ fn unaligned_rhs_all_kernels() {
         assert_eq!(got.max_abs_diff(&want), 0.0, "{algo:?}");
     }
     // Blocked-ELL at an unaligned width against its own dense image.
-    use vecsparse::spmm::spmm_blocked_ell;
     let ell = gen::random_blocked_ell::<f16>(16, 64, 4, 0.7, 34);
-    let got = spmm_blocked_ell(&GpuConfig::small(), &ell, &b);
+    let got = run(
+        &GpuConfig::small(),
+        |mem, mode| BlockedEllSpmm::new(mem, &ell, &b, mode),
+        BlockedEllSpmm::result,
+    );
     let ell_want = reference::gemm(&ell.to_dense(Layout::RowMajor), &b);
     assert_eq!(got.max_abs_diff(&ell_want), 0.0);
 }

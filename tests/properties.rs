@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 use vecsparse::engine::Context;
-use vecsparse::sddmm::{sddmm_octet, OctetVariant};
-use vecsparse::SpmmAlgo;
+use vecsparse::softmax::SparseSoftmax;
+use vecsparse::util::run;
+use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, reference, Csr, DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::GpuConfig;
@@ -67,7 +68,7 @@ proptest! {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(rows, cols, v, s, seed);
         let b = gen::random_dense::<f16>(cols, 64, Layout::RowMajor, seed ^ 1);
-        let got = vecsparse::spmm::spmm_octet(&gpu, &a, &b);
+        let got = Context::builder().gpu(gpu).build().spmm(&a, &b, SpmmAlgo::Octet);
         let want = reference::spmm_vs(&a, &b);
         prop_assert_eq!(got.max_abs_diff(&want), 0.0);
     }
@@ -78,7 +79,7 @@ proptest! {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(rows, cols, v, s, seed);
         let b = gen::random_dense::<f16>(cols, 64, Layout::RowMajor, seed ^ 2);
-        let got = vecsparse::spmm::spmm_fpu(&gpu, &a, &b);
+        let got = Context::builder().gpu(gpu).build().spmm(&a, &b, SpmmAlgo::FpuSubwarp);
         let want = reference::spmm_vs(&a, &b);
         prop_assert_eq!(got.max_abs_diff(&want), 0.0);
     }
@@ -91,7 +92,7 @@ proptest! {
         let a = gen::random_dense::<f16>(rows, 64, Layout::RowMajor, seed ^ 3);
         let bt = gen::random_dense::<f16>(64, cols, Layout::ColMajor, seed ^ 4);
         let mask = gen::random_pattern(rows, cols, v, s, seed);
-        let got = sddmm_octet(&gpu, &a, &bt, &mask, OctetVariant::Arch);
+        let got = Context::builder().gpu(gpu).build().sddmm(&a, &bt, &mask, SddmmAlgo::OctetArch);
         let want = reference::sddmm(&a, &bt, &mask);
         for (g, w) in got.values().iter().zip(want.values()) {
             prop_assert_eq!(g, w);
@@ -103,7 +104,7 @@ proptest! {
     fn sparse_softmax_normalised((rows, cols, v, s, seed) in vs_params()) {
         let gpu = GpuConfig::small();
         let x = gen::random_vector_sparse::<f16>(rows, cols, v, s, seed);
-        let sm = vecsparse::softmax::softmax_vs(&gpu, &x);
+        let sm = run(&gpu, |mem, mode| SparseSoftmax::new(mem, &x, mode), SparseSoftmax::result);
         let p = sm.pattern();
         for br in 0..p.block_rows() {
             if p.block_row_range(br).is_empty() {
@@ -127,7 +128,7 @@ proptest! {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(rows, cols, v, s, seed);
         let b = gen::random_dense::<f16>(cols, 64, Layout::RowMajor, seed ^ 3);
-        let got = vecsparse::spmm::spmm_octet(&gpu, &a, &b);
+        let got = Context::builder().gpu(gpu).build().spmm(&a, &b, SpmmAlgo::Octet);
         let cert = KernelModel::tcu_reduction(cols).certificate("spmm-octet");
         let ad = a.to_dense(Layout::RowMajor);
         for r in 0..rows {
@@ -151,7 +152,7 @@ proptest! {
     fn sparse_softmax_within_certificate_of_f64((rows, cols, v, s, seed) in vs_params()) {
         let gpu = GpuConfig::small();
         let x = gen::random_vector_sparse::<f16>(rows, cols, v, s, seed);
-        let got = vecsparse::softmax::softmax_vs(&gpu, &x);
+        let got = run(&gpu, |mem, mode| SparseSoftmax::new(mem, &x, mode), SparseSoftmax::result);
         let cert = KernelModel::softmax(cols).certificate("softmax-sparse");
         let p = x.pattern();
         for br in 0..p.block_rows() {
@@ -273,7 +274,7 @@ proptest! {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(rows, cols, v, s, seed);
         let b = gen::random_dense::<f16>(cols, 64, Layout::RowMajor, seed ^ 7);
-        let got = vecsparse::spmm::spmm_wmma(&gpu, &a, &b);
+        let got = Context::builder().gpu(gpu).build().spmm(&a, &b, SpmmAlgo::Wmma);
         let want = reference::spmm_vs(&a, &b);
         prop_assert_eq!(got.max_abs_diff(&want), 0.0);
     }
@@ -288,7 +289,7 @@ proptest! {
         let w = gen::fill_pattern::<f16>(p, seed ^ 1);
         let wt = transpose_square_block(&w);
         let x = gen::random_dense::<f16>(16, 32, Layout::RowMajor, seed ^ 2);
-        let got = vecsparse::spmm::spmm_octet(&gpu, &wt, &x);
+        let got = Context::builder().gpu(gpu).build().spmm(&wt, &x, SpmmAlgo::Octet);
         let want = reference::spmm_vs(&wt, &x);
         prop_assert_eq!(got.max_abs_diff(&want), 0.0);
     }
