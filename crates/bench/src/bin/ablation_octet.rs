@@ -69,8 +69,9 @@ fn main() {
         "Reading: at 90% sparsity the kernel is bound by memory traffic and issue\n\
          slots, not the tensor pipe — halving the HMMA count (the paper's future-work\n\
          SASS optimisation, impossible for V=8 where all four steps carry real\n\
-         columns) buys little here, and the high occupancy (32 single-warp CTAs/SM)\n\
-         hides the latency the ILP batching saves per warp. Both knobs matter when\n\
-         occupancy or the tensor pipe becomes the constraint (lower sparsity, wider N)."
+         columns) keeps the cycles within 0.1% of the base at V=2 and V=4. ILP\n\
+         batching pays at V=2, where issuing the loads unbatched costs 1.22x the\n\
+         base cycles; at V=4 and V=8 the two load orders finish within 0.1% of\n\
+         each other."
     );
 }

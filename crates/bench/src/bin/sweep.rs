@@ -5,10 +5,13 @@
 //! cargo run --release -p vecsparse-bench --bin sweep -- \
 //!     --m 2048 --k 1024 --n 256 --v 4 --sparsity 0.9 [--seed 42] \
 //!     [--algo auto] [--json results.json] [--expect-auto spmm-octet] \
-//!     [--sanitize] [--precision] [--trace trace.json] [--csv counters.csv]
-//!     [--report] [--threads N] [--memoize] [--repeat R]
-//!     [--backend simulated|native] [--shards N]
+//!     [--trace trace.json] [--csv counters.csv] [--report] [--threads N] \
+//!     [--memoize] [--repeat R] [--backend simulated|native]
 //! ```
+//!
+//! The sweep only profiles. Checking a kernel is `vsan`'s job: `vsan`
+//! (sanitizer), `vsan precision`, `vsan waveprove` and `vsan shardprove`
+//! take the same `--m/--k/--n/--v/--sparsity/--seed` shape flags.
 //!
 //! * `--algo auto` adds an `auto` row: the engine's tuner picks among the
 //!   numerically exact kernels and the row reports what it chose.
@@ -16,18 +19,11 @@
 //!   any) as a JSON document for CI artifacts. The document carries a
 //!   `schema_version` and the hash of the simulated GPU config so
 //!   downstream tooling can reject rows from a different machine model.
+//!   Its `wall_ms`, like the table's "ms total", is the sum of the rows'
+//!   plan-and-profile times; the functional run behind each row's
+//!   `out_digest` is not timed.
 //! * `--expect-auto LABEL` asserts the tuner picked `LABEL`
 //!   (e.g. `spmm-octet`) and exits 1 otherwise; implies `--algo auto`.
-//! * `--sanitize` additionally runs every registry kernel through
-//!   `vecsparse-sanitizer` at the sweep shape before profiling, and
-//!   aborts (exit 1) on any deny-level finding — profiling a kernel the
-//!   checker rejects would benchmark undefined behaviour.
-//! * `--precision` runs the two-sided numerical checker over the swept
-//!   SpMM kernels at the sweep shape before profiling: the static
-//!   abstract interpreter must raise no lints and the fp64 shadow
-//!   execution's observed error must stay under each kernel's static
-//!   certificate (a violation is an analyzer soundness bug). Exits 1 on
-//!   any failure.
 //! * `--trace PATH` records the whole sweep through the engine's
 //!   telemetry sink and writes a Chrome/Perfetto `trace.json`: engine
 //!   spans (plan/tune/stage/run) on the engine track, one process per
@@ -65,15 +61,6 @@
 //!   bit-identical apart from `wall_ms` and the recorded `backend`
 //!   label — the CI backend gate diffs exactly that, with the digest
 //!   column carrying the cross-backend identity claim.
-//! * `--shards N` (N ≥ 1) enables shard certification: the first
-//!   performance launch of each swept algorithm runs the footprint
-//!   certificate's analyzer and the JSON document gains a
-//!   `shard_certificates` array. The array depends only on the shape,
-//!   never on N, so documents at different N diff clean apart from
-//!   `wall_ms`. With N > 1 the sweep additionally runs every registry
-//!   kernel at the sweep shape through a certified N-way row split and
-//!   asserts the merged output is bit-identical to the unsharded
-//!   reference, exiting 1 on any unshardable kernel or divergence.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -120,81 +107,16 @@ fn main() {
     let csv_path: Option<String> = flag(&args, "--csv");
     let want_report = has("--report");
     let memoize = has("--memoize");
-    let shards: usize = flag(&args, "--shards").unwrap_or(0);
     let repeat = flag::<usize>(&args, "--repeat").unwrap_or(1).max(1);
     let backend: Backend = flag(&args, "--backend").unwrap_or_default();
-    let want_auto = expect_auto.is_some()
-        || flag::<String>(&args, "--algo").as_deref() == Some("auto")
-        || has("--algo-auto");
+    let want_auto =
+        expect_auto.is_some() || flag::<String>(&args, "--algo").as_deref() == Some("auto");
     assert!(matches!(v, 1 | 2 | 4 | 8), "--v must be 1, 2, 4, or 8");
     assert!(m.is_multiple_of(v), "--m must be a multiple of --v");
     assert!((0.0..1.0).contains(&sparsity), "--sparsity in [0,1)");
 
     let gpu = device();
     let gpu_config_hash = gpu.config_hash();
-
-    if has("--sanitize") {
-        use vecsparse::registry::{self, Shape, ALL_KERNELS};
-        use vecsparse_gpu_sim::Mode;
-        use vecsparse_sanitizer::{sanitize, SanitizeOptions};
-        let shape = Shape {
-            m,
-            n,
-            k,
-            v,
-            sparsity,
-            seed,
-        };
-        let mut dirty = false;
-        for id in ALL_KERNELS {
-            let report = registry::with_kernel(id, &shape, Mode::Functional, |mem, kernel| {
-                sanitize(&gpu, mem, kernel, &SanitizeOptions::default())
-            });
-            print!("{}", report.render());
-            dirty |= !report.is_clean();
-        }
-        println!();
-        if dirty {
-            eprintln!("sanitizer found deny-level issues; not profiling");
-            std::process::exit(1);
-        }
-    }
-
-    if has("--precision") {
-        use vecsparse::registry::{self, KernelId, Shape};
-        use vecsparse_gpu_sim::Mode;
-        use vecsparse_precision::{analyze, check_soundness, shadow_run};
-        let shape = Shape {
-            m,
-            n,
-            k,
-            v,
-            sparsity,
-            seed,
-        };
-        let swept = ["spmm-dense", "spmm-fpu", "spmm-blocked-ell", "spmm-octet"];
-        let mut dirty = false;
-        for label in swept {
-            let id = KernelId::parse(label).expect("swept labels are registry labels");
-            let model = registry::model_for(id, &shape);
-            let (analysis, report) =
-                registry::with_kernel_mut(id, &shape, Mode::Functional, |mem, kern| {
-                    let prog = kern.program().expect("registry kernels expose a Program");
-                    (analyze(label, prog, &model), shadow_run(mem, kern))
-                });
-            print!("{}", analysis.render());
-            dirty |= !analysis.is_clean();
-            if let Err(e) = check_soundness(&analysis.certificate, &report) {
-                eprintln!("{e}");
-                dirty = true;
-            }
-        }
-        println!();
-        if dirty {
-            eprintln!("precision checker found issues; not profiling");
-            std::process::exit(1);
-        }
-    }
 
     let sink = if trace_path.is_some() {
         Arc::new(TraceSink::enabled(DEFAULT_CAPACITY))
@@ -205,9 +127,6 @@ fn main() {
         .gpu(gpu)
         .backend(backend)
         .telemetry(Arc::clone(&sink));
-    if shards >= 1 {
-        builder = builder.shard_certification();
-    }
     if memoize {
         builder = builder.memoization();
     }
@@ -232,8 +151,9 @@ fn main() {
     let mut rows: Vec<SweepRow> = Vec::new();
     let mut row_wall_ms: Vec<f64> = Vec::new();
     let mut auto_choice: Option<String> = None;
-    let sweep_start = Instant::now(); // lint: hash-ok — wall_ms reporting only, stripped in diffs
     for algo in algos {
+        // Times the plan and its profile loop only, never the functional
+        // run below: `wall_ms` measures profiling.
         let t0 = Instant::now(); // lint: hash-ok — wall_ms reporting only, stripped in diffs
         let plan = ctx.plan_spmm(&a, n, algo);
         let mut profile = plan.profile(&b);
@@ -259,7 +179,7 @@ fn main() {
             profile,
         });
     }
-    let sweep_wall_ms = sweep_start.elapsed().as_secs_f64() * 1e3;
+    let sweep_wall_ms: f64 = row_wall_ms.iter().sum();
     let threads = rayon::current_num_threads();
 
     let dense_cycles = rows[0].profile.cycles;
@@ -306,54 +226,6 @@ fn main() {
         );
     }
 
-    if shards > 1 {
-        use vecsparse::registry::{self, Shape, ALL_KERNELS};
-        use vecsparse_certify::{analyze, launch_sharded};
-        use vecsparse_gpu_sim::{Launch, Mode};
-        let shape = Shape {
-            m,
-            n,
-            k,
-            v,
-            sparsity,
-            seed,
-        };
-        println!();
-        println!("certified {shards}-way row splits at the sweep shape:");
-        let mut failed = false;
-        for id in ALL_KERNELS {
-            registry::with_kernel_mut(id, &shape, Mode::Functional, |mem, kernel| {
-                let cert = analyze(mem, kernel);
-                let plan = match cert.shard_plan(shards) {
-                    Ok(plan) => plan,
-                    Err(e) => {
-                        eprintln!("  {:<18} FAIL: {e}", kernel.name());
-                        failed = true;
-                        return;
-                    }
-                };
-                let mut reference = mem.clone();
-                Launch::new(&mut reference, kernel).run();
-                launch_sharded(mem, kernel, &plan);
-                let buf = cert.layout.as_ref().expect("shardable has layout").out;
-                if reference.contents(buf) != mem.contents(buf) {
-                    eprintln!("  {:<18} FAIL: sharded merge diverged", kernel.name());
-                    failed = true;
-                } else {
-                    println!(
-                        "  {:<18} ok ({} shards, bit-identical merge)",
-                        kernel.name(),
-                        plan.shards().len()
-                    );
-                }
-            });
-        }
-        if failed {
-            eprintln!("sharded execution diverged or a kernel was not shardable");
-            std::process::exit(1);
-        }
-    }
-
     if let Some(path) = json_path {
         let meta = SweepMeta {
             gpu_config_hash,
@@ -369,13 +241,7 @@ fn main() {
             memo: ctx.memo_stats(),
             backend,
         };
-        let report = ctx.report();
-        let out = sweep_json::render(
-            &meta,
-            &rows,
-            &report.certificates,
-            &report.shard_certificates,
-        );
+        let out = sweep_json::render(&meta, &rows, &ctx.report().certificates);
         // The document must parse: CI consumes it with a JSON parser.
         serde_json::from_str(&out).expect("--json output must be valid JSON");
         std::fs::write(&path, out).expect("write --json output");

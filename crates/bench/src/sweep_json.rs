@@ -1,4 +1,4 @@
-//! Rendering of the JSON documents the bench binaries emit (schema v10):
+//! Rendering of the JSON documents the bench binaries emit (schema v11):
 //! the `sweep` binary's `--json` kernel sweep and the `serve-load`
 //! binary's saturation document, factored out of `src/bin/` so the
 //! layouts can be round-trip tested without running the binaries.
@@ -9,44 +9,18 @@ use vecsparse_serve::SaturationPoint;
 
 /// Version of the JSON document layouts. Bump when fields change
 /// meaning or move; additions are allowed within a version.
-/// v3: added the `certificates` array (static precision bounds for every
-/// kernel the engine planned during the sweep).
-/// v4: added top-level `threads` (worker threads the engine's parallel
-/// regions used) and `wall_ms` (wall-clock time of the profiling loop).
-/// `wall_ms` is the one machine-dependent field; determinism checks diff
-/// documents with it stripped.
-/// v5: added top-level `repeat` (profiles per kernel row) and, under
-/// `--memoize`, the `memo` block (wave/launch hit counters and hit rate).
-/// Memoize-vs-baseline checks diff documents with `wall_ms`, `threads`,
-/// and `memo` stripped.
-/// v6: added top-level `kind` (`"sweep"` or `"serve_saturation"`) and
-/// the serve-load document: a `serve` block with topology, tenants, the
-/// live smoke-run counters, and the offered-load-vs-latency `curve`.
-/// v7: added top-level `timing` (`"tick"` or `"event"`) to both document
-/// kinds — the scheduler timing mode the profiles were simulated with.
-/// Event-vs-tick checks diff documents with only `wall_ms` and `timing`
-/// stripped: every simulated artifact must be bit-identical.
-/// v8: added the `shard_certificates` array to the sweep document
-/// (memory-footprint certificate verdict per planned algorithm, recorded
-/// under `--shards`). The array depends only on the shape, never on the
-/// requested shard count, so `--shards 1` and `--shards 4` documents
-/// diff clean apart from `wall_ms`.
-/// v9: added top-level `backend` (`"simulated"` or `"native"`) to both
-/// document kinds — the functional execution backend — and, to the
-/// sweep document's rows, `tiling_scheme` for scheme-compiled kernels
-/// (the effective [`TilingScheme`] label the row's plan executed,
-/// including the point the `auto` sweep selected) plus `out_digest`, a
-/// hex FNV-1a digest of the row's functional output bits produced under
-/// the selected backend. Native-vs-simulated checks diff documents with
-/// only `wall_ms` and `backend` stripped; `out_digest` is what makes
-/// that diff exercise the native executor, not just the (deliberately
-/// backend-independent) performance model.
-/// v10: removed top-level `timing` from both document kinds: every
-/// performance launch uses the event scheduler, and the tick scheduler
-/// is only the reference that `VECSPARSE_AUDIT` re-times waves with.
 ///
-/// [`TilingScheme`]: vecsparse::compose::TilingScheme
-pub const JSON_SCHEMA_VERSION: u32 = 10;
+/// v11: both kinds carry `schema_version`, `kind` (`"sweep"` or
+/// `"serve_saturation"`), `backend` and `gpu_config_hash`. The sweep
+/// document adds `threads`, `wall_ms`, `shape`, `repeat`, the optional
+/// `memo` block and `auto` pick, the `rows` (each with an `out_digest`
+/// of its functional output and, for scheme-compiled kernels, its
+/// `tiling_scheme`), and the precision `certificates`; the serve
+/// document adds the `serve` block. `wall_ms` is the sum of the rows'
+/// plan-and-profile times, never their functional runs. It is the one
+/// machine-dependent field: determinism checks diff documents with it,
+/// and the knob under test (`threads`, `memo`, `backend`), stripped.
+pub const JSON_SCHEMA_VERSION: u32 = 11;
 
 /// One profiled kernel row of the sweep.
 pub struct SweepRow {
@@ -85,8 +59,9 @@ pub struct SweepMeta {
     pub auto: Option<String>,
     /// Worker threads the engine's parallel regions used.
     pub threads: usize,
-    /// Wall-clock milliseconds the profiling loop took (machine-
-    /// dependent; strip before diffing documents for determinism).
+    /// Wall-clock milliseconds the rows' plan-and-profile loops took,
+    /// summed (machine-dependent; strip before diffing documents for
+    /// determinism).
     pub wall_ms: f64,
     /// Profiles taken per kernel row (the `--repeat` knob; ≥ 1).
     pub repeat: usize,
@@ -106,14 +81,7 @@ fn json_escape(s: &str) -> String {
 /// Render the full `--json` document. The output is valid JSON (the
 /// sweep binary round-trips it through a parser before writing) and
 /// field order is fixed, so byte-level diffs are meaningful.
-/// `shard_certs` is the engine report's `shard_certificates` snapshot
-/// (empty when shard certification was off).
-pub fn render(
-    meta: &SweepMeta,
-    rows: &[SweepRow],
-    certs: &[Certificate],
-    shard_certs: &[(&'static str, String)],
-) -> String {
+pub fn render(meta: &SweepMeta, rows: &[SweepRow], certs: &[Certificate]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
         "  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \"kind\": \"sweep\",\n  \
@@ -171,16 +139,6 @@ pub fn render(
                 .map(|s| format!(", \"tiling_scheme\": \"{}\"", json_escape(s)))
                 .unwrap_or_default(),
             if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"shard_certificates\": [\n");
-    for (i, (label, summary)) in shard_certs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"summary\": \"{}\"}}{}\n",
-            json_escape(label),
-            json_escape(summary),
-            if i + 1 == shard_certs.len() { "" } else { "," }
         ));
     }
     out.push_str("  ],\n");
@@ -432,8 +390,7 @@ mod tests {
             reduction_len: 64,
             stores_f16: true,
         }];
-        let shard_certs = vec![("spmm-octet", "SHARDABLE 8 CTAs".to_string())];
-        let doc = render(&meta, &rows, &certs, &shard_certs);
+        let doc = render(&meta, &rows, &certs);
         let parsed = serde_json::from_str(&doc).expect("rendered document is valid JSON");
         assert_eq!(
             parsed["schema_version"].as_u64(),
@@ -463,11 +420,6 @@ mod tests {
         assert_eq!(parsed["backend"].as_str(), Some("simulated"));
         let certs_j = parsed["certificates"].as_array().expect("certificates");
         assert_eq!(certs_j[0]["reduction_len"].as_u64(), Some(64));
-        let shards_j = parsed["shard_certificates"]
-            .as_array()
-            .expect("shard_certificates");
-        assert_eq!(shards_j[0]["kernel"].as_str(), Some("spmm-octet"));
-        assert_eq!(shards_j[0]["summary"].as_str(), Some("SHARDABLE 8 CTAs"));
     }
 
     #[test]
@@ -490,7 +442,7 @@ mod tests {
                 memo,
                 backend,
             };
-            render(&meta, &[], &[], &[])
+            render(&meta, &[], &[])
         };
         let a = mk(4, 10.0, None, Backend::Simulated);
         let b = mk(4, 99.0, Some(MemoStats::default()), Backend::Native);

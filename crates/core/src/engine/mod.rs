@@ -232,14 +232,6 @@ pub(crate) struct Counters {
     /// either.
     // lint: hash-ok — keyed lookup/insert only, never iterated.
     launch_sigs: Mutex<HashMap<(&'static str, Fingerprint), Option<LaunchSig>>>,
-    /// Whether performance launches run the footprint certificate's
-    /// analyzer (set once at build via
-    /// [`ContextBuilder::shard_certification`]).
-    shard_certs_enabled: std::sync::atomic::AtomicBool,
-    /// Memory-footprint certificate summary per planned algorithm,
-    /// recorded on the first performance launch of each algorithm when
-    /// shard certification is enabled.
-    shard_certs: Mutex<HashMap<&'static str, String>>, // lint: hash-ok — snapshot sorts by label
 }
 
 impl Counters {
@@ -347,40 +339,6 @@ impl Counters {
             .insert((label, operand_fp), sig);
         sig
     }
-
-    // lint: hash-ok (see field)
-    fn shard_certs_lock(&self) -> std::sync::MutexGuard<'_, HashMap<&'static str, String>> {
-        self.shard_certs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub(crate) fn set_shard_certification(&self, enabled: bool) {
-        self.shard_certs_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether a shard certificate for `label` still needs to be derived:
-    /// certification is enabled and no launch of this algorithm has
-    /// recorded one yet (the footprint depends only on operand structure,
-    /// which is fixed per plan label within a context).
-    pub(crate) fn shard_cert_wanted(&self, label: &'static str) -> bool {
-        self.shard_certs_enabled.load(Ordering::Relaxed)
-            && !self.shard_certs_lock().contains_key(label)
-    }
-
-    pub(crate) fn record_shard_cert(&self, label: &'static str, summary: String) {
-        self.shard_certs_lock().insert(label, summary);
-    }
-
-    pub(crate) fn shard_cert_snapshot(&self) -> Vec<(&'static str, String)> {
-        let mut v: Vec<_> = self
-            .shard_certs_lock()
-            .iter()
-            .map(|(k, s)| (*k, s.clone()))
-            .collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
 }
 
 /// The engine handle: simulated device + auto-tuner + plan cache.
@@ -428,7 +386,6 @@ pub struct ContextBuilder {
     gpu: Option<GpuConfig>,
     sink: Option<Arc<TraceSink>>,
     memo: Option<Arc<WaveMemo>>,
-    shard_certs: bool,
     backend: Backend,
 }
 
@@ -485,17 +442,6 @@ impl ContextBuilder {
         self
     }
 
-    /// Enable static shard certification: the first performance launch of
-    /// each planned algorithm runs the footprint certificate's analyzer
-    /// over the staged pool and records the certificate verdict in
-    /// [`Context::report`] (`shard_certificates`). The analysis is purely
-    /// static (functional re-trace of the staged kernel), so enabling it
-    /// never perturbs results or timing. Default: off.
-    pub fn shard_certification(mut self) -> Self {
-        self.shard_certs = true;
-        self
-    }
-
     /// Construct the handle.
     pub fn build(self) -> Context {
         let sink = self.sink.unwrap_or_else(|| Arc::new(TraceSink::disabled()));
@@ -503,12 +449,10 @@ impl ContextBuilder {
             sink.name_process(Track::ENGINE.pid, "engine");
             sink.name_thread(Track::ENGINE, "engine");
         }
-        let counters = Arc::new(Counters::default());
-        counters.set_shard_certification(self.shard_certs);
         Context {
             gpu: self.gpu.unwrap_or_default(),
             cache: Mutex::new(HashMap::new()), // lint: hash-ok (see field)
-            counters,
+            counters: Arc::new(Counters::default()),
             sink,
             memo: self.memo,
             backend: self.backend,
@@ -572,7 +516,6 @@ impl Context {
                 .collect(),
             certificates: self.counters.cert_snapshot(),
             wave_certificates: self.counters.wave_cert_snapshot(),
-            shard_certificates: self.counters.shard_cert_snapshot(),
             memo: self.memo_stats(),
             cached_plans: self.cache_lock().len(),
             trace_events: self.sink.events().len(),

@@ -5,7 +5,7 @@
 use super::{Context, Counters, EngineError, OpKind};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use vecsparse_certify::{analyze, certify};
+use vecsparse_certify::certify;
 use vecsparse_gpu_sim::sig::Fingerprint;
 use vecsparse_gpu_sim::{
     Backend, GpuConfig, KernelProfile, KernelSpec, Launch, MemPool, Mode, TraceSink, Track,
@@ -90,18 +90,12 @@ impl<S: Clone + Send> PlanCore<S> {
         operand_fp: impl FnOnce(&MemPool) -> Fingerprint,
         read: impl FnOnce(&MemPool) -> R,
     ) -> Launched<R> {
-        let memo = if mode == Mode::Performance {
-            if self.counters.shard_cert_wanted(self.label) {
-                let cert = analyze(mem, kernel);
-                self.counters.record_shard_cert(self.label, cert.summary());
-            }
-            self.memo.as_ref().and_then(|m| {
-                self.counters
-                    .launch_sig_for(self.label, operand_fp(mem), || certify(mem, kernel))
-                    .map(|sig| (m.as_ref(), sig))
-            })
-        } else {
-            None
+        let memo = match &self.memo {
+            Some(m) if mode == Mode::Performance => self
+                .counters
+                .launch_sig_for(self.label, operand_fp(mem), || certify(mem, kernel))
+                .map(|sig| (m.as_ref(), sig)),
+            _ => None,
         };
         let out = Launch::new(mem, kernel)
             .gpu(&self.gpu)

@@ -46,11 +46,6 @@ pub struct Report {
     /// certification per kernel label), sorted by label. Empty unless the
     /// context memoizes.
     pub wave_certificates: Vec<(&'static str, WaveCertificate)>,
-    /// Memory-footprint (shard) certificate summaries per planned
-    /// algorithm, sorted by label. Empty unless the context was built
-    /// with [`super::ContextBuilder::shard_certification`]; each entry
-    /// records the shardability verdict of the first performance launch.
-    pub shard_certificates: Vec<(&'static str, String)>,
     /// Wave-memoizer counters (None when memoization is disabled).
     pub memo: Option<MemoStats>,
     /// Distinct tuning decisions held in the plan cache.
@@ -143,12 +138,6 @@ impl Report {
                 let _ = writeln!(out, "   {:<18} {}", label, cert.summary());
             }
         }
-        if !self.shard_certificates.is_empty() {
-            let _ = writeln!(out, "   shard certificates:");
-            for (label, summary) in &self.shard_certificates {
-                let _ = writeln!(out, "   {:<18} {}", label, summary);
-            }
-        }
         if !self.certificates.is_empty() {
             let _ = writeln!(
                 out,
@@ -178,7 +167,6 @@ mod tests {
             algos: Vec::new(),
             certificates: Vec::new(),
             wave_certificates: Vec::new(),
-            shard_certificates: Vec::new(),
             memo: None,
             cached_plans: 0,
             trace_events: 0,
@@ -212,7 +200,6 @@ mod tests {
                 stores_f16: true,
             }],
             wave_certificates: Vec::new(),
-            shard_certificates: vec![("spmm-octet", "SHARDABLE 8 CTAs".to_string())],
             memo: Some(MemoStats {
                 wave_hits: 3,
                 wave_misses: 1,
@@ -233,8 +220,6 @@ mod tests {
         assert!(r.contains("spmm-octet"));
         assert!(r.contains("75.0%"));
         assert!(r.contains("memoizer"), "memo stats render when present");
-        assert!(r.contains("shard certificates"));
         assert!(!empty.render().contains("memoizer"));
-        assert!(!empty.render().contains("shard certificates"));
     }
 }

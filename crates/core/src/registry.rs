@@ -6,8 +6,8 @@
 //! their host-side inputs, so the registry owns the generated matrices for
 //! the duration of a callback instead of returning a self-referential
 //! bundle: [`with_kernel`] generates the inputs, stages them into a fresh
-//! [`MemPool`], builds the kernel, and hands `(&MemPool, &dyn KernelSpec)`
-//! to the caller.
+//! [`MemPool`], builds the kernel, and hands `(&mut MemPool, &dyn
+//! KernelSpec)` to the caller.
 
 use crate::sddmm::{CsrSddmm, FpuSubwarpSddmm, OctetSddmm, OctetVariant, WmmaSddmm};
 use crate::softmax::{DenseSoftmax, SparseSoftmax};
@@ -136,28 +136,14 @@ pub fn model_for(id: KernelId, shape: &Shape) -> KernelModel {
 }
 
 /// Generate inputs for `id` at `shape`, stage them into a fresh pool,
-/// build the kernel in `mode`, and run `f` on the result.
+/// build the kernel in `mode`, and run `f` on the result. The pool is
+/// mutable, so `f` can launch the kernel (e.g. fp64 shadow execution,
+/// which applies global writes) as well as inspect it.
 ///
 /// # Panics
 /// Panics if the shape violates a kernel's constructor contract (e.g. a
 /// `v` outside {1, 2, 4, 8}).
 pub fn with_kernel<R>(
-    id: KernelId,
-    shape: &Shape,
-    mode: Mode,
-    f: impl FnOnce(&MemPool, &dyn KernelSpec) -> R,
-) -> R {
-    with_kernel_mut(id, shape, mode, |mem, kern| f(mem, kern))
-}
-
-/// Like [`with_kernel`] but hands `f` a mutable pool, so callers can
-/// launch the kernel (e.g. fp64 shadow execution, which applies global
-/// writes) rather than only inspect it.
-///
-/// # Panics
-/// Panics if the shape violates a kernel's constructor contract (e.g. a
-/// `v` outside {1, 2, 4, 8}).
-pub fn with_kernel_mut<R>(
     id: KernelId,
     shape: &Shape,
     mode: Mode,

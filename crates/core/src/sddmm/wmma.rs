@@ -128,7 +128,7 @@ impl<'m> WmmaSddmm<'m> {
         assert_eq!(b.layout(), Layout::ColMajor);
         let a_buf = upload_dense(mem, a, mode);
         let b_buf = upload_dense(mem, b, mode);
-        let idx = upload_pattern(mem, mask, mode);
+        let idx = upload_pattern(mem, mask);
         let out_buf = match mode {
             Mode::Functional => mem.alloc_zeroed(width_of::<f16>(), mask.nnz()),
             Mode::Performance => mem.alloc_ghost(width_of::<f16>(), mask.nnz()),

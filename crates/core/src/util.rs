@@ -98,8 +98,7 @@ pub fn upload_vs<T: Scalar>(mem: &mut MemPool, a: &VectorSparse<T>, mode: Mode) 
 
 /// Upload only a sparsity pattern (SDDMM mask): indices are address-only in
 /// both modes since kernels read the structure host-side.
-pub fn upload_pattern(mem: &mut MemPool, p: &SparsityPattern, mode: Mode) -> VsBuffers {
-    let _ = mode;
+pub fn upload_pattern(mem: &mut MemPool, p: &SparsityPattern) -> VsBuffers {
     VsBuffers {
         values: mem.alloc_ghost(ElemWidth::B16, 0),
         row_ptr: mem.alloc_ghost(ElemWidth::B32, p.row_ptr().len()),

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use vecsparse::engine::Context;
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, reference, Layout};
@@ -112,11 +112,13 @@ fn sddmm_batch_matches_sequential_runs() {
     }
 }
 
-/// The ISSUE's headline perf claim: re-executing a cached plan over a
+/// The plan API's headline perf claim: re-executing a cached plan over a
 /// 16-element batch launches the tuner zero times and beats the legacy
 /// batch path (the removed `batch::spmm_batch`, inlined here: a fresh
 /// throwaway context per element, re-planning, re-encoding and
-/// re-tuning each time) by at least 2x host wall time.
+/// re-tuning each time) by at least 2x host wall time. Each side's time
+/// is the fastest of three repetitions, so one busy stretch on the host
+/// cannot decide the ratio.
 #[test]
 fn cached_plan_batch_beats_legacy_batch() {
     let a = gen::random_vector_sparse::<f16>(64, 128, 4, 0.9, 50);
@@ -129,26 +131,24 @@ fn cached_plan_batch_beats_legacy_batch() {
     let warm = plan.run_batch(&batch); // first run: already staged + tuned
     let launches_before = ctx.stats().tuner_launches;
 
-    let t0 = Instant::now();
-    let cached = plan.run_batch(&batch);
-    let cached_time = t0.elapsed();
+    let (cached, cached_time) = fastest_of_3(|| plan.run_batch(&batch));
     assert_eq!(
         ctx.stats().tuner_launches,
         launches_before,
-        "second batch run must not tune"
+        "later batch runs must not tune"
     );
 
-    let t1 = Instant::now();
-    let legacy: Vec<_> = batch
-        .iter()
-        .map(|b| {
-            Context::builder()
-                .build()
-                .plan_spmm(&a, b.cols(), SpmmAlgo::Auto)
-                .run(b)
-        })
-        .collect();
-    let legacy_time = t1.elapsed();
+    let (legacy, legacy_time) = fastest_of_3(|| {
+        batch
+            .iter()
+            .map(|b| {
+                Context::builder()
+                    .build()
+                    .plan_spmm(&a, b.cols(), SpmmAlgo::Auto)
+                    .run(b)
+            })
+            .collect::<Vec<_>>()
+    });
 
     for ((w, c), l) in warm.iter().zip(&cached).zip(&legacy) {
         assert_eq!(w.max_abs_diff(c), 0.0);
@@ -159,6 +159,18 @@ fn cached_plan_batch_beats_legacy_batch() {
         "deprecated batch path ({legacy_time:?}) should be at least 2x slower \
          than cached-plan re-execution ({cached_time:?})"
     );
+}
+
+/// `f`'s last result and the shortest wall time of three calls.
+fn fastest_of_3<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
+    let mut best = Duration::MAX;
+    let mut out = None;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        out = Some(f());
+        best = best.min(t0.elapsed());
+    }
+    (out.expect("three calls ran"), best)
 }
 
 /// Acceptance criterion: `SpmmAlgo::Auto` never profiles worse than the

@@ -211,7 +211,7 @@ fn run_precision(words: Vec<String>) -> ExitCode {
             model.max_f16_chain = d;
         }
         let (analysis, report) =
-            registry::with_kernel_mut(*id, &args.shape, Mode::Functional, |mem, kern| {
+            registry::with_kernel(*id, &args.shape, Mode::Functional, |mem, kern| {
                 let prog = kern.program().expect("registry kernels expose a Program");
                 (analyze(id.label(), prog, &model), shadow_run(mem, kern))
             });
@@ -246,7 +246,7 @@ struct Certifier {
     fixtures: fn() -> Vec<Fixture>,
     heading: &'static str,
     mode: Mode,
-    cert: fn(&MemPool, &dyn KernelSpec) -> (String, bool),
+    cert: fn(&mut MemPool, &dyn KernelSpec) -> (String, bool),
 }
 
 fn run_certifier(words: Vec<String>, c: &Certifier) -> ExitCode {

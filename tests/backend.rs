@@ -78,7 +78,7 @@ fn assert_backends_agree(mem: &mut MemPool, kernel: &dyn KernelSpec, what: &str)
 /// Stage `id` at `shape`, run one launch per backend, and demand
 /// bit-identical pools plus an engaged native path.
 fn assert_native_matches(id: KernelId, shape: &Shape, what: &str) {
-    registry::with_kernel_mut(id, shape, Mode::Functional, |mem, kernel| {
+    registry::with_kernel(id, shape, Mode::Functional, |mem, kernel| {
         assert_backends_agree(mem, kernel, what);
     });
 }
@@ -315,7 +315,7 @@ fn sddmm_native_matches_simulated_when_products_overflow_binary16() {
 #[test]
 fn native_request_outside_functional_mode_simulates() {
     let gpu = GpuConfig::small();
-    registry::with_kernel_mut(
+    registry::with_kernel(
         KernelId::SpmmOctet,
         &Shape::default(),
         Mode::Performance,

@@ -76,7 +76,7 @@ fn snapshot_with(memoize: bool) -> Snapshot {
     // the exported document must be byte-stable. (Engine-level spans are
     // wall-clock and are deliberately not part of this gate.)
     let sink = Arc::new(TraceSink::enabled(DEFAULT_CAPACITY));
-    let trace_json = registry::with_kernel_mut(
+    let trace_json = registry::with_kernel(
         KernelId::SpmmOctet,
         &Shape::default(),
         Mode::Performance,

@@ -114,7 +114,7 @@ fn traced_replay_timeline_is_bit_identical() {
     let gpu = GpuConfig::small();
     let shape = Shape::default();
 
-    let honest = registry::with_kernel_mut(
+    let honest = registry::with_kernel(
         KernelId::SpmmOctet,
         &shape,
         Mode::Performance,
@@ -131,7 +131,7 @@ fn traced_replay_timeline_is_bit_identical() {
         },
     );
 
-    let (memoized, stats) = registry::with_kernel_mut(
+    let (memoized, stats) = registry::with_kernel(
         KernelId::SpmmOctet,
         &shape,
         Mode::Performance,

@@ -2,8 +2,9 @@
 //!
 //! Two promises are pinned here. First, coverage: every registry kernel
 //! publishes a [`ShardLayout`] and certifies shardable at the default
-//! shape, and a certified 4-way row split merges bit-identically with
-//! the unsharded reference. Second, soundness (the proptest): for every
+//! shape, a certified 4-way row split merges bit-identically with the
+//! unsharded reference, and a kernel whose CTAs share output bytes is
+//! refused. Second, soundness (the proptest): for every
 //! registry kernel across a grid of sweep shapes, every dynamically
 //! traced global access falls inside the static footprint certificate —
 //! observed ⊆ certified — at 1 and at 4 worker threads.
@@ -12,7 +13,9 @@
 
 use proptest::prelude::*;
 use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
-use vecsparse_certify::{analyze, launch_sharded, AccessKind, FootprintCertificate};
+use vecsparse_certify::{
+    analyze, launch_sharded, AccessKind, FootprintCertificate, ShardFailure, ShardVerdict,
+};
 use vecsparse_gpu_sim::{capture, KernelSpec, Launch, MemPool, Mode};
 
 /// Reconfigure the global worker count (the shim accepts repeated
@@ -121,36 +124,78 @@ fn all_registry_kernels_certify_shardable() {
     }
 }
 
+/// A sweep-sized shape: 512×256 A, 64 RHS columns, V = 4, 80% sparse.
+fn sweep_shape() -> Shape {
+    Shape {
+        m: 512,
+        n: 64,
+        k: 256,
+        v: 4,
+        sparsity: 0.8,
+        seed: 42,
+    }
+}
+
 #[test]
 fn four_way_row_split_is_bit_identical() {
-    // Tall enough that even the dense GEMM's M-tiling (tile_m = 128 at
-    // this size) exposes at least three row-block cut points.
-    let shape = Shape {
+    // Both shapes are tall enough (m = 512) that even the dense GEMM's
+    // M-tiling exposes at least three row-block cut points.
+    let tall = Shape {
         m: 512,
         ..Shape::default()
     };
-    for id in ALL_KERNELS {
-        registry::with_kernel_mut(id, &shape, Mode::Functional, |mem, kernel| {
-            let cert = analyze(mem, kernel);
-            let plan = match cert.shard_plan(4) {
-                Ok(plan) => plan,
-                // Small grids may not offer 3 cut points; that is the
-                // honest UnsplittableGrid refusal, not a soundness gap.
-                Err(e) => {
-                    panic!("{}: no 4-way plan at default shape: {e}", kernel.name())
-                }
-            };
-            let mut reference = mem.clone();
-            Launch::new(&mut reference, kernel).run();
-            launch_sharded(mem, kernel, &plan);
-            let buf = cert.layout.as_ref().expect("shardable has layout").out;
-            assert_eq!(
-                reference.contents(buf),
-                mem.contents(buf),
-                "{}: sharded merge diverged",
-                kernel.name()
-            );
-        });
+    for shape in [tall, sweep_shape()] {
+        for id in ALL_KERNELS {
+            registry::with_kernel(id, &shape, Mode::Functional, |mem, kernel| {
+                let cert = analyze(mem, kernel);
+                let plan = match cert.shard_plan(4) {
+                    Ok(plan) => plan,
+                    // Small grids may not offer 3 cut points; that is the
+                    // honest UnsplittableGrid refusal, not a soundness gap.
+                    Err(e) => panic!("{}: no 4-way plan at {shape:?}: {e}", kernel.name()),
+                };
+                let mut reference = mem.clone();
+                Launch::new(&mut reference, kernel).run();
+                launch_sharded(mem, kernel, &plan);
+                let buf = cert.layout.as_ref().expect("shardable has layout").out;
+                assert_eq!(
+                    reference.contents(buf),
+                    mem.contents(buf),
+                    "{}: sharded merge diverged at {shape:?}",
+                    kernel.name()
+                );
+            });
+        }
+    }
+}
+
+#[test]
+fn performance_mode_dense_gemm_is_refused_for_write_overlap() {
+    // Staged for profiling, the dense GEMM's split-K CTAs accumulate
+    // into shared output tiles: the analyzer must refuse it, naming the
+    // first byte two CTAs both write. The swept sparse kernels stay
+    // shardable in the same mode.
+    let certify = |id| {
+        registry::with_kernel(id, &sweep_shape(), Mode::Performance, |mem, kernel| {
+            analyze(mem, kernel)
+        })
+    };
+    let dense = certify(KernelId::SpmmDense);
+    assert!(
+        matches!(
+            dense.verdict,
+            ShardVerdict::NotShardable(ShardFailure::WriteOverlap { .. })
+        ),
+        "spmm-dense: {}",
+        dense.summary()
+    );
+    for id in [
+        KernelId::SpmmFpuSubwarp,
+        KernelId::SpmmBlockedEll,
+        KernelId::SpmmOctet,
+    ] {
+        let cert = certify(id);
+        assert!(cert.is_shardable(), "{}: {}", cert.kernel, cert.summary());
     }
 }
 

@@ -37,7 +37,7 @@ fn set_threads(n: usize) {
 /// round-tripping representation, so string equality here is bit
 /// equality of the underlying profile.
 fn profile_registry(id: KernelId, shape: &Shape, gpu: &GpuConfig, timing: TimingMode) -> String {
-    registry::with_kernel_mut(id, shape, Mode::Performance, |mem, kernel| {
+    registry::with_kernel(id, shape, Mode::Performance, |mem, kernel| {
         let out = Launch::new(&mut *mem, kernel)
             .gpu(gpu)
             .performance()
@@ -74,7 +74,7 @@ fn perfetto_trace_bytes_identical_across_timing_modes() {
     let gpu = GpuConfig::small();
     let export = |timing: TimingMode| {
         let sink = Arc::new(TraceSink::enabled(DEFAULT_CAPACITY));
-        registry::with_kernel_mut(
+        registry::with_kernel(
             KernelId::SpmmOctet,
             &Shape::default(),
             Mode::Performance,
@@ -149,7 +149,7 @@ fn audited_event_launch_passes_and_matches_tick() {
     let gpu = GpuConfig::small();
     let shape = Shape::default();
     let tick = profile_registry(KernelId::SpmmOctet, &shape, &gpu, TimingMode::Tick);
-    let audited = registry::with_kernel_mut(
+    let audited = registry::with_kernel(
         KernelId::SpmmOctet,
         &shape,
         Mode::Performance,
