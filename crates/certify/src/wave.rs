@@ -1,8 +1,9 @@
 //! The wave certificate: proof obligations over sampled CTA captures.
 
-use vecsparse_gpu_sim::sig::{fnv1a_u32s, Fingerprint, FingerprintHasher, FNV_OFFSET};
+use vecsparse_gpu_sim::sig::{fnv1a_u32s, fnv1a_word, Fingerprint, FingerprintHasher, FNV_OFFSET};
 use vecsparse_gpu_sim::{
-    capture, sample_ctas, KernelSpec, LaunchSig, MemPool, Tok, WarpTrace, SAMPLE_CTAS,
+    capture, sample_ctas, InstrKind, KernelSpec, LaunchSig, MemAccess, MemPool, Tok, WarpTrace,
+    SAMPLE_CTAS,
 };
 
 use crate::fixtures::{Certificate, Expected, Fixture, Kind};
@@ -83,8 +84,9 @@ pub struct WaveCertificate {
     /// static size when it keeps no [`Program`](vecsparse_gpu_sim::Program)).
     pub program_hash: u64,
     /// Dual-FNV fingerprint over every checked CTA's full trace content:
-    /// pcs, op kinds, dependency tokens, sector streams, conflict
-    /// degrees, active lanes.
+    /// warp and instruction counts, pcs, op kinds with their access
+    /// widths, dependency tokens, memory flags, conflict degrees, active
+    /// lanes and sector streams, one word per field.
     pub trace_fingerprint: Fingerprint,
     /// CTAs checked.
     pub ctas_checked: usize,
@@ -157,56 +159,99 @@ impl WaveCertificate {
     }
 }
 
+/// Bit of a trace head word that tags an instruction carrying a memory
+/// access. The pc fills bits 0..32 and the kind tag bits 32..36.
+const MEM_TAG: u64 = 1 << 36;
+/// Lowest bit of a memory kind's access width in a head word.
+const WIDTH_SHIFT: u32 = 37;
+/// Width field value that defers the width to a word of its own, so no
+/// width is truncated.
+const WIDTH_ESCAPE: u64 = (1 << (64 - WIDTH_SHIFT)) - 1;
+
+/// The head word of one instruction without its memory tag — pc, kind
+/// and access width: all the shape class keeps of it. The second value
+/// is a width too wide for the head word's field.
+fn shape_word(pc: u32, kind: InstrKind) -> (u64, Option<u64>) {
+    let (tag, width) = match kind {
+        InstrKind::Ffma => (0, 0),
+        InstrKind::Hfma2 => (1, 0),
+        InstrKind::Hmma => (2, 0),
+        InstrKind::Imad => (3, 0),
+        InstrKind::Ldg { bits } => (4, bits),
+        InstrKind::Stg { bits } => (5, bits),
+        InstrKind::Lds { bits } => (6, bits),
+        InstrKind::Sts { bits } => (7, bits),
+        InstrKind::Shfl => (8, 0),
+        InstrKind::Bar => (9, 0),
+        InstrKind::Fence => (10, 0),
+        InstrKind::Misc => (11, 0),
+    };
+    let width = u64::from(width);
+    let (field, wide) = if width < WIDTH_ESCAPE {
+        (width, None)
+    } else {
+        (WIDTH_ESCAPE, Some(width))
+    };
+    (u64::from(pc) | tag << 32 | field << WIDTH_SHIFT, wide)
+}
+
 fn tok_bits(t: Tok) -> u64 {
-    t.index().map_or(u64::MAX, |i| i as u64)
+    t.index().map_or(u64::from(u32::MAX), |i| i as u64)
 }
 
-/// Dual-FNV fingerprint over the full content of one CTA's traces:
-/// everything the wave scheduler reads.
-fn trace_fingerprint(traces: &[WarpTrace]) -> Fingerprint {
-    let mut h = FingerprintHasher::new();
-    h.write_u64(traces.len() as u64);
+/// One memory access's header word: the global and store flags, the
+/// conflict degree and the active lanes in bits 0..18, the sector count
+/// above them.
+fn mem_header(m: &MemAccess) -> u64 {
+    u64::from(m.global)
+        | u64::from(m.store) << 1
+        | u64::from(m.conflict) << 2
+        | u64::from(m.active_lanes) << 10
+        | (m.sectors.len() as u64) << 18
+}
+
+/// Absorb the full content of one CTA's traces — everything the wave
+/// scheduler reads — into `fp`, one word per field, and return the
+/// CTA's structural shape class from the same pass.
+///
+/// The words, per warp: the instruction count, then per instruction its
+/// head word (pc, kind, access width and memory tag; an escaped width
+/// follows it), its three dependency tokens and `acc_dep` packed two per
+/// word, and for a memory instruction a header word and its sectors.
+/// Counts prefix every variable-length part and the tag marks the
+/// optional one, so distinct traces give distinct word streams.
+///
+/// The shape class hashes the instruction counts and head words without
+/// the memory tag: pcs, kinds and widths, addresses excluded. Interior
+/// CTAs of a regular kernel share one class; tail CTAs split off their
+/// own.
+fn absorb_cta(fp: &mut FingerprintHasher, traces: &[WarpTrace]) -> u64 {
+    let mut class = FNV_OFFSET;
+    fp.write_u64(traces.len() as u64);
     for t in traces {
-        h.write_u64(t.instrs.len() as u64);
+        let len = t.instrs.len() as u64;
+        fp.write_u64(len);
+        class = fnv1a_word(class, len);
         for i in &t.instrs {
-            h.write_u32(i.pc);
-            h.write_bytes(i.kind.mnemonic().as_bytes());
-            for d in i.deps {
-                h.write_u64(tok_bits(d));
+            let mem = t.mem_of(i);
+            let (shape, wide) = shape_word(i.pc, i.kind);
+            fp.write_u64(shape | if mem.is_some() { MEM_TAG } else { 0 });
+            class = fnv1a_word(class, shape);
+            if let Some(width) = wide {
+                fp.write_u64(width);
+                class = fnv1a_word(class, width);
             }
-            h.write_u64(tok_bits(i.acc_dep));
-            match t.mem_of(i) {
-                Some(m) => {
-                    h.write_u8(1);
-                    h.write_u8(m.global as u8);
-                    h.write_u8(m.store as u8);
-                    h.write_u8(m.conflict);
-                    h.write_u8(m.active_lanes);
-                    h.write_u64(m.sectors.len() as u64);
-                    for &s in &m.sectors {
-                        h.write_u64(s);
-                    }
+            fp.write_u64(tok_bits(i.deps[0]) | tok_bits(i.deps[1]) << 32);
+            fp.write_u64(tok_bits(i.deps[2]) | tok_bits(i.acc_dep) << 32);
+            if let Some(m) = mem {
+                fp.write_u64(mem_header(m));
+                for &s in &m.sectors {
+                    fp.write_u64(s);
                 }
-                None => h.write_u8(0),
             }
         }
     }
-    h.finish()
-}
-
-/// Structural shape class of one CTA: pcs and op kinds only, addresses
-/// excluded — interior CTAs of a regular kernel share one class, tail
-/// CTAs split off their own.
-fn shape_class(traces: &[WarpTrace]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for t in traces {
-        h = fnv1a_u32s(h, [t.instrs.len() as u32]);
-        for i in &t.instrs {
-            h = fnv1a_u32s(h, [i.pc]);
-            h = fnv1a_u32s(h, i.kind.mnemonic().bytes().map(|b| b as u32));
-        }
-    }
-    h
+    class
 }
 
 /// Certify a staged kernel's wave equivalence.
@@ -285,12 +330,11 @@ pub fn certify<K: KernelSpec + ?Sized>(mem: &MemPool, kernel: &K) -> WaveCertifi
             .iter()
             .map(|t| t.instrs.len() as u64)
             .sum::<u64>();
-        let class = shape_class(&first.traces);
+        fp.write_u64(cta_id as u64);
+        let class = absorb_cta(&mut fp, &first.traces);
         if !classes.contains(&class) {
             classes.push(class);
         }
-        fp.write_u64(cta_id as u64);
-        fp.write_fingerprint(trace_fingerprint(&first.traces));
         cert.ctas_checked += 1;
     }
 
@@ -311,4 +355,130 @@ pub fn all_fixtures() -> Vec<Fixture> {
             ("drifting-addresses", Kind::Drifting, NonReproducible),
         ],
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vecsparse::registry::{self, KernelId, Shape};
+    use vecsparse_gpu_sim::{Mode, TraceInstr};
+
+    /// CTA 0 of the registry's octet SpMM, captured in performance mode.
+    fn octet_cta() -> Vec<WarpTrace> {
+        registry::with_kernel(
+            KernelId::SpmmOctet,
+            &Shape::default(),
+            Mode::Performance,
+            |mem, kernel| capture(&*mem, kernel, &[0], false, |c| c.traces),
+        )
+        .remove(0)
+    }
+
+    fn hashes(traces: &[WarpTrace]) -> (Fingerprint, u64) {
+        let mut fp = FingerprintHasher::new();
+        let class = absorb_cta(&mut fp, traces);
+        (fp.finish(), class)
+    }
+
+    /// Apply `edit` to a copy of `base`: the trace fingerprint must
+    /// change, and the shape class must change exactly when
+    /// `class_moves`.
+    fn check(
+        base: &[WarpTrace],
+        field: &str,
+        class_moves: bool,
+        edit: impl FnOnce(&mut Vec<WarpTrace>),
+    ) {
+        let mut traces = base.to_vec();
+        edit(&mut traces);
+        assert_ne!(traces, base, "{field}: the edit must change the trace");
+        let (base_fp, base_class) = hashes(base);
+        let (fp, class) = hashes(&traces);
+        assert_ne!(fp, base_fp, "{field}: the trace fingerprint must change");
+        assert_eq!(
+            class != base_class,
+            class_moves,
+            "{field}: the shape class {} change",
+            if class_moves { "must" } else { "must not" }
+        );
+    }
+
+    /// `(warp, instruction)` of the first instruction matching `pred`.
+    fn find(
+        traces: &[WarpTrace],
+        pred: impl Fn(&WarpTrace, &TraceInstr) -> bool,
+    ) -> (usize, usize) {
+        traces
+            .iter()
+            .enumerate()
+            .find_map(|(w, t)| Some((w, t.instrs.iter().position(|i| pred(t, i))?)))
+            .expect("the octet SpMM emits every field under test")
+    }
+
+    fn access(traces: &mut [WarpTrace], (w, i): (usize, usize)) -> &mut MemAccess {
+        let idx = traces[w].instrs[i].mem_idx as usize;
+        &mut traces[w].mem[idx]
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field_and_class_only_structure() {
+        let base = octet_cta();
+        let real = base
+            .iter()
+            .flat_map(|t| &t.instrs)
+            .flat_map(|i| i.deps)
+            .find(|&d| d != Tok::NONE)
+            .expect("some instruction consumes another");
+        let flip = |t: &mut Tok| *t = if *t == Tok::NONE { real } else { Tok::NONE };
+        let plain = find(&base, |t, i| t.mem_of(i).is_none());
+        let load = find(&base, |_, i| matches!(i.kind, InstrKind::Ldg { .. }));
+        let mem = find(&base, |t, i| {
+            t.mem_of(i).is_some_and(|m| !m.sectors.is_empty())
+        });
+
+        check(&base, "pc", true, |t| t[0].instrs[0].pc += 1);
+        check(&base, "kind", true, |t| {
+            let ins = &mut t[plain.0].instrs[plain.1];
+            ins.kind = if ins.kind == InstrKind::Misc {
+                InstrKind::Imad
+            } else {
+                InstrKind::Misc
+            };
+        });
+        check(&base, "load width", true, |t| {
+            let ins = &mut t[load.0].instrs[load.1];
+            if let InstrKind::Ldg { bits } = ins.kind {
+                ins.kind = InstrKind::Ldg { bits: bits / 2 };
+            }
+        });
+        for d in 0..3 {
+            check(&base, &format!("dependency {d}"), false, |t| {
+                flip(&mut t[0].instrs[1].deps[d])
+            });
+        }
+        check(&base, "acc_dep", false, |t| {
+            flip(&mut t[0].instrs[1].acc_dep)
+        });
+        check(&base, "global", false, |t| access(t, mem).global ^= true);
+        check(&base, "store", false, |t| access(t, mem).store ^= true);
+        check(&base, "conflict", false, |t| access(t, mem).conflict += 1);
+        check(&base, "active lanes", false, |t| {
+            access(t, mem).active_lanes ^= 1
+        });
+        check(&base, "sector address", false, |t| {
+            access(t, mem).sectors[0] += 32
+        });
+        check(&base, "sector count", false, |t| {
+            let m = access(t, mem);
+            let next = m.sectors[m.sectors.len() - 1] + 32;
+            m.sectors.push(next);
+        });
+        check(&base, "memory tag", false, |t| {
+            t[mem.0].instrs[mem.1].mem_idx = TraceInstr::NO_MEM
+        });
+        check(&base, "instruction count", true, |t| {
+            t[0].instrs.truncate(1)
+        });
+        check(&base, "warp count", true, |t| t.push(WarpTrace::default()));
+    }
 }

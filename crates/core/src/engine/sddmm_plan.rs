@@ -5,6 +5,7 @@ use super::plan_core::{Launched, PlanCore};
 use super::{pattern_structure_hash, Context, EngineError, OpKind, PlanKey};
 use crate::api::SddmmAlgo;
 use crate::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, WmmaSddmm};
+use std::sync::OnceLock;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
@@ -27,6 +28,10 @@ pub struct SddmmPlan {
     key: PlanKey,
     algo: SddmmAlgo,
     mask: SparsityPattern,
+    /// The operand fingerprint's structure part (operation, algorithm,
+    /// descriptor and mask structure), absorbed on the plan's first
+    /// memoized performance launch.
+    structure_fp: OnceLock<FingerprintHasher>,
     core: PlanCore<SddmmState>,
 }
 
@@ -44,6 +49,7 @@ impl SddmmPlan {
             key,
             algo,
             mask: mask.clone(),
+            structure_fp: OnceLock::new(),
             core: PlanCore::new(ctx, OpKind::Sddmm, algo.label(), SddmmState { mem, base }),
         }
     }
@@ -151,17 +157,24 @@ impl SddmmPlan {
     }
 
     /// The memoization operand fingerprint: mask structure, descriptor
-    /// and post-staging pool layout. Unlike SpMM the pool is restaged per
-    /// run, so it is taken at launch — the rewind discipline makes it
-    /// identical across runs of one plan.
+    /// and post-staging pool layout. The structure part is taken once
+    /// per plan. Unlike SpMM the pool is restaged per run, so the layout
+    /// is taken at launch — the rewind discipline makes it identical
+    /// across runs of one plan.
     fn operand_fp(&self, mem: &MemPool) -> Fingerprint {
-        let mut h = FingerprintHasher::new();
-        h.write_bytes(b"sddmm");
-        h.write_bytes(self.algo.label().as_bytes());
-        for d in [self.key.m, self.key.n, self.key.k, self.key.v] {
-            h.write_u64(d as u64);
-        }
-        h.write_u64(pattern_structure_hash(&self.mask));
+        let mut h = self
+            .structure_fp
+            .get_or_init(|| {
+                let mut h = FingerprintHasher::new();
+                h.write_bytes(b"sddmm");
+                h.write_bytes(self.algo.label().as_bytes());
+                for d in [self.key.m, self.key.n, self.key.k, self.key.v] {
+                    h.write_u64(d as u64);
+                }
+                h.write_u64(pattern_structure_hash(&self.mask));
+                h
+            })
+            .clone();
         h.write_u64(mem.layout_hash());
         h.finish()
     }

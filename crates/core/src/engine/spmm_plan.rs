@@ -6,6 +6,7 @@ use crate::api::SpmmAlgo;
 use crate::compose::TilingScheme;
 use crate::spmm::{BlockedEllSpmm, DenseGemm, FpuSubwarpSpmm, OctetSpmm, WmmaSpmm};
 use crate::util::{download_dense, upload_ell, upload_vs, EllBuffers, VsBuffers};
+use std::sync::OnceLock;
 use vecsparse_formats::{BlockedEll, DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
@@ -52,8 +53,11 @@ pub struct SpmmPlan {
     dense: Option<DenseMatrix<f16>>,
     /// Fingerprint of everything the memoization signature must cover
     /// beyond the certificate: operation, algorithm, descriptor, the full
-    /// pattern structure, and the staged pool layout.
-    operand_fp: Fingerprint,
+    /// pattern structure, and the staged pool layout. Taken on the plan's
+    /// first memoized performance launch (the layout is fixed after
+    /// build), so plans that never profile under memoization hash
+    /// nothing.
+    operand_fp: OnceLock<Fingerprint>,
     core: PlanCore<PlanState>,
 }
 
@@ -97,26 +101,6 @@ impl SpmmPlan {
         } else {
             None
         };
-        let operand_fp = {
-            let mut h = FingerprintHasher::new();
-            h.write_bytes(b"spmm");
-            h.write_bytes(algo.label().as_bytes());
-            // The scheme changes the compiled program, so it must enter
-            // the memo fingerprint. A fixed-algorithm plan and a tuned
-            // plan that landed on the default scheme hash identically.
-            h.write_bytes(
-                scheme
-                    .unwrap_or(crate::spmm::compose::DEFAULT_SCHEME)
-                    .label()
-                    .as_bytes(),
-            );
-            for d in [key.m, key.k, key.n, key.v] {
-                h.write_u64(d as u64);
-            }
-            h.write_u64(pattern_structure_hash(a.pattern()));
-            h.write_u64(mem.layout_hash());
-            h.finish()
-        };
         let state = PlanState {
             mem,
             staged,
@@ -131,9 +115,33 @@ impl SpmmPlan {
             a,
             ell,
             dense,
-            operand_fp,
+            operand_fp: OnceLock::new(),
             core: PlanCore::new(ctx, OpKind::Spmm, algo.label(), state),
         }
+    }
+
+    /// The memoization operand fingerprint of the plan staged in `mem`.
+    fn operand_fp(&self, mem: &MemPool) -> Fingerprint {
+        *self.operand_fp.get_or_init(|| {
+            let mut h = FingerprintHasher::new();
+            h.write_bytes(b"spmm");
+            h.write_bytes(self.algo.label().as_bytes());
+            // The scheme changes the compiled program, so it must enter
+            // the memo fingerprint. A fixed-algorithm plan and a tuned
+            // plan that landed on the default scheme hash identically.
+            h.write_bytes(
+                self.scheme
+                    .unwrap_or(crate::spmm::compose::DEFAULT_SCHEME)
+                    .label()
+                    .as_bytes(),
+            );
+            for d in [self.key.m, self.key.k, self.key.n, self.key.v] {
+                h.write_u64(d as u64);
+            }
+            h.write_u64(pattern_structure_hash(self.a.pattern()));
+            h.write_u64(mem.layout_hash());
+            h.finish()
+        })
     }
 
     /// The concrete algorithm the plan executes (never `Auto`).
@@ -269,7 +277,7 @@ impl SpmmPlan {
             mem,
             kernel.as_ref(),
             mode,
-            |_| self.operand_fp,
+            |mem| self.operand_fp(mem),
             |mem| download_dense(mem, out_buf, m, n),
         ))
     }

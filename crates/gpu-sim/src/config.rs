@@ -6,6 +6,7 @@
 //! the public V100 datasheet; they are deliberately round numbers — the
 //! model targets faithful *relative* behaviour, not cycle-exactness.
 
+use crate::sig::{fnv1a_word, FNV_OFFSET};
 use crate::trace::Pipe;
 
 /// Static machine description.
@@ -85,35 +86,27 @@ impl GpuConfig {
     }
 
     /// FNV-1a hash over every field of the configuration (floats by bit
-    /// pattern). Embedded in benchmark artifacts so results from
-    /// different machine models are never compared as if comparable.
+    /// pattern), one [`fnv1a_word`] step per field. Embedded in
+    /// benchmark artifacts so results from different machine models are
+    /// never compared as if comparable, and part of every memo key.
     pub fn config_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.num_sms as u64);
-        mix(self.schedulers_per_sm as u64);
-        mix(self.max_warps_per_scheduler as u64);
-        mix(self.max_ctas_per_sm as u64);
-        mix(self.regs_per_sm as u64);
-        mix(self.l1_bytes as u64);
-        mix(self.max_smem_per_sm as u64);
-        mix(self.l1_ways as u64);
-        mix(self.l2_bytes as u64);
-        mix(self.l2_ways as u64);
-        mix(self.icache_entries as u64);
-        mix(self.dram_bytes_per_cycle.to_bits());
-        mix(self.l2_bytes_per_cycle.to_bits());
-        mix(self.sim_sms as u64);
-        mix(self.sim_waves as u64);
         let t = &self.timing;
-        for v in [
+        [
+            self.num_sms as u64,
+            self.schedulers_per_sm as u64,
+            self.max_warps_per_scheduler as u64,
+            self.max_ctas_per_sm as u64,
+            u64::from(self.regs_per_sm),
+            self.l1_bytes as u64,
+            self.max_smem_per_sm as u64,
+            self.l1_ways as u64,
+            self.l2_bytes as u64,
+            self.l2_ways as u64,
+            self.icache_entries as u64,
+            self.dram_bytes_per_cycle.to_bits(),
+            self.l2_bytes_per_cycle.to_bits(),
+            self.sim_sms as u64,
+            self.sim_waves as u64,
             t.fp32_issue,
             t.fp16_issue,
             t.hmma_issue,
@@ -131,10 +124,9 @@ impl GpuConfig {
             t.dram_latency,
             t.shfl_latency,
             t.icache_miss_penalty,
-        ] {
-            mix(v);
-        }
-        h
+        ]
+        .into_iter()
+        .fold(FNV_OFFSET, fnv1a_word)
     }
 }
 

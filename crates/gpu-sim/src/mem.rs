@@ -234,9 +234,7 @@ impl MemPool {
     /// which is one leg of the wave-memoization signature.
     pub fn layout_hash(&self) -> u64 {
         let mut h = crate::sig::FNV_OFFSET;
-        let mut mix = |v: u64| {
-            h = (h ^ v).wrapping_mul(crate::sig::FNV_PRIME);
-        };
+        let mut mix = |v: u64| h = crate::sig::fnv1a_word(h, v);
         for b in &self.buffers {
             mix(b.base);
             mix(b.width.bytes());

@@ -18,8 +18,9 @@
 //! Soundness backstops:
 //!
 //! * The signature is a 128-bit dual-stream FNV fingerprint
-//!   ([`crate::sig`]); both lanes must collide for two distinct wave
-//!   classes to alias.
+//!   ([`crate::sig`]) that absorbs one 64-bit word per step, with every
+//!   variable-length part count-prefixed; both lanes must collide for
+//!   two distinct wave classes to alias.
 //! * **Audit mode** (`VECSPARSE_AUDIT=n`): every n-th memoized wave is
 //!   re-simulated from scratch and asserted bit-identical to its cached
 //!   artifact. A mismatch is not a kernel bug — it is a soundness bug

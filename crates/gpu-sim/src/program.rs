@@ -86,9 +86,7 @@ impl Program {
     /// site names, instances and pc assignment hash equal.
     pub fn listing_hash(&self) -> u64 {
         let mut h = crate::sig::FNV_OFFSET;
-        let mut mix = |v: u64| {
-            h = (h ^ v).wrapping_mul(crate::sig::FNV_PRIME);
-        };
+        let mut mix = |v: u64| h = crate::sig::fnv1a_word(h, v);
         for (pc, name, instance) in self.listing() {
             mix(pc as u64);
             mix(name.len() as u64);

@@ -9,16 +9,28 @@
 //! worse — *alias* memo classes. This module is the single definition
 //! all three use.
 //!
-//! Two hash shapes are provided:
+//! Every hash here is FNV-1a over 64-bit words: [`fnv1a_word`] absorbs a
+//! whole word in one xor-multiply step, so a key costs one step per
+//! field, not one per byte. Two hash shapes are built on it:
 //!
-//! * [`fnv1a_u32s`] — the historical single-stream FNV-1a over `u32`
-//!   items, bit-compatible with the old `engine::ell_twin` loop (twin
-//!   structures generated before and after the refactor are identical).
+//! * [`fnv1a_u32s`] — a single stream over `u32` items, each widened to
+//!   one word (the historical `ell_twin` formulation; twin structures
+//!   generated before and after the refactor are identical).
 //! * [`Fingerprint`] / [`FingerprintHasher`] — a 128-bit dual-stream
 //!   FNV-1a for memo keys, where a 64-bit birthday bound is too thin to
-//!   hang a soundness claim on. The two streams share the FNV prime but
-//!   start from independent bases, so a collision requires both lanes
-//!   to collide on the same input pair.
+//!   hang a soundness claim on. The two streams share the FNV prime and
+//!   the word step but start from independent bases, so a collision
+//!   requires both lanes to collide on the same input pair. Each
+//!   `write_u64`/`write_u32` is one word step per stream, the framing of
+//!   [`fnv1a_u32s`]; byte strings are length-prefixed.
+//!
+//! For a fixed state the step is a bijection of the word, and for a
+//! fixed word a bijection of the state, so two word streams of equal
+//! length that differ in one word always hash apart in both lanes.
+//! Differences in several words can cancel (a word step carries each
+//! bit difference only upward), which is why callers prefix every
+//! variable-length part with its count and memo soundness also rests on
+//! audit mode (see `memo`).
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -28,14 +40,19 @@ pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// FNV-1a 128-bit offset basis) — independent of [`FNV_OFFSET`].
 pub const FNV_OFFSET_ALT: u64 = 0x6c62_272e_07bb_0142;
 
+/// One FNV-1a step over a whole 64-bit word: the step every hash in
+/// this module (and every structure hash built on it) shares.
+#[inline]
+pub fn fnv1a_word(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
 /// Single-stream FNV-1a over a sequence of `u32` items, folding each
 /// item in as one 64-bit word (the historical `ell_twin` formulation).
 pub fn fnv1a_u32s(seed: u64, items: impl IntoIterator<Item = u32>) -> u64 {
-    let mut h = seed;
-    for c in items {
-        h = (h ^ c as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
+    items
+        .into_iter()
+        .fold(seed, |h, c| fnv1a_word(h, u64::from(c)))
 }
 
 /// How many buckets the plan cache quantises sparsity into. Within one
@@ -87,33 +104,26 @@ impl FingerprintHasher {
         }
     }
 
-    /// Absorb one byte into both streams.
-    #[inline]
-    pub fn write_u8(&mut self, b: u8) {
-        self.lo = (self.lo ^ b as u64).wrapping_mul(FNV_PRIME);
-        self.hi = (self.hi ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-
-    /// Absorb a `u64` little-endian.
+    /// Absorb a `u64` as one word step per stream.
     #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.write_u8(b);
-        }
+        self.lo = fnv1a_word(self.lo, v);
+        self.hi = fnv1a_word(self.hi, v);
     }
 
-    /// Absorb a `u32` (widened; matches [`fnv1a_u32s`] item framing).
+    /// Absorb a `u32`, widened to one word (matches [`fnv1a_u32s`] item
+    /// framing).
     #[inline]
     pub fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
+        self.write_u64(u64::from(v));
     }
 
-    /// Absorb a byte slice, length-prefixed so adjacent fields can't
-    /// alias across a boundary shift.
+    /// Absorb a byte slice, one word per byte, length-prefixed so
+    /// adjacent fields can't alias across a boundary shift.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
         for &b in bytes {
-            self.write_u8(b);
+            self.write_u64(u64::from(b));
         }
     }
 
@@ -148,6 +158,16 @@ mod tests {
         }
         let got = fnv1a_u32s(fnv1a_u32s(FNV_OFFSET, cols), rows);
         assert_eq!(got, h);
+    }
+
+    #[test]
+    fn fingerprint_lo_stream_matches_fnv1a_u32s_framing() {
+        let items = [0u32, 7, u32::MAX, 0x8000_0000, 42];
+        let mut h = FingerprintHasher::new();
+        for &v in &items {
+            h.write_u32(v);
+        }
+        assert_eq!(h.finish().lo, fnv1a_u32s(FNV_OFFSET, items));
     }
 
     #[test]

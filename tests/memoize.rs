@@ -11,9 +11,9 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use vecsparse::engine::Context;
 use vecsparse::registry::{self, KernelId, Shape};
-use vecsparse::SpmmAlgo;
+use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_certify::{certify, ProofFailure, WaveVerdict};
-use vecsparse_formats::{gen, DenseMatrix, Layout};
+use vecsparse_formats::{gen, DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::Fingerprint;
 use vecsparse_gpu_sim::{
@@ -101,6 +101,89 @@ fn memoization_is_invisible_at_one_and_four_threads() {
             "profile counters at {threads} threads"
         );
         assert_eq!(memo.cycles, plain.cycles, "cycles at {threads} threads");
+    }
+    set_threads(1);
+}
+
+/// One SDDMM pass: a plan's interleaved profiles and outputs, then the
+/// first profile of a second mask with the same descriptor.
+#[derive(Debug, PartialEq)]
+struct SddmmArtifacts {
+    /// `csv_row` and cycle bits of each profile, in call order.
+    profiles: Vec<(String, u64)>,
+    outputs: Vec<VectorSparse<f16>>,
+}
+
+fn profile_bits(p: &vecsparse_gpu_sim::KernelProfile) -> (String, u64) {
+    (p.csv_row(), p.cycles.to_bits())
+}
+
+/// Interleave profile → run → run_batch → profile on one plan, then
+/// profile a plan of a second mask of the same shape class. Under
+/// memoization the repeated profile must be a launch hit (the plan's
+/// cached structure hash plus the layout hash taken at launch reproduce
+/// its key) and the second mask's first profile a launch miss.
+fn sddmm_stack(memoize: bool, algo: SddmmAlgo) -> SddmmArtifacts {
+    let mut builder = Context::builder().gpu(GpuConfig::small());
+    if memoize {
+        builder = builder.memoization();
+    }
+    let ctx = builder.build();
+    let (m, k, n, v, sparsity) = (32, 64, 48, 4, 0.7);
+    let mask = gen::random_pattern(m, n, v, sparsity, 41);
+    let a = gen::random_dense::<f16>(m, k, Layout::RowMajor, 42);
+    let b = gen::random_dense::<f16>(k, n, Layout::ColMajor, 43);
+    let a_batch: Vec<_> = (0..3)
+        .map(|i| gen::random_dense::<f16>(m, k, Layout::RowMajor, 50 + i))
+        .collect();
+    let b_batch: Vec<_> = (0..3)
+        .map(|i| gen::random_dense::<f16>(k, n, Layout::ColMajor, 60 + i))
+        .collect();
+    let launches = || {
+        ctx.memo_stats()
+            .map_or((0, 0), |s| (s.launch_hits, s.launch_misses))
+    };
+
+    let plan = ctx.plan_sddmm(&mask, k, algo);
+    let mut profiles = vec![profile_bits(&plan.profile(&a, &b))];
+    let mut outputs = vec![plan.run(&a, &b)];
+    outputs.extend(plan.run_batch(&a_batch, &b_batch));
+    let (hits, misses) = launches();
+    profiles.push(profile_bits(&plan.profile(&a, &b)));
+    if memoize {
+        assert_eq!(
+            launches(),
+            (hits + 1, misses),
+            "{algo:?}: repeated profile must hit"
+        );
+    }
+
+    let other = gen::random_pattern(m, n, v, sparsity, 44);
+    assert_ne!(other, mask, "the second mask must differ in structure");
+    let (hits, misses) = launches();
+    profiles.push(profile_bits(
+        &ctx.plan_sddmm(&other, k, algo).profile(&a, &b),
+    ));
+    if memoize {
+        assert_eq!(
+            launches(),
+            (hits, misses + 1),
+            "{algo:?}: a new mask must miss"
+        );
+    }
+    SddmmArtifacts { profiles, outputs }
+}
+
+#[test]
+fn sddmm_memoization_is_invisible_at_one_and_four_threads() {
+    for algo in [SddmmAlgo::OctetReg, SddmmAlgo::FpuSubwarp] {
+        set_threads(1);
+        let honest = sddmm_stack(false, algo);
+        for threads in [1usize, 4] {
+            set_threads(threads);
+            let memo = sddmm_stack(true, algo);
+            assert_eq!(memo, honest, "{algo:?} at {threads} threads");
+        }
     }
     set_threads(1);
 }
