@@ -5,13 +5,24 @@
 //! throwaway-context-per-element batch path.
 
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 use vecsparse::engine::Context;
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, reference, Layout};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{GpuConfig, TraceSink};
+
+/// Keeps this file's other tests off the host while
+/// `cached_plan_batch_beats_legacy_batch` times its two sides: they share
+/// the process's CPUs and rayon pool, and one that ran during one side's
+/// repetitions but not the other's would decide the ratio.
+static HOST: RwLock<()> = RwLock::new(());
+
+/// A share of the host alongside the other tests that are not timing.
+fn shared_host() -> RwLockReadGuard<'static, ()> {
+    HOST.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Strategy shared with `tests/properties.rs`: plausible small problems
 /// with rows divisible by V.
@@ -29,6 +40,7 @@ fn vs_params() -> impl Strategy<Value = (usize, usize, usize, f64, u64)> {
 
 #[test]
 fn one_shot_auto_goes_through_the_plan_cache() {
+    let _host = shared_host();
     let ctx = Context::builder().gpu(GpuConfig::small()).build();
     let a = gen::random_vector_sparse::<f16>(32, 64, 4, 0.8, 9);
     let b = gen::random_dense::<f16>(64, 32, Layout::RowMajor, 10);
@@ -49,6 +61,7 @@ fn one_shot_auto_goes_through_the_plan_cache() {
 
 #[test]
 fn sddmm_auto_caches_per_descriptor_too() {
+    let _host = shared_host();
     let ctx = Context::builder().gpu(GpuConfig::small()).build();
     let mask = gen::random_pattern(32, 48, 4, 0.7, 11);
     let a = gen::random_dense::<f16>(32, 32, Layout::RowMajor, 12);
@@ -77,6 +90,7 @@ fn batch_contexts() -> [Context; 2] {
 
 #[test]
 fn spmm_batch_matches_sequential_runs() {
+    let _host = shared_host();
     let a = gen::random_vector_sparse::<f16>(32, 64, 4, 0.8, 20);
     let batch: Vec<_> = (0..6u64)
         .map(|i| gen::random_dense::<f16>(64, 40, Layout::RowMajor, 21 + i))
@@ -94,6 +108,7 @@ fn spmm_batch_matches_sequential_runs() {
 
 #[test]
 fn sddmm_batch_matches_sequential_runs() {
+    let _host = shared_host();
     let mask = gen::random_pattern(32, 48, 4, 0.6, 30);
     let a_batch: Vec<_> = (0..4u64)
         .map(|i| gen::random_dense::<f16>(32, 32, Layout::RowMajor, 31 + i))
@@ -117,10 +132,12 @@ fn sddmm_batch_matches_sequential_runs() {
 /// batch path (the removed `batch::spmm_batch`, inlined here: a fresh
 /// throwaway context per element, re-planning, re-encoding and
 /// re-tuning each time) by at least 2x host wall time. Each side's time
-/// is the fastest of three repetitions, so one busy stretch on the host
-/// cannot decide the ratio.
+/// is the fastest of three repetitions, taken in alternation with the
+/// other side's, so one busy stretch on the host cannot decide the
+/// ratio.
 #[test]
 fn cached_plan_batch_beats_legacy_batch() {
+    let _alone = HOST.write().unwrap_or_else(PoisonError::into_inner);
     let a = gen::random_vector_sparse::<f16>(64, 128, 4, 0.9, 50);
     let batch: Vec<_> = (0..16u64)
         .map(|i| gen::random_dense::<f16>(128, 64, Layout::RowMajor, 51 + i))
@@ -131,24 +148,25 @@ fn cached_plan_batch_beats_legacy_batch() {
     let warm = plan.run_batch(&batch); // first run: already staged + tuned
     let launches_before = ctx.stats().tuner_launches;
 
-    let (cached, cached_time) = fastest_of_3(|| plan.run_batch(&batch));
+    let ((cached, cached_time), (legacy, legacy_time)) = fastest_of_3_alternating(
+        || plan.run_batch(&batch),
+        || {
+            batch
+                .iter()
+                .map(|b| {
+                    Context::builder()
+                        .build()
+                        .plan_spmm(&a, b.cols(), SpmmAlgo::Auto)
+                        .run(b)
+                })
+                .collect::<Vec<_>>()
+        },
+    );
     assert_eq!(
         ctx.stats().tuner_launches,
         launches_before,
         "later batch runs must not tune"
     );
-
-    let (legacy, legacy_time) = fastest_of_3(|| {
-        batch
-            .iter()
-            .map(|b| {
-                Context::builder()
-                    .build()
-                    .plan_spmm(&a, b.cols(), SpmmAlgo::Auto)
-                    .run(b)
-            })
-            .collect::<Vec<_>>()
-    });
 
     for ((w, c), l) in warm.iter().zip(&cached).zip(&legacy) {
         assert_eq!(w.max_abs_diff(c), 0.0);
@@ -161,22 +179,36 @@ fn cached_plan_batch_beats_legacy_batch() {
     );
 }
 
-/// `f`'s last result and the shortest wall time of three calls.
-fn fastest_of_3<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
-    let mut best = Duration::MAX;
-    let mut out = None;
-    for _ in 0..3 {
+/// For each of `f` and `g`: its last result and the shortest wall time
+/// of three calls, made in the order f, g, f, g, f, g so that both sides
+/// sample the same stretches of host load.
+fn fastest_of_3_alternating<T, U>(
+    mut f: impl FnMut() -> T,
+    mut g: impl FnMut() -> U,
+) -> ((T, Duration), (U, Duration)) {
+    fn timed<R>(h: &mut impl FnMut() -> R, best: &mut Duration) -> R {
         let t0 = Instant::now();
-        out = Some(f());
-        best = best.min(t0.elapsed());
+        let out = h();
+        *best = (*best).min(t0.elapsed());
+        out
     }
-    (out.expect("three calls ran"), best)
+    let (mut f_best, mut g_best) = (Duration::MAX, Duration::MAX);
+    let (mut f_out, mut g_out) = (None, None);
+    for _ in 0..3 {
+        f_out = Some(timed(&mut f, &mut f_best));
+        g_out = Some(timed(&mut g, &mut g_best));
+    }
+    (
+        (f_out.expect("three calls ran"), f_best),
+        (g_out.expect("three calls ran"), g_best),
+    )
 }
 
 /// Acceptance criterion: `SpmmAlgo::Auto` never profiles worse than the
 /// worst fixed algorithm on (scaled-down) Fig. 17 sweep shapes.
 #[test]
 fn auto_never_profiles_worse_than_worst_fixed() {
+    let _host = shared_host();
     let ctx = Context::builder().gpu(GpuConfig::small()).build();
     let shapes: &[(usize, usize, usize, f64)] = &[
         (64, 128, 2, 0.7),
@@ -214,6 +246,7 @@ proptest! {
     /// a structural surrogate, not an exact kernel — see DESIGN.md).
     #[test]
     fn spmm_plan_matches_reference_for_every_algo((rows, cols, v, s, seed) in vs_params()) {
+        let _host = shared_host();
         let ctx = Context::builder().gpu(GpuConfig::small()).build();
         let a = gen::random_vector_sparse::<f16>(rows, cols, v, s, seed);
         let b = gen::random_dense::<f16>(cols, 48, Layout::RowMajor, seed ^ 1);
@@ -233,6 +266,7 @@ proptest! {
     /// Same bit-identity for every SDDMM algorithm, including `Auto`.
     #[test]
     fn sddmm_plan_matches_reference_for_every_algo((rows, cols, v, s, seed) in vs_params()) {
+        let _host = shared_host();
         let ctx = Context::builder().gpu(GpuConfig::small()).build();
         let mask = gen::random_pattern(rows, cols, v, s, seed);
         let a = gen::random_dense::<f16>(rows, 32, Layout::RowMajor, seed ^ 2);

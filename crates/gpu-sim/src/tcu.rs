@@ -31,6 +31,7 @@
 //! future SASS assembler (§7.1.3).
 
 use crate::wvec::WVec;
+use crate::WARP_SIZE;
 
 /// Number of octets in a warp.
 pub const OCTETS: usize = 4;
@@ -97,6 +98,12 @@ pub fn execute_mma(a: &WVec, b: &WVec, acc: &mut WVec, flavor: MmaFlavor) {
         MmaFlavor::Truncated | MmaFlavor::SwitchTruncated => &[0, 1],
     };
     let switched = flavor.switched();
+    // Lane `l`'s values sit at `[epl·l, epl·(l + 1))` of the lane-major
+    // data; a ghost operand reads as zeros, as `WVec::get` does.
+    const ZEROS: [f32; WARP_SIZE * 4] = [0.0; WARP_SIZE * 4];
+    let a = if a.is_ghost() { &ZEROS[..] } else { a.data() };
+    let b = if b.is_ghost() { &ZEROS[..] } else { b.data() };
+    let acc = acc.data_mut();
 
     for o in 0..OCTETS {
         for &step in steps {
@@ -108,15 +115,15 @@ pub fn execute_mma(a: &WVec, b: &WVec, acc: &mut WVec, flavor: MmaFlavor) {
             let b_group = if switched { 1 - col_half } else { col_half };
 
             for t in 0..4 {
-                let acc_lane = octet_lane(o, row_half, t);
-                let a_lane = octet_lane(o, a_group, t);
+                let acc_row = 8 * octet_lane(o, row_half, t) + col_half * 4;
+                let a_row = &a[4 * octet_lane(o, a_group, t)..][..4];
                 for c in 0..4 {
-                    let b_lane = octet_lane(o, b_group, c);
-                    let mut sum = acc.get(acc_lane, col_half * 4 + c);
-                    for k in 0..4 {
-                        sum += a.get(a_lane, k) * b.get(b_lane, k);
+                    let b_row = &b[4 * octet_lane(o, b_group, c)..][..4];
+                    let mut sum = acc[acc_row + c];
+                    for (x, y) in a_row.iter().zip(b_row) {
+                        sum += x * y;
                     }
-                    acc.set(acc_lane, col_half * 4 + c, sum);
+                    acc[acc_row + c] = sum;
                 }
             }
         }

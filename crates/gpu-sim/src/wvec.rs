@@ -158,6 +158,12 @@ impl WVec {
     pub fn data(&self) -> &[f32] {
         &self.data
     }
+
+    /// Raw lane-major data, mutable (empty for ghosts).
+    #[inline]
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
 }
 
 #[cfg(test)]
