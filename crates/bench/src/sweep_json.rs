@@ -259,10 +259,11 @@ pub fn render_serve(meta: &ServeMeta, curve: &[SaturationPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn fake_profile(label: &str, cycles: f64) -> KernelProfile {
         KernelProfile {
-            name: label.to_string(),
+            name: label.into(),
             grid: 64,
             ctas_per_sm: 4,
             warps_per_scheduler: 2.0,
@@ -276,8 +277,8 @@ mod tests {
             stalls: Default::default(),
             l1: Default::default(),
             l2: Default::default(),
-            pipes: Vec::new(),
-            hot_pcs: Vec::new(),
+            pipes: Arc::new([]),
+            hot_pcs: Arc::new([]),
         }
     }
 

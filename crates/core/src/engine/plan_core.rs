@@ -4,7 +4,7 @@
 
 use super::{Context, Counters, EngineError, OpKind};
 use rayon::prelude::*;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use vecsparse_certify::certify;
 use vecsparse_gpu_sim::sig::Fingerprint;
 use vecsparse_gpu_sim::{
@@ -53,6 +53,10 @@ pub(super) struct PlanCore<S> {
     memo: Option<Arc<WaveMemo>>,
     /// Functional execution backend inherited from the context.
     backend: Backend,
+    /// The launch-level memo key the plan's first untraced memoized
+    /// profile was cached under. Every input of the key is a plan
+    /// constant, so later profiles are answered by one probe under it.
+    launch_key: OnceLock<Fingerprint>,
 }
 
 impl<S: Clone + Send> PlanCore<S> {
@@ -70,6 +74,7 @@ impl<S: Clone + Send> PlanCore<S> {
             counters: Arc::clone(&ctx.counters),
             memo: ctx.memo.clone(),
             backend: ctx.backend,
+            launch_key: OnceLock::new(),
         }
     }
 
@@ -81,7 +86,8 @@ impl<S: Clone + Send> PlanCore<S> {
     /// most once per (algorithm, operand) by the context's signature
     /// cache); `operand_fp` fingerprints everything the signature must
     /// cover beyond the certificate and is only taken then. Everything
-    /// else simulates honestly.
+    /// else simulates honestly. The first launch whose profile the memo
+    /// caches leaves its key on the plan for [`PlanCore::profile`].
     pub(super) fn launch<R>(
         &self,
         mem: &mut MemPool,
@@ -104,6 +110,9 @@ impl<S: Clone + Send> PlanCore<S> {
             .memo_opt(memo)
             .backend(self.backend)
             .run();
+        if let Some(key) = out.launch_key {
+            let _ = self.launch_key.set(key);
+        }
         Launched {
             output: (mode == Mode::Functional).then(|| read(mem)),
             profile: out.profile,
@@ -132,7 +141,9 @@ impl<S: Clone + Send> PlanCore<S> {
         Ok(out)
     }
 
-    /// Profile `exec` once on the primary state.
+    /// Profile `exec` once on the primary state, or answer from the memo
+    /// under the plan's launch key without executing anything. The caller
+    /// has checked the operands.
     pub(super) fn profile<R>(
         &self,
         exec: impl FnOnce(&mut S, Mode) -> Result<Launched<R>, EngineError>,
@@ -142,10 +153,23 @@ impl<S: Clone + Send> PlanCore<S> {
             .sink
             .span(Track::ENGINE, self.op.spans().profile, "engine");
         span.arg("algo", self.label);
-        let profile = exec(&mut self.primary(), Mode::Performance)?.profile()?;
+        let profile = match self.memoized_profile() {
+            Some(profile) => profile,
+            None => exec(&mut self.primary(), Mode::Performance)?.profile()?,
+        };
         self.counters.record_profile(self.label, profile.cycles);
         self.counters.add_wall(t0.elapsed());
         Ok(profile)
+    }
+
+    /// The profile cached under the plan's launch key: `None` until a
+    /// memoized profile left a key, and whenever the probe declines (a
+    /// traced context, an auditing memo), so those keep the full launch.
+    fn memoized_profile(&self) -> Option<KernelProfile> {
+        let key = *self.launch_key.get()?;
+        self.memo
+            .as_ref()?
+            .probe_launch(key, self.sink.is_enabled())
     }
 
     /// Run `exec` on elements `0..len` functionally, returning outputs in

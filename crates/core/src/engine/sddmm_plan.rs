@@ -5,7 +5,6 @@ use super::plan_core::{Launched, PlanCore};
 use super::{pattern_structure_hash, Context, EngineError, OpKind, PlanKey};
 use crate::api::SddmmAlgo;
 use crate::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, WmmaSddmm};
-use std::sync::OnceLock;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
@@ -28,10 +27,6 @@ pub struct SddmmPlan {
     key: PlanKey,
     algo: SddmmAlgo,
     mask: SparsityPattern,
-    /// The operand fingerprint's structure part (operation, algorithm,
-    /// descriptor and mask structure), absorbed on the plan's first
-    /// memoized performance launch.
-    structure_fp: OnceLock<FingerprintHasher>,
     core: PlanCore<SddmmState>,
 }
 
@@ -49,7 +44,6 @@ impl SddmmPlan {
             key,
             algo,
             mask: mask.clone(),
-            structure_fp: OnceLock::new(),
             core: PlanCore::new(ctx, OpKind::Sddmm, algo.label(), SddmmState { mem, base }),
         }
     }
@@ -114,7 +108,7 @@ impl SddmmPlan {
         Ok(())
     }
 
-    /// Check the operands, rewind `state` to the base mark, stage and
+    /// Rewind `state` to the base mark, stage the checked operands and
     /// launch.
     fn execute(
         &self,
@@ -123,7 +117,6 @@ impl SddmmPlan {
         b: &DenseMatrix<f16>,
         mode: Mode,
     ) -> Result<Launched<VectorSparse<f16>>, EngineError> {
-        self.check_operands(a, b)?;
         state.mem.release_to(state.base);
         let mem = &mut state.mem;
         let fp = |mem: &MemPool| self.operand_fp(mem);
@@ -156,25 +149,20 @@ impl SddmmPlan {
         })
     }
 
-    /// The memoization operand fingerprint: mask structure, descriptor
-    /// and post-staging pool layout. The structure part is taken once
-    /// per plan. Unlike SpMM the pool is restaged per run, so the layout
-    /// is taken at launch — the rewind discipline makes it identical
-    /// across runs of one plan.
+    /// The memoization operand fingerprint: operation, algorithm,
+    /// descriptor, mask structure and post-staging pool layout. Taken
+    /// only by full memoized launches: once per plan, then by traced or
+    /// audited ones. Unlike SpMM the pool is restaged per run, so the
+    /// layout is taken at launch — the rewind discipline makes it
+    /// identical across runs of one plan.
     fn operand_fp(&self, mem: &MemPool) -> Fingerprint {
-        let mut h = self
-            .structure_fp
-            .get_or_init(|| {
-                let mut h = FingerprintHasher::new();
-                h.write_bytes(b"sddmm");
-                h.write_bytes(self.algo.label().as_bytes());
-                for d in [self.key.m, self.key.n, self.key.k, self.key.v] {
-                    h.write_u64(d as u64);
-                }
-                h.write_u64(pattern_structure_hash(&self.mask));
-                h
-            })
-            .clone();
+        let mut h = FingerprintHasher::new();
+        h.write_bytes(b"sddmm");
+        h.write_bytes(self.algo.label().as_bytes());
+        for d in [self.key.m, self.key.n, self.key.k, self.key.v] {
+            h.write_u64(d as u64);
+        }
+        h.write_u64(pattern_structure_hash(&self.mask));
         h.write_u64(mem.layout_hash());
         h.finish()
     }
@@ -185,6 +173,7 @@ impl SddmmPlan {
         a: &DenseMatrix<f16>,
         b: &DenseMatrix<f16>,
     ) -> Result<VectorSparse<f16>, EngineError> {
+        self.check_operands(a, b)?;
         self.core.run(|state, mode| self.execute(state, a, b, mode))
     }
 
@@ -198,12 +187,15 @@ impl SddmmPlan {
         self.try_run(a, b).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Profile the planned SDDMM (sampled performance model).
+    /// Profile the planned SDDMM (sampled performance model). Under
+    /// memoization, every profile after the plan's first is one memo
+    /// lookup: no staging and no kernel construction.
     pub fn try_profile(
         &self,
         a: &DenseMatrix<f16>,
         b: &DenseMatrix<f16>,
     ) -> Result<KernelProfile, EngineError> {
+        self.check_operands(a, b)?;
         self.core
             .profile(|state, mode| self.execute(state, a, b, mode))
     }

@@ -6,7 +6,6 @@ use crate::api::SpmmAlgo;
 use crate::compose::TilingScheme;
 use crate::spmm::{BlockedEllSpmm, DenseGemm, FpuSubwarpSpmm, OctetSpmm, WmmaSpmm};
 use crate::util::{download_dense, upload_ell, upload_vs, EllBuffers, VsBuffers};
-use std::sync::OnceLock;
 use vecsparse_formats::{BlockedEll, DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
@@ -51,13 +50,6 @@ pub struct SpmmPlan {
     ell: Option<BlockedEll<f16>>,
     /// Densified twin, derived once. Only for `Dense`.
     dense: Option<DenseMatrix<f16>>,
-    /// Fingerprint of everything the memoization signature must cover
-    /// beyond the certificate: operation, algorithm, descriptor, the full
-    /// pattern structure, and the staged pool layout. Taken on the plan's
-    /// first memoized performance launch (the layout is fixed after
-    /// build), so plans that never profile under memoization hash
-    /// nothing.
-    operand_fp: OnceLock<Fingerprint>,
     core: PlanCore<PlanState>,
 }
 
@@ -115,33 +107,34 @@ impl SpmmPlan {
             a,
             ell,
             dense,
-            operand_fp: OnceLock::new(),
             core: PlanCore::new(ctx, OpKind::Spmm, algo.label(), state),
         }
     }
 
-    /// The memoization operand fingerprint of the plan staged in `mem`.
+    /// The memoization operand fingerprint of the plan staged in `mem`:
+    /// everything the signature must cover beyond the certificate
+    /// (operation, algorithm, scheme, descriptor, the full pattern
+    /// structure and the staged pool layout). Taken only by full
+    /// memoized launches: once per plan, then by traced or audited ones.
     fn operand_fp(&self, mem: &MemPool) -> Fingerprint {
-        *self.operand_fp.get_or_init(|| {
-            let mut h = FingerprintHasher::new();
-            h.write_bytes(b"spmm");
-            h.write_bytes(self.algo.label().as_bytes());
-            // The scheme changes the compiled program, so it must enter
-            // the memo fingerprint. A fixed-algorithm plan and a tuned
-            // plan that landed on the default scheme hash identically.
-            h.write_bytes(
-                self.scheme
-                    .unwrap_or(crate::spmm::compose::DEFAULT_SCHEME)
-                    .label()
-                    .as_bytes(),
-            );
-            for d in [self.key.m, self.key.k, self.key.n, self.key.v] {
-                h.write_u64(d as u64);
-            }
-            h.write_u64(pattern_structure_hash(self.a.pattern()));
-            h.write_u64(mem.layout_hash());
-            h.finish()
-        })
+        let mut h = FingerprintHasher::new();
+        h.write_bytes(b"spmm");
+        h.write_bytes(self.algo.label().as_bytes());
+        // The scheme changes the compiled program, so it must enter the
+        // memo fingerprint. A fixed-algorithm plan and a tuned plan that
+        // landed on the default scheme hash identically.
+        h.write_bytes(
+            self.scheme
+                .unwrap_or(crate::spmm::compose::DEFAULT_SCHEME)
+                .label()
+                .as_bytes(),
+        );
+        for d in [self.key.m, self.key.k, self.key.n, self.key.v] {
+            h.write_u64(d as u64);
+        }
+        h.write_u64(pattern_structure_hash(self.a.pattern()));
+        h.write_u64(mem.layout_hash());
+        h.finish()
     }
 
     /// The concrete algorithm the plan executes (never `Auto`).
@@ -185,14 +178,13 @@ impl SpmmPlan {
         Ok(())
     }
 
-    /// Check `b`, stage it into `state` and launch.
+    /// Stage the checked `b` into `state` and launch.
     fn execute(
         &self,
         state: &mut PlanState,
         b: &DenseMatrix<f16>,
         mode: Mode,
     ) -> Result<Launched<DenseMatrix<f16>>, EngineError> {
-        self.check_rhs(b)?;
         let PlanState {
             mem,
             staged,
@@ -284,6 +276,7 @@ impl SpmmPlan {
 
     /// Run the planned SpMM on one RHS.
     pub fn try_run(&self, b: &DenseMatrix<f16>) -> Result<DenseMatrix<f16>, EngineError> {
+        self.check_rhs(b)?;
         self.core.run(|state, mode| self.execute(state, b, mode))
     }
 
@@ -296,8 +289,11 @@ impl SpmmPlan {
         self.try_run(b).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Profile the planned SpMM (sampled performance model).
+    /// Profile the planned SpMM (sampled performance model). Under
+    /// memoization, every profile after the plan's first is one memo
+    /// lookup.
     pub fn try_profile(&self, b: &DenseMatrix<f16>) -> Result<KernelProfile, EngineError> {
+        self.check_rhs(b)?;
         self.core
             .profile(|state, mode| self.execute(state, b, mode))
     }

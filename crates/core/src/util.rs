@@ -234,24 +234,26 @@ pub fn store_row_segment(
             }
         });
         let v = if functional {
-            let mut v = WVec::zeros(epl);
-            for l in 0..active {
-                for e in 0..epl {
-                    let cc = base + l * epl + e;
-                    if cc < tn {
-                        v.set(l, e, vals[cc]);
-                        if !shadows.is_empty() {
-                            v.set_shadow(l, e, shadows[cc]);
-                        }
-                    }
+            // Lane-major, lane `l` holding columns `l * epl ..`: the
+            // span's values are the vector's first `span` elements.
+            let mut data = vec![0.0; 32 * epl];
+            data[..span].copy_from_slice(&vals[base..base + span]);
+            let mut v = WVec::from_data(epl, data, Tok::NONE);
+            if !shadows.is_empty() {
+                for (i, &s) in shadows[base..base + span].iter().enumerate() {
+                    v.set_shadow(i / epl, i % epl, s);
                 }
             }
             v
         } else {
             WVec::ghost(epl, dep)
         };
-        let deps = if dep == Tok::NONE { vec![] } else { vec![dep] };
-        w.stg(site, buf, &offs, &v, &deps);
+        let deps: &[Tok] = if dep == Tok::NONE {
+            &[]
+        } else {
+            std::slice::from_ref(&dep)
+        };
+        w.stg(site, buf, &offs, &v, deps);
         c += span;
     }
 }

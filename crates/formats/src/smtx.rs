@@ -50,6 +50,16 @@ pub enum SmtxError {
     },
     /// Row pointers are not monotone or indices are out of range.
     Inconsistent(&'static str),
+    /// The Fig. 16 construction was asked for vectors of length zero.
+    ZeroVectorLength,
+    /// The Fig. 16 construction's scalar rows overflow `usize`, or its
+    /// stored values exceed the address space.
+    TooLarge {
+        /// Which count overflowed.
+        what: &'static str,
+        /// The requested vector length.
+        v: usize,
+    },
 }
 
 impl std::fmt::Display for SmtxError {
@@ -63,6 +73,8 @@ impl std::fmt::Display for SmtxError {
                 actual,
             } => write!(f, "{what}: expected {expected} entries, found {actual}"),
             SmtxError::Inconsistent(what) => write!(f, "inconsistent structure: {what}"),
+            SmtxError::ZeroVectorLength => write!(f, "vector length must be positive"),
+            SmtxError::TooLarge { what, v } => write!(f, "{what} overflow at vector length {v}"),
         }
     }
 }
@@ -120,21 +132,36 @@ impl Smtx {
             col_idx.push(u32::try_from(parse(tok)?).map_err(|_| bad(tok))?);
         }
 
-        if row_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SmtxError::Inconsistent("row pointers not monotone"));
-        }
-        if row_ptr.last() != Some(&nnz) {
-            return Err(SmtxError::Inconsistent("last row pointer != nnz"));
-        }
-        if col_idx.iter().any(|&c| c as usize >= cols) {
-            return Err(SmtxError::Inconsistent("column index out of range"));
-        }
-        Ok(Smtx {
+        let smtx = Smtx {
             rows,
             cols,
             row_ptr,
             col_idx,
-        })
+        };
+        smtx.check()?;
+        Ok(smtx)
+    }
+
+    /// The structure invariants `parse` guarantees; the public fields can
+    /// break them.
+    fn check(&self) -> Result<(), SmtxError> {
+        if self.rows.checked_add(1) != Some(self.row_ptr.len()) {
+            return Err(SmtxError::LengthMismatch {
+                what: "row pointers",
+                expected: self.rows.saturating_add(1),
+                actual: self.row_ptr.len(),
+            });
+        }
+        if self.row_ptr.windows(2).any(|w| w[0] > w[1]) {
+            return Err(SmtxError::Inconsistent("row pointers not monotone"));
+        }
+        if self.row_ptr.last() != Some(&self.nnz()) {
+            return Err(SmtxError::Inconsistent("last row pointer != nnz"));
+        }
+        if self.col_idx.iter().any(|&c| c as usize >= self.cols) {
+            return Err(SmtxError::Inconsistent("column index out of range"));
+        }
+        Ok(())
     }
 
     /// Serialise to the text format.
@@ -191,19 +218,46 @@ impl Smtx {
     /// `csrColInd` as *vector* pointers/indices and attach a random
     /// nonzero V-vector to each indexed position. Rows are interpreted as
     /// block rows, so the resulting matrix has `rows × v` scalar rows.
-    pub fn to_vector_sparse<T: Scalar>(&self, v: usize, seed: u64) -> VectorSparse<T> {
+    ///
+    /// # Errors
+    /// [`SmtxError::ZeroVectorLength`] for `v = 0`,
+    /// [`SmtxError::TooLarge`] when `rows × v` or the `nnz × v` stored
+    /// values do not fit in memory's address range, and the error `parse`
+    /// would give when the public fields break the structure invariants.
+    pub fn to_vector_sparse<T: Scalar>(
+        &self,
+        v: usize,
+        seed: u64,
+    ) -> Result<VectorSparse<T>, SmtxError> {
+        if v == 0 {
+            return Err(SmtxError::ZeroVectorLength);
+        }
+        self.check()?;
+        let rows = self.rows.checked_mul(v).ok_or(SmtxError::TooLarge {
+            what: "scalar rows",
+            v,
+        })?;
+        let max_values = isize::MAX as usize / std::mem::size_of::<T>().max(1);
+        let n_values = self
+            .nnz()
+            .checked_mul(v)
+            .filter(|&n| n <= max_values)
+            .ok_or(SmtxError::TooLarge {
+                what: "stored values",
+                v,
+            })?;
         let pattern = SparsityPattern::new(
-            self.rows * v,
+            rows,
             self.cols,
             v,
             self.row_ptr.clone(),
             self.col_idx.clone(),
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let values = (0..pattern.nnz())
+        let values = (0..n_values)
             .map(|_| T::from_f32(rng.gen_range(-16i32..=16) as f32 / 8.0))
             .collect();
-        VectorSparse::new(pattern, values)
+        Ok(VectorSparse::new(pattern, values))
     }
 }
 
@@ -292,6 +346,25 @@ mod tests {
         );
     }
 
+    /// The loader refuses public fields that break the structure
+    /// invariants instead of asserting in `SparsityPattern::new`.
+    #[test]
+    fn conversion_rejects_inconsistent_fields() {
+        let s = Smtx::parse(SAMPLE).unwrap();
+        let mut broken = s.clone();
+        broken.row_ptr.pop();
+        assert!(matches!(
+            broken.to_vector_sparse::<f16>(4, 1),
+            Err(SmtxError::LengthMismatch { .. })
+        ));
+        broken = s;
+        broken.col_idx[0] = 8;
+        assert_eq!(
+            broken.to_vector_sparse::<f16>(4, 1),
+            Err(SmtxError::Inconsistent("column index out of range"))
+        );
+    }
+
     /// A random valid structure with up to `max_rows` rows.
     fn random_smtx(rng: &mut StdRng, max_rows: usize) -> Smtx {
         let rows = rng.gen_range(0..=max_rows);
@@ -359,6 +432,24 @@ mod tests {
             for input in inputs {
                 if let Ok(s) = Smtx::parse(&input) {
                     prop_assert_eq!(Smtx::parse(&s.to_text()), Ok(s.clone()), "from {:?}", input);
+                    for v in [0, 1, 2, 4, 8, usize::MAX] {
+                        let rows = s.rows.checked_mul(v);
+                        let fits = s.nnz().checked_mul(v).is_some_and(|n| n <= isize::MAX as usize / 2);
+                        match s.to_vector_sparse::<f16>(v, seed) {
+                            Ok(m) => {
+                                prop_assert!(v > 0 && fits);
+                                prop_assert_eq!(Some(m.rows()), rows);
+                                prop_assert_eq!(m.pattern().row_ptr(), &s.row_ptr[..]);
+                                prop_assert_eq!(m.pattern().col_idx(), &s.col_idx[..]);
+                            }
+                            Err(SmtxError::ZeroVectorLength) => prop_assert_eq!(v, 0),
+                            Err(SmtxError::TooLarge { v: got, .. }) => {
+                                prop_assert_eq!(got, v);
+                                prop_assert!(rows.is_none() || !fits);
+                            }
+                            Err(e) => prop_assert!(false, "{} at v = {} from {:?}", e, v, input),
+                        }
+                    }
                 }
             }
         }
@@ -367,7 +458,7 @@ mod tests {
     #[test]
     fn fig16_construction_matches_paper() {
         let s = Smtx::parse(SAMPLE).unwrap();
-        let m = s.to_vector_sparse::<f16>(4, 7);
+        let m = s.to_vector_sparse::<f16>(4, 7).unwrap();
         // Same structure as the Fig. 8 worked example.
         assert_eq!(m.rows(), 12);
         assert_eq!(m.pattern().nnz_vectors(), 6);
@@ -383,7 +474,7 @@ mod tests {
         let p = gen::random_pattern(64, 128, 4, 0.8, 9);
         let s = pattern_to_smtx(&p);
         let again = Smtx::parse(&s.to_text()).unwrap();
-        let back = again.to_vector_sparse::<f16>(4, 10);
+        let back = again.to_vector_sparse::<f16>(4, 10).unwrap();
         assert_eq!(back.pattern().row_ptr(), p.row_ptr());
         assert_eq!(back.pattern().col_idx(), p.col_idx());
     }

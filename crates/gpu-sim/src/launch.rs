@@ -9,7 +9,7 @@ use crate::memo::{LaunchSig, WaveArtifacts, WaveDecision, WaveMemo};
 use crate::profile::{HotPc, InstrCounts, KernelProfile, PipeUtil, StallBreakdown};
 use crate::sched::{simulate_wave, WaveObs};
 use crate::sched_event::simulate_wave_event;
-use crate::sig::FingerprintHasher;
+use crate::sig::{Fingerprint, FingerprintHasher};
 use crate::trace::WarpTrace;
 use crate::warp::{CtaCtx, ShadowObs};
 use crate::WARP_SIZE;
@@ -170,6 +170,12 @@ pub struct LaunchOutput {
     /// model (performance, shadow, CTA subset). The tier-1 backend gate
     /// asserts this so a silent fallback cannot masquerade as coverage.
     pub native: bool,
+    /// The launch-level memo key the profile is cached under: set for an
+    /// untraced memoized performance launch, whether it hit or simulated
+    /// and inserted. Every input of the key is fixed by the launch's
+    /// signature, machine and geometry, so a caller that repeats the
+    /// same launch can answer it with one [`WaveMemo::probe_launch`].
+    pub launch_key: Option<Fingerprint>,
 }
 
 /// Composable kernel launch: the one entry point for every way a kernel
@@ -338,6 +344,7 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
                 profile: None,
                 shadow,
                 native: false,
+                launch_key: None,
             };
         }
         match self.mode {
@@ -352,6 +359,7 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
                     profile: None,
                     shadow: Vec::new(),
                     native,
+                    launch_key: None,
                 }
             }
             Mode::Performance => {
@@ -367,7 +375,7 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
                     Some(sink) => sink,
                     None => TraceSink::noop(),
                 };
-                let profile = simulate(
+                let (profile, launch_key) = simulate(
                     cfg,
                     self.mem,
                     self.kernel,
@@ -380,6 +388,7 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
                     profile: Some(profile),
                     shadow: Vec::new(),
                     native: false,
+                    launch_key,
                 }
             }
         }
@@ -468,7 +477,7 @@ fn wave_key(
     lc: &LaunchConfig,
     l1_cache_bytes: usize,
     ctas: &[usize],
-) -> crate::sig::Fingerprint {
+) -> Fingerprint {
     let mut h = FingerprintHasher::new();
     h.write_fingerprint(sig.0);
     h.write_u64(cfg.config_hash());
@@ -494,7 +503,7 @@ fn simulate<K: KernelSpec + ?Sized>(
     sink: &TraceSink,
     memo: Option<(&WaveMemo, LaunchSig)>,
     timing: TimingMode,
-) -> KernelProfile {
+) -> (KernelProfile, Option<Fingerprint>) {
     let ctas_per_sm = lc.ctas_per_sm(cfg);
 
     // `VECSPARSE_AUDIT=n` also guards the event scheduler: every n-th
@@ -537,7 +546,7 @@ fn simulate<K: KernelSpec + ?Sized>(
     let launch_key = memo.map(|(_, sig)| wave_key(sig, cfg, lc, l1_cache_bytes, &sample_ids));
     if let (Some((m, _)), Some(key)) = (memo, launch_key) {
         if let Some(profile) = m.probe_launch(key, tracing) {
-            return profile;
+            return (profile, launch_key);
         }
     }
 
@@ -549,14 +558,14 @@ fn simulate<K: KernelSpec + ?Sized>(
     // Phase 0 — memo probes, sequential and in canonical wave order, so
     // audit selection (every n-th memoized wave under VECSPARSE_AUDIT)
     // is independent of worker count.
-    let decisions: Vec<(crate::sig::Fingerprint, WaveDecision)> = wave_ranges
+    let decisions: Vec<(Fingerprint, WaveDecision)> = wave_ranges
         .iter()
         .map(|&(start, end)| match memo {
             Some((m, sig)) => {
                 let key = wave_key(sig, cfg, lc, l1_cache_bytes, &sample_ids[start..end]);
                 (key, m.probe(key, tracing))
             }
-            None => (crate::sig::Fingerprint::default(), WaveDecision::Fresh),
+            None => (Fingerprint::default(), WaveDecision::Fresh),
         })
         .collect();
 
@@ -755,7 +764,7 @@ fn simulate<K: KernelSpec + ?Sized>(
         .collect();
 
     let profile = KernelProfile {
-        name: kernel.name(),
+        name: kernel.name().into(),
         grid: lc.grid,
         ctas_per_sm,
         warps_per_scheduler,
@@ -769,14 +778,15 @@ fn simulate<K: KernelSpec + ?Sized>(
         stalls,
         l1: l1s,
         l2: l2s,
-        pipes,
-        hot_pcs,
+        pipes: pipes.into(),
+        hot_pcs: hot_pcs.into(),
     };
 
+    // A traced launch's profile is not cached (the cache carries no
+    // telemetry), so it reports no key.
+    let launch_key = launch_key.filter(|_| !tracing);
     if let (Some((m, _)), Some(key)) = (memo, launch_key) {
-        if !tracing {
-            m.insert_launch(key, profile.clone());
-        }
+        m.insert_launch(key, profile.clone());
     }
 
     if tracing {
@@ -814,7 +824,7 @@ fn simulate<K: KernelSpec + ?Sized>(
         );
     }
 
-    profile
+    (profile, launch_key)
 }
 
 #[cfg(test)]

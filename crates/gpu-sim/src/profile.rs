@@ -2,6 +2,7 @@
 
 use crate::cache::CacheStats;
 use crate::trace::{InstrKind, Pipe};
+use std::sync::Arc;
 
 /// Dynamic instruction counts by category (warp-level instructions,
 /// extrapolated to the whole grid).
@@ -210,10 +211,13 @@ impl Roofline {
 }
 
 /// Everything the evaluation section reads about one kernel execution.
+///
+/// The heap parts (name, pipes, hot pcs) are shared: a memoized profile is
+/// handed out and cached by reference-count bumps, never by deep copies.
 #[derive(Clone, Debug)]
 pub struct KernelProfile {
     /// Kernel name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Grid size (number of thread blocks) — guideline II's counter.
     pub grid: usize,
     /// Resident CTAs per SM after the occupancy calculation.
@@ -242,9 +246,9 @@ pub struct KernelProfile {
     /// L2 statistics; `sectors_missed * 32` is DRAM read traffic.
     pub l2: CacheStats,
     /// Per-pipe utilisation, sorted descending.
-    pub pipes: Vec<PipeUtil>,
+    pub pipes: Arc<[PipeUtil]>,
     /// Hottest static instructions by issue count, sorted descending.
-    pub hot_pcs: Vec<HotPc>,
+    pub hot_pcs: Arc<[HotPc]>,
 }
 
 impl KernelProfile {
@@ -461,8 +465,8 @@ mod render_tests {
             },
             l1: crate::cache::CacheStats::default(),
             l2: crate::cache::CacheStats::default(),
-            pipes: Vec::new(),
-            hot_pcs: Vec::new(),
+            pipes: Arc::new([]),
+            hot_pcs: Arc::new([]),
         }
     }
 

@@ -514,6 +514,9 @@ impl WarpCtx<'_, '_> {
         if self.functional() {
             let len = self.cta.mem.len(buf);
             let elem_bytes = width.bytes();
+            self.cta
+                .pending_writes
+                .reserve(Self::active_count(offsets) as usize * epl);
             for lane in 0..WARP_SIZE {
                 let off = offsets[lane];
                 if off == u32::MAX {

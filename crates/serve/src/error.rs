@@ -42,6 +42,13 @@ pub enum ServeError {
         /// Which invariant.
         what: &'static str,
     },
+    /// The worker panicked while planning or running the job's batch.
+    /// Every job of that batch fails with this error; the worker goes on
+    /// serving later batches.
+    WorkerPanicked {
+        /// The panic message (empty when the payload was not a string).
+        message: String,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -61,6 +68,9 @@ impl fmt::Display for ServeError {
             ),
             ServeError::Closed => write!(f, "server closed: submissions are no longer accepted"),
             ServeError::InvalidConfig { what } => write!(f, "invalid serve config: {what}"),
+            ServeError::WorkerPanicked { message } => {
+                write!(f, "serve worker panicked on the job's batch: {message}")
+            }
         }
     }
 }

@@ -15,6 +15,7 @@ use crate::job::{JobHandle, JobOutput, JobRequest, JobSlot};
 use crate::queue::{Batch, Pending, ShardQueue};
 use crate::stats::{percentile, ServeReport, TenantReport};
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -35,6 +36,7 @@ struct StatsInner {
     tenants: Vec<TenantStats>,
     batches: u64,
     coalesced: u64,
+    panicked: u64,
 }
 
 /// State shared by the server, its clients, and its workers.
@@ -49,6 +51,9 @@ struct Shared {
     serve_pid: u32,
     epoch: Instant,
     next_id: AtomicU64,
+    /// Fault seam: how many upcoming batches panic inside plan-and-run.
+    #[cfg(test)]
+    panics_left: AtomicU64,
 }
 
 impl Shared {
@@ -173,11 +178,14 @@ impl Server {
                 tenants: (0..tenants).map(|_| TenantStats::default()).collect(),
                 batches: 0,
                 coalesced: 0,
+                panicked: 0,
             }),
             sink,
             serve_pid,
             epoch: Instant::now(), // lint: hash-ok — host latency clock, never in simulated counters
             next_id: AtomicU64::new(0),
+            #[cfg(test)]
+            panics_left: AtomicU64::new(0),
             config,
         });
 
@@ -280,11 +288,9 @@ impl Client {
     }
 }
 
-/// Execute one batch on the shard's context and fulfill every slot.
-fn dispatch(shared: &Shared, shard: usize, batch: Batch) {
-    let ctx = &shared.contexts[shard];
-    let n_jobs = batch.jobs.len();
-    let result: Result<Vec<JobOutput>, ServeError> = match &batch.jobs[0].req {
+/// Plan the batch on the shard's context and run every job in it.
+fn plan_and_run(ctx: &Context, batch: &Batch) -> Result<Vec<JobOutput>, ServeError> {
+    match &batch.jobs[0].req {
         JobRequest::Spmm { a, b, algo } => {
             let (a, algo) = (Arc::clone(a), *algo);
             let n = b.cols();
@@ -323,7 +329,33 @@ fn dispatch(shared: &Shared, shard: usize, batch: Batch) {
                         .map_err(ServeError::from)
                 })
         }
-    };
+    }
+}
+
+/// Execute one batch on the shard's context and fulfill every slot. A
+/// panic in plan-and-run fails the batch's jobs through the failed-batch
+/// branch, so their waiters wake and the worker keeps serving.
+fn dispatch(shared: &Shared, shard: usize, batch: Batch) {
+    let n_jobs = batch.jobs.len();
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        if shared
+            .panics_left
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            panic!("injected dispatch fault");
+        }
+        plan_and_run(&shared.contexts[shard], &batch)
+    }))
+    .unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        Err(ServeError::WorkerPanicked { message })
+    });
 
     let done_us = shared.now_us();
     let track = Track {
@@ -348,6 +380,7 @@ fn dispatch(shared: &Shared, shard: usize, batch: Batch) {
     let mut stats = shared.stats_lock();
     stats.batches += 1;
     stats.coalesced += (n_jobs - 1) as u64;
+    stats.panicked += u64::from(matches!(result, Err(ServeError::WorkerPanicked { .. })));
     match result {
         Ok(outputs) => {
             for (pending, out) in batch.jobs.into_iter().zip(outputs) {
@@ -442,6 +475,7 @@ fn build_report(shared: &Shared) -> ServeReport {
         memo,
         batches: stats.batches,
         coalesced: stats.coalesced,
+        panicked_batches: stats.panicked,
         max_queue_depth: shared
             .queues
             .iter()
@@ -460,5 +494,68 @@ fn build_report(shared: &Shared) -> ServeReport {
             .collect(),
         workers: shared.config.workers,
         shards: shared.config.shards,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TenantSpec;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use vecsparse::SpmmAlgo;
+    use vecsparse_formats::{gen, Layout};
+    use vecsparse_fp16::f16;
+    use vecsparse_gpu_sim::GpuConfig;
+
+    /// `handle.wait()` on a helper thread; panics if it is still blocked
+    /// after `timeout`.
+    fn wait_within(handle: JobHandle, timeout: Duration) -> Result<JobOutput, ServeError> {
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = tx.send(handle.wait());
+        });
+        let got = rx
+            .recv_timeout(timeout)
+            .unwrap_or_else(|_| panic!("wait() still blocked after {timeout:?}"));
+        waiter.join().expect("the waiter returned after sending");
+        got
+    }
+
+    /// A panic inside one batch fails that batch's handles with a typed
+    /// error instead of killing the worker and leaving its waiters
+    /// blocked, and the worker goes on serving.
+    #[test]
+    fn worker_panic_fails_its_batch_and_keeps_serving() {
+        let server = Server::start(
+            ServeConfig::builder()
+                .workers(1)
+                .shards(1)
+                .gpu(GpuConfig::small())
+                .tenant(TenantSpec::new("solo"))
+                .build(),
+        );
+        let client = server.client("solo").unwrap();
+        let a = Arc::new(gen::random_vector_sparse::<f16>(32, 64, 4, 0.8, 1));
+        let job = |seed| JobRequest::Spmm {
+            a: Arc::clone(&a),
+            b: gen::random_dense::<f16>(64, 16, Layout::RowMajor, seed),
+            algo: SpmmAlgo::Octet,
+        };
+        let timeout = Duration::from_secs(10);
+        server.shared.panics_left.store(1, Ordering::Relaxed);
+        let doomed = client.submit(job(2)).expect("admission");
+        match wait_within(doomed, timeout) {
+            Err(ServeError::WorkerPanicked { message }) => {
+                assert_eq!(message, "injected dispatch fault")
+            }
+            Err(other) => panic!("expected WorkerPanicked, got {other}"),
+            Ok(_) => panic!("the panicking batch must not be served"),
+        }
+        let ok = client.submit(job(3)).expect("admission");
+        assert!(wait_within(ok, timeout).is_ok(), "the worker kept serving");
+        let report = server.finish();
+        assert_eq!(report.panicked_batches, 1);
+        assert_eq!((report.batches, report.served()), (2, 1));
     }
 }

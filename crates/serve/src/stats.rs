@@ -65,6 +65,11 @@ pub struct ServeReport {
     /// Jobs that rode along in a batch beyond its anchor job — the
     /// coalescing win.
     pub coalesced: u64,
+    /// Dispatched batches whose plan-and-run panicked; each of their
+    /// jobs failed with [`ServeError::WorkerPanicked`].
+    ///
+    /// [`ServeError::WorkerPanicked`]: crate::ServeError::WorkerPanicked
+    pub panicked_batches: u64,
     /// Deepest any shard's queue got.
     pub max_queue_depth: usize,
     /// Per-shard anchor-tenant history (tenant names in batch-selection
@@ -226,6 +231,7 @@ mod tests {
             memo: None,
             batches: 5,
             coalesced: 15,
+            panicked_batches: 0,
             max_queue_depth: 12,
             dispatch_logs: vec![vec![
                 "a".into(),

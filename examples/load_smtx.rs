@@ -16,10 +16,10 @@ use vecsparse_formats::{gen, Layout};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::GpuConfig;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let text = match std::env::args().nth(1) {
         Some(path) => {
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?
         }
         None => {
             // Synthesize a 256-block-row structure and round-trip it
@@ -28,7 +28,7 @@ fn main() {
             vecsparse_formats::smtx::pattern_to_smtx(&p).to_text()
         }
     };
-    let smtx = Smtx::parse(&text).expect("valid .smtx");
+    let smtx = Smtx::parse(&text)?;
     println!(
         "loaded {}x{} structure, {} nonzeros ({:.1}% sparse)",
         smtx.rows,
@@ -42,7 +42,7 @@ fn main() {
     let ctx = Context::builder().gpu(GpuConfig::default()).build();
     let n = 256;
     for v in [2usize, 4, 8] {
-        let a = smtx.to_vector_sparse::<f16>(v, 11);
+        let a = smtx.to_vector_sparse::<f16>(v, 11)?;
         let b = gen::random_dense::<f16>(a.cols(), n, Layout::RowMajor, 12);
         let octet = ctx.profile_spmm(&a, &b, SpmmAlgo::Octet);
         let dense = ctx.profile_spmm(&a, &b, SpmmAlgo::Dense);
@@ -55,4 +55,5 @@ fn main() {
             dense.cycles / octet.cycles
         );
     }
+    Ok(())
 }

@@ -109,10 +109,12 @@ pub trait SampleUniform: Sized + Copy + PartialOrd {
 macro_rules! uniform_int {
     ($($t:ty => $wide:ty),* $(,)?) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_half_open<R: RngCore>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 let span = (hi as $wide).wrapping_sub(lo as $wide) as u64;
                 lo.wrapping_add((rng.next_u64() % span) as $t)
             }
+            #[inline]
             fn sample_inclusive<R: RngCore>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 let span = (hi as $wide).wrapping_sub(lo as $wide) as u64;
                 if span == u64::MAX {
@@ -130,10 +132,12 @@ uniform_int!(u8 => u64, u16 => u64, u32 => u64, u64 => u64, usize => u64,
 macro_rules! uniform_float {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_half_open<R: RngCore>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 let u: $t = Standard::sample_standard(rng);
                 lo + u * (hi - lo)
             }
+            #[inline]
             fn sample_inclusive<R: RngCore>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 Self::sample_half_open(rng, lo, hi)
             }
@@ -149,6 +153,7 @@ pub trait SampleRange<T> {
 }
 
 impl<T: SampleUniform> SampleRange<T> for Range<T> {
+    #[inline]
     fn sample_single<R: RngCore>(self, rng: &mut R) -> T {
         assert!(self.start < self.end, "cannot sample empty range");
         T::sample_half_open(rng, self.start, self.end)
@@ -156,6 +161,7 @@ impl<T: SampleUniform> SampleRange<T> for Range<T> {
 }
 
 impl<T: SampleUniform> SampleRange<T> for RangeInclusive<T> {
+    #[inline]
     fn sample_single<R: RngCore>(self, rng: &mut R) -> T {
         let (lo, hi) = self.into_inner();
         assert!(lo <= hi, "cannot sample empty range");
@@ -193,6 +199,7 @@ pub mod rngs {
     }
 
     impl RngCore for StdRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
             let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);

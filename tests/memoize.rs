@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vecsparse::engine::Context;
+use vecsparse::engine::{Context, ContextBuilder};
 use vecsparse::registry::{self, KernelId, Shape};
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_certify::{certify, ProofFailure, WaveVerdict};
@@ -20,7 +20,7 @@ use vecsparse_gpu_sim::{
     BufferId, CtaCtx, ElemWidth, GpuConfig, KernelSpec, Launch, LaunchConfig, MemPool, Mode,
     Program, Site, WVec, WaveMemo, NO_LANES,
 };
-use vecsparse_telemetry::{perfetto, TraceSink, DEFAULT_CAPACITY};
+use vecsparse_telemetry::{perfetto, EventKind, TraceSink, DEFAULT_CAPACITY};
 
 fn set_threads(n: usize) {
     rayon::ThreadPoolBuilder::new()
@@ -183,6 +183,110 @@ fn sddmm_memoization_is_invisible_at_one_and_four_threads() {
             set_threads(threads);
             let memo = sddmm_stack(true, algo);
             assert_eq!(memo, honest, "{algo:?} at {threads} threads");
+        }
+    }
+    set_threads(1);
+}
+
+/// The engine's ten fixed plan algorithms.
+#[derive(Clone, Copy, Debug)]
+enum PlanAlgo {
+    Spmm(SpmmAlgo),
+    Sddmm(SddmmAlgo),
+}
+
+const PLAN_ALGOS: [PlanAlgo; 10] = [
+    PlanAlgo::Spmm(SpmmAlgo::Octet),
+    PlanAlgo::Spmm(SpmmAlgo::Wmma),
+    PlanAlgo::Spmm(SpmmAlgo::FpuSubwarp),
+    PlanAlgo::Spmm(SpmmAlgo::BlockedEll),
+    PlanAlgo::Spmm(SpmmAlgo::Dense),
+    PlanAlgo::Sddmm(SddmmAlgo::OctetReg),
+    PlanAlgo::Sddmm(SddmmAlgo::OctetShfl),
+    PlanAlgo::Sddmm(SddmmAlgo::OctetArch),
+    PlanAlgo::Sddmm(SddmmAlgo::FpuSubwarp),
+    PlanAlgo::Sddmm(SddmmAlgo::Wmma),
+];
+
+/// `k` profiles of one `algo` plan built through a small-GPU context
+/// from `builder`, as `profile_bits`, and the context.
+fn repeated_profiles(
+    builder: ContextBuilder,
+    algo: PlanAlgo,
+    k: usize,
+) -> (Vec<(String, u64)>, Context) {
+    let ctx = builder.gpu(GpuConfig::small()).build();
+    let (m, inner, n, v, sparsity) = (32, 64, 48, 4, 0.8);
+    let profiles = match algo {
+        PlanAlgo::Spmm(algo) => {
+            let a = gen::random_vector_sparse::<f16>(m, inner, v, sparsity, 71);
+            let b = gen::random_dense::<f16>(inner, n, Layout::RowMajor, 72);
+            let plan = ctx.plan_spmm(&a, n, algo);
+            (0..k).map(|_| profile_bits(&plan.profile(&b))).collect()
+        }
+        PlanAlgo::Sddmm(algo) => {
+            let mask = gen::random_pattern(m, n, v, sparsity, 73);
+            let a = gen::random_dense::<f16>(m, inner, Layout::RowMajor, 74);
+            let b = gen::random_dense::<f16>(inner, n, Layout::ColMajor, 75);
+            let plan = ctx.plan_sddmm(&mask, inner, algo);
+            (0..k)
+                .map(|_| profile_bits(&plan.profile(&a, &b)))
+                .collect()
+        }
+    };
+    (profiles, ctx)
+}
+
+/// A memoized plan simulates its first profile and answers every later
+/// one with one launch-level lookup, bit-identical to honest simulation.
+/// A traced context and an auditing memo keep the full launch: every
+/// traced profile records its kernel span and probes no launch, and
+/// audits still re-simulate repeated profiles.
+#[test]
+fn repeated_plan_profiles_are_one_launch_lookup_each() {
+    const K: usize = 4;
+    for threads in [1usize, 4] {
+        set_threads(threads);
+        for algo in PLAN_ALGOS {
+            let at = format!("{algo:?} at {threads} threads");
+            let (honest, _) = repeated_profiles(Context::builder(), algo, K);
+
+            let (memo, ctx) = repeated_profiles(Context::builder().memoization(), algo, K);
+            assert_eq!(memo, honest, "{at}");
+            let s = ctx.memo_stats().expect("memoizing context");
+            assert_eq!(
+                (s.launch_misses, s.launch_hits),
+                (1, K as u64 - 1),
+                "{at}: one full launch, then one probe per profile"
+            );
+
+            let sink = Arc::new(TraceSink::enabled(DEFAULT_CAPACITY));
+            let (traced, ctx) = repeated_profiles(
+                Context::builder()
+                    .telemetry(Arc::clone(&sink))
+                    .memoization(),
+                algo,
+                K,
+            );
+            assert_eq!(traced, honest, "{at}, traced");
+            let s = ctx.memo_stats().expect("memoizing context");
+            assert_eq!((s.launch_misses, s.launch_hits), (0, 0), "{at}, traced");
+            let kernel_spans = sink
+                .events()
+                .iter()
+                .filter(|e| e.cat == "kernel" && matches!(e.kind, EventKind::Span))
+                .count();
+            assert_eq!(kernel_spans, K, "{at}: every traced profile simulates");
+
+            let (audited, ctx) = repeated_profiles(
+                Context::builder().shared_memoization(Arc::new(WaveMemo::with_audit(1))),
+                algo,
+                K,
+            );
+            assert_eq!(audited, honest, "{at}, audited");
+            let s = ctx.memo_stats().expect("memoizing context");
+            assert!(s.audits > 0, "{at}: repeated profiles must be audited");
+            assert_eq!((s.launch_misses, s.launch_hits), (0, 0), "{at}, audited");
         }
     }
     set_threads(1);

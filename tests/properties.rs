@@ -254,6 +254,8 @@ proptest! {
         let again = Smtx::parse(&smtx.to_text()).unwrap();
         prop_assert_eq!(&smtx, &again);
         prop_assert_eq!(again.nnz(), p.nnz_vectors());
+        let back = again.to_vector_sparse::<f16>(v, seed).unwrap();
+        prop_assert_eq!(back.pattern(), &p);
     }
 
     /// Row-vector transposition is exact for any structure.
