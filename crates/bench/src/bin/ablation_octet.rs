@@ -10,6 +10,8 @@
 //! * **Grain size V** at fixed sparsity: the column-vector encoding's
 //!   reuse grows with V while the nonzero count stays fixed.
 
+use vecsparse::compose::{LoadStrategy, TilingScheme};
+use vecsparse::spmm::compose::DEFAULT_SCHEME;
 use vecsparse::spmm::OctetSpmm;
 use vecsparse::util::profile;
 use vecsparse_bench::{device, f2, Table};
@@ -31,16 +33,20 @@ fn main() {
     let mut t = Table::new(vec!["V", "variant", "cycles", "vs base", "hmma instrs"]);
     for v in [2usize, 4, 8] {
         let bench = Benchmark::build(shape, v, 0.9);
-        let run = |truncated: bool, ilp: bool| {
+        let run = |scheme: TilingScheme, truncated: bool| {
             profile(&gpu, |mem, mode| {
-                OctetSpmm::new(mem, &bench.matrix, &b, mode)
+                OctetSpmm::with_scheme(mem, &bench.matrix, &b, mode, scheme)
                     .with_truncated_hmma(truncated)
-                    .with_ilp_batching(ilp)
             })
         };
-        let base = run(false, true);
-        let no_ilp = run(false, false);
-        let trunc = run(true, true);
+        // The unbatched row interleaves each step's load with its mma.
+        let cyclic = TilingScheme {
+            load: LoadStrategy::SyncBufferCyclic,
+            ..DEFAULT_SCHEME
+        };
+        let base = run(DEFAULT_SCHEME, false);
+        let no_ilp = run(cyclic, false);
+        let trunc = run(DEFAULT_SCHEME, true);
         t.row(vec![
             v.to_string(),
             "base (batched loads)".into(),

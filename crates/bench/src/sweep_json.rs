@@ -378,7 +378,7 @@ mod tests {
             SweepRow {
                 label: "auto -> spmm-octet".to_string(),
                 tuned: Some("spmm-octet".to_string()),
-                scheme: Some("k32n64-large-ordered".to_string()),
+                scheme: Some("k32n64-ordered".to_string()),
                 out_digest: 0x00000000deadbeef,
                 profile: fake_profile("spmm-octet", 250.0),
             },
@@ -412,10 +412,7 @@ mod tests {
         assert!(rows_j[0].get("tuned").is_none());
         assert!(rows_j[0].get("tiling_scheme").is_none());
         assert_eq!(rows_j[1]["tuned"].as_str(), Some("spmm-octet"));
-        assert_eq!(
-            rows_j[1]["tiling_scheme"].as_str(),
-            Some("k32n64-large-ordered")
-        );
+        assert_eq!(rows_j[1]["tiling_scheme"].as_str(), Some("k32n64-ordered"));
         assert_eq!(rows_j[0]["out_digest"].as_str(), Some("cbf29ce484222325"));
         assert_eq!(rows_j[1]["out_digest"].as_str(), Some("00000000deadbeef"));
         assert_eq!(parsed["backend"].as_str(), Some("simulated"));

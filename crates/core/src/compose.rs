@@ -9,8 +9,8 @@
 //!   fence and the mma batch (`SyncFullOrdered`, the paper's §5.4 ILP
 //!   trick) or cycle load→compute per step (`SyncBufferCyclic`).
 //! * **stage layer** — shared-memory tiling: `tile_k` / `tile_n` /
-//!   sub-warp width, plus the [`WriteOutStrategy`] governing how much
-//!   shared memory the staging phase holds at once.
+//!   sub-warp width. A stride stages all of its `tile_k` vectors in
+//!   shared memory at once; there is no separate write-out axis.
 //! * **tile layer** — the inner step ([`TileComponent`]): an
 //!   `mma.m8n8k4` octet, a classic wmma fragment, an FPU FMA chain, a
 //!   scalar loop, or the softmax row composition. The component fixes
@@ -20,9 +20,9 @@
 //!
 //! The 14 registry entries are named default schemes ([`scheme_for`], a
 //! `const` table — kernel files derive their tile constants from it at
-//! compile time), and the `SpmmAlgo::Auto` tuner sweeps non-default
-//! schemes for the octet SpMM through
-//! [`crate::spmm::compose::octet_schemes`].
+//! compile time), and the `SpmmAlgo::Auto` tuner sweeps the octet SpMM's
+//! [`crate::spmm::compose::octet_schemes`]. The cyclic load schedule is
+//! not swept: it is the §5.4 ablation's no-ILP row.
 
 use crate::registry::KernelId;
 use vecsparse_precision::KernelModel;
@@ -45,29 +45,6 @@ impl LoadStrategy {
         match self {
             LoadStrategy::SyncFullOrdered => "ordered",
             LoadStrategy::SyncBufferCyclic => "cyclic",
-        }
-    }
-}
-
-/// Stage-layer shared-memory write-out discipline (after
-/// `cubecl-matmul`'s `WriteOutStrategy`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum WriteOutStrategy {
-    /// The full stride's staged operands are resident in shared memory
-    /// at once (`tile_k × v` elements) — one staging phase per stride.
-    #[default]
-    LargeSmem,
-    /// Half-sized shared staging, reused twice per stride: trades an
-    /// extra staging phase for occupancy headroom.
-    ReuseSmem,
-}
-
-impl WriteOutStrategy {
-    /// Stable lowercase label fragment.
-    pub fn label(self) -> &'static str {
-        match self {
-            WriteOutStrategy::LargeSmem => "large",
-            WriteOutStrategy::ReuseSmem => "reuse",
         }
     }
 }
@@ -119,8 +96,6 @@ pub struct TilingScheme {
     pub sub_warp: usize,
     /// Global-layer staging order.
     pub load: LoadStrategy,
-    /// Stage-layer shared-memory discipline.
-    pub write_out: WriteOutStrategy,
     /// Tile-layer inner step.
     pub tile: TileComponent,
     /// Output element width in bits (16 for the f16 kernels, 32 for the
@@ -129,26 +104,10 @@ pub struct TilingScheme {
 }
 
 impl TilingScheme {
-    /// Compact scheme label, e.g. `k32n64-large-ordered`, as recorded in
+    /// Compact scheme label, e.g. `k32n64-ordered`, as recorded in
     /// sweep JSON rows and the plan cache.
     pub fn label(&self) -> String {
-        format!(
-            "k{}n{}-{}-{}",
-            self.tile_k,
-            self.tile_n,
-            self.write_out.label(),
-            self.load.label()
-        )
-    }
-
-    /// The staging chunk the stage layer holds in shared memory at once:
-    /// the full `tile_k` under [`WriteOutStrategy::LargeSmem`], half of
-    /// it under [`WriteOutStrategy::ReuseSmem`].
-    pub const fn stage_k(&self) -> usize {
-        match self.write_out {
-            WriteOutStrategy::LargeSmem => self.tile_k,
-            WriteOutStrategy::ReuseSmem => self.tile_k / 2,
-        }
+        format!("k{}n{}-{}", self.tile_k, self.tile_n, self.load.label())
     }
 }
 
@@ -157,15 +116,14 @@ impl TilingScheme {
 /// files derive their tile constants from this table (`const`-evaluated),
 /// so a scheme change here *is* a kernel change.
 pub const fn scheme_for(id: KernelId) -> TilingScheme {
-    // Shorthand: every default uses the ordered/large staging the paper
-    // ships; only the octet SpMM currently exposes the other points.
+    // Shorthand: every default uses the ordered load schedule the paper
+    // ships; only the octet SpMM compiles other points.
     const fn s(tile_k: usize, tile_n: usize, sub_warp: usize, tile: TileComponent) -> TilingScheme {
         TilingScheme {
             tile_k,
             tile_n,
             sub_warp,
             load: LoadStrategy::SyncFullOrdered,
-            write_out: WriteOutStrategy::LargeSmem,
             tile,
             out_bits: 16,
         }
@@ -220,32 +178,26 @@ mod tests {
     fn default_schemes_pin_the_paper_constants() {
         let o = scheme_for(KernelId::SpmmOctet);
         assert_eq!((o.tile_k, o.tile_n, o.sub_warp), (32, 64, 4));
-        assert_eq!(o.stage_k(), 32);
         let so = scheme_for(KernelId::SddmmOctetReg);
         assert_eq!((so.tile_k, so.tile_n, so.sub_warp), (64, 32, 8));
         assert_eq!(scheme_for(KernelId::SddmmCsr).out_bits, 32);
         for id in ALL_KERNELS {
             let s = scheme_for(id);
             assert_eq!(s.load, LoadStrategy::SyncFullOrdered, "{id:?}");
-            assert_eq!(s.write_out, WriteOutStrategy::LargeSmem, "{id:?}");
         }
     }
 
     #[test]
     fn scheme_labels_are_compact_and_distinct_per_point() {
         let d = scheme_for(KernelId::SpmmOctet);
-        assert_eq!(d.label(), "k32n64-large-ordered");
+        assert_eq!(d.label(), "k32n64-ordered");
         let cyclic = TilingScheme {
             load: LoadStrategy::SyncBufferCyclic,
             ..d
         };
-        let reuse = TilingScheme {
-            write_out: WriteOutStrategy::ReuseSmem,
-            ..d
-        };
-        assert_ne!(d.label(), cyclic.label());
-        assert_ne!(d.label(), reuse.label());
-        assert_eq!(reuse.stage_k(), 16);
+        let k16 = TilingScheme { tile_k: 16, ..d };
+        assert_eq!(cyclic.label(), "k32n64-cyclic");
+        assert_eq!(k16.label(), "k16n64-ordered");
     }
 
     #[test]

@@ -57,6 +57,15 @@ pub enum EngineError {
         /// Why it is unsupported here.
         why: &'static str,
     },
+    /// The problem's caller-sized buffers do not fit in the modeled
+    /// V100's 16 GiB of device memory.
+    OutOfDeviceMemory {
+        /// Device bytes the buffers need (`u64::MAX` when the count
+        /// overflows).
+        needed: u64,
+        /// The device's memory in bytes.
+        capacity: u64,
+    },
     /// A staged device buffer the dispatch needed was absent — an
     /// engine-internal invariant violation, not a caller error.
     UnstagedBuffer {
@@ -100,6 +109,10 @@ impl fmt::Display for EngineError {
             EngineError::UnsupportedAlgo { algo, why } => {
                 write!(f, "algorithm {algo} cannot run this problem: {why}")
             }
+            EngineError::OutOfDeviceMemory { needed, capacity } => write!(
+                f,
+                "problem needs {needed} bytes of device memory; the device has {capacity}"
+            ),
             EngineError::UnstagedBuffer { what } => {
                 write!(f, "internal error: staged buffer missing: {what}")
             }

@@ -57,9 +57,14 @@ use vecsparse_formats::{gen, BlockedEll, DenseMatrix, SparsityPattern, VectorSpa
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{self, Fingerprint};
 use vecsparse_gpu_sim::{
-    Backend, GpuConfig, KernelProfile, LaunchSig, MemoStats, TraceSink, Track, WaveMemo,
+    Backend, ElemWidth, GpuConfig, KernelProfile, LaunchSig, MemoStats, TraceSink, Track, WaveMemo,
 };
 use vecsparse_precision::Certificate;
+
+/// Device memory of the modeled V100, in bytes. A problem whose
+/// caller-sized buffers need more is refused with
+/// [`EngineError::OutOfDeviceMemory`] before anything is allocated.
+pub(crate) const DEVICE_MEMORY_BYTES: u64 = 16 << 30;
 
 /// The operation a plan executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -152,6 +157,34 @@ impl PlanKey {
             v: p.v(),
             sparsity_bucket: sig::sparsity_bucket(p.sparsity()),
         })
+    }
+
+    /// Refuse a problem whose caller-sized buffers do not fit in
+    /// [`DEVICE_MEMORY_BYTES`]: SpMM's k × n RHS and m × n output, plus
+    /// the m × k dense twin when `dense_twin`; SDDMM's m × k and k × n
+    /// operands, which the tuner also builds as host zeros. The count is
+    /// checked arithmetic and runs before any allocation, so an
+    /// over-large request is an error instead of an aborted process.
+    fn check_fits(&self, dense_twin: bool) -> Result<(), EngineError> {
+        let (m, k, n) = (self.m, self.k, self.n);
+        let buffers: &[(usize, usize)] = match self.op {
+            OpKind::Spmm if dense_twin => &[(k, n), (m, n), (m, k)],
+            OpKind::Spmm => &[(k, n), (m, n)],
+            OpKind::Sddmm => &[(m, k), (k, n)],
+        };
+        let needed = buffers.iter().try_fold(0u64, |sum, &(rows, cols)| {
+            (rows as u64)
+                .checked_mul(cols as u64)?
+                .checked_mul(ElemWidth::B16.bytes())?
+                .checked_add(sum)
+        });
+        match needed {
+            Some(needed) if needed <= DEVICE_MEMORY_BYTES => Ok(()),
+            _ => Err(EngineError::OutOfDeviceMemory {
+                needed: needed.unwrap_or(u64::MAX),
+                capacity: DEVICE_MEMORY_BYTES,
+            }),
+        }
     }
 }
 
@@ -538,6 +571,9 @@ impl Context {
         algo: SpmmAlgo,
     ) -> Result<SpmmPlan, EngineError> {
         let key = PlanKey::new(OpKind::Spmm, a.pattern(), n)?;
+        let dense_twin = algo == SpmmAlgo::Dense
+            || (algo == SpmmAlgo::Auto && tuner::dense_is_swept(a.pattern().sparsity()));
+        key.check_fits(dense_twin)?;
         Ok(self.plan(
             key,
             || match algo {
@@ -558,8 +594,9 @@ impl Context {
     /// Infallible [`Context::try_plan_spmm`].
     ///
     /// # Panics
-    /// Panics with the [`EngineError`] message if a dimension is zero or
-    /// the operand's V is unsupported.
+    /// Panics with the [`EngineError`] message if a dimension is zero,
+    /// the operand's V is unsupported, or the problem does not fit in
+    /// the modeled V100's 16 GiB of device memory.
     pub fn plan_spmm(&self, a: &VectorSparse<f16>, n: usize, algo: SpmmAlgo) -> SpmmPlan {
         self.try_plan_spmm(a, n, algo)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -576,6 +613,7 @@ impl Context {
         algo: SddmmAlgo,
     ) -> Result<SddmmPlan, EngineError> {
         let key = PlanKey::new(OpKind::Sddmm, mask, k)?;
+        key.check_fits(false)?;
         Ok(self.plan(
             key,
             || match algo {
@@ -594,8 +632,9 @@ impl Context {
     /// Infallible [`Context::try_plan_sddmm`].
     ///
     /// # Panics
-    /// Panics with the [`EngineError`] message if a dimension is zero or
-    /// the mask's V is unsupported.
+    /// Panics with the [`EngineError`] message if a dimension is zero,
+    /// the mask's V is unsupported, or the problem does not fit in
+    /// the modeled V100's 16 GiB of device memory.
     pub fn plan_sddmm(&self, mask: &SparsityPattern, k: usize, algo: SddmmAlgo) -> SddmmPlan {
         self.try_plan_sddmm(mask, k, algo)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -776,6 +815,70 @@ mod tests {
         let _ = ctx.plan_spmm(&sparse, 64, SpmmAlgo::Auto);
         let _ = ctx.plan_spmm(&dense_ish, 64, SpmmAlgo::Auto);
         assert_eq!(ctx.stats().cache_misses, 2, "distinct sparsity buckets");
+    }
+
+    /// A problem whose buffers do not fit in the device's memory is
+    /// refused with a typed error before anything is allocated or tuned,
+    /// under a fixed algorithm and under `Auto`, on both backends. The
+    /// SpMM probe's m × n output alone is 128 GiB of binary16.
+    #[test]
+    fn oversized_problems_are_refused_before_allocation() {
+        let a = gen::random_vector_sparse::<f16>(1 << 20, 64, 8, 0.99, 1);
+        let mask = gen::random_pattern(64, 64, 4, 0.5, 2);
+        let refused = |got: Result<(), EngineError>, needed: u64, what: &str| match got {
+            Err(EngineError::OutOfDeviceMemory {
+                needed: n,
+                capacity,
+            }) => {
+                assert_eq!((n, capacity), (needed, DEVICE_MEMORY_BYTES), "{what}")
+            }
+            other => panic!("{what}: expected OutOfDeviceMemory, got {other:?}"),
+        };
+        for backend in [Backend::Simulated, Backend::Native] {
+            let ctx = Context::builder().backend(backend).build();
+            // RHS k × n and output m × n; `Dense` adds the m × k twin,
+            // which `Auto` does not probe at 99% sparsity.
+            for (algo, twin) in [
+                (SpmmAlgo::Octet, 0),
+                (SpmmAlgo::Auto, 0),
+                (SpmmAlgo::Dense, 64 << 20),
+            ] {
+                let got = ctx.try_plan_spmm(&a, 1 << 16, algo).map(drop);
+                refused(
+                    got,
+                    ((64 << 16) + (1 << 36) + twin) * 2,
+                    &format!("{algo:?}"),
+                );
+            }
+            for (algo, k, needed) in [
+                (SddmmAlgo::Auto, 1 << 40, 1 << 48),
+                (SddmmAlgo::OctetReg, 1 << 40, 1 << 48),
+                (SddmmAlgo::Auto, usize::MAX, u64::MAX),
+            ] {
+                let got = ctx.try_plan_sddmm(&mask, k, algo).map(drop);
+                refused(got, needed, &format!("{algo:?} k={k}"));
+            }
+            assert_eq!(
+                ctx.stats(),
+                EngineStats::default(),
+                "nothing tuned or built"
+            );
+        }
+        // The bound is inclusive: 2 × 2^33 bytes is exactly 16 GiB.
+        let key = |n| PlanKey {
+            op: OpKind::Sddmm,
+            m: 1 << 32,
+            k: 1,
+            n,
+            v: 1,
+            sparsity_bucket: 0,
+        };
+        assert_eq!(key(1 << 32).check_fits(false), Ok(()));
+        refused(
+            key((1 << 32) + 1).check_fits(false),
+            (1 << 34) + 2,
+            "one more column",
+        );
     }
 
     #[test]

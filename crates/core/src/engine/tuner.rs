@@ -2,9 +2,13 @@
 //!
 //! The tuner runs in two stages:
 //!
-//! 1. **Analytic pre-filter** ([`spmm_candidates`] / [`sddmm_candidates`]):
-//!    drop kernels that cannot win for the descriptor, so the expensive
-//!    profiling stage only touches plausible choices.
+//! 1. **Analytic gates** ([`spmm_sweep_points`] / [`sddmm_candidates`]):
+//!    list only points that can win for the descriptor, so the
+//!    expensive profiling stage only touches plausible choices. The SpMM
+//!    list, in order: octet at each of its [`octet_schemes`] (the
+//!    paper's default, then the 16-vector stride; the stage layer has no
+//!    write-out axis, so `tile_k` alone sets the staging), wmma, FPU,
+//!    dense. Every point compiles a distinct kernel.
 //!    * `BlockedEll` is never a candidate: the benchmark construction
 //!      re-encodes the input to a sparsity-matched *surrogate*, so its
 //!      output is not numerically equivalent to the other kernels.
@@ -15,19 +19,18 @@
 //!    * `Wmma` (SpMM and SDDMM) is only a candidate at `V == 8`, where
 //!      the classic wmma fragment mapping is not padding-bound; at
 //!      smaller V octet tiling strictly dominates it (paper Fig. 13).
+//!    * The octet kernel's cyclic load schedule is not swept: it is the
+//!      §5.4 ablation of ILP batching, and won 5 of 1,026 measured
+//!      ResNet-50 and transformer cells, each by at most 0.11%.
 //!    * `SddmmAlgo::OctetArch` is never a candidate: it models the
 //!      proposed SWITCH-HMMA architecture, not the stock device the
 //!      engine plans for.
-//! 2. **Measurement**: profile each surviving candidate on the simulated
+//! 2. **Measurement**: profile each surviving point on the simulated
 //!    GPU in `Mode::Performance` (sampled CTA traces — cheap relative to
-//!    functional execution) and pick the fewest cycles. Candidates are
-//!    ordered octet-first, and ties keep the earlier candidate.
-//!
-//! Since the kernels became [`TilingScheme`] compilers, the octet SpMM
-//! candidate is not a single profiling point: it expands into the bounded
-//! [`octet_schemes`] sweep (default scheme first), and the winning scheme
-//! travels with the winning algorithm into the plan — see
-//! [`spmm_sweep_points`].
+//!    functional execution) and pick the fewest cycles. Points are
+//!    ordered octet-first, default scheme first, and ties keep the
+//!    earlier point. The winning scheme travels with the winning
+//!    algorithm into the plan.
 //!
 //! The winner is memoized in the owning [`super::Context`]'s plan cache
 //! under the descriptor's key, so a descriptor is tuned at most once per
@@ -49,19 +52,6 @@ use vecsparse_gpu_sim::{GpuConfig, KernelProfile};
 /// worth profiling at all.
 pub const DENSE_DENSITY_FLOOR: f64 = 0.4;
 
-/// Candidate SpMM kernels for a problem with the given V and sparsity.
-pub fn spmm_candidates(v: usize, sparsity: f64) -> Vec<SpmmAlgo> {
-    let mut c = vec![SpmmAlgo::Octet];
-    if v == 8 {
-        c.push(SpmmAlgo::Wmma);
-    }
-    c.push(SpmmAlgo::FpuSubwarp);
-    if 1.0 - sparsity >= DENSE_DENSITY_FLOOR {
-        c.push(SpmmAlgo::Dense);
-    }
-    c
-}
-
 /// Candidate SDDMM kernels for a problem with the given V.
 pub fn sddmm_candidates(v: usize) -> Vec<SddmmAlgo> {
     let mut c = vec![SddmmAlgo::OctetReg, SddmmAlgo::OctetShfl];
@@ -72,22 +62,30 @@ pub fn sddmm_candidates(v: usize) -> Vec<SddmmAlgo> {
     c
 }
 
-/// Expand the algorithm candidates into concrete profiling points. The
-/// octet kernel is a [`TilingScheme`] compiler, so its single algorithm
-/// slot expands into the bounded [`octet_schemes`] sweep — the paper's
+/// Whether the dense-GEMM surrogate is worth profiling at `sparsity`.
+pub(crate) fn dense_is_swept(sparsity: f64) -> bool {
+    1.0 - sparsity >= DENSE_DENSITY_FLOOR
+}
+
+/// The SpMM points the tuner profiles for a problem with the given V and
+/// sparsity. The octet kernel is a [`TilingScheme`] compiler, so it
+/// contributes one point per [`octet_schemes`] entry — the paper's
 /// default scheme first, so the strict-`<` reduction can never pick a
-/// variant that does not beat it outright.
+/// variant that does not beat it outright. The other kernels execute at
+/// their default scheme and carry none.
 pub fn spmm_sweep_points(v: usize, sparsity: f64) -> Vec<(SpmmAlgo, Option<TilingScheme>)> {
-    spmm_candidates(v, sparsity)
+    let mut points: Vec<_> = octet_schemes()
         .into_iter()
-        .flat_map(|algo| match algo {
-            SpmmAlgo::Octet => octet_schemes()
-                .into_iter()
-                .map(|s| (SpmmAlgo::Octet, Some(s)))
-                .collect(),
-            other => vec![(other, None)],
-        })
-        .collect()
+        .map(|s| (SpmmAlgo::Octet, Some(s)))
+        .collect();
+    if v == 8 {
+        points.push((SpmmAlgo::Wmma, None));
+    }
+    points.push((SpmmAlgo::FpuSubwarp, None));
+    if dense_is_swept(sparsity) {
+        points.push((SpmmAlgo::Dense, None));
+    }
+    points
 }
 
 pub(crate) fn tune_spmm(
@@ -198,7 +196,7 @@ mod tests {
     fn filter_excludes_inexact_and_unbuildable() {
         for v in [1, 2, 4, 8] {
             for s in [0.0, 0.5, 0.95] {
-                let c = spmm_candidates(v, s);
+                let c: Vec<SpmmAlgo> = spmm_sweep_points(v, s).into_iter().map(|p| p.0).collect();
                 assert!(!c.contains(&SpmmAlgo::BlockedEll));
                 assert!(!c.contains(&SpmmAlgo::Auto));
                 assert!(c.contains(&SpmmAlgo::Octet));
@@ -214,23 +212,74 @@ mod tests {
 
     #[test]
     fn sweep_expands_octet_into_scheme_points() {
-        let points = spmm_sweep_points(4, 0.9);
-        let octet: Vec<_> = points
-            .iter()
-            .filter(|(a, _)| *a == SpmmAlgo::Octet)
-            .collect();
-        assert!(octet.len() >= 4, "default + >= 3 variants");
+        let octet = |s| (SpmmAlgo::Octet, Some(s));
+        let k16 = TilingScheme {
+            tile_k: 16,
+            ..DEFAULT_SCHEME
+        };
+        // The default scheme profiles first so ties keep it.
         assert_eq!(
-            points[0],
-            (SpmmAlgo::Octet, Some(DEFAULT_SCHEME)),
-            "default scheme profiles first so ties keep it"
+            spmm_sweep_points(4, 0.9),
+            [
+                octet(DEFAULT_SCHEME),
+                octet(k16),
+                (SpmmAlgo::FpuSubwarp, None)
+            ]
         );
-        assert!(octet.iter().all(|(_, s)| s.is_some()));
-        // Non-octet candidates carry no scheme.
-        assert!(points
-            .iter()
-            .filter(|(a, _)| *a != SpmmAlgo::Octet)
-            .all(|(_, s)| s.is_none()));
+        assert_eq!(
+            spmm_sweep_points(8, 0.5),
+            [
+                octet(DEFAULT_SCHEME),
+                octet(k16),
+                (SpmmAlgo::Wmma, None),
+                (SpmmAlgo::FpuSubwarp, None),
+                (SpmmAlgo::Dense, None),
+            ]
+        );
+    }
+
+    /// No two sweep points compile the same kernel: every pair differs in
+    /// algorithm or, for the octet kernel, in listing, staged shared
+    /// memory or load schedule. Profiling a duplicate can never change
+    /// the strict-`<` pick, so it would only cost tuning time.
+    #[test]
+    fn every_sweep_point_is_a_distinct_kernel() {
+        use vecsparse_formats::gen;
+        use vecsparse_gpu_sim::{KernelSpec, MemPool, Mode, Program};
+        let b = DenseMatrix::<f16>::zeros(64, 64, Layout::RowMajor);
+        for v in [1, 2, 4, 8] {
+            for sparsity in [0.3, 0.9] {
+                let a = gen::random_vector_sparse::<f16>(32, 64, v, sparsity, 5);
+                let mut seen = Vec::new();
+                for (algo, scheme) in spmm_sweep_points(v, sparsity) {
+                    let octet = scheme.map(|s| {
+                        let mut mem = MemPool::new();
+                        let k = OctetSpmm::with_scheme(&mut mem, &a, &b, Mode::Performance, s);
+                        let listing = k.program().map(Program::listing_hash);
+                        (listing, k.launch_config().smem_elems, s.load)
+                    });
+                    let kernel = (algo, octet);
+                    assert!(
+                        !seen.contains(&kernel),
+                        "V={v} S={sparsity}: {kernel:?} is swept twice"
+                    );
+                    seen.push(kernel);
+                }
+            }
+        }
+    }
+
+    /// One `Auto` SpMM plan profiles each sweep point once.
+    #[test]
+    fn auto_plan_launches_one_probe_per_point() {
+        use super::super::Context;
+        use vecsparse_formats::gen;
+        for (v, sparsity, launches) in [(4, 0.9, 3), (8, 0.5, 5)] {
+            let ctx = Context::builder().gpu(GpuConfig::small()).build();
+            let a = gen::random_vector_sparse::<f16>(32, 64, v, sparsity, 6);
+            ctx.plan_spmm(&a, 64, SpmmAlgo::Auto);
+            assert_eq!(ctx.stats().tuner_launches, launches, "V={v} S={sparsity}");
+        }
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl<K: Copy + PartialEq, S> ListingCache<K, S> {
 
 #[cfg(test)]
 mod tests {
-    use crate::compose::TilingScheme;
+    use crate::compose::{LoadStrategy, TilingScheme};
     use crate::registry::{self, Shape, ALL_KERNELS};
     use crate::sddmm::FpuSubwarpSddmm;
     use crate::spmm::compose::{octet_schemes, DEFAULT_SCHEME};
@@ -185,8 +185,9 @@ mod tests {
         ));
     }
 
-    /// Every listed kernel, at every key the grid, the precisions and the
-    /// octet sweep reach, carries a listing equal to a fresh build. The
+    /// Every listed kernel, at every key the grid, the precisions, the
+    /// octet sweep and the cyclic load schedule reach, carries a listing
+    /// equal to a fresh build. The
     /// first pass fills the caches in grid order; the checking pass walks
     /// the grid backwards, so each cached listing is fetched after other
     /// keys were built — a cache that ignored part of its key would hand
@@ -200,7 +201,12 @@ mod tests {
             }
             build_single(shape, &mut |_| {});
         }
-        for &scheme in &octet_schemes() {
+        let cyclic = TilingScheme {
+            load: LoadStrategy::SyncBufferCyclic,
+            ..DEFAULT_SCHEME
+        };
+        let schemes: Vec<TilingScheme> = octet_schemes().into_iter().chain([cyclic]).collect();
+        for &scheme in &schemes {
             build_octet_scheme(scheme, &mut |_| {});
         }
         for shape in grid.iter().rev() {
@@ -213,7 +219,7 @@ mod tests {
             let what = format!("single-precision kernels at V={}", shape.v);
             assert_cached_matches_fresh(&what, &|f| build_single(shape, f));
         }
-        for &scheme in octet_schemes().iter().rev() {
+        for &scheme in schemes.iter().rev() {
             assert_cached_matches_fresh(&scheme.label(), &|f| build_octet_scheme(scheme, f));
         }
     }

@@ -4,7 +4,7 @@
 //! (`tile_n = 64`, the smallest width that fills a 128-byte transaction);
 //! the grid is `⌈M/V⌉ × ⌈N/64⌉` thread blocks, maximising TLP
 //! (guideline II). The warp walks the block row's nonzero vectors in
-//! strides of `stage_k` vectors; each 4-vector step computes a
+//! strides of `tile_k` vectors; each 4-vector step computes a
 //! `(64×4)·(4×V)` sub-tile — the LHS/RHS roles are **switched** so the
 //! B-matrix fragment feeds the TCU's Mat_a buffers and the tiny `4 × V`
 //! A-vector fragment feeds Mat_b, putting V on the output's horizontal
@@ -21,9 +21,10 @@
 //!
 //! The kernel is one point in the composer's tiling-configuration space
 //! ([`crate::compose::TilingScheme`]): the stage geometry and load
-//! schedule above are the default scheme, and
-//! [`super::compose::octet_schemes`] names the non-default points the
-//! Auto tuner sweeps. The functional path routes real values through
+//! schedule above are the default scheme,
+//! [`super::compose::octet_schemes`] names the points the Auto tuner
+//! sweeps, and [`LoadStrategy::SyncBufferCyclic`] is the §5.4 ablation's
+//! unbatched schedule. The functional path routes real values through
 //! the same loads and [`vecsparse_gpu_sim::tcu`] octet semantics; the
 //! [`crate::tile`] marshals map the loaded lane layout onto the
 //! simulator's canonical mma fragment convention.
@@ -134,21 +135,6 @@ impl<'m> OctetSpmm<'m> {
         self
     }
 
-    /// Toggle the §5.4 ILP batching (on by default; off interleaves each
-    /// step's load with its mma, modelling the compiler's register
-    /// reuse). Sugar for moving the scheme between
-    /// [`LoadStrategy::SyncFullOrdered`] and
-    /// [`LoadStrategy::SyncBufferCyclic`] — the program's site table is
-    /// schedule-independent, so no recompile is needed.
-    pub fn with_ilp_batching(mut self, on: bool) -> Self {
-        self.scheme.load = if on {
-            LoadStrategy::SyncFullOrdered
-        } else {
-            LoadStrategy::SyncBufferCyclic
-        };
-        self
-    }
-
     /// Output buffer id.
     pub fn output(&self) -> BufferId {
         self.out_buf
@@ -184,8 +170,8 @@ impl KernelSpec for OctetSpmm<'_> {
             // Two 8-wide f32 accumulators, the B fragment, A fragment and
             // index registers.
             regs_per_thread: 40,
-            // Staged A vectors: stage_k × V halves.
-            smem_elems: self.scheme.stage_k() * self.a.v(),
+            // Staged A vectors: tile_k × V halves.
+            smem_elems: self.scheme.tile_k * self.a.v(),
             smem_elem_bytes: 2,
             static_instrs: self.listing.static_len,
         }
@@ -211,7 +197,7 @@ impl KernelSpec for OctetSpmm<'_> {
         let p = self.a.pattern();
         let n = self.b.cols();
         let tile_n = self.scheme.tile_n;
-        let stage_k = self.scheme.stage_k();
+        let tile_k = self.scheme.tile_k;
         let chunks = self.n_chunks();
         let br = cta.cta_id / chunks;
         let n0 = (cta.cta_id % chunks) * tile_n;
@@ -237,8 +223,8 @@ impl KernelSpec for OctetSpmm<'_> {
 
         let mut i = range.start;
         while i < range.end {
-            let stride = (range.end - i).min(stage_k);
-            let full = stride == stage_k && self.scheme.load == LoadStrategy::SyncFullOrdered;
+            let stride = (range.end - i).min(tile_k);
+            let full = stride == tile_k && self.scheme.load == LoadStrategy::SyncFullOrdered;
 
             // Stage this stride's column indices and A vectors.
             let ci = lanes(|l| if l < stride { Some(i + l) } else { None });
@@ -436,8 +422,7 @@ impl OctetSpmm<'_> {
         flavor: MmaFlavor,
     ) {
         let steps = self.listing.sites.steps();
-        let b_frag =
-            marshal_spmm_mat_b(staged_a, step % steps, v_len, self.scheme.stage_k(), a_tok);
+        let b_frag = marshal_spmm_mat_b(staged_a, step % steps, v_len, self.scheme.tile_k, a_tok);
         for (sel, acc_frag) in acc.iter_mut().enumerate() {
             let a_frag = marshal_spmm_mat_a(loaded_b, sel);
             w.mma_m8n8k4(
@@ -521,16 +506,24 @@ mod tests {
         assert_eq!(got.max_abs_diff(&want), 0.0);
     }
 
-    /// Every tuner-swept scheme point computes the same bits as the
-    /// default — the composer changes schedule and staging, never the
-    /// reduction order seen by any one output element.
+    /// Every tuner-swept scheme point, and the ablation's cyclic load
+    /// schedule, computes the same bits as the default — the composer
+    /// changes schedule and staging, never the reduction order seen by
+    /// any one output element.
     #[test]
     fn all_swept_schemes_match_reference() {
         let gpu = GpuConfig::small();
         let a = gen::random_vector_sparse::<f16>(16, 256, 4, 1.0 - 33.0 / 256.0, 13);
         let b = gen::random_dense::<f16>(256, 96, Layout::RowMajor, 14);
         let want = reference::spmm_vs(&a, &b);
-        for scheme in super::super::compose::octet_schemes() {
+        let cyclic = TilingScheme {
+            load: LoadStrategy::SyncBufferCyclic,
+            ..DEFAULT_SCHEME
+        };
+        for scheme in super::super::compose::octet_schemes()
+            .into_iter()
+            .chain([cyclic])
+        {
             let got = run(
                 &gpu,
                 |mem, mode| OctetSpmm::with_scheme(mem, &a, &b, mode, scheme),

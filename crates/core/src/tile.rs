@@ -49,13 +49,13 @@ pub fn marshal_spmm_mat_a(loaded: &WVec, a_sel: usize) -> WVec {
 /// stride's shared-memory stage, where the staged load holds vector `s`
 /// in lane `s`, elements `0..V`) into the mma Mat_b fragment: lane `c`
 /// of each group holds output column `4g + c`'s four k-values.
-/// `stage_k` bounds the staged window (the stage layer's
-/// [`crate::compose::TilingScheme::stage_k`]).
+/// `tile_k` bounds the staged window (the stage layer's
+/// [`crate::compose::TilingScheme::tile_k`]).
 pub fn marshal_spmm_mat_b(
     staged: &WVec,
     step: usize,
     v_len: usize,
-    stage_k: usize,
+    tile_k: usize,
     tok: Tok,
 ) -> WVec {
     if staged.is_ghost() {
@@ -71,7 +71,7 @@ pub fn marshal_spmm_mat_b(
                 }
                 for k in 0..4 {
                     let vec_idx = step * 4 + k;
-                    if vec_idx < stage_k {
+                    if vec_idx < tile_k {
                         b.set(octet_lane(o, g, c), k, staged.get(vec_idx, col));
                     }
                 }
@@ -178,7 +178,7 @@ mod tests {
     }
 
     /// The SpMM Mat_b marshal reads staged vector `4·step + k`, element
-    /// `col`, bounded by `stage_k`; out-of-window slots stay 0.0.
+    /// `col`, bounded by `tile_k`; out-of-window slots stay 0.0.
     #[test]
     fn spmm_mat_b_marshal_respects_stage_window() {
         let mut staged = WVec::zeros(8);
@@ -188,7 +188,7 @@ mod tests {
             }
         }
         let b = marshal_spmm_mat_b(&staged, 3, 8, 16, Tok::NONE);
-        // step 3, k=0..4 → vec_idx 12..16, all inside stage_k = 16.
+        // step 3, k=0..4 → vec_idx 12..16, all inside tile_k = 16.
         for g in 0..2 {
             for c in 0..4 {
                 let col = 4 * g + c;

@@ -132,12 +132,6 @@ impl<T: Scalar> Csr<T> {
         &self.values
     }
 
-    /// Mutable value array (structure is immutable).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.values
-    }
-
     /// Convert every value to another precision, keeping the structure.
     pub fn cast<U: Scalar>(&self) -> Csr<U> {
         Csr {

@@ -222,12 +222,6 @@ impl<T: Scalar> VectorSparse<T> {
         &self.values
     }
 
-    /// Mutable packed values.
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.values
-    }
-
     /// The `V` values of nonzero vector `i`.
     #[inline]
     pub fn vector(&self, i: usize) -> &[T] {

@@ -214,12 +214,6 @@ impl f16 {
         f16(out)
     }
 
-    /// Widen to `f64`.
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        f64::from(self.to_f32())
-    }
-
     /// True if the value is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {

@@ -236,12 +236,6 @@ impl SectorCache {
         }
     }
 
-    /// Convert a byte address to its sector address.
-    #[inline]
-    pub fn sector_of(byte_addr: u64) -> u64 {
-        sector_of_byte(byte_addr)
-    }
-
     /// Drop all contents but keep statistics.
     pub fn invalidate(&mut self) {
         self.set_block.fill(0);

@@ -268,19 +268,6 @@ impl KernelProfile {
         self.pipes.first().copied()
     }
 
-    /// Utilisation of a specific pipe.
-    pub fn pipe_util(&self, pipe: Pipe) -> f64 {
-        self.pipes
-            .iter()
-            .find(|p| p.pipe == pipe)
-            .map_or(0.0, |p| p.utilisation)
-    }
-
-    /// Speedup of `self` relative to `other` (other.cycles / self.cycles).
-    pub fn speedup_over(&self, other: &KernelProfile) -> f64 {
-        other.cycles / self.cycles
-    }
-
     /// This execution's roofline point. Lane-width flop weights: a
     /// warp-level FFMA performs 32 × 2 flops, an HFMA2 32 × 4, and one
     /// HMMA.884 step 512 / 4 = 128 (the full m8n8k4 MAC spread over its

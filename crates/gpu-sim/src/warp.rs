@@ -300,11 +300,6 @@ impl WarpCtx<'_, '_> {
         self.cta.cta_id
     }
 
-    /// This warp's index within its CTA.
-    pub fn warp_id(&self) -> usize {
-        self.w
-    }
-
     /// [`CtaCtx::read`] while the warp context is borrowed.
     pub fn read(&mut self, buf: BufferId, idx: usize) -> f32 {
         self.cta.read(buf, idx)

@@ -503,8 +503,9 @@ mod tests {
     use crate::TenantSpec;
     use std::sync::mpsc;
     use std::time::Duration;
+    use vecsparse::engine::EngineError;
     use vecsparse::SpmmAlgo;
-    use vecsparse_formats::{gen, Layout};
+    use vecsparse_formats::{gen, DenseMatrix, Layout};
     use vecsparse_fp16::f16;
     use vecsparse_gpu_sim::GpuConfig;
 
@@ -556,6 +557,42 @@ mod tests {
         assert!(wait_within(ok, timeout).is_ok(), "the worker kept serving");
         let report = server.finish();
         assert_eq!(report.panicked_batches, 1);
+        assert_eq!((report.batches, report.served()), (2, 1));
+    }
+
+    /// A job whose problem does not fit in the device's memory fails its
+    /// own handle with the engine's typed error, and the worker goes on
+    /// serving. Its m × n output would be 128 GiB of binary16.
+    #[test]
+    fn oversized_job_fails_its_handle_and_keeps_serving() {
+        let server = Server::start(
+            ServeConfig::builder()
+                .workers(1)
+                .shards(1)
+                .gpu(GpuConfig::small())
+                .tenant(TenantSpec::new("solo"))
+                .build(),
+        );
+        let client = server.client("solo").unwrap();
+        let timeout = Duration::from_secs(10);
+        let huge = JobRequest::Spmm {
+            a: Arc::new(gen::random_vector_sparse::<f16>(1 << 20, 64, 8, 0.99, 1)),
+            b: DenseMatrix::zeros(64, 1 << 16, Layout::RowMajor),
+            algo: SpmmAlgo::Auto,
+        };
+        match wait_within(client.submit(huge).expect("admission"), timeout) {
+            Err(ServeError::Engine(EngineError::OutOfDeviceMemory { .. })) => {}
+            Err(other) => panic!("expected OutOfDeviceMemory, got {other}"),
+            Ok(_) => panic!("an oversized job must not be served"),
+        }
+        let small = JobRequest::Spmm {
+            a: Arc::new(gen::random_vector_sparse::<f16>(32, 64, 4, 0.8, 2)),
+            b: gen::random_dense::<f16>(64, 16, Layout::RowMajor, 3),
+            algo: SpmmAlgo::Auto,
+        };
+        let ok = client.submit(small).expect("admission");
+        assert!(wait_within(ok, timeout).is_ok(), "the worker kept serving");
+        let report = server.finish();
         assert_eq!((report.batches, report.served()), (2, 1));
     }
 }

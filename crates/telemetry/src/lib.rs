@@ -361,11 +361,6 @@ impl TraceSink {
         self.lock().events.iter().cloned().collect()
     }
 
-    /// Drain the ring, returning all events (oldest first).
-    pub fn take_events(&self) -> Vec<TraceEvent> {
-        self.lock().events.drain(..).collect()
-    }
-
     /// Snapshot of recorded process names `(pid, name)`.
     pub fn process_names(&self) -> Vec<(u32, String)> {
         self.lock().process_names.clone()

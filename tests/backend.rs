@@ -12,17 +12,19 @@
 //! lowerings must skip exactly the exact-zero A terms their simulated
 //! paths skip; and, for the half SDDMM kernels, on products that
 //! overflow binary16. Third, scheme soundness:
-//! every tuner-swept octet [`TilingScheme`] point stays
-//! sanitizer-clean, wave-provable, shard-certified, and native-exact —
-//! the same gauntlet the default scheme passes.
+//! every octet [`TilingScheme`] point a caller can compile (the tuner's
+//! sweep and the ablation's cyclic schedule) stays sanitizer-clean,
+//! wave-provable, shard-certified, and native-exact — the same gauntlet
+//! the default scheme passes.
 //!
 //! [`Backend::Native`]: vecsparse_gpu_sim::Backend
 //! [`LaunchOutput::native`]: vecsparse_gpu_sim::LaunchOutput
 //! [`TilingScheme`]: vecsparse::compose::TilingScheme
 
+use vecsparse::compose::{LoadStrategy, TilingScheme};
 use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
 use vecsparse::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, WmmaSddmm};
-use vecsparse::spmm::compose::octet_schemes;
+use vecsparse::spmm::compose::{octet_schemes, DEFAULT_SCHEME};
 use vecsparse::spmm::{
     BlockedEllSpmm, CsrScalarSpmm, DenseGemm, FpuSubwarpSpmm, OctetSpmm, WmmaSpmm,
 };
@@ -352,22 +354,27 @@ fn native_request_for_other_vector_length_simulates() {
     }
 }
 
-/// Every tuner-swept octet scheme point passes the full certification
-/// gauntlet the default scheme passes: sanitizer-clean, wave-provable,
-/// shard-certified, reference-exact, and native-bit-identical. The
-/// tuner may pick any of these points; none may be second-class.
+/// Every octet scheme point a caller can compile passes the full
+/// certification gauntlet the default scheme passes: sanitizer-clean,
+/// wave-provable, shard-certified, reference-exact, and
+/// native-bit-identical. The tuner may pick either swept point and the
+/// ablation compiles the cyclic one; none may be second-class.
 #[test]
 fn swept_octet_schemes_stay_certified_and_native_exact() {
     let gpu = GpuConfig::small();
     let a = gen::random_vector_sparse::<f16>(32, 128, 4, 0.8, 31);
     let b = gen::random_dense::<f16>(128, 64, Layout::RowMajor, 32);
     let want = reference::spmm_vs(&a, &b);
-    let schemes = octet_schemes();
-    assert!(
-        schemes.len() >= 4,
-        "sweep must offer >= 3 non-default points"
-    );
-    for scheme in schemes {
+    let k16 = TilingScheme {
+        tile_k: 16,
+        ..DEFAULT_SCHEME
+    };
+    let cyclic = TilingScheme {
+        load: LoadStrategy::SyncBufferCyclic,
+        ..DEFAULT_SCHEME
+    };
+    assert_eq!(octet_schemes(), [DEFAULT_SCHEME, k16], "the swept points");
+    for scheme in [DEFAULT_SCHEME, k16, cyclic] {
         let label = scheme.label();
         let mut mem = MemPool::new();
         let kernel = OctetSpmm::with_scheme(&mut mem, &a, &b, Mode::Functional, scheme);
