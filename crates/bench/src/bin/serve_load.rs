@@ -14,7 +14,7 @@
 //!    weights, pump `--jobs` SpMM requests per tenant over a DLMC
 //!    (ResNet-50) shape mix through per-tenant [`Client`]s, and print the
 //!    resulting [`ServeReport`] (per-tenant p50/p99, batching and
-//!    coalescing counters, plan-cache and wave-memo hit rates). The run
+//!    coalescing counters, plan-cache hit rate). The run
 //!    asserts every job was served and that the sharded plan caches got
 //!    hits — a serving layer that re-plans every request is broken.
 //!    `--diff` additionally replays every request through a direct
@@ -92,8 +92,7 @@ fn main() {
         .shards(shards)
         .max_batch(max_batch)
         .gpu(gpu.clone())
-        .backend(backend)
-        .memoization();
+        .backend(backend);
     for (name, weight) in tenants {
         cfg = cfg.tenant(TenantSpec::new(name).weight(weight));
     }

@@ -578,7 +578,7 @@ impl Context {
             key,
             || match algo {
                 SpmmAlgo::Auto => self.tuned(key, || {
-                    let (algo, scheme) = tuner::tune_spmm(&self.gpu, a, n, &self.counters);
+                    let (algo, scheme) = tuner::tune_spmm(self, key, a);
                     Choice::Spmm(algo, scheme)
                 }),
                 // A fixed algorithm executes at its default scheme point.
@@ -617,9 +617,9 @@ impl Context {
         Ok(self.plan(
             key,
             || match algo {
-                SddmmAlgo::Auto => self.tuned(key, || {
-                    Choice::Sddmm(tuner::tune_sddmm(&self.gpu, mask, k, &self.counters))
-                }),
+                SddmmAlgo::Auto => {
+                    self.tuned(key, || Choice::Sddmm(tuner::tune_sddmm(self, key, mask)))
+                }
                 fixed => Choice::Sddmm(fixed),
             },
             |choice| match choice {

@@ -107,7 +107,7 @@ impl<S: Clone + Send> PlanCore<S> {
             .gpu(&self.gpu)
             .mode(mode)
             .traced(&self.sink)
-            .memo_opt(memo)
+            .memo(memo)
             .backend(self.backend)
             .run();
         if let Some(key) = out.launch_key {
@@ -173,13 +173,12 @@ impl<S: Clone + Send> PlanCore<S> {
     }
 
     /// Run `exec` on elements `0..len` functionally, returning outputs in
-    /// order. Elements fan out across rayon workers, each checking a
-    /// spare state out of the pool (or cloning the primary), running
-    /// without the primary lock and checking the state back in; results
-    /// are bit-identical to sequential [`PlanCore::run`] calls. While the
-    /// context traces, elements run sequentially through
-    /// [`PlanCore::run`] instead, so the recorded timeline stays
-    /// deterministic: concurrent workers would interleave ring pushes.
+    /// order, under one run span that carries the batch length. Elements
+    /// fan out across rayon workers, each checking a spare state out of
+    /// the pool (or cloning the primary), running without the primary
+    /// lock and checking the state back in; results are bit-identical to
+    /// sequential [`PlanCore::run`] calls. Functional launches record no
+    /// events, so a traced batch fans out the same way.
     pub(super) fn run_batch<R: Send>(
         &self,
         len: usize,
@@ -188,12 +187,10 @@ impl<S: Clone + Send> PlanCore<S> {
         if len == 0 {
             return Err(EngineError::EmptyBatch);
         }
-        if self.sink.is_enabled() {
-            return (0..len)
-                .map(|i| self.run(|state, mode| exec(state, mode, i)))
-                .collect();
-        }
         let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
+        let mut span = self.sink.span(Track::ENGINE, self.op.spans().run, "engine");
+        span.arg("algo", self.label);
+        span.arg("batch", len);
         let out = (0..len)
             .into_par_iter()
             .map(|i| {

@@ -211,9 +211,7 @@ impl SddmmPlan {
     /// Run every `(A, B)` pair, returning outputs in order. Pairs fan
     /// out across rayon workers, each owning a private clone of the
     /// plan's device state; results are bit-identical to calling
-    /// [`try_run`](SddmmPlan::try_run) sequentially. When the context is
-    /// tracing, the batch runs sequentially instead so the recorded
-    /// timeline stays deterministic.
+    /// [`try_run`](SddmmPlan::try_run) sequentially, traced or not.
     pub fn try_run_batch(
         &self,
         a_batch: &[DenseMatrix<f16>],

@@ -309,9 +309,7 @@ impl SpmmPlan {
     /// Run every RHS in the batch, returning outputs in order. Elements
     /// fan out across rayon workers, each owning a private clone of the
     /// staged device state; results are bit-identical to calling
-    /// [`try_run`](SpmmPlan::try_run) sequentially. When the context is
-    /// tracing, the batch runs sequentially instead so the recorded
-    /// timeline stays deterministic.
+    /// [`try_run`](SpmmPlan::try_run) sequentially, traced or not.
     pub fn try_run_batch(
         &self,
         batch: &[DenseMatrix<f16>],

@@ -25,9 +25,11 @@
 //!    * `SddmmAlgo::OctetArch` is never a candidate: it models the
 //!      proposed SWITCH-HMMA architecture, not the stock device the
 //!      engine plans for.
-//! 2. **Measurement**: profile each surviving point on the simulated
-//!    GPU in `Mode::Performance` (sampled CTA traces — cheap relative to
-//!    functional execution) and pick the fewest cycles. Points are
+//! 2. **Measurement**: profile each surviving point through a plan, as
+//!    any caller would (sampled CTA traces — cheap relative to
+//!    functional execution), and pick the fewest cycles. The probe plans
+//!    are built on a context that shares only the caller's device, so
+//!    they stay out of its memoizer, trace and report. Points are
 //!    ordered octet-first, default scheme first, and ties keep the
 //!    earlier point. The winning scheme travels with the winning
 //!    algorithm into the plan.
@@ -36,17 +38,14 @@
 //! under the descriptor's key, so a descriptor is tuned at most once per
 //! context.
 
-use super::Counters;
+use super::{Context, Counters, PlanKey, SddmmPlan, SpmmPlan};
 use crate::api::{SddmmAlgo, SpmmAlgo};
 use crate::compose::TilingScheme;
-use crate::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, WmmaSddmm};
-use crate::spmm::compose::{octet_schemes, DEFAULT_SCHEME};
-use crate::spmm::{DenseGemm, FpuSubwarpSpmm, OctetSpmm, WmmaSpmm};
-use crate::util::profile;
+use crate::spmm::compose::octet_schemes;
 use rayon::prelude::*;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{GpuConfig, KernelProfile};
+use vecsparse_gpu_sim::KernelProfile;
 
 /// Minimum density (`1 - sparsity`) at which the dense-GEMM surrogate is
 /// worth profiling at all.
@@ -88,83 +87,41 @@ pub fn spmm_sweep_points(v: usize, sparsity: f64) -> Vec<(SpmmAlgo, Option<Tilin
     points
 }
 
-pub(crate) fn tune_spmm(
-    gpu: &GpuConfig,
+/// The SpMM sweep point `ctx` plans for the problem `key` over `a`.
+pub(super) fn tune_spmm(
+    ctx: &Context,
+    key: PlanKey,
     a: &VectorSparse<f16>,
-    n: usize,
-    counters: &Counters,
 ) -> (SpmmAlgo, Option<TilingScheme>) {
-    let b = DenseMatrix::<f16>::zeros(a.cols(), n, Layout::RowMajor);
+    let probes = probe_context(ctx);
+    let b = DenseMatrix::<f16>::zeros(key.k, key.n, Layout::RowMajor);
     fastest(
-        spmm_sweep_points(a.v(), a.pattern().sparsity()),
-        counters,
-        |point| probe_spmm(gpu, a, &b, point),
+        spmm_sweep_points(key.v, a.pattern().sparsity()),
+        &ctx.counters,
+        |(algo, scheme)| SpmmPlan::build(&probes, key, algo, scheme, a).profile(&b),
     )
 }
 
-pub(crate) fn tune_sddmm(
-    gpu: &GpuConfig,
-    mask: &SparsityPattern,
-    k: usize,
-    counters: &Counters,
-) -> SddmmAlgo {
-    let a = DenseMatrix::<f16>::zeros(mask.rows(), k, Layout::RowMajor);
-    let b = DenseMatrix::<f16>::zeros(k, mask.cols(), Layout::ColMajor);
-    fastest(sddmm_candidates(mask.v()), counters, |algo| {
-        probe_sddmm(gpu, &a, &b, mask, algo)
+/// The SDDMM candidate `ctx` plans for the problem `key` over `mask`.
+pub(super) fn tune_sddmm(ctx: &Context, key: PlanKey, mask: &SparsityPattern) -> SddmmAlgo {
+    let probes = probe_context(ctx);
+    let a = DenseMatrix::<f16>::zeros(key.m, key.k, Layout::RowMajor);
+    let b = DenseMatrix::<f16>::zeros(key.k, key.n, Layout::ColMajor);
+    fastest(sddmm_candidates(key.v), &ctx.counters, |algo| {
+        SddmmPlan::build(&probes, key, algo, mask).profile(&a, &b)
     })
 }
 
-/// Profile one SpMM sweep point in a fresh pool: the number the tuner
-/// ranks it by. Probes bypass plans, so they never touch a context's
-/// memoizer or report.
-fn probe_spmm(
-    gpu: &GpuConfig,
-    a: &VectorSparse<f16>,
-    b: &DenseMatrix<f16>,
-    (algo, scheme): (SpmmAlgo, Option<TilingScheme>),
-) -> KernelProfile {
-    match algo {
-        SpmmAlgo::Octet => profile(gpu, |mem, mode| {
-            OctetSpmm::with_scheme(mem, a, b, mode, scheme.unwrap_or(DEFAULT_SCHEME))
-        }),
-        SpmmAlgo::Wmma => profile(gpu, |mem, mode| WmmaSpmm::new(mem, a, b, mode)),
-        SpmmAlgo::FpuSubwarp => profile(gpu, |mem, mode| FpuSubwarpSpmm::new(mem, a, b, mode)),
-        SpmmAlgo::Dense => {
-            let dense = a.to_dense(Layout::RowMajor);
-            profile(gpu, |mem, mode| DenseGemm::new(mem, &dense, b, mode))
-        }
-        SpmmAlgo::BlockedEll | SpmmAlgo::Auto => unreachable!("never a tuner candidate"),
-    }
-}
-
-/// Profile one SDDMM candidate in a fresh pool (see [`probe_spmm`]).
-fn probe_sddmm(
-    gpu: &GpuConfig,
-    a: &DenseMatrix<f16>,
-    b: &DenseMatrix<f16>,
-    mask: &SparsityPattern,
-    algo: SddmmAlgo,
-) -> KernelProfile {
-    let octet = |variant| {
-        profile(gpu, |mem, mode| {
-            OctetSddmm::new(mem, a, b, mask, variant, mode)
-        })
-    };
-    match algo {
-        SddmmAlgo::OctetReg => octet(OctetVariant::Reg),
-        SddmmAlgo::OctetShfl => octet(OctetVariant::Shfl),
-        SddmmAlgo::FpuSubwarp => {
-            profile(gpu, |mem, mode| FpuSubwarpSddmm::new(mem, a, b, mask, mode))
-        }
-        SddmmAlgo::Wmma => profile(gpu, |mem, mode| WmmaSddmm::new(mem, a, b, mask, mode)),
-        SddmmAlgo::OctetArch | SddmmAlgo::Auto => unreachable!("never a tuner candidate"),
-    }
+/// The context a tune builds its probe plans through: the caller's
+/// device and nothing else, so probes stay out of the caller's
+/// memoizer, trace and [`super::Report`].
+fn probe_context(ctx: &Context) -> Context {
+    Context::builder().gpu(ctx.gpu.clone()).build()
 }
 
 /// The candidate with the fewest profiled cycles. Candidates profile in
-/// parallel (each builds its own `MemPool`), then reduce in candidate
-/// order: strict `<` keeps the earlier candidate on ties.
+/// parallel (each through its own plan), then reduce in candidate order:
+/// strict `<` keeps the earlier candidate on ties.
 fn fastest<C: Copy + Send + Sync>(
     candidates: Vec<C>,
     counters: &Counters,
@@ -191,6 +148,9 @@ fn fastest<C: Copy + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spmm::compose::DEFAULT_SCHEME;
+    use crate::spmm::OctetSpmm;
+    use vecsparse_gpu_sim::GpuConfig;
 
     #[test]
     fn filter_excludes_inexact_and_unbuildable() {
@@ -272,7 +232,6 @@ mod tests {
     /// One `Auto` SpMM plan profiles each sweep point once.
     #[test]
     fn auto_plan_launches_one_probe_per_point() {
-        use super::super::Context;
         use vecsparse_formats::gen;
         for (v, sparsity, launches) in [(4, 0.9, 3), (8, 0.5, 5)] {
             let ctx = Context::builder().gpu(GpuConfig::small()).build();
@@ -285,61 +244,18 @@ mod tests {
     #[test]
     fn scheme_sweep_never_regresses_vs_fixed_kernel_tuning() {
         use vecsparse_formats::gen;
-        let gpu = GpuConfig::small();
-        let counters = Counters::default();
+        let ctx = Context::builder().gpu(GpuConfig::small()).build();
         for (v, sparsity, seed) in [(4, 0.85, 11), (8, 0.7, 12), (2, 0.5, 13)] {
             let a = gen::random_vector_sparse::<f16>(32, 64, v, sparsity, seed);
             let b = DenseMatrix::<f16>::zeros(64, 64, Layout::RowMajor);
-            let winner = tune_spmm(&gpu, &a, 64, &counters);
             // The swept winner must be at least as fast as every
             // fixed-kernel candidate the old tuner could have returned.
-            let winner_cycles = probe_spmm(&gpu, &a, &b, winner).cycles;
-            let default_octet = probe_spmm(&gpu, &a, &b, (SpmmAlgo::Octet, Some(DEFAULT_SCHEME)));
+            let winner = ctx.plan_spmm(&a, 64, SpmmAlgo::Auto).profile(&b).cycles;
+            let default_octet = ctx.plan_spmm(&a, 64, SpmmAlgo::Octet).profile(&b).cycles;
             assert!(
-                winner_cycles <= default_octet.cycles,
-                "v={v}: sweep winner {winner_cycles} worse than default octet {}",
-                default_octet.cycles
+                winner <= default_octet,
+                "v={v}: sweep winner {winner} worse than default octet {default_octet}"
             );
-        }
-    }
-
-    /// The tuner ranks candidates by the profile a plan of the same
-    /// point reports: every sweep point and SDDMM candidate, probed in a
-    /// fresh pool, equals the plan's profile in every field.
-    #[test]
-    fn probes_equal_plan_profiles() {
-        use super::super::{Context, OpKind, PlanKey, SddmmPlan, SpmmPlan};
-        use vecsparse_formats::gen;
-        let same = |probe: &KernelProfile, plan: &KernelProfile, what: String| {
-            assert_eq!(probe.csv_row(), plan.csv_row(), "{what}");
-            assert_eq!(probe.cycles.to_bits(), plan.cycles.to_bits(), "{what}");
-        };
-        for gpu in [GpuConfig::small(), GpuConfig::default()] {
-            let ctx = Context::builder().gpu(gpu.clone()).build();
-            for (i, v) in [1usize, 2, 4, 8].into_iter().enumerate() {
-                let (m, k, n) = (32, 64, 64);
-                let seed = 40 + i as u64;
-                let a = gen::random_vector_sparse::<f16>(m, k, v, 0.5, seed);
-                let b = DenseMatrix::<f16>::zeros(k, n, Layout::RowMajor);
-                let key = PlanKey::new(OpKind::Spmm, a.pattern(), n).unwrap();
-                for point in spmm_sweep_points(v, a.pattern().sparsity()) {
-                    let plan = SpmmPlan::build(&ctx, key, point.0, point.1, &a).profile(&b);
-                    same(
-                        &probe_spmm(&gpu, &a, &b, point),
-                        &plan,
-                        format!("V={v} {point:?}"),
-                    );
-                }
-                let mask = gen::random_pattern(m, n, v, 0.5, seed);
-                let lhs = DenseMatrix::<f16>::zeros(m, k, Layout::RowMajor);
-                let rhs = DenseMatrix::<f16>::zeros(k, n, Layout::ColMajor);
-                let key = PlanKey::new(OpKind::Sddmm, &mask, k).unwrap();
-                for algo in sddmm_candidates(v) {
-                    let plan = SddmmPlan::build(&ctx, key, algo, &mask).profile(&lhs, &rhs);
-                    let probe = probe_sddmm(&gpu, &lhs, &rhs, &mask, algo);
-                    same(&probe, &plan, format!("V={v} {algo:?}"));
-                }
-            }
         }
     }
 }

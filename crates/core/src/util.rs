@@ -9,8 +9,7 @@ use vecsparse_gpu_sim::{
 
 /// Profile the kernel `build` stages into a fresh pool. This is the launch
 /// path for kernels no [`crate::engine`] plan covers (dense×dense GEMM,
-/// the f32 and CSR baselines, softmax, explicit Blocked-ELL operands) and
-/// for the tuner's candidate probes:
+/// the f32 and CSR baselines, softmax, explicit Blocked-ELL operands):
 /// `profile(gpu, |mem, mode| DenseGemm::new(mem, &a, &b, mode))`.
 pub fn profile<K: KernelSpec>(
     gpu: &GpuConfig,

@@ -11,7 +11,7 @@ use vecsparse::engine::Context;
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, reference, Layout};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{GpuConfig, TraceSink};
+use vecsparse_gpu_sim::{ArgValue, GpuConfig, TraceSink};
 
 /// Keeps this file's other tests off the host while
 /// `cached_plan_batch_beats_legacy_batch` times its two sides: they share
@@ -75,9 +75,8 @@ fn sddmm_auto_caches_per_descriptor_too() {
     assert_eq!(got.values(), want.values());
 }
 
-/// The two contexts the batch tests run under: an untraced one, whose
-/// batches fan out across workers, and a traced one, whose batches run
-/// sequentially.
+/// The two contexts the batch tests run under, one untraced and one
+/// traced; both fan batches out across workers.
 fn batch_contexts() -> [Context; 2] {
     [
         Context::builder().gpu(GpuConfig::small()).build(),
@@ -86,6 +85,23 @@ fn batch_contexts() -> [Context; 2] {
             .telemetry(Arc::new(TraceSink::enabled(1 << 16)))
             .build(),
     ]
+}
+
+/// In a traced context, the one batch run so far recorded exactly one
+/// run span named `span`, carrying the batch length. An untraced
+/// context records nothing to check.
+fn assert_one_batch_span(ctx: &Context, span: &str, len: usize) {
+    if !ctx.sink().is_enabled() {
+        return;
+    }
+    let events = ctx.sink().events();
+    let runs: Vec<_> = events.iter().filter(|e| e.name == span).collect();
+    assert_eq!(runs.len(), 1, "one {span:?} span per batch");
+    assert!(
+        runs[0].args.contains(&("batch", ArgValue::U64(len as u64))),
+        "{:?}",
+        runs[0].args
+    );
 }
 
 #[test]
@@ -99,6 +115,7 @@ fn spmm_batch_matches_sequential_runs() {
         let plan = ctx.plan_spmm(&a, 40, SpmmAlgo::Octet);
         let batched = plan.run_batch(&batch);
         assert_eq!(batched.len(), batch.len());
+        assert_one_batch_span(&ctx, "run spmm", batch.len());
         for (b, got) in batch.iter().zip(&batched) {
             assert_eq!(got.max_abs_diff(&plan.run(b)), 0.0);
             assert_eq!(got.max_abs_diff(&reference::spmm_vs(&a, b)), 0.0);
@@ -120,6 +137,7 @@ fn sddmm_batch_matches_sequential_runs() {
         let plan = ctx.plan_sddmm(&mask, 32, SddmmAlgo::OctetReg);
         let batched = plan.run_batch(&a_batch, &b_batch);
         assert_eq!(batched.len(), a_batch.len());
+        assert_one_batch_span(&ctx, "run sddmm", a_batch.len());
         for ((a, b), got) in a_batch.iter().zip(&b_batch).zip(&batched) {
             assert_eq!(got.values(), plan.run(a, b).values());
             assert_eq!(got.values(), reference::sddmm(a, b, &mask).values());

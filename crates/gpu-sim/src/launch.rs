@@ -7,8 +7,8 @@ use crate::config::GpuConfig;
 use crate::mem::MemPool;
 use crate::memo::{LaunchSig, WaveArtifacts, WaveDecision, WaveMemo};
 use crate::profile::{HotPc, InstrCounts, KernelProfile, PipeUtil, StallBreakdown};
-use crate::sched::{simulate_wave, WaveObs};
-use crate::sched_event::simulate_wave_event;
+use crate::sched::simulate_wave;
+use crate::sched_event::{simulate_wave_event, WaveObs};
 use crate::sig::{Fingerprint, FingerprintHasher};
 use crate::trace::WarpTrace;
 use crate::warp::{CtaCtx, ShadowObs};
@@ -26,26 +26,6 @@ pub enum Mode {
     /// Skip values; generate traces for a sampled set of CTAs and build a
     /// [`KernelProfile`].
     Performance,
-}
-
-/// How the performance simulation advances time. Both modes produce
-/// bit-identical profiles, traces, and memo artifacts; the choice is
-/// purely a wall-clock trade, so every launch uses the event scheduler
-/// and the tick scheduler is the reference it is checked against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum TimingMode {
-    /// Reference tick scheduler (`sched.rs`): every warp's readiness is
-    /// recomputed from the live scoreboards each round. Tests select it
-    /// as the oracle, and `VECSPARSE_AUDIT=n` re-times every n-th event
-    /// wave with it.
-    Tick,
-    /// Event-driven scheduler (`sched_event.rs`): the clock jumps to
-    /// cached next-event times, dropping back to tick-exact stepping
-    /// inside contended (barrier) windows. Several times faster on
-    /// untraced waves; results are bit-identical by construction and
-    /// cross-checked at runtime under `VECSPARSE_AUDIT=n`.
-    #[default]
-    Event,
 }
 
 /// Which engine executes a *functional* launch.
@@ -185,9 +165,8 @@ pub struct LaunchOutput {
 /// Launch::new(&mut mem, &kernel)        // functional, default GPU
 ///     .gpu(&cfg)                        // machine to simulate
 ///     .performance()                    // or .mode(Mode::Performance)
-///     .timing(TimingMode::Tick)         // reference scheduler (default: event)
 ///     .traced(&sink)                    // telemetry sink
-///     .memo(&memo, sig)                 // certified wave memoization
+///     .memo(Some((&memo, sig)))         // certified wave memoization
 ///     .run()
 /// ```
 ///
@@ -205,9 +184,12 @@ pub struct LaunchOutput {
 /// parallel region per launch), then the recorded L2 sector traffic is
 /// replayed into the shared device L2 in canonical wave order
 /// (sequential) before counters are extrapolated to the full grid.
-/// Results are bit-identical at any thread count and in either
-/// [`TimingMode`]. The final cycle estimate is the maximum of the
-/// issue-model cycles and the DRAM/L2 bandwidth lower bounds.
+/// Waves are timed by the event scheduler ([`crate::simulate_wave_event`]),
+/// traced or not; `VECSPARSE_AUDIT=n` re-times every n-th with the tick
+/// oracle ([`crate::simulate_wave`]) and panics on any difference.
+/// Results are bit-identical at any thread count. The final cycle
+/// estimate is the maximum of the issue-model cycles and the DRAM/L2
+/// bandwidth lower bounds.
 ///
 /// With an enabled sink ([`Launch::traced`]), the launch claims a fresh
 /// process id on the timeline and records a kernel-wide span (tid 0,
@@ -222,15 +204,12 @@ pub struct LaunchOutput {
 /// timing/span/L2-op artifacts instead of re-simulating. The caller is
 /// responsible for passing a signature only for kernels holding a
 /// `Provable` wave-equivalence certificate — the signature *is* the
-/// proof carrier. Functional launches ignore the memo. Memo keys do not
-/// include the [`TimingMode`]: both modes produce identical artifacts,
-/// so a cache is shareable across them.
+/// proof carrier. Functional launches ignore the memo.
 pub struct Launch<'a, K: KernelSpec + ?Sized> {
     mem: &'a mut MemPool,
     kernel: &'a K,
     gpu: Option<&'a GpuConfig>,
     mode: Mode,
-    timing: TimingMode,
     sink: Option<&'a TraceSink>,
     memo: Option<(&'a WaveMemo, LaunchSig)>,
     shadow: bool,
@@ -246,7 +225,6 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
             kernel,
             gpu: None,
             mode: Mode::Functional,
-            timing: TimingMode::default(),
             sink: None,
             memo: None,
             shadow: false,
@@ -272,27 +250,15 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
         self.mode(Mode::Performance)
     }
 
-    /// How the performance simulation advances time (default
-    /// [`TimingMode::Event`]; [`TimingMode::Tick`] is the reference).
-    pub fn timing(mut self, timing: TimingMode) -> Launch<'a, K> {
-        self.timing = timing;
-        self
-    }
-
     /// Record telemetry into `sink`.
     pub fn traced(mut self, sink: &'a TraceSink) -> Launch<'a, K> {
         self.sink = Some(sink);
         self
     }
 
-    /// Consult (and fill) a certified wave memo under `sig`.
-    pub fn memo(mut self, memo: &'a WaveMemo, sig: LaunchSig) -> Launch<'a, K> {
-        self.memo = Some((memo, sig));
-        self
-    }
-
-    /// [`Launch::memo`], tolerating an uncertified (`None`) signature.
-    pub fn memo_opt(mut self, memo: Option<(&'a WaveMemo, LaunchSig)>) -> Launch<'a, K> {
+    /// Consult (and fill) a certified wave memo under its signature;
+    /// `None` (an uncertified kernel) simulates honestly.
+    pub fn memo(mut self, memo: Option<(&'a WaveMemo, LaunchSig)>) -> Launch<'a, K> {
         self.memo = memo;
         self
     }
@@ -375,15 +341,8 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
                     Some(sink) => sink,
                     None => TraceSink::noop(),
                 };
-                let (profile, launch_key) = simulate(
-                    cfg,
-                    self.mem,
-                    self.kernel,
-                    &lc,
-                    sink,
-                    self.memo,
-                    self.timing,
-                );
+                let (profile, launch_key) =
+                    simulate(cfg, self.mem, self.kernel, &lc, sink, self.memo);
                 LaunchOutput {
                     profile: Some(profile),
                     shadow: Vec::new(),
@@ -502,7 +461,6 @@ fn simulate<K: KernelSpec + ?Sized>(
     lc: &LaunchConfig,
     sink: &TraceSink,
     memo: Option<(&WaveMemo, LaunchSig)>,
-    timing: TimingMode,
 ) -> (KernelProfile, Option<Fingerprint>) {
     let ctas_per_sm = lc.ctas_per_sm(cfg);
 
@@ -617,13 +575,8 @@ fn simulate<K: KernelSpec + ?Sized>(
             let wave: Vec<&[WarpTrace]> = traces.iter().map(Vec::as_slice).collect();
             let mut l1 = SectorCache::new(l1_cache_bytes.max(128 * cfg.l1_ways), cfg.l1_ways);
             let mut l2 = RecordingL2::new(cfg.l2_bytes, cfg.l2_ways);
-            let obs = tracing.then(WaveObs::new);
-            let result = match timing {
-                TimingMode::Tick => simulate_wave(cfg, &wave, &mut l1, &mut l2, obs.as_ref()),
-                TimingMode::Event => {
-                    simulate_wave_event(cfg, &wave, &mut l1, &mut l2, obs.as_ref())
-                }
-            };
+            let mut obs = tracing.then(WaveObs::new);
+            let (result, _) = simulate_wave_event(cfg, &wave, &mut l1, &mut l2, obs.as_mut());
             let fresh = Arc::new(WaveArtifacts {
                 result,
                 ctas: wave.len(),
@@ -631,10 +584,10 @@ fn simulate<K: KernelSpec + ?Sized>(
                 l2_ops: l2.into_ops(),
                 shard: obs.map(WaveObs::into_shard),
             });
-            if timing == TimingMode::Event && audit_every > 0 && (w as u64 + 1) % audit_every == 0 {
+            if audit_every > 0 && (w as u64 + 1) % audit_every == 0 {
                 let mut l1t = SectorCache::new(l1_cache_bytes.max(128 * cfg.l1_ways), cfg.l1_ways);
                 let mut l2t = RecordingL2::new(cfg.l2_bytes, cfg.l2_ways);
-                let tick = simulate_wave(cfg, &wave, &mut l1t, &mut l2t, None);
+                let tick = simulate_wave(cfg, &wave, &mut l1t, &mut l2t);
                 assert!(
                     fresh.result == tick
                         && fresh.l1_stats == l1t.stats
@@ -1133,32 +1086,6 @@ mod tests {
     }
 
     #[test]
-    fn event_timing_profile_is_bit_identical() {
-        let cfg = GpuConfig::small();
-        let mut mem = MemPool::new();
-        let input = mem.alloc_ghost(ElemWidth::B32, 1 << 20);
-        let output = mem.alloc_ghost(ElemWidth::B32, 1 << 20);
-        let k = DoubleKernel::new(input, output, 1024);
-        let tick = Launch::new(&mut mem, &k)
-            .gpu(&cfg)
-            .performance()
-            .timing(TimingMode::Tick)
-            .run()
-            .profile
-            .unwrap();
-        let event = Launch::new(&mut mem, &k)
-            .gpu(&cfg)
-            .performance()
-            .run()
-            .profile
-            .unwrap();
-        assert_eq!(tick.cycles.to_bits(), event.cycles.to_bits());
-        assert_eq!(tick.instrs, event.instrs);
-        assert_eq!(tick.stalls, event.stalls);
-        assert_eq!(tick.hot_pcs, event.hot_pcs);
-    }
-
-    #[test]
     fn event_audit_cross_checks_every_wave() {
         // An audit period of 1 re-times every event wave with the tick
         // scheduler inside the launch itself; any divergence panics.
@@ -1171,7 +1098,7 @@ mod tests {
         let audited = Launch::new(&mut mem, &k)
             .gpu(&cfg)
             .performance()
-            .memo(&memo, LaunchSig(crate::sig::Fingerprint::default()))
+            .memo(Some((&memo, LaunchSig(crate::sig::Fingerprint::default()))))
             .run()
             .profile
             .unwrap();

@@ -56,15 +56,15 @@ pub use cache::{
 };
 pub use capture::{capture, sample_ctas, CtaCapture, SAMPLE_CTAS};
 pub use config::{GpuConfig, Timing};
-pub use launch::{Backend, KernelSpec, Launch, LaunchConfig, LaunchOutput, Mode, TimingMode};
+pub use launch::{Backend, KernelSpec, Launch, LaunchConfig, LaunchOutput, Mode};
 pub use mem::{BufferId, ElemWidth, MemPool, NativeCtx, PoolMark};
 pub use memo::{LaunchSig, MemoStats, WaveArtifacts, WaveDecision, WaveMemo};
 pub use profile::{InstrCounts, KernelProfile, PipeUtil, Roofline, StallBreakdown};
 // Telemetry types appear in this crate's API (`launch_traced`); re-export
 // them so downstream crates need no direct dependency for common use.
 pub use program::{Program, Site};
-pub use sched::{simulate_wave, WaveObs, WaveResult};
-pub use sched_event::{simulate_wave_event, simulate_wave_event_with_stats, EventStats};
+pub use sched::{simulate_wave, WaveResult};
+pub use sched_event::{simulate_wave_event, EventStats, WaveObs};
 pub use shard::ShardLayout;
 pub use tcu::{
     execute_mma, execute_mma_shadow, mma_m8n8k4_reference, pack_a_fragment, pack_b_fragment,

@@ -12,72 +12,7 @@ use crate::config::GpuConfig;
 use crate::icache::ICache;
 use crate::profile::{InstrCounts, StallBreakdown};
 use crate::trace::{InstrKind, Pipe, Tok, WarpTrace, ALL_PIPES};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use vecsparse_telemetry::{ArgValue, TraceShard};
-
-/// Telemetry observer for one simulated wave: a worker-local
-/// [`TraceShard`] buffering per-scheduler issue and stall spans at
-/// wave-relative ticks. The wave doesn't know (and with parallel waves
-/// *cannot* know) its absolute start time or the sink's sequence
-/// numbering — the launch's sequential merge phase rebases the shard
-/// with [`vecsparse_telemetry::TraceSink::merge_shard`].
-#[derive(Default)]
-pub struct WaveObs {
-    shard: RefCell<TraceShard>,
-}
-
-impl WaveObs {
-    /// A fresh observer for one wave.
-    pub fn new() -> WaveObs {
-        WaveObs::default()
-    }
-
-    /// The buffered spans, wave-relative.
-    pub fn into_shard(self) -> TraceShard {
-        self.shard.into_inner()
-    }
-
-    fn stall_span(&self, s: usize, reason: &'static str, from: u64, dur: u64) {
-        if dur == 0 {
-            return;
-        }
-        self.shard
-            .borrow_mut()
-            .push_span(s as u32 + 1, reason, "stall", from, dur, Vec::new());
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn issue_span(
-        &self,
-        s: usize,
-        instr: &crate::trace::TraceInstr,
-        mem: Option<&crate::trace::MemAccess>,
-        issue_at: u64,
-        interval: u64,
-        latency: u64,
-        l1_missed: u64,
-    ) {
-        let mut args: Vec<(&'static str, ArgValue)> = vec![
-            ("pc", ArgValue::U64(instr.pc as u64)),
-            ("lat", ArgValue::U64(latency)),
-        ];
-        if let Some(mem) = mem {
-            if mem.global {
-                args.push(("sectors", ArgValue::U64(mem.sectors.len() as u64)));
-                args.push(("l1_missed", ArgValue::U64(l1_missed)));
-            }
-        }
-        self.shard.borrow_mut().push_span(
-            s as u32 + 1,
-            instr.kind.mnemonic(),
-            "issue",
-            issue_at,
-            interval.max(1),
-            args,
-        );
-    }
-}
 
 /// Result of simulating one SM wave.
 ///
@@ -125,20 +60,16 @@ struct BarrierState {
     instance: usize,
 }
 
-/// Simulate one SM wave.
-///
-/// `ctas` are the resident thread blocks (each a slice of warp traces).
-/// `l1` is this SM's L1; `l2` is the wave's [`L2Port`] — the shared
-/// device L2 for sequential callers, or a [`crate::cache::RecordingL2`]
-/// when waves are timed in parallel and their sector traffic replayed
-/// later. When `obs` is set, every issue and attributed stall is
-/// buffered as a wave-relative span; timing is unaffected.
+/// Simulate one SM wave with the reference tick scheduler: the timing
+/// oracle that [`crate::simulate_wave_event`], the production scheduler,
+/// must match bit for bit. The launch's audit (`VECSPARSE_AUDIT`) and
+/// the tests call it. Arguments as for `simulate_wave_event`, without
+/// the observer: tick records no spans.
 pub fn simulate_wave<L2: L2Port + ?Sized>(
     cfg: &GpuConfig,
     ctas: &[&[WarpTrace]],
     l1: &mut SectorCache,
     l2: &mut L2,
-    obs: Option<&WaveObs>,
 ) -> WaveResult {
     let timing = &cfg.timing;
     let nsched = cfg.schedulers_per_sm;
@@ -300,21 +231,15 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
             // to issue (just after its previous issue) and when it did.
             let base = w.last_issue + 1;
             let mut remaining = issue_at.saturating_sub(base);
-            let mut stall_icache = 0u64;
-            let mut stall_barrier = 0u64;
-            let mut stall_dep = 0u64;
-            let mut stall_dep_reason: &'static str = "wait";
             if icache_miss {
                 let ic = remaining.min(issue_at - pre_issue.min(issue_at));
                 stalls.no_instruction += ic as f64;
-                stall_icache = ic;
                 remaining -= ic;
             }
             // Barrier wait portion.
             if w.resume_at > base {
                 let b = remaining.min(w.resume_at - base);
                 stalls.barrier += b as f64;
-                stall_barrier = b;
                 remaining -= b;
             }
             // Dependency portion: attribute to the latest-completing dep.
@@ -339,20 +264,9 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
             if dep_t > base {
                 let d = remaining.min(dep_t - base);
                 match dep_reason {
-                    Some(InstrKind::Ldg { .. }) => {
-                        stalls.long_scoreboard += d as f64;
-                        stall_dep_reason = "long_scoreboard";
-                        stall_dep = d;
-                    }
-                    Some(InstrKind::Lds { .. }) => {
-                        stalls.short_scoreboard += d as f64;
-                        stall_dep_reason = "short_scoreboard";
-                        stall_dep = d;
-                    }
-                    Some(_) => {
-                        stalls.wait += d as f64;
-                        stall_dep = d;
-                    }
+                    Some(InstrKind::Ldg { .. }) => stalls.long_scoreboard += d as f64,
+                    Some(InstrKind::Lds { .. }) => stalls.short_scoreboard += d as f64,
+                    Some(_) => stalls.wait += d as f64,
                     None => {}
                 }
                 remaining -= d;
@@ -360,26 +274,9 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
             // Whatever is left: the scheduler or pipe was busy.
             stalls.not_selected += remaining as f64;
             stalls.issued += 1.0;
-            if let Some(obs) = obs {
-                // Lay the attributed portions out back to back over the
-                // gap [base, issue_at): barrier release first, then the
-                // dependency, arbitration, and finally the fetch (the L0
-                // miss is serviced last, right before issue).
-                let mut at = base;
-                for (reason, dur) in [
-                    ("barrier", stall_barrier),
-                    (stall_dep_reason, stall_dep),
-                    ("not_selected", remaining),
-                    ("no_instruction", stall_icache),
-                ] {
-                    obs.stall_span(s, reason, at, dur);
-                    at += dur;
-                }
-            }
 
             // Memory system effects and completion latency.
             let imem = w.trace.mem_of(instr);
-            let mut obs_l1_missed = 0u64;
             let latency = match instr.kind {
                 InstrKind::Ffma | InstrKind::Hfma2 | InstrKind::Imad | InstrKind::Misc => {
                     timing.alu_latency
@@ -400,7 +297,6 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
                     let mut lat = timing.l1_hit_latency;
                     if let Some(mem) = imem {
                         let missed_l1 = l1.access(&mem.sectors);
-                        obs_l1_missed = missed_l1;
                         if missed_l1 > 0 {
                             // The missed sectors go to L2.
                             let missed_sectors: Vec<u64> = mem.sectors.clone();
@@ -427,9 +323,6 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
             let interval = timing.issue_interval(instr.kind.pipe()) * conflict.max(1);
             sched.pipe_free[pi] = issue_at + interval;
             sched.pipe_busy[pi] += interval;
-            if let Some(obs) = obs {
-                obs.issue_span(s, instr, imem, issue_at, interval, latency, obs_l1_missed);
-            }
 
             let completion = issue_at + latency;
             last_retire = last_retire.max(completion);
@@ -538,7 +431,7 @@ mod tests {
     fn run(cfg: &GpuConfig, ctas: &[&[WarpTrace]]) -> WaveResult {
         let mut l1 = SectorCache::new(cfg.l1_bytes, cfg.l1_ways);
         let mut l2 = SectorCache::new(cfg.l2_bytes, cfg.l2_ways);
-        simulate_wave(cfg, ctas, &mut l1, &mut l2, None)
+        simulate_wave(cfg, ctas, &mut l1, &mut l2)
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Event-driven twin of the tick scheduler ([`crate::sched::simulate_wave`]).
+//! The production wave scheduler: the event-driven twin of the tick
+//! scheduler ([`crate::sched::simulate_wave`]), which stays only as the
+//! timing oracle that tests and `VECSPARSE_AUDIT` compare it against.
 //!
 //! The tick scheduler re-derives every warp's readiness from scratch each
 //! round: three scoreboard lookups, the accumulator-forwarding window, and
@@ -30,10 +32,15 @@
 //! from the event cache. Cross-warp wakeups only exist in these windows,
 //! so bit-identity outside them follows from the intra-warp dependency
 //! invariant, and inside them from running the reference computation
-//! itself. Traced waves (an attached [`WaveObs`]) delegate wholesale to
-//! the tick scheduler: span layout is defined by the reference
-//! implementation and trace buffering dominates the wall time anyway, so
-//! Perfetto bytes are identical by construction.
+//! itself.
+//!
+//! **Spans.** A traced wave (an attached [`WaveObs`]) runs the same loop
+//! and records, per issue, the attributed stall portions back to back
+//! from the cycle after the warp's previous issue — barrier, then the
+//! dependency, then `not_selected`, then `no_instruction` — followed by
+//! the issue span. The stall spans therefore sum to the wave's
+//! [`StallBreakdown`], and there is one issue span per issued
+//! instruction (`tests/timing.rs` checks both across the registry).
 //!
 //! Why the remaining deltas are safe:
 //! - The L0 replacement here is an exact LRU list; the tick model's
@@ -49,9 +56,78 @@
 use crate::cache::{L2Port, SectorCache};
 use crate::config::GpuConfig;
 use crate::profile::{InstrCounts, StallBreakdown};
-use crate::sched::{simulate_wave, WaveObs, WaveResult};
-use crate::trace::{InstrKind, Pipe, Tok, WarpTrace, ALL_PIPES};
+use crate::sched::WaveResult;
+use crate::trace::{InstrKind, MemAccess, Pipe, Tok, TraceInstr, WarpTrace, ALL_PIPES};
 use std::collections::BTreeMap;
+use vecsparse_telemetry::{ArgValue, TraceShard};
+
+/// Telemetry observer for one simulated wave: a worker-local
+/// [`TraceShard`] buffering per-scheduler issue and stall spans at
+/// wave-relative ticks. The wave doesn't know (and with parallel waves
+/// *cannot* know) its absolute start time or the sink's sequence
+/// numbering — the launch's sequential merge phase rebases the shard
+/// with [`vecsparse_telemetry::TraceSink::merge_shard`].
+#[derive(Default)]
+pub struct WaveObs {
+    shard: TraceShard,
+}
+
+impl WaveObs {
+    /// A fresh observer for one wave.
+    pub fn new() -> WaveObs {
+        WaveObs::default()
+    }
+
+    /// The buffered spans, wave-relative.
+    pub fn into_shard(self) -> TraceShard {
+        self.shard
+    }
+
+    /// Lay one issue's attributed stall portions back to back on
+    /// scheduler `s`'s track from `from` (the cycle after the warp's
+    /// previous issue), skipping empty ones.
+    fn stalls(&mut self, s: usize, from: u64, portions: [(&'static str, u64); 4]) {
+        let mut at = from;
+        for (reason, dur) in portions {
+            if dur > 0 {
+                self.shard
+                    .push_span(s as u32 + 1, reason, "stall", at, dur, Vec::new());
+                at += dur;
+            }
+        }
+    }
+
+    /// One issued instruction on scheduler `s`'s track, with its pc and
+    /// latency, plus sector and L1-miss counts for a global access.
+    #[allow(clippy::too_many_arguments)]
+    fn issue(
+        &mut self,
+        s: usize,
+        instr: &TraceInstr,
+        mem: Option<&MemAccess>,
+        issue_at: u64,
+        interval: u64,
+        latency: u64,
+        l1_missed: u64,
+    ) {
+        let mut args: Vec<(&'static str, ArgValue)> = vec![
+            ("pc", ArgValue::U64(instr.pc as u64)),
+            ("lat", ArgValue::U64(latency)),
+        ];
+        if let Some(mem) = mem.filter(|m| m.global) {
+            args.push(("sectors", ArgValue::U64(mem.sectors.len() as u64)));
+            args.push(("l1_missed", ArgValue::U64(l1_missed)));
+        }
+        self.shard.push_span(
+            s as u32 + 1,
+            instr.kind.mnemonic(),
+            "issue",
+            issue_at,
+            interval.max(1),
+            args,
+        );
+    }
+}
 
 /// Regime counters for one event-simulated wave: how many scheduler
 /// rounds ran on the cached fast path vs. inside a tick-exact fallback
@@ -222,33 +298,23 @@ fn refresh(w: &mut WarpState, cfg: &GpuConfig) {
     w.dep_reason = dep_reason;
 }
 
-/// Event-driven wave simulation: same signature and bit-identical result
-/// as [`simulate_wave`], several times faster on untraced waves. See the
-/// module docs for the equivalence argument.
+/// Simulate one SM wave event-wise: the [`WaveResult`] is bit-identical
+/// to [`crate::sched::simulate_wave`]'s (see the module docs for the
+/// argument), and the [`EventStats`] count its scheduling regimes.
+///
+/// `ctas` are the resident thread blocks (each a slice of warp traces).
+/// `l1` is this SM's L1; `l2` is the wave's [`L2Port`] — the shared
+/// device L2 for sequential callers, or a [`crate::cache::RecordingL2`]
+/// when waves are timed in parallel and their sector traffic replayed
+/// later. When `obs` is set, every issue and attributed stall is
+/// buffered as a wave-relative span; timing is unaffected.
 pub fn simulate_wave_event<L2: L2Port + ?Sized>(
     cfg: &GpuConfig,
     ctas: &[&[WarpTrace]],
     l1: &mut SectorCache,
     l2: &mut L2,
-    obs: Option<&WaveObs>,
-) -> WaveResult {
-    simulate_wave_event_with_stats(cfg, ctas, l1, l2, obs).0
-}
-
-/// [`simulate_wave_event`] plus regime counters for tests.
-pub fn simulate_wave_event_with_stats<L2: L2Port + ?Sized>(
-    cfg: &GpuConfig,
-    ctas: &[&[WarpTrace]],
-    l1: &mut SectorCache,
-    l2: &mut L2,
-    obs: Option<&WaveObs>,
+    mut obs: Option<&mut WaveObs>,
 ) -> (WaveResult, EventStats) {
-    if obs.is_some() {
-        // Traced waves take the tick path (see module docs): span layout
-        // is defined by the reference scheduler.
-        return (simulate_wave(cfg, ctas, l1, l2, obs), EventStats::default());
-    }
-
     let timing = &cfg.timing;
     let nsched = cfg.schedulers_per_sm;
 
@@ -479,31 +545,60 @@ pub fn simulate_wave_event_with_stats<L2: L2Port + ?Sized>(
             let base = w.last_issue + 1;
             if issue_at > base {
                 let mut remaining = issue_at - base;
+                let mut icache = 0;
                 if icache_miss {
-                    let ic = remaining.min(issue_at - pre_issue.min(issue_at));
-                    stalls.no_instruction += ic as f64;
-                    remaining -= ic;
+                    icache = remaining.min(issue_at - pre_issue.min(issue_at));
+                    stalls.no_instruction += icache as f64;
+                    remaining -= icache;
                 }
+                let mut barrier = 0;
                 if w.resume_at > base {
-                    let b = remaining.min(w.resume_at - base);
-                    stalls.barrier += b as f64;
-                    remaining -= b;
+                    barrier = remaining.min(w.resume_at - base);
+                    stalls.barrier += barrier as f64;
+                    remaining -= barrier;
                 }
+                let mut dep = ("wait", 0);
                 if w.dep_t > base {
                     let d = remaining.min(w.dep_t - base);
                     match w.dep_reason {
-                        Some(InstrKind::Ldg { .. }) => stalls.long_scoreboard += d as f64,
-                        Some(InstrKind::Lds { .. }) => stalls.short_scoreboard += d as f64,
-                        Some(_) => stalls.wait += d as f64,
+                        Some(InstrKind::Ldg { .. }) => {
+                            stalls.long_scoreboard += d as f64;
+                            dep = ("long_scoreboard", d);
+                        }
+                        Some(InstrKind::Lds { .. }) => {
+                            stalls.short_scoreboard += d as f64;
+                            dep = ("short_scoreboard", d);
+                        }
+                        Some(_) => {
+                            stalls.wait += d as f64;
+                            dep = ("wait", d);
+                        }
                         None => {}
                     }
                     remaining -= d;
                 }
                 stalls.not_selected += remaining as f64;
+                if let Some(obs) = obs.as_deref_mut() {
+                    // Over the gap [base, issue_at): barrier release
+                    // first, then the dependency, arbitration, and finally
+                    // the fetch (the L0 miss is serviced last, right
+                    // before issue).
+                    obs.stalls(
+                        s,
+                        base,
+                        [
+                            ("barrier", barrier),
+                            dep,
+                            ("not_selected", remaining),
+                            ("no_instruction", icache),
+                        ],
+                    );
+                }
             }
             issued += 1;
 
             let imem = w.trace.mem_of(instr);
+            let mut l1_missed = 0;
             let latency = match instr.kind {
                 InstrKind::Ffma | InstrKind::Hfma2 | InstrKind::Imad | InstrKind::Misc => {
                     timing.alu_latency
@@ -523,11 +618,11 @@ pub fn simulate_wave_event_with_stats<L2: L2Port + ?Sized>(
                 InstrKind::Ldg { .. } => {
                     let mut lat = timing.l1_hit_latency;
                     if let Some(mem) = imem {
-                        let missed_l1 = l1.access(&mem.sectors);
-                        if missed_l1 > 0 {
+                        l1_missed = l1.access(&mem.sectors);
+                        if l1_missed > 0 {
                             // Same L2 re-probe as the tick model, minus
                             // its temporary sector copy.
-                            let missed_l2 = l2.access(&mem.sectors[..missed_l1 as usize]);
+                            let missed_l2 = l2.access(&mem.sectors[..l1_missed as usize]);
                             lat = if missed_l2 > 0 {
                                 timing.dram_latency
                             } else {
@@ -550,6 +645,9 @@ pub fn simulate_wave_event_with_stats<L2: L2Port + ?Sized>(
             let interval = intervals[pi] * conflict.max(1);
             sched.pipe_free[pi] = issue_at + interval;
             sched.pipe_busy[pi] += interval;
+            if let Some(obs) = obs.as_deref_mut() {
+                obs.issue(s, instr, imem, issue_at, interval, latency, l1_missed);
+            }
 
             let completion = issue_at + latency;
             last_retire = last_retire.max(completion);
@@ -655,6 +753,7 @@ pub fn simulate_wave_event_with_stats<L2: L2Port + ?Sized>(
 mod tests {
     use super::*;
     use crate::icache::ICache;
+    use crate::sched::simulate_wave;
     use crate::trace::{MemAccess, TraceInstr};
 
     fn instr(pc: u32, kind: InstrKind, deps: [Tok; 3]) -> TraceInstr {
@@ -670,10 +769,10 @@ mod tests {
     fn both(cfg: &GpuConfig, ctas: &[&[WarpTrace]]) -> (WaveResult, WaveResult, EventStats) {
         let mut l1 = SectorCache::new(cfg.l1_bytes, cfg.l1_ways);
         let mut l2 = SectorCache::new(cfg.l2_bytes, cfg.l2_ways);
-        let tick = simulate_wave(cfg, ctas, &mut l1, &mut l2, None);
+        let tick = simulate_wave(cfg, ctas, &mut l1, &mut l2);
         let mut l1 = SectorCache::new(cfg.l1_bytes, cfg.l1_ways);
         let mut l2 = SectorCache::new(cfg.l2_bytes, cfg.l2_ways);
-        let (event, stats) = simulate_wave_event_with_stats(cfg, ctas, &mut l1, &mut l2, None);
+        let (event, stats) = simulate_wave_event(cfg, ctas, &mut l1, &mut l2, None);
         (tick, event, stats)
     }
 

@@ -186,6 +186,11 @@ impl ServeConfigBuilder {
 
     /// Enable certified wave memoization on the worker contexts; each
     /// shard shares one wave-artifact cache.
+    ///
+    /// This has no effect today. Wave memoization only engages on
+    /// performance launches, and a server never runs one: it plans, then
+    /// runs batches functionally, and the tuner profiles its probe plans
+    /// on a context of their own. Every shard's memo stays empty.
     pub fn memoization(mut self) -> Self {
         self.memoization = true;
         self

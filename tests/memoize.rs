@@ -334,7 +334,7 @@ fn traced_replay_timeline_is_bit_identical() {
                     .gpu(&gpu)
                     .performance()
                     .traced(&sink)
-                    .memo(&memo, sig)
+                    .memo(Some((&memo, sig)))
                     .run();
             }
             (perfetto::export_json(&sink), memo.stats())
@@ -436,7 +436,7 @@ fn data_dependent_kernel_is_not_provable_and_never_memoized() {
             .gpu(&gpu)
             .performance()
             .traced(&sink)
-            .memo_opt(sig.map(|s| (&memo, s)))
+            .memo(sig.map(|s| (&memo, s)))
             .run();
     }
     let stats = memo.stats();

@@ -121,7 +121,6 @@ fn slo_accounting_matches_request_spans() {
             .shards(2)
             .max_batch(4)
             .gpu(GpuConfig::small())
-            .memoization()
             .telemetry(Arc::clone(&sink))
             // Wall-clock latencies in a test process are unbounded above
             // but positive below: a generous SLO must be met, a
@@ -262,7 +261,6 @@ fn serve_all(reqs: &[JobRequest]) -> Vec<JobOutput> {
             .shards(2)
             .max_batch(4)
             .gpu(GpuConfig::small())
-            .memoization()
             .tenant(TenantSpec::new("solo"))
             .build(),
     );

@@ -1,27 +1,34 @@
 //! Tier-1 equivalence gate for the event-driven scheduler.
 //!
-//! Every launch times its waves with the event scheduler; the tick
-//! scheduler is the reference it must match. Event timing is a
-//! wall-clock optimisation, never an observable: every simulated
-//! artifact — cycle counts, the full performance profile, functional
-//! outputs, and Perfetto trace bytes — must be bit-identical to
-//! `TimingMode::Tick`, at any worker-thread count, across the whole
-//! kernel registry. The event scheduler may jump the clock only between
-//! issue events and must fall back to tick-exact stepping inside
-//! contended (barrier) windows; these tests are the external check that
-//! the fallback rule is airtight. The `Launch`-level tests select tick
-//! explicitly; the engine-level ones audit every simulated wave against
-//! a tick re-simulation inside the launch (`WaveMemo::with_audit(1)`).
+//! Every launch times its waves with the event scheduler, traced or
+//! not; the tick scheduler (`simulate_wave`) is the reference it must
+//! match. Event timing is a wall-clock optimisation, never an
+//! observable: every simulated artifact — cycle counts, the full
+//! performance profile, functional outputs — must be bit-identical to
+//! tick's, at any worker-thread count, across the whole kernel registry.
+//! The event scheduler may jump the clock only between issue events and
+//! must fall back to tick-exact stepping inside contended (barrier)
+//! windows; these tests are the external check that the fallback rule is
+//! airtight. The equivalence tests run launches under an auditing memo
+//! (`WaveMemo::with_audit(1)`), which re-times every simulated wave with
+//! tick inside the launch and panics unless the `WaveResult`, the L1
+//! statistics and the L2 op log are equal, then compare the audited
+//! profile with a plain launch's. The spans a traced launch records come
+//! from the same event loop; the span-accounting test checks that they
+//! add up to the profile.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use vecsparse::engine::Context;
-use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
+use vecsparse::registry::{self, Shape, ALL_KERNELS};
 use vecsparse::SpmmAlgo;
+use vecsparse_certify::certify;
 use vecsparse_formats::{gen, Layout};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{GpuConfig, Launch, Mode, TimingMode, WaveMemo};
-use vecsparse_telemetry::{perfetto, TraceSink, DEFAULT_CAPACITY};
+use vecsparse_gpu_sim::sig::Fingerprint;
+use vecsparse_gpu_sim::{GpuConfig, KernelProfile, Launch, LaunchOutput, Mode, WaveMemo};
+use vecsparse_telemetry::{TraceSink, DEFAULT_CAPACITY};
 
 /// Reconfigure the global worker count (the shim accepts repeated
 /// configuration, letting one process compare widths).
@@ -32,68 +39,91 @@ fn set_threads(n: usize) {
         .expect("thread-pool shim accepts reconfiguration");
 }
 
-/// Profile one registry kernel under the given timing mode and render
-/// every counter in comparable form. Float `Debug` prints the shortest
-/// round-tripping representation, so string equality here is bit
-/// equality of the underlying profile.
-fn profile_registry(id: KernelId, shape: &Shape, gpu: &GpuConfig, timing: TimingMode) -> String {
-    registry::with_kernel(id, shape, Mode::Performance, |mem, kernel| {
-        let out = Launch::new(&mut *mem, kernel)
-            .gpu(gpu)
-            .performance()
-            .timing(timing)
-            .run();
-        let p = out.profile.expect("performance launch profiles");
-        format!("{:016x} {} {:?}", p.cycles.to_bits(), p.csv_row(), p)
-    })
+/// Every counter of a profile in comparable form. Float `Debug` prints
+/// the shortest round-tripping representation, so string equality here
+/// is bit equality of the underlying profile.
+fn render(p: &KernelProfile) -> String {
+    format!("{:016x} {} {:?}", p.cycles.to_bits(), p.csv_row(), p)
 }
 
-/// Every kernel in the registry, default shape: event-timed profiles
-/// must match tick-timed profiles bit for bit.
+/// Every kernel in the registry, default shape: a launch whose waves
+/// are all re-timed by tick (the audit asserts inside the launch) must
+/// profile exactly as a plain launch does.
 #[test]
 fn full_registry_event_profiles_match_tick() {
     set_threads(1);
     let gpu = GpuConfig::small();
     let shape = Shape::default();
     for id in ALL_KERNELS {
-        let tick = profile_registry(id, &shape, &gpu, TimingMode::Tick);
-        let event = profile_registry(id, &shape, &gpu, TimingMode::Event);
-        assert_eq!(
-            event, tick,
-            "event-timed profile diverged from tick for {id:?}"
-        );
+        let (audited, stats, plain) =
+            registry::with_kernel(id, &shape, Mode::Performance, |mem, kernel| {
+                let sig = certify(&*mem, kernel)
+                    .launch_sig(Fingerprint::default())
+                    .expect("registry kernels are provable");
+                let memo = WaveMemo::with_audit(1);
+                let audited = Launch::new(&mut *mem, kernel)
+                    .gpu(&gpu)
+                    .performance()
+                    .memo(Some((&memo, sig)))
+                    .run();
+                let plain = Launch::new(&mut *mem, kernel).gpu(&gpu).performance().run();
+                let profile =
+                    |out: LaunchOutput| render(&out.profile.expect("performance launch profiles"));
+                (profile(audited), memo.stats(), profile(plain))
+            });
+        assert!(stats.wave_misses > 0, "{id:?} simulated no audited wave");
+        assert_eq!(audited, plain, "audited profile diverged for {id:?}");
     }
 }
 
-/// Perfetto timeline bytes are part of the contract: a traced
-/// event-timed launch must export the exact same document as a traced
-/// tick-timed launch.
+/// The spans a traced launch records account for its profile: on both
+/// machine shapes, for every registry kernel, the stall spans summed by
+/// name equal the profile's stall breakdown, and there is one issue span
+/// per issued instruction. A dropped event would break the sums, so the
+/// sink must have kept them all.
 #[test]
-fn perfetto_trace_bytes_identical_across_timing_modes() {
+fn traced_spans_account_for_every_stall_and_issue() {
     set_threads(1);
-    let gpu = GpuConfig::small();
-    let export = |timing: TimingMode| {
-        let sink = Arc::new(TraceSink::enabled(DEFAULT_CAPACITY));
-        registry::with_kernel(
-            KernelId::SpmmOctet,
-            &Shape::default(),
-            Mode::Performance,
-            |mem, kernel| {
-                Launch::new(&mut *mem, kernel)
+    for gpu in [GpuConfig::small(), GpuConfig::default()] {
+        for id in ALL_KERNELS {
+            let sink = TraceSink::enabled(DEFAULT_CAPACITY);
+            let p = registry::with_kernel(id, &Shape::default(), Mode::Performance, |mem, k| {
+                let out = Launch::new(&mut *mem, k)
                     .gpu(&gpu)
                     .performance()
-                    .timing(timing)
                     .traced(&sink)
                     .run();
-                perfetto::export_json(&sink)
-            },
-        )
-    };
-    assert_eq!(
-        export(TimingMode::Event),
-        export(TimingMode::Tick),
-        "perfetto trace bytes diverged between timing modes"
-    );
+                out.profile.expect("performance launch profiles")
+            });
+            let what = format!("{id:?} on {} SMs", gpu.num_sms);
+            assert_eq!(sink.dropped(), 0, "{what}: the sink dropped events");
+            let mut stall_cycles: BTreeMap<&str, u64> = BTreeMap::new();
+            let mut issues = 0u64;
+            let events = sink.events();
+            for e in &events {
+                match e.cat {
+                    "stall" => *stall_cycles.entry(&*e.name).or_default() += e.dur,
+                    "issue" => issues += 1,
+                    _ => {}
+                }
+            }
+            let s = &p.stalls;
+            for (name, cycles) in [
+                ("no_instruction", s.no_instruction),
+                ("wait", s.wait),
+                ("short_scoreboard", s.short_scoreboard),
+                ("long_scoreboard", s.long_scoreboard),
+                ("barrier", s.barrier),
+                ("not_selected", s.not_selected),
+            ] {
+                let spans = stall_cycles.remove(name).unwrap_or(0);
+                assert_eq!(spans as f64, cycles, "{what}: {name} spans");
+            }
+            assert!(stall_cycles.is_empty(), "{what}: {stall_cycles:?}");
+            assert!(issues > 0, "{what}: no issue spans");
+            assert_eq!(issues as f64, s.issued, "{what}: issue spans");
+        }
+    }
 }
 
 /// A context whose plans re-time every simulated wave of their
@@ -133,43 +163,6 @@ fn engine_context_event_timing_matches_tick() {
         audited.1, plain.1,
         "profile cycles diverged under the audited context"
     );
-}
-
-/// The runtime audit hook: with `VECSPARSE_AUDIT`-style cross-checking
-/// forced on every wave, an event-timed sweep over a registry kernel
-/// must pass every tick re-simulation check (the audit asserts inside
-/// the launch) and still produce tick-identical cycles.
-#[test]
-fn audited_event_launch_passes_and_matches_tick() {
-    use vecsparse_certify::certify;
-    use vecsparse_gpu_sim::sig::Fingerprint;
-    use vecsparse_gpu_sim::WaveMemo;
-
-    set_threads(1);
-    let gpu = GpuConfig::small();
-    let shape = Shape::default();
-    let tick = profile_registry(KernelId::SpmmOctet, &shape, &gpu, TimingMode::Tick);
-    let audited = registry::with_kernel(
-        KernelId::SpmmOctet,
-        &shape,
-        Mode::Performance,
-        |mem, kernel| {
-            let cert = certify(&*mem, kernel);
-            let sig = cert
-                .launch_sig(Fingerprint::default())
-                .expect("registry kernels are provable");
-            let memo = WaveMemo::with_audit(1);
-            let out = Launch::new(&mut *mem, kernel)
-                .gpu(&gpu)
-                .performance()
-                .timing(TimingMode::Event)
-                .memo(&memo, sig)
-                .run();
-            let p = out.profile.expect("performance launch profiles");
-            format!("{:016x} {} {:?}", p.cycles.to_bits(), p.csv_row(), p)
-        },
-    );
-    assert_eq!(audited, tick, "audited event profile diverged from tick");
 }
 
 proptest! {
