@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vecsparse::engine::Context;
-use vecsparse::registry::{self, Shape, ALL_KERNELS};
+use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
 use vecsparse::SpmmAlgo;
 use vecsparse_certify::certify;
 use vecsparse_formats::{gen, Layout};
@@ -73,6 +73,54 @@ fn full_registry_event_profiles_match_tick() {
             });
         assert!(stats.wave_misses > 0, "{id:?} simulated no audited wave");
         assert_eq!(audited, plain, "audited profile diverged for {id:?}");
+    }
+}
+
+/// The runtime audit hook on memoized waves: a second audited launch of
+/// the same certified kernel replays its waves from the memo, and with
+/// an audit period of 1 each replayed wave is re-simulated, re-timed by
+/// tick and asserted identical to the cached artifact inside the launch.
+/// On both machine shapes, the fresh and the replayed launch must
+/// profile exactly as a plain launch does.
+#[test]
+fn audited_event_launch_passes_and_matches_tick() {
+    set_threads(1);
+    for gpu in [GpuConfig::small(), GpuConfig::default()] {
+        let (fresh, replayed, stats, plain) = registry::with_kernel(
+            KernelId::SpmmOctet,
+            &Shape::default(),
+            Mode::Performance,
+            |mem, kernel| {
+                let sig = certify(&*mem, kernel)
+                    .launch_sig(Fingerprint::default())
+                    .expect("registry kernels are provable");
+                let memo = WaveMemo::with_audit(1);
+                let mut audited = || {
+                    Launch::new(&mut *mem, kernel)
+                        .gpu(&gpu)
+                        .performance()
+                        .memo(Some((&memo, sig)))
+                        .run()
+                };
+                let fresh = audited();
+                let replayed = audited();
+                let plain = Launch::new(&mut *mem, kernel).gpu(&gpu).performance().run();
+                let profile =
+                    |out: LaunchOutput| render(&out.profile.expect("performance launch profiles"));
+                (
+                    profile(fresh),
+                    profile(replayed),
+                    memo.stats(),
+                    profile(plain),
+                )
+            },
+        );
+        let what = format!("SpmmOctet on {} SMs", gpu.num_sms);
+        assert!(stats.wave_misses > 0, "{what}: no wave simulated fresh");
+        assert!(stats.audits > 0, "{what}: no memoized wave was audited");
+        assert_eq!(stats.launch_hits, 0, "{what}: the launch cache answered");
+        assert_eq!(fresh, plain, "{what}: fresh audited profile diverged");
+        assert_eq!(replayed, plain, "{what}: replayed audited profile diverged");
     }
 }
 
