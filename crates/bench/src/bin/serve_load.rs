@@ -35,7 +35,7 @@
 //! **simulated** direct context, so under the native default it is an
 //! end-to-end cross-backend identity check.
 //!
-//! `--json PATH` writes the schema-v10 `kind: "serve_saturation"`
+//! `--json PATH` writes the schema-v11 `kind: "serve_saturation"`
 //! document (round-tripped through a JSON parser before it is written,
 //! like the sweep binary) for the CI serve-gate.
 

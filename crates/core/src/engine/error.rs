@@ -66,12 +66,6 @@ pub enum EngineError {
         /// The device's memory in bytes.
         capacity: u64,
     },
-    /// A staged device buffer the dispatch needed was absent — an
-    /// engine-internal invariant violation, not a caller error.
-    UnstagedBuffer {
-        /// Which buffer (e.g. `"blocked-ell twin"`).
-        what: &'static str,
-    },
     /// An internal contract broke (e.g. a performance launch returned no
     /// profile). Not reachable from malformed caller inputs.
     Internal {
@@ -113,9 +107,6 @@ impl fmt::Display for EngineError {
                 f,
                 "problem needs {needed} bytes of device memory; the device has {capacity}"
             ),
-            EngineError::UnstagedBuffer { what } => {
-                write!(f, "internal error: staged buffer missing: {what}")
-            }
             EngineError::Internal { what } => write!(f, "internal error: {what}"),
         }
     }

@@ -9,11 +9,13 @@
 //!   same descriptor.
 //! * [`SpmmPlan`] / [`SddmmPlan`] — a captured problem. A plan clones the
 //!   structural operand (the sparse matrix for SpMM, the mask for SDDMM),
-//!   derives any secondary encodings **once** (the Blocked-ELL surrogate,
-//!   the densified twin), stages everything into a private
-//!   [`vecsparse_gpu_sim::MemPool`], and then executes single problems or
-//!   whole batches against those staged buffers — the only per-run
-//!   traffic is the RHS values and the output.
+//!   derives any secondary encoding **once** (the Blocked-ELL surrogate),
+//!   stages every buffer address-only into a private
+//!   [`vecsparse_gpu_sim::MemPool`] and builds its kernel over them. A
+//!   profile only launches; a functional run writes the value operands
+//!   and a zeroed output into the staged buffers (the sparse operand's
+//!   values once per device state) and launches, for single problems or
+//!   whole batches.
 //! * [`SpmmAlgo::Auto`] / [`SddmmAlgo::Auto`] — algorithm selection by
 //!   measurement. The [`tuner`] analytically pre-filters the candidate
 //!   kernels for a descriptor, profiles the survivors on the simulated
@@ -161,14 +163,14 @@ impl PlanKey {
 
     /// Refuse a problem whose caller-sized buffers do not fit in
     /// [`DEVICE_MEMORY_BYTES`]: SpMM's k × n RHS and m × n output, plus
-    /// the m × k dense twin when `dense_twin`; SDDMM's m × k and k × n
-    /// operands, which the tuner also builds as host zeros. The count is
-    /// checked arithmetic and runs before any allocation, so an
+    /// the m × k dense image of A when `dense_a`; SDDMM's m × k and
+    /// k × n operands, which the tuner also builds as host zeros. The
+    /// count is checked arithmetic and runs before any allocation, so an
     /// over-large request is an error instead of an aborted process.
-    fn check_fits(&self, dense_twin: bool) -> Result<(), EngineError> {
+    fn check_fits(&self, dense_a: bool) -> Result<(), EngineError> {
         let (m, k, n) = (self.m, self.k, self.n);
         let buffers: &[(usize, usize)] = match self.op {
-            OpKind::Spmm if dense_twin => &[(k, n), (m, n), (m, k)],
+            OpKind::Spmm if dense_a => &[(k, n), (m, n), (m, k)],
             OpKind::Spmm => &[(k, n), (m, n)],
             OpKind::Sddmm => &[(m, k), (k, n)],
         };
@@ -571,9 +573,9 @@ impl Context {
         algo: SpmmAlgo,
     ) -> Result<SpmmPlan, EngineError> {
         let key = PlanKey::new(OpKind::Spmm, a.pattern(), n)?;
-        let dense_twin = algo == SpmmAlgo::Dense
+        let dense_a = algo == SpmmAlgo::Dense
             || (algo == SpmmAlgo::Auto && tuner::dense_is_swept(a.pattern().sparsity()));
-        key.check_fits(dense_twin)?;
+        key.check_fits(dense_a)?;
         Ok(self.plan(
             key,
             || match algo {
@@ -836,9 +838,9 @@ mod tests {
         };
         for backend in [Backend::Simulated, Backend::Native] {
             let ctx = Context::builder().backend(backend).build();
-            // RHS k × n and output m × n; `Dense` adds the m × k twin,
-            // which `Auto` does not probe at 99% sparsity.
-            for (algo, twin) in [
+            // RHS k × n and output m × n; `Dense` adds the m × k image
+            // of A, which `Auto` does not probe at 99% sparsity.
+            for (algo, dense_a) in [
                 (SpmmAlgo::Octet, 0),
                 (SpmmAlgo::Auto, 0),
                 (SpmmAlgo::Dense, 64 << 20),
@@ -846,7 +848,7 @@ mod tests {
                 let got = ctx.try_plan_spmm(&a, 1 << 16, algo).map(drop);
                 refused(
                     got,
-                    ((64 << 16) + (1 << 36) + twin) * 2,
+                    ((64 << 16) + (1 << 36) + dense_a) * 2,
                     &format!("{algo:?}"),
                 );
             }

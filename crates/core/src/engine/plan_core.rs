@@ -44,8 +44,8 @@ pub(super) struct PlanCore<S> {
     gpu: GpuConfig,
     state: Mutex<S>,
     /// Checked-in clones of the primary state for batched fan-out. A
-    /// plan's execute step must fully restage whatever a previous run
-    /// left in a clone before launching.
+    /// plan's execute step must rewrite every value a previous run left
+    /// in a clone before launching.
     spares: Mutex<Vec<S>>,
     sink: Arc<TraceSink>,
     counters: Arc<Counters>,
@@ -119,7 +119,7 @@ impl<S: Clone + Send> PlanCore<S> {
         }
     }
 
-    fn primary(&self) -> MutexGuard<'_, S> {
+    pub(super) fn primary(&self) -> MutexGuard<'_, S> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -130,12 +130,12 @@ impl<S: Clone + Send> PlanCore<S> {
     /// Run `exec` once on the primary state, functionally.
     pub(super) fn run<R>(
         &self,
-        exec: impl FnOnce(&mut S, Mode) -> Result<Launched<R>, EngineError>,
+        exec: impl FnOnce(&mut S, Mode) -> Launched<R>,
     ) -> Result<R, EngineError> {
         let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
         let mut span = self.sink.span(Track::ENGINE, self.op.spans().run, "engine");
         span.arg("algo", self.label);
-        let out = exec(&mut self.primary(), Mode::Functional)?.output()?;
+        let out = exec(&mut self.primary(), Mode::Functional).output()?;
         self.counters.record_run(self.label);
         self.counters.add_wall(t0.elapsed());
         Ok(out)
@@ -146,7 +146,7 @@ impl<S: Clone + Send> PlanCore<S> {
     /// has checked the operands.
     pub(super) fn profile<R>(
         &self,
-        exec: impl FnOnce(&mut S, Mode) -> Result<Launched<R>, EngineError>,
+        exec: impl FnOnce(&mut S, Mode) -> Launched<R>,
     ) -> Result<KernelProfile, EngineError> {
         let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
         let mut span = self
@@ -155,7 +155,7 @@ impl<S: Clone + Send> PlanCore<S> {
         span.arg("algo", self.label);
         let profile = match self.memoized_profile() {
             Some(profile) => profile,
-            None => exec(&mut self.primary(), Mode::Performance)?.profile()?,
+            None => exec(&mut self.primary(), Mode::Performance).profile()?,
         };
         self.counters.record_profile(self.label, profile.cycles);
         self.counters.add_wall(t0.elapsed());
@@ -182,7 +182,7 @@ impl<S: Clone + Send> PlanCore<S> {
     pub(super) fn run_batch<R: Send>(
         &self,
         len: usize,
-        exec: impl Fn(&mut S, Mode, usize) -> Result<Launched<R>, EngineError> + Sync,
+        exec: impl Fn(&mut S, Mode, usize) -> Launched<R> + Sync,
     ) -> Result<Vec<R>, EngineError> {
         if len == 0 {
             return Err(EngineError::EmptyBatch);
@@ -198,7 +198,7 @@ impl<S: Clone + Send> PlanCore<S> {
                 let mut state = spare.unwrap_or_else(|| self.primary().clone());
                 let out = exec(&mut state, Mode::Functional, i);
                 self.spares().push(state);
-                let out = out?.output()?;
+                let out = out.output()?;
                 self.counters.record_run(self.label);
                 Ok(out)
             })

@@ -1,33 +1,33 @@
 //! A captured SDDMM problem: the mask is the plan's structural operand;
-//! the pool's address space is recycled across runs.
+//! the kernel and its buffers are built once, and every run writes both
+//! value operands into them.
 
 use super::plan_core::{Launched, PlanCore};
 use super::{pattern_structure_hash, Context, EngineError, OpKind, PlanKey};
 use crate::api::SddmmAlgo;
-use crate::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, WmmaSddmm};
+use crate::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, SddmmBuffers, WmmaSddmm};
+use crate::util::{download_vs, upload_pattern};
+use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
-use vecsparse_gpu_sim::{KernelProfile, MemPool, Mode, PoolMark};
-
-#[derive(Clone)]
-struct SddmmState {
-    mem: MemPool,
-    base: PoolMark,
-}
+use vecsparse_gpu_sim::{ElemWidth, KernelProfile, KernelSpec, MemPool, Mode};
 
 /// A planned SDDMM. Unlike SpMM, both value operands change per run (the
 /// mask contributes structure, not values, and its device residency is
-/// address-only), so the plan's reuse is the pool itself: every run
-/// rewinds the arena to the plan's base mark instead of growing a fresh
-/// allocation.
+/// address-only), so the plan stages every buffer address-only once,
+/// builds its kernel over them, and each functional run writes `A`, `B`
+/// and a zeroed output before launching.
 ///
 /// Built by [`super::Context::plan_sddmm`].
 pub struct SddmmPlan {
     key: PlanKey,
     algo: SddmmAlgo,
-    mask: SparsityPattern,
-    core: PlanCore<SddmmState>,
+    /// The mask, shared with the kernel.
+    mask: Arc<SparsityPattern>,
+    bufs: SddmmBuffers,
+    kernel: Box<dyn KernelSpec + Send>,
+    core: PlanCore<MemPool>,
 }
 
 impl SddmmPlan {
@@ -38,13 +38,38 @@ impl SddmmPlan {
         mask: &SparsityPattern,
     ) -> Self {
         assert_ne!(algo, SddmmAlgo::Auto, "algo must be resolved");
-        let mem = MemPool::new();
-        let base = mem.mark();
+        let mask = Arc::new(mask.clone());
+        // Every buffer is address-only, in the order each kernel's `new`
+        // stages them: A, B, the mask's indices, the output.
+        let mut mem = MemPool::new();
+        let bufs = SddmmBuffers {
+            a: mem.alloc_ghost(ElemWidth::B16, key.m * key.k),
+            b: mem.alloc_ghost(ElemWidth::B16, key.k * key.n),
+            idx: upload_pattern(&mut mem, &mask),
+            out: mem.alloc_ghost(ElemWidth::B16, mask.nnz()),
+        };
+        let shared = Arc::clone(&mask);
+        let kernel: Box<dyn KernelSpec + Send> = match algo {
+            SddmmAlgo::FpuSubwarp => {
+                Box::new(FpuSubwarpSddmm::<f16>::from_staged(shared, key.k, bufs))
+            }
+            SddmmAlgo::Wmma => Box::new(WmmaSddmm::from_staged(shared, key.k, bufs)),
+            octet => {
+                let variant = match octet {
+                    SddmmAlgo::OctetReg => OctetVariant::Reg,
+                    SddmmAlgo::OctetShfl => OctetVariant::Shfl,
+                    _ => OctetVariant::Arch,
+                };
+                Box::new(OctetSddmm::from_staged(shared, key.k, bufs, variant))
+            }
+        };
         SddmmPlan {
             key,
             algo,
-            mask: mask.clone(),
-            core: PlanCore::new(ctx, OpKind::Sddmm, algo.label(), SddmmState { mem, base }),
+            mask,
+            bufs,
+            kernel,
+            core: PlanCore::new(ctx, OpKind::Sddmm, algo.label(), mem),
         }
     }
 
@@ -108,53 +133,33 @@ impl SddmmPlan {
         Ok(())
     }
 
-    /// Rewind `state` to the base mark, stage the checked operands and
-    /// launch.
+    /// Write the checked operands and a zeroed output into `mem`
+    /// (functional launches only) and launch the plan's kernel.
     fn execute(
         &self,
-        state: &mut SddmmState,
+        mem: &mut MemPool,
         a: &DenseMatrix<f16>,
         b: &DenseMatrix<f16>,
         mode: Mode,
-    ) -> Result<Launched<VectorSparse<f16>>, EngineError> {
-        state.mem.release_to(state.base);
-        let mem = &mut state.mem;
-        let fp = |mem: &MemPool| self.operand_fp(mem);
-        Ok(match self.algo {
-            SddmmAlgo::OctetReg | SddmmAlgo::OctetShfl | SddmmAlgo::OctetArch => {
-                let variant = match self.algo {
-                    SddmmAlgo::OctetReg => OctetVariant::Reg,
-                    SddmmAlgo::OctetShfl => OctetVariant::Shfl,
-                    _ => OctetVariant::Arch,
-                };
-                let kernel = OctetSddmm::new(mem, a, b, &self.mask, variant, mode);
-                self.core
-                    .launch(mem, &kernel, mode, fp, |m| kernel.result(m))
-            }
-            SddmmAlgo::FpuSubwarp => {
-                let kernel = FpuSubwarpSddmm::new(mem, a, b, &self.mask, mode);
-                self.core
-                    .launch(mem, &kernel, mode, fp, |m| kernel.result(m))
-            }
-            SddmmAlgo::Wmma => {
-                let kernel = WmmaSddmm::new(mem, a, b, &self.mask, mode);
-                self.core
-                    .launch(mem, &kernel, mode, fp, |m| kernel.result(m))
-            }
-            SddmmAlgo::Auto => {
-                return Err(EngineError::Internal {
-                    what: "Auto algorithm survived plan build",
-                })
-            }
-        })
+    ) -> Launched<VectorSparse<f16>> {
+        if mode == Mode::Functional {
+            mem.replace(self.bufs.a, a.data().iter().map(|v| v.to_f32()));
+            mem.replace(self.bufs.b, b.data().iter().map(|v| v.to_f32()));
+            mem.replace(self.bufs.out, (0..self.mask.nnz()).map(|_| 0.0));
+        }
+        self.core.launch(
+            mem,
+            self.kernel.as_ref(),
+            mode,
+            |mem| self.operand_fp(mem),
+            |mem| download_vs(mem, self.bufs.out, &self.mask),
+        )
     }
 
     /// The memoization operand fingerprint: operation, algorithm,
-    /// descriptor, mask structure and post-staging pool layout. Taken
-    /// only by full memoized launches: once per plan, then by traced or
-    /// audited ones. Unlike SpMM the pool is restaged per run, so the
-    /// layout is taken at launch — the rewind discipline makes it
-    /// identical across runs of one plan.
+    /// descriptor, mask structure and the staged pool layout. Taken only
+    /// by full memoized launches: once per plan, then by traced or
+    /// audited ones.
     fn operand_fp(&self, mem: &MemPool) -> Fingerprint {
         let mut h = FingerprintHasher::new();
         h.write_bytes(b"sddmm");
@@ -189,7 +194,7 @@ impl SddmmPlan {
 
     /// Profile the planned SDDMM (sampled performance model). Under
     /// memoization, every profile after the plan's first is one memo
-    /// lookup: no staging and no kernel construction.
+    /// lookup.
     pub fn try_profile(
         &self,
         a: &DenseMatrix<f16>,
@@ -243,5 +248,46 @@ impl SddmmPlan {
     ) -> Vec<VectorSparse<f16>> {
         self.try_run_batch(a_batch, b_batch)
             .unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vecsparse_formats::gen;
+    use vecsparse_gpu_sim::GpuConfig;
+
+    /// A plan that has only profiled holds no host values in its pool:
+    /// both operands and the output stay address-only until the first
+    /// functional run writes them.
+    #[test]
+    fn profile_only_plan_holds_no_values() {
+        let ctx = Context::builder().gpu(GpuConfig::small()).build();
+        let mask = gen::random_pattern(32, 48, 4, 0.6, 1);
+        let a = gen::random_dense::<f16>(32, 64, Layout::RowMajor, 2);
+        let b = gen::random_dense::<f16>(64, 48, Layout::ColMajor, 3);
+        for algo in [
+            SddmmAlgo::OctetReg,
+            SddmmAlgo::OctetShfl,
+            SddmmAlgo::OctetArch,
+            SddmmAlgo::FpuSubwarp,
+            SddmmAlgo::Wmma,
+        ] {
+            let plan = ctx.plan_sddmm(&mask, 64, algo);
+            let values = || {
+                let mem = plan.core.primary();
+                mem.buffer_ids()
+                    .map(|id| mem.contents(id).len())
+                    .sum::<usize>()
+            };
+            plan.profile(&a, &b);
+            assert_eq!(values(), 0, "{algo:?} after a profile");
+            plan.run(&a, &b);
+            assert_eq!(
+                values(),
+                32 * 64 + 64 * 48 + mask.nnz(),
+                "{algo:?} after a run"
+            );
+        }
     }
 }

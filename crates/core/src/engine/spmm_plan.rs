@@ -1,4 +1,5 @@
-//! A captured SpMM problem: encode once, stage once, run many times.
+//! A captured SpMM problem: encode, stage and build the kernel once, run
+//! many times.
 
 use super::plan_core::{Launched, PlanCore};
 use super::{ell_twin, pattern_structure_hash, Context, EngineError, OpKind, PlanKey};
@@ -11,32 +12,33 @@ use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
 use vecsparse_gpu_sim::{BufferId, ElemWidth, KernelProfile, KernelSpec, MemPool, Mode};
 
-/// Device-side handles of the staged sparse operand.
-#[derive(Clone, Copy)]
+/// A kernel a plan builds once and launches on every call.
+type Kernel = Box<dyn KernelSpec + Send>;
+
+/// The staged sparse operand: its device buffers and, for Blocked-ELL,
+/// the surrogate whose values they receive.
 enum Staged {
     Vs(VsBuffers),
-    Ell(EllBuffers),
+    Ell(EllBuffers, BlockedEll<f16>),
+    /// The row-major dense image of `A`.
     Dense(BufferId),
 }
 
-/// Mutable per-plan device state: the pool plus the reusable RHS and
-/// output buffers.
+/// Mutable per-plan device state: the staged pool.
 #[derive(Clone)]
 struct PlanState {
     mem: MemPool,
-    staged: Staged,
-    /// Whether the staged operand's *values* have been materialised.
-    /// Structure arrays are address-only in every mode (kernels read
-    /// structure host-side), so plans stage values lazily: a plan that
-    /// only ever profiles never pays the host→device value conversion.
+    /// Whether the sparse operand's *values* are in the pool. Every
+    /// buffer is staged address-only (kernels read structure host-side),
+    /// and the operand's values are written on the state's first
+    /// functional run: a plan that only ever profiles holds no values.
     resident: bool,
-    b_buf: BufferId,
-    out_buf: BufferId,
 }
 
-/// A planned SpMM: the sparse operand is encoded and resident in the
-/// plan's private [`MemPool`]; each [`run`](SpmmPlan::run) only writes
-/// the RHS values into the staged buffer and launches.
+/// A planned SpMM: the sparse operand is encoded and staged in the plan's
+/// private [`MemPool`] and the kernel is built once over the staged
+/// buffers; each [`run`](SpmmPlan::run) only writes the RHS values and a
+/// zeroed output into their buffers and launches.
 ///
 /// Built by [`super::Context::plan_spmm`].
 pub struct SpmmPlan {
@@ -46,10 +48,15 @@ pub struct SpmmPlan {
     /// kernel (`None`: the kernel's default scheme).
     scheme: Option<TilingScheme>,
     a: VectorSparse<f16>,
-    /// Blocked-ELL surrogate, derived once. Only for `BlockedEll`.
-    ell: Option<BlockedEll<f16>>,
-    /// Densified twin, derived once. Only for `Dense`.
-    dense: Option<DenseMatrix<f16>>,
+    staged: Staged,
+    b_buf: BufferId,
+    out_buf: BufferId,
+    /// The kernel every functional launch runs.
+    kernel: Kernel,
+    /// `Dense` only: its performance-mode instance, since split-K
+    /// applies to performance launches only. Every other plan profiles
+    /// `kernel`.
+    perf_kernel: Option<Kernel>,
     core: PlanCore<PlanState>,
 }
 
@@ -63,50 +70,70 @@ impl SpmmPlan {
     ) -> Self {
         assert_ne!(algo, SpmmAlgo::Auto, "algo must be resolved");
         let a = a.clone();
+        let (m, k, n) = (key.m, key.k, key.n);
+        // Every buffer is address-only, in the order each kernel's `new`
+        // stages them: A, B, the output.
         let mut mem = MemPool::new();
-        // Address-only staging throughout: operand values are only read
-        // by functional launches, so `execute` materialises them lazily
-        // and profile-only plans skip the conversion entirely.
-        let (staged, ell, dense) = match algo {
+        let staged = match algo {
             SpmmAlgo::BlockedEll => {
                 let ell = ell_twin(&a);
-                let bufs = upload_ell(&mut mem, &ell, Mode::Performance);
-                (Staged::Ell(bufs), Some(ell), None)
+                Staged::Ell(upload_ell(&mut mem, &ell, Mode::Performance), ell)
             }
-            SpmmAlgo::Dense => {
-                let dense = a.to_dense(Layout::RowMajor);
-                let buf = mem.alloc_ghost(ElemWidth::B16, dense.data().len());
-                (Staged::Dense(buf), None, Some(dense))
-            }
-            _ => (
-                Staged::Vs(upload_vs(&mut mem, &a, Mode::Performance)),
-                None,
-                None,
-            ),
+            SpmmAlgo::Dense => Staged::Dense(mem.alloc_ghost(ElemWidth::B16, m * k)),
+            _ => Staged::Vs(upload_vs(&mut mem, &a, Mode::Performance)),
         };
-        let b_buf = mem.alloc_zeroed(ElemWidth::B16, key.k * key.n);
-        let out_buf = mem.alloc_zeroed(ElemWidth::B16, key.m * key.n);
+        let b_buf = mem.alloc_ghost(ElemWidth::B16, k * n);
+        let out_buf = mem.alloc_ghost(ElemWidth::B16, m * n);
         // Only the octet SpMM compiles from a scheme today; other
         // algorithms execute at their fixed default point.
-        let scheme = if algo == SpmmAlgo::Octet {
-            scheme
-        } else {
-            None
+        let scheme = scheme.filter(|_| algo == SpmmAlgo::Octet);
+        let kernel = |mode: Mode| -> Kernel {
+            match &staged {
+                Staged::Ell(bufs, ell) => {
+                    Box::new(BlockedEllSpmm::from_staged(ell, n, *bufs, b_buf, out_buf))
+                }
+                Staged::Dense(a_buf) => Box::new(DenseGemm::<f16>::from_staged(
+                    m, k, n, *a_buf, b_buf, out_buf, mode,
+                )),
+                Staged::Vs(bufs) => {
+                    let pattern = a.shared_pattern();
+                    match algo {
+                        SpmmAlgo::Wmma => {
+                            Box::new(WmmaSpmm::from_staged(pattern, n, *bufs, b_buf, out_buf))
+                        }
+                        SpmmAlgo::FpuSubwarp => Box::new(FpuSubwarpSpmm::<f16>::from_staged(
+                            pattern, n, *bufs, b_buf, out_buf,
+                        )),
+                        _ => Box::new(OctetSpmm::from_staged(
+                            pattern,
+                            n,
+                            *bufs,
+                            b_buf,
+                            out_buf,
+                            scheme.unwrap_or(crate::spmm::compose::DEFAULT_SCHEME),
+                        )),
+                    }
+                }
+            }
         };
+        let (kernel, perf_kernel) = (
+            kernel(Mode::Functional),
+            (algo == SpmmAlgo::Dense).then(|| kernel(Mode::Performance)),
+        );
         let state = PlanState {
             mem,
-            staged,
             resident: false,
-            b_buf,
-            out_buf,
         };
         SpmmPlan {
             key,
             algo,
             scheme,
             a,
-            ell,
-            dense,
+            staged,
+            b_buf,
+            out_buf,
+            kernel,
+            perf_kernel,
             core: PlanCore::new(ctx, OpKind::Spmm, algo.label(), state),
         }
     }
@@ -178,100 +205,48 @@ impl SpmmPlan {
         Ok(())
     }
 
-    /// Stage the checked `b` into `state` and launch.
+    /// Write the sparse operand's values into the staged pool. The dense
+    /// image scatters only stored vectors into a zero image: untouched
+    /// `f16` zeros convert to the `+0.0` a fresh image already holds, so
+    /// the bits match a full-image conversion.
+    fn stage_operand(&self, mem: &mut MemPool) {
+        let to_f32 = |v: &f16| v.to_f32();
+        match &self.staged {
+            Staged::Vs(bufs) => mem.replace(bufs.values, self.a.values().iter().map(to_f32)),
+            Staged::Ell(bufs, ell) => mem.replace(bufs.values, ell.values().iter().map(to_f32)),
+            Staged::Dense(buf) => mem.replace(*buf, self.a.to_f32_image().into_iter()),
+        }
+    }
+
+    /// Write the checked `b` and a zeroed output into `state` (functional
+    /// launches only) and launch the plan's kernel.
     fn execute(
         &self,
         state: &mut PlanState,
         b: &DenseMatrix<f16>,
         mode: Mode,
-    ) -> Result<Launched<DenseMatrix<f16>>, EngineError> {
-        let PlanState {
-            mem,
-            staged,
-            resident,
-            b_buf,
-            out_buf,
-        } = state;
+    ) -> Launched<DenseMatrix<f16>> {
+        let PlanState { mem, resident } = state;
+        let (m, n, out_buf) = (self.key.m, self.key.n, self.out_buf);
+        let kernel = match (mode, &self.perf_kernel) {
+            (Mode::Performance, Some(perf)) => perf,
+            _ => &self.kernel,
+        };
         if mode == Mode::Functional {
             if !*resident {
-                // Deferred host→device copy of the operand values. The
-                // dense twin scatters only stored vectors into a zero
-                // image: untouched `f16` zeros convert to the `+0.0` a
-                // fresh image already holds, so the bits match a
-                // full-image conversion.
-                match staged {
-                    Staged::Vs(bufs) => mem.materialize(
-                        bufs.values,
-                        self.a.values().iter().map(|v| v.to_f32()).collect(),
-                    ),
-                    Staged::Ell(bufs) => {
-                        let ell = self.ell.as_ref().ok_or(EngineError::UnstagedBuffer {
-                            what: "blocked-ell twin",
-                        })?;
-                        mem.materialize(
-                            bufs.values,
-                            ell.values().iter().map(|v| v.to_f32()).collect(),
-                        );
-                    }
-                    Staged::Dense(buf) => mem.materialize(*buf, self.a.to_f32_image()),
-                }
+                self.stage_operand(mem);
                 *resident = true;
             }
-            mem.replace(*b_buf, b.data().iter().map(|v| v.to_f32()));
-            mem.fill(*out_buf, 0.0);
+            mem.replace(self.b_buf, b.data().iter().map(|v| v.to_f32()));
+            mem.replace(out_buf, (0..m * n).map(|_| 0.0));
         }
-        let kernel: Box<dyn KernelSpec> = match (self.algo, staged) {
-            (SpmmAlgo::Octet, Staged::Vs(bufs)) => Box::new(OctetSpmm::from_staged_scheme(
-                &self.a,
-                b,
-                *bufs,
-                *b_buf,
-                *out_buf,
-                self.scheme.unwrap_or(crate::spmm::compose::DEFAULT_SCHEME),
-            )),
-            (SpmmAlgo::Wmma, Staged::Vs(bufs)) => {
-                Box::new(WmmaSpmm::from_staged(&self.a, b, *bufs, *b_buf, *out_buf))
-            }
-            (SpmmAlgo::FpuSubwarp, Staged::Vs(bufs)) => Box::new(FpuSubwarpSpmm::from_staged(
-                &self.a, b, *bufs, *b_buf, *out_buf,
-            )),
-            (SpmmAlgo::BlockedEll, Staged::Ell(bufs)) => {
-                let ell = self.ell.as_ref().ok_or(EngineError::UnstagedBuffer {
-                    what: "blocked-ell twin",
-                })?;
-                Box::new(BlockedEllSpmm::from_staged(
-                    ell,
-                    b,
-                    EllBuffers {
-                        values: bufs.values,
-                        block_col_idx: bufs.block_col_idx,
-                    },
-                    *b_buf,
-                    *out_buf,
-                ))
-            }
-            (SpmmAlgo::Dense, Staged::Dense(a_buf)) => {
-                let dense = self.dense.as_ref().ok_or(EngineError::UnstagedBuffer {
-                    what: "densified twin",
-                })?;
-                Box::new(DenseGemm::from_staged(
-                    dense, b, *a_buf, *b_buf, *out_buf, mode,
-                ))
-            }
-            _ => {
-                return Err(EngineError::UnstagedBuffer {
-                    what: "sparse operand encoding for the planned algorithm",
-                })
-            }
-        };
-        let (m, n, out_buf) = (self.key.m, self.key.n, *out_buf);
-        Ok(self.core.launch(
+        self.core.launch(
             mem,
             kernel.as_ref(),
             mode,
             |mem| self.operand_fp(mem),
             |mem| download_dense(mem, out_buf, m, n),
-        ))
+        )
     }
 
     /// Run the planned SpMM on one RHS.
@@ -329,5 +304,42 @@ impl SpmmPlan {
     /// shape mismatch.
     pub fn run_batch(&self, batch: &[DenseMatrix<f16>]) -> Vec<DenseMatrix<f16>> {
         self.try_run_batch(batch).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vecsparse_formats::gen;
+    use vecsparse_gpu_sim::GpuConfig;
+
+    /// A plan that has only profiled holds no host values in its pool:
+    /// the operand, the RHS and the output stay address-only until the
+    /// first functional run writes them.
+    #[test]
+    fn profile_only_plan_holds_no_values() {
+        let ctx = Context::builder().gpu(GpuConfig::small()).build();
+        let a = gen::random_vector_sparse::<f16>(32, 64, 4, 0.6, 1);
+        let b = gen::random_dense::<f16>(64, 48, Layout::RowMajor, 2);
+        for algo in [
+            SpmmAlgo::Octet,
+            SpmmAlgo::Wmma,
+            SpmmAlgo::FpuSubwarp,
+            SpmmAlgo::BlockedEll,
+            SpmmAlgo::Dense,
+        ] {
+            let plan = ctx.plan_spmm(&a, 48, algo);
+            let values = || {
+                let state = plan.core.primary();
+                let mem = &state.mem;
+                mem.buffer_ids()
+                    .map(|id| mem.contents(id).len())
+                    .sum::<usize>()
+            };
+            plan.profile(&b);
+            assert_eq!(values(), 0, "{algo:?} after a profile");
+            plan.run(&b);
+            assert!(values() >= 64 * 48 + 32 * 48, "{algo:?} after a run");
+        }
     }
 }

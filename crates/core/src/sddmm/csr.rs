@@ -10,7 +10,7 @@ use super::vector_tiles;
 use crate::compose::scheme_for;
 use crate::native::{self, Contract, Grouping};
 use crate::registry::KernelId;
-use crate::util::{lanes, upload_dense, upload_pattern, width_of, VsBuffers};
+use crate::util::{alloc_output, lanes, upload_dense, upload_pattern, VsBuffers};
 use vecsparse_formats::{DenseMatrix, Layout, Scalar, SparsityPattern, VectorSparse};
 use vecsparse_gpu_sim::{
     BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site,
@@ -52,10 +52,7 @@ impl<'m> CsrSddmm<'m> {
         let a_buf = upload_dense(mem, a, mode);
         let b_buf = upload_dense(mem, b, mode);
         let idx = upload_pattern(mem, mask);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<f32>(), mask.nnz()),
-            Mode::Performance => mem.alloc_ghost(width_of::<f32>(), mask.nnz()),
-        };
+        let out_buf = alloc_output::<f32>(mem, mask.nnz(), mode);
         let tiles = vector_tiles(mask, usize::MAX);
         let mut p = Program::new();
         let sites = [

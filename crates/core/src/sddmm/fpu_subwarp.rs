@@ -12,18 +12,18 @@
 //! the tuned configuration uses `TILE_N = 16` and still pays in
 //! occupancy.
 
-use super::vector_tiles;
+use super::{vector_tiles, SddmmBuffers};
 use crate::compose::{scheme_for, TilingScheme};
 use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract, Grouping};
 use crate::registry::KernelId;
-use crate::util::{lanes, upload_dense, upload_pattern, width_of, VsBuffers};
+use crate::util::lanes;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, Scalar, SparsityPattern, VectorSparse};
 use vecsparse_fp16::{f16, hmul_fadd};
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site,
-    Tok, WVec,
+    CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site, Tok, WVec,
 };
 
 /// The kernel's named default point in the tiling space.
@@ -37,16 +37,15 @@ const TILE_N: usize = SCHEME.tile_n;
 const TILE_K: usize = SCHEME.tile_k;
 
 /// The FPU subwarp-tiling SDDMM kernel, generic over precision.
-pub struct FpuSubwarpSddmm<'m, T: Scalar> {
-    a: &'m DenseMatrix<T>,
-    b: &'m DenseMatrix<T>,
-    mask: &'m SparsityPattern,
-    a_buf: BufferId,
-    b_buf: BufferId,
-    idx: VsBuffers,
-    out_buf: BufferId,
+pub struct FpuSubwarpSddmm<T: Scalar> {
+    /// The mask, walked on the host.
+    mask: Arc<SparsityPattern>,
+    /// The inner dimension: columns of `A`, rows of `B`.
+    k: usize,
+    bufs: SddmmBuffers,
     tiles: Vec<(usize, usize, usize)>,
     listing: Arc<Listing<Sites>>,
+    precision: PhantomData<T>,
 }
 
 struct Sites {
@@ -100,16 +99,16 @@ fn listing(v: usize) -> Listing<Sites> {
     }
 }
 
-impl<'m, T: Scalar> FpuSubwarpSddmm<'m, T> {
+impl<T: Scalar> FpuSubwarpSddmm<T> {
     /// Stage inputs.
     ///
     /// # Panics
     /// Panics on shape/layout mismatch.
     pub fn new(
         mem: &mut MemPool,
-        a: &'m DenseMatrix<T>,
-        b: &'m DenseMatrix<T>,
-        mask: &'m SparsityPattern,
+        a: &DenseMatrix<T>,
+        b: &DenseMatrix<T>,
+        mask: &SparsityPattern,
         mode: Mode,
     ) -> Self {
         assert_eq!(a.cols(), b.rows(), "SDDMM inner dimension mismatch");
@@ -117,41 +116,33 @@ impl<'m, T: Scalar> FpuSubwarpSddmm<'m, T> {
         assert_eq!(b.cols(), mask.cols());
         assert_eq!(a.layout(), Layout::RowMajor);
         assert_eq!(b.layout(), Layout::ColMajor);
-        let a_buf = upload_dense(mem, a, mode);
-        let b_buf = upload_dense(mem, b, mode);
-        let idx = upload_pattern(mem, mask);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<T>(), mask.nnz()),
-            Mode::Performance => mem.alloc_ghost(width_of::<T>(), mask.nnz()),
-        };
-        let tiles = vector_tiles(mask, TILE_N);
+        let bufs = SddmmBuffers::upload(mem, a, b, mask, mode);
+        Self::from_staged(Arc::new(mask.clone()), a.cols(), bufs)
+    }
+
+    /// Build the kernel over buffers already staged for `mask` and inner
+    /// dimension `k` (the engine's plan path; the caller has checked the
+    /// shapes).
+    pub(crate) fn from_staged(mask: Arc<SparsityPattern>, k: usize, bufs: SddmmBuffers) -> Self {
+        let tiles = vector_tiles(&mask, TILE_N);
+        let v = mask.v();
         FpuSubwarpSddmm {
-            a,
-            b,
             mask,
-            a_buf,
-            b_buf,
-            idx,
-            out_buf,
+            k,
+            bufs,
             tiles,
-            listing: LISTINGS.get(mask.v(), || listing(mask.v())),
+            listing: LISTINGS.get(v, || listing(v)),
+            precision: PhantomData,
         }
     }
 
     /// Download the functional result.
-    pub fn result(&self, mem: &MemPool) -> VectorSparse<T>
-    where
-        T: Scalar,
-    {
-        let data = mem.contents(self.out_buf);
-        VectorSparse::new(
-            self.mask.clone(),
-            data.iter().map(|&x| T::from_f32(x)).collect(),
-        )
+    pub fn result(&self, mem: &MemPool) -> VectorSparse<T> {
+        crate::util::download_vs(mem, self.bufs.out, &self.mask)
     }
 }
 
-impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
+impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<T> {
     fn name(&self) -> String {
         format!("sddmm-fpu-subwarp(V={},{})", self.mask.v(), T::NAME)
     }
@@ -174,14 +165,13 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
-        super::tile_shard_layout(self.out_buf, self.mask, &self.tiles)
+        super::tile_shard_layout(self.bufs.out, &self.mask, &self.tiles)
     }
 
     fn run_cta(&self, cta: &mut CtaCtx<'_>) {
         let (br, start, len) = self.tiles[cta.cta_id];
         let v_len = self.mask.v();
-        let k_total = self.a.cols();
-        debug_assert_eq!(k_total, self.b.rows());
+        let k_total = self.k;
         let functional = cta.mode == Mode::Functional;
         let half = T::BITS == 16;
         let s = &self.listing.sites;
@@ -193,7 +183,7 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
             return;
         }
         let ci = lanes(|l| if l < len { Some(start + l) } else { None });
-        let ci_tok = w.ldg(s.ld_idx, self.idx.col_idx, &ci, 1, &[]).tok();
+        let ci_tok = w.ldg(s.ld_idx, self.bufs.idx.col_idx, &ci, 1, &[]).tok();
 
         let mut acc = vec![0.0f32; len * v_len];
         let mut math_tok = Tok::NONE;
@@ -216,7 +206,7 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
                             None
                         }
                     });
-                    w.ldg(s.ldg_a, self.a_buf, &offs, epl, &[]);
+                    w.ldg(s.ldg_a, self.bufs.a, &offs, epl, &[]);
                 }
             }
             for (j, &col_site) in (0..len).zip(s.ldg_b.iter().cycle()) {
@@ -241,7 +231,7 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
                             None
                         }
                     });
-                    b_tok = w.ldg(col_site, self.b_buf, &offs, epl, &[addr_tok]).tok();
+                    b_tok = w.ldg(col_site, self.bufs.b, &offs, epl, &[addr_tok]).tok();
                 }
                 // Per-thread math: V × 8 MACs, accumulator-chained.
                 let kind = if half {
@@ -269,8 +259,8 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
                 if functional {
                     for r in 0..v_len {
                         for k in 0..ks {
-                            let av = w.read(self.a_buf, (row_base + r) * k_total + k0 + k);
-                            let bv = w.read(self.b_buf, col * k_total + k0 + k);
+                            let av = w.read(self.bufs.a, (row_base + r) * k_total + k0 + k);
+                            let bv = w.read(self.bufs.b, col * k_total + k0 + k);
                             acc[j * v_len + r] = if half {
                                 hmul_fadd(f16::from_f32(av), f16::from_f32(bv), acc[j * v_len + r])
                             } else {
@@ -318,15 +308,15 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<'_, T> {
             } else {
                 vals = WVec::ghost(1, red_tok);
             }
-            w.stg(s.stg, self.out_buf, &offs, &vals, &[red_tok]);
+            w.stg(s.stg, self.bufs.out, &offs, &vals, &[red_tok]);
         }
     }
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // One HMUL/FADD chain in ascending k across the K-strides.
-        let (ab, out) = ctx.split([self.a_buf, self.b_buf], self.out_buf);
+        let (ab, out) = ctx.split([self.bufs.a, self.bufs.b], self.bufs.out);
         let c = Contract::of(SCHEME.tile, T::BITS);
-        native::sddmm_vectors(out, ab, self.a.cols(), self.mask, c, Grouping::Flat)
+        native::sddmm_vectors(out, ab, self.k, &self.mask, c, Grouping::Flat)
     }
 }
 

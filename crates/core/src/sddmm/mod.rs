@@ -14,6 +14,39 @@ pub use fpu_subwarp::FpuSubwarpSddmm;
 pub use octet::{OctetSddmm, OctetVariant};
 pub use wmma::WmmaSddmm;
 
+use crate::util::{alloc_output, upload_dense, upload_pattern, VsBuffers};
+use vecsparse_formats::{DenseMatrix, Scalar, SparsityPattern};
+use vecsparse_gpu_sim::{BufferId, MemPool, Mode};
+
+/// Device-side handles of one staged SDDMM problem, in allocation order:
+/// the dense operands, the mask's index arrays and the output values.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SddmmBuffers {
+    pub(crate) a: BufferId,
+    pub(crate) b: BufferId,
+    pub(crate) idx: VsBuffers,
+    pub(crate) out: BufferId,
+}
+
+impl SddmmBuffers {
+    /// Stage `a`, `b`, the mask's indices and a `T` output; `mode` decides
+    /// whether values are materialised.
+    pub(crate) fn upload<T: Scalar>(
+        mem: &mut MemPool,
+        a: &DenseMatrix<T>,
+        b: &DenseMatrix<T>,
+        mask: &SparsityPattern,
+        mode: Mode,
+    ) -> Self {
+        SddmmBuffers {
+            a: upload_dense(mem, a, mode),
+            b: upload_dense(mem, b, mode),
+            idx: upload_pattern(mem, mask),
+            out: alloc_output::<T>(mem, mask.nnz(), mode),
+        }
+    }
+}
+
 /// Tile lists: each CTA owns one (block row, vector range) chunk of at
 /// most `tile` nonzero vectors. Returns `(block_row, start, len)` triples.
 pub(crate) fn vector_tiles(

@@ -31,18 +31,18 @@
 //!   sources, no extra registers or shuffles.
 
 use super::compose::{compile_octet, SddmmOctetSites, DEFAULT_SCHEME};
-use super::vector_tiles;
+use super::{vector_tiles, SddmmBuffers};
 use crate::compose::TilingScheme;
 use crate::listing::Listing;
 use crate::native::{self, Contract, Grouping};
 use crate::tile::{marshal_sddmm_frag, octet_lane};
-use crate::util::{lanes, upload_dense, upload_pattern, width_of, VsBuffers};
+use crate::util::lanes;
 use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx,
-    Program, Tok, WVec,
+    CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program, Tok,
+    WVec,
 };
 
 /// How the inverted source-operand pattern is handled (§6.3).
@@ -67,30 +67,28 @@ impl OctetVariant {
 }
 
 /// The octet-tiling SDDMM kernel.
-pub struct OctetSddmm<'m> {
-    a: &'m DenseMatrix<f16>,
-    b: &'m DenseMatrix<f16>,
-    mask: &'m SparsityPattern,
+pub struct OctetSddmm {
+    /// The mask, walked on the host.
+    mask: Arc<SparsityPattern>,
+    /// The inner dimension: columns of `A`, rows of `B`.
+    k: usize,
     variant: OctetVariant,
     scheme: TilingScheme,
-    a_buf: BufferId,
-    b_buf: BufferId,
-    idx: VsBuffers,
-    out_buf: BufferId,
+    bufs: SddmmBuffers,
     tiles: Vec<(usize, usize, usize)>,
     listing: Arc<Listing<SddmmOctetSites>>,
 }
 
-impl<'m> OctetSddmm<'m> {
+impl OctetSddmm {
     /// Stage inputs.
     ///
     /// # Panics
     /// Panics on shape/layout mismatch or unsupported V.
     pub fn new(
         mem: &mut MemPool,
-        a: &'m DenseMatrix<f16>,
-        b: &'m DenseMatrix<f16>,
-        mask: &'m SparsityPattern,
+        a: &DenseMatrix<f16>,
+        b: &DenseMatrix<f16>,
+        mask: &SparsityPattern,
         variant: OctetVariant,
         mode: Mode,
     ) -> Self {
@@ -100,26 +98,27 @@ impl<'m> OctetSddmm<'m> {
         assert_eq!(a.layout(), Layout::RowMajor, "A must be row-major");
         assert_eq!(b.layout(), Layout::ColMajor, "B must be column-major");
         assert!(matches!(mask.v(), 1 | 2 | 4 | 8));
-        let scheme = DEFAULT_SCHEME;
-        let a_buf = upload_dense(mem, a, mode);
-        let b_buf = upload_dense(mem, b, mode);
-        let idx = upload_pattern(mem, mask);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<f16>(), mask.nnz()),
-            Mode::Performance => mem.alloc_ghost(width_of::<f16>(), mask.nnz()),
-        };
-        let tiles = vector_tiles(mask, scheme.tile_n);
+        let bufs = SddmmBuffers::upload(mem, a, b, mask, mode);
+        Self::from_staged(Arc::new(mask.clone()), a.cols(), bufs, variant)
+    }
 
+    /// Build the kernel over buffers already staged for `mask` and inner
+    /// dimension `k` (the engine's plan path; the caller has checked the
+    /// shapes).
+    pub(crate) fn from_staged(
+        mask: Arc<SparsityPattern>,
+        k: usize,
+        bufs: SddmmBuffers,
+        variant: OctetVariant,
+    ) -> Self {
+        let scheme = DEFAULT_SCHEME;
+        let tiles = vector_tiles(&mask, scheme.tile_n);
         OctetSddmm {
-            a,
-            b,
             mask,
+            k,
             variant,
             scheme,
-            a_buf,
-            b_buf,
-            idx,
-            out_buf,
+            bufs,
             tiles,
             listing: compile_octet(&scheme),
         }
@@ -127,7 +126,7 @@ impl<'m> OctetSddmm<'m> {
 
     /// Download the functional result.
     pub fn result(&self, mem: &MemPool) -> VectorSparse<f16> {
-        crate::util::download_vs(mem, self.out_buf, self.mask)
+        crate::util::download_vs(mem, self.bufs.out, &self.mask)
     }
 
     fn flavor(&self) -> MmaFlavor {
@@ -138,7 +137,7 @@ impl<'m> OctetSddmm<'m> {
     }
 }
 
-impl KernelSpec for OctetSddmm<'_> {
+impl KernelSpec for OctetSddmm {
     fn name(&self) -> String {
         format!("sddmm-octet-{}(V={})", self.variant.label(), self.mask.v())
     }
@@ -163,15 +162,14 @@ impl KernelSpec for OctetSddmm<'_> {
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
-        super::tile_shard_layout(self.out_buf, self.mask, &self.tiles)
+        super::tile_shard_layout(self.bufs.out, &self.mask, &self.tiles)
     }
 
     fn run_cta(&self, cta: &mut CtaCtx<'_>) {
         let (br, start, len) = self.tiles[cta.cta_id];
         let v_len = self.mask.v();
-        let k_total = self.a.cols();
-        debug_assert_eq!(k_total, self.b.rows());
-        let n = self.b.cols();
+        let k_total = self.k;
+        let n = self.mask.cols();
         let tile_k = self.scheme.tile_k;
         let sub_n = self.scheme.sub_warp;
         let m_slices = tile_k / 16;
@@ -184,13 +182,13 @@ impl KernelSpec for OctetSddmm<'_> {
 
         let mut w = cta.warp(0);
         let rp = lanes(|l| if l < 2 { Some(br + l) } else { None });
-        let rp_tok = w.ldg(s.ld_rowptr, self.idx.row_ptr, &rp, 1, &[]).tok();
+        let rp_tok = w.ldg(s.ld_rowptr, self.bufs.idx.row_ptr, &rp, 1, &[]).tok();
         if len == 0 {
             return;
         }
         let ci = lanes(|l| if l < len { Some(start + l) } else { None });
         let ci_tok = w
-            .ldg(s.ld_colidx, self.idx.col_idx, &ci, 1, &[rp_tok])
+            .ldg(s.ld_colidx, self.bufs.idx.col_idx, &ci, 1, &[rp_tok])
             .tok();
         w.int_ops(s.addr, 4, &[ci_tok]);
 
@@ -228,7 +226,7 @@ impl KernelSpec for OctetSddmm<'_> {
                         None
                     }
                 });
-                a_loaded[slot] = w.ldg(s.ldg_a[slot], self.a_buf, &offs, 8, &[rp_tok]);
+                a_loaded[slot] = w.ldg(s.ldg_a[slot], self.bufs.a, &offs, 8, &[rp_tok]);
                 a_tok = a_loaded[slot].tok();
             }
 
@@ -250,7 +248,7 @@ impl KernelSpec for OctetSddmm<'_> {
                             None
                         }
                     });
-                    b_loaded[slot] = w.ldg(s.ldg_b[slot], self.b_buf, &offs, 8, &[ci_tok]);
+                    b_loaded[slot] = w.ldg(s.ldg_b[slot], self.bufs.b, &offs, 8, &[ci_tok]);
                     b_tok = b_loaded[slot].tok();
                 }
                 if self.variant == OctetVariant::Shfl {
@@ -269,20 +267,12 @@ impl KernelSpec for OctetSddmm<'_> {
                         tile_k,
                         k0,
                         m,
-                        self.b.rows(),
+                        self.k,
                         switch,
                         b_tok,
                     );
-                    let b_frag = marshal_sddmm_frag(
-                        &a_loaded,
-                        v_len,
-                        tile_k,
-                        k0,
-                        m,
-                        self.a.cols(),
-                        switch,
-                        a_tok,
-                    );
+                    let b_frag =
+                        marshal_sddmm_frag(&a_loaded, v_len, tile_k, k0, m, self.k, switch, a_tok);
                     let site = s.mma[sub % s.subs()][m];
                     if functional {
                         // Compute octet partials directly with the TCU
@@ -377,16 +367,16 @@ impl KernelSpec for OctetSddmm<'_> {
             } else {
                 vals = WVec::ghost(epl, red_tok);
             }
-            w.stg(s.stg, self.out_buf, &offs, &vals, &[red_tok]);
+            w.stg(s.stg, self.bufs.out, &offs, &vals, &[red_tok]);
         }
     }
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // All three routing variants share the fragment groupings.
-        let (ab, out) = ctx.split([self.a_buf, self.b_buf], self.out_buf);
+        let (ab, out) = ctx.split([self.bufs.a, self.bufs.b], self.bufs.out);
         let c = Contract::of(self.scheme.tile, self.scheme.out_bits);
         let g = Grouping::Octet(self.scheme.tile_k);
-        native::sddmm_vectors(out, ab, self.a.cols(), self.mask, c, g)
+        native::sddmm_vectors(out, ab, self.k, &self.mask, c, g)
     }
 }
 

@@ -10,18 +10,17 @@
 //! (wasted HMMA work). Its stall signature is shared-memory pressure
 //! ("Short Scoreboard", Table 3).
 
-use super::vector_tiles;
+use super::{vector_tiles, SddmmBuffers};
 use crate::compose::{scheme_for, TilingScheme};
 use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract, Grouping};
 use crate::registry::KernelId;
-use crate::util::{lanes, upload_dense, upload_pattern, width_of, VsBuffers};
+use crate::util::lanes;
 use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program, Site,
-    Tok, WVec,
+    CtaCtx, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program, Site, Tok, WVec,
 };
 
 /// The kernel's named default point in the tiling space.
@@ -32,14 +31,12 @@ const TILE_N: usize = SCHEME.tile_n;
 const TILE_K: usize = SCHEME.tile_k;
 
 /// The wmma (classic TCU mapping) SDDMM baseline.
-pub struct WmmaSddmm<'m> {
-    a: &'m DenseMatrix<f16>,
-    b: &'m DenseMatrix<f16>,
-    mask: &'m SparsityPattern,
-    a_buf: BufferId,
-    b_buf: BufferId,
-    idx: VsBuffers,
-    out_buf: BufferId,
+pub struct WmmaSddmm {
+    /// The mask, walked on the host.
+    mask: Arc<SparsityPattern>,
+    /// The inner dimension: columns of `A`, rows of `B`.
+    k: usize,
+    bufs: SddmmBuffers,
     tiles: Vec<(usize, usize, usize)>,
     listing: Arc<Listing<Sites>>,
 }
@@ -109,16 +106,16 @@ fn listing() -> Listing<Sites> {
     }
 }
 
-impl<'m> WmmaSddmm<'m> {
+impl WmmaSddmm {
     /// Stage inputs.
     ///
     /// # Panics
     /// Panics on shape/layout mismatch.
     pub fn new(
         mem: &mut MemPool,
-        a: &'m DenseMatrix<f16>,
-        b: &'m DenseMatrix<f16>,
-        mask: &'m SparsityPattern,
+        a: &DenseMatrix<f16>,
+        b: &DenseMatrix<f16>,
+        mask: &SparsityPattern,
         mode: Mode,
     ) -> Self {
         assert_eq!(a.cols(), b.rows(), "SDDMM inner dimension mismatch");
@@ -126,23 +123,19 @@ impl<'m> WmmaSddmm<'m> {
         assert_eq!(b.cols(), mask.cols());
         assert_eq!(a.layout(), Layout::RowMajor);
         assert_eq!(b.layout(), Layout::ColMajor);
-        let a_buf = upload_dense(mem, a, mode);
-        let b_buf = upload_dense(mem, b, mode);
-        let idx = upload_pattern(mem, mask);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<f16>(), mask.nnz()),
-            Mode::Performance => mem.alloc_ghost(width_of::<f16>(), mask.nnz()),
-        };
-        let tiles = vector_tiles(mask, TILE_N);
+        let bufs = SddmmBuffers::upload(mem, a, b, mask, mode);
+        Self::from_staged(Arc::new(mask.clone()), a.cols(), bufs)
+    }
 
+    /// Build the kernel over buffers already staged for `mask` and inner
+    /// dimension `k` (the engine's plan path; the caller has checked the
+    /// shapes).
+    pub(crate) fn from_staged(mask: Arc<SparsityPattern>, k: usize, bufs: SddmmBuffers) -> Self {
+        let tiles = vector_tiles(&mask, TILE_N);
         WmmaSddmm {
-            a,
-            b,
             mask,
-            a_buf,
-            b_buf,
-            idx,
-            out_buf,
+            k,
+            bufs,
             tiles,
             listing: LISTINGS.get((), listing),
         }
@@ -150,11 +143,11 @@ impl<'m> WmmaSddmm<'m> {
 
     /// Download the functional result.
     pub fn result(&self, mem: &MemPool) -> VectorSparse<f16> {
-        crate::util::download_vs(mem, self.out_buf, self.mask)
+        crate::util::download_vs(mem, self.bufs.out, &self.mask)
     }
 }
 
-impl KernelSpec for WmmaSddmm<'_> {
+impl KernelSpec for WmmaSddmm {
     fn name(&self) -> String {
         format!("sddmm-wmma(V={})", self.mask.v())
     }
@@ -177,14 +170,13 @@ impl KernelSpec for WmmaSddmm<'_> {
     }
 
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
-        super::tile_shard_layout(self.out_buf, self.mask, &self.tiles)
+        super::tile_shard_layout(self.bufs.out, &self.mask, &self.tiles)
     }
 
     fn run_cta(&self, cta: &mut CtaCtx<'_>) {
         let (br, start, len) = self.tiles[cta.cta_id];
         let v_len = self.mask.v();
-        let k_total = self.a.cols();
-        debug_assert_eq!(k_total, self.b.rows());
+        let k_total = self.k;
         let functional = cta.mode == Mode::Functional;
         let s = &self.listing.sites;
         let row_base = br * v_len;
@@ -194,7 +186,7 @@ impl KernelSpec for WmmaSddmm<'_> {
             return;
         }
         let ci = lanes(|l| if l < len { Some(start + l) } else { None });
-        let ci_tok = w.ldg(s.ld_idx, self.idx.col_idx, &ci, 1, &[]).tok();
+        let ci_tok = w.ldg(s.ld_idx, self.bufs.idx.col_idx, &ci, 1, &[]).tok();
         w.int_ops(s.addr, 4, &[ci_tok]);
 
         let cols: Vec<usize> = (0..len)
@@ -217,7 +209,7 @@ impl KernelSpec for WmmaSddmm<'_> {
                     None
                 }
             });
-            let av = w.ldg(s.ldg_a, self.a_buf, &a_offs, 8, &[]);
+            let av = w.ldg(s.ldg_a, self.bufs.a, &a_offs, 8, &[]);
             let a_smem = lanes(|l| Some((l * 8) % (v_len * TILE_K)));
             w.sts(s.sts_a, &a_smem, &av, &[]);
             // The fragment is read back once per wmma (4 copies).
@@ -249,7 +241,7 @@ impl KernelSpec for WmmaSddmm<'_> {
                         None
                     }
                 });
-                let v = w.ldg(s.ldg_b[part], self.b_buf, &offs, 8, &[ci_tok]);
+                let v = w.ldg(s.ldg_b[part], self.bufs.b, &offs, 8, &[ci_tok]);
                 let b_smem = lanes(|l| {
                     Some((v_len * TILE_K + part * 256 + l * 8) % (v_len * TILE_K + TILE_K * TILE_N))
                 });
@@ -279,8 +271,8 @@ impl KernelSpec for WmmaSddmm<'_> {
                     for r in 0..v_len {
                         let mut sum = 0.0f32;
                         for k in 0..ks {
-                            sum += w.read(self.a_buf, (row_base + r) * k_total + k0 + k)
-                                * w.read(self.b_buf, col * k_total + k0 + k);
+                            sum += w.read(self.bufs.a, (row_base + r) * k_total + k0 + k)
+                                * w.read(self.bufs.b, col * k_total + k0 + k);
                         }
                         acc[c * v_len + r] += sum;
                     }
@@ -314,16 +306,16 @@ impl KernelSpec for WmmaSddmm<'_> {
             } else {
                 vals = WVec::ghost(epl, acc_tok);
             }
-            w.stg(s.stg, self.out_buf, &offs, &vals, &[acc_tok]);
+            w.stg(s.stg, self.bufs.out, &offs, &vals, &[acc_tok]);
         }
     }
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // Each K-stride reduces into a fresh fragment, added in order.
-        let (ab, out) = ctx.split([self.a_buf, self.b_buf], self.out_buf);
+        let (ab, out) = ctx.split([self.bufs.a, self.bufs.b], self.bufs.out);
         let c = Contract::of(SCHEME.tile, SCHEME.out_bits);
         let g = Grouping::Chunks(TILE_K);
-        native::sddmm_vectors(out, ab, self.a.cols(), self.mask, c, g)
+        native::sddmm_vectors(out, ab, self.k, &self.mask, c, g)
     }
 }
 

@@ -3,7 +3,7 @@
 //! stage, where sparsity shrinks both the data and the exponential count).
 
 use crate::native;
-use crate::util::{lanes, upload_vs, width_of, VsBuffers};
+use crate::util::{alloc_output, lanes, upload_vs, VsBuffers};
 use vecsparse_formats::VectorSparse;
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
@@ -37,10 +37,7 @@ impl<'m> SparseSoftmax<'m> {
     /// Stage the input.
     pub fn new(mem: &mut MemPool, x: &'m VectorSparse<f16>, mode: Mode) -> Self {
         let bufs = upload_vs(mem, x, mode);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<f16>(), x.values().len()),
-            Mode::Performance => mem.alloc_ghost(width_of::<f16>(), x.values().len()),
-        };
+        let out_buf = alloc_output::<f16>(mem, x.values().len(), mode);
         let mut p = Program::new();
         let sites = Sites {
             ld_rowptr: p.site("ld_rowptr", 0),
@@ -64,7 +61,7 @@ impl<'m> SparseSoftmax<'m> {
 
     /// Download the functional result (same pattern as the input).
     pub fn result(&self, mem: &MemPool) -> VectorSparse<f16> {
-        crate::util::download_vs(mem, self.out_buf, self.x.pattern())
+        crate::util::download_vs(mem, self.out_buf, &self.x.shared_pattern())
     }
 }
 
@@ -224,17 +221,8 @@ pub struct DenseSoftmax {
 impl DenseSoftmax {
     /// Allocate for an existing score buffer.
     pub fn new(mem: &mut MemPool, rows: usize, cols: usize, mode: Mode) -> Self {
-        let width = width_of::<f16>();
-        let (in_buf, out_buf) = match mode {
-            Mode::Functional => (
-                mem.alloc_zeroed(width, rows * cols),
-                mem.alloc_zeroed(width, rows * cols),
-            ),
-            Mode::Performance => (
-                mem.alloc_ghost(width, rows * cols),
-                mem.alloc_ghost(width, rows * cols),
-            ),
-        };
+        let in_buf = alloc_output::<f16>(mem, rows * cols, mode);
+        let out_buf = alloc_output::<f16>(mem, rows * cols, mode);
         let mut p = Program::new();
         let sites = [
             p.site("ldg", 0),

@@ -17,7 +17,7 @@ use crate::compose::{scheme_for, TilingScheme};
 use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract};
 use crate::registry::KernelId;
-use crate::util::{download_dense, lanes, upload_dense, upload_ell, width_of, EllBuffers};
+use crate::util::{alloc_output, download_dense, lanes, upload_dense, upload_ell, EllBuffers};
 use std::sync::Arc;
 use vecsparse_formats::{BlockedEll, DenseMatrix, Layout, ELL_PAD};
 use vecsparse_fp16::f16;
@@ -33,9 +33,17 @@ const TILE_N: usize = SCHEME.tile_n;
 
 /// The Blocked-ELL SpMM kernel (half precision; cuSPARSE supports fp16
 /// Blocked-ELL via `cusparseSpMM`).
-pub struct BlockedEllSpmm<'m> {
-    a: &'m BlockedEll<f16>,
-    b: &'m DenseMatrix<f16>,
+pub struct BlockedEllSpmm {
+    /// Rows of `A` and of the output.
+    rows: usize,
+    /// Square block edge of `A`.
+    block: usize,
+    /// Block slots per block row of `A`, padding included.
+    bpr: usize,
+    /// Block-column index of every slot of `A`, walked on the host.
+    block_cols: Arc<[u32]>,
+    /// Columns of `B` and of the output.
+    n: usize,
     bufs: EllBuffers,
     b_buf: BufferId,
     out_buf: BufferId,
@@ -125,44 +133,37 @@ fn phases(block: usize) -> u32 {
     (96 / block as u32).clamp(6, 24)
 }
 
-impl<'m> BlockedEllSpmm<'m> {
+impl BlockedEllSpmm {
     /// Stage inputs and bind the shared listing.
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn new(
-        mem: &mut MemPool,
-        a: &'m BlockedEll<f16>,
-        b: &'m DenseMatrix<f16>,
-        mode: Mode,
-    ) -> Self {
+    pub fn new(mem: &mut MemPool, a: &BlockedEll<f16>, b: &DenseMatrix<f16>, mode: Mode) -> Self {
+        assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
+        assert_eq!(b.layout(), Layout::RowMajor);
         let bufs = upload_ell(mem, a, mode);
         let b_buf = upload_dense(mem, b, mode);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<f16>(), a.rows() * b.cols()),
-            Mode::Performance => mem.alloc_ghost(width_of::<f16>(), a.rows() * b.cols()),
-        };
-        Self::from_staged(a, b, bufs, b_buf, out_buf)
+        let out_buf = alloc_output::<f16>(mem, a.rows() * b.cols(), mode);
+        Self::from_staged(a, b.cols(), bufs, b_buf, out_buf)
     }
 
-    /// Build the kernel over operands already staged in a pool (the
-    /// engine's plan path).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn from_staged(
-        a: &'m BlockedEll<f16>,
-        b: &'m DenseMatrix<f16>,
+    /// Build the kernel over buffers already staged for `a` and an
+    /// `n`-column `B` (the engine's plan path; the caller has checked the
+    /// shapes). The kernel keeps `a`'s structure, sharing its block
+    /// columns; the values it reads from the staged buffer.
+    pub(crate) fn from_staged(
+        a: &BlockedEll<f16>,
+        n: usize,
         bufs: EllBuffers,
         b_buf: BufferId,
         out_buf: BufferId,
     ) -> Self {
-        assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
-        assert_eq!(b.layout(), Layout::RowMajor);
-
         BlockedEllSpmm {
-            a,
-            b,
+            rows: a.rows(),
+            block: a.block(),
+            bpr: a.blocks_per_row(),
+            block_cols: a.shared_block_col_idx(),
+            n,
             bufs,
             b_buf,
             out_buf,
@@ -172,32 +173,41 @@ impl<'m> BlockedEllSpmm<'m> {
 
     /// Download the functional result.
     pub fn result(&self, mem: &MemPool) -> DenseMatrix<f16> {
-        download_dense(mem, self.out_buf, self.a.rows(), self.b.cols())
+        download_dense(mem, self.out_buf, self.rows, self.n)
     }
 
     fn n_chunks(&self) -> usize {
-        self.b.cols().div_ceil(TILE_N)
+        self.n.div_ceil(TILE_N)
+    }
+
+    fn block_rows(&self) -> usize {
+        self.rows / self.block
+    }
+
+    /// Block-column index of slot `(br, j)` (`ELL_PAD` for padding).
+    fn block_col(&self, br: usize, j: usize) -> u32 {
+        self.block_cols[br * self.bpr + j]
     }
 }
 
-impl KernelSpec for BlockedEllSpmm<'_> {
+impl KernelSpec for BlockedEllSpmm {
     fn name(&self) -> String {
-        format!("spmm-blocked-ell(b={})", self.a.block())
+        format!("spmm-blocked-ell(b={})", self.block)
     }
 
     fn launch_config(&self) -> LaunchConfig {
         LaunchConfig {
-            grid: self.a.block_rows() * self.n_chunks(),
+            grid: self.block_rows() * self.n_chunks(),
             warps_per_cta: 1,
             regs_per_thread: 96,
             // Staged: one k-slab of B (16 × 128) plus a block group.
-            smem_elems: 16 * TILE_N + 16 * self.a.block(),
+            smem_elems: 16 * TILE_N + 16 * self.block,
             smem_elem_bytes: 2,
             // The executed PC stream rotates over the unrolled copies plus
             // a residue clone, matching the several-thousand-line SASS the
             // paper measured (≈4600 lines at block size 4; larger blocks
             // need fewer specialised copies).
-            static_instrs: self.listing.static_len * phases(self.a.block()),
+            static_instrs: self.listing.static_len * phases(self.block),
         }
     }
 
@@ -208,27 +218,27 @@ impl KernelSpec for BlockedEllSpmm<'_> {
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
         super::block_row_shard_layout(
             self.out_buf,
-            self.a.block_rows(),
-            self.a.block(),
-            self.a.rows(),
-            self.b.cols(),
+            self.block_rows(),
+            self.block,
+            self.rows,
+            self.n,
             self.n_chunks(),
         )
     }
 
     fn run_cta(&self, cta: &mut CtaCtx<'_>) {
-        let block = self.a.block();
+        let block = self.block;
         // One wmma k-slab (k = 16) per nonzero block: a block narrower
         // than 16 still pays the full slab — the padding waste behind
         // Fig. 6's small-block collapse.
         let group = 1;
-        let n = self.b.cols();
+        let n = self.n;
         let chunks = self.n_chunks();
         let br = cta.cta_id / chunks;
         let n0 = (cta.cta_id % chunks) * TILE_N;
         let tn = TILE_N.min(n - n0);
         let functional = cta.mode == Mode::Functional;
-        let bpr = self.a.blocks_per_row();
+        let bpr = self.bpr;
         let s = &self.listing.sites;
 
         let shadow = functional && cta.shadow_exec;
@@ -308,7 +318,7 @@ impl KernelSpec for BlockedEllSpmm<'_> {
             // B rows for the k-slab: for each block in the group, `block`
             // rows of 128 halves, gathered then staged through shared.
             for (j, pair) in (0..g).zip(0..8usize) {
-                let bc = self.a.block_col(br, slot + j);
+                let bc = self.block_col(br, slot + j);
                 for r_chunk in 0..(block * TILE_N).div_ceil(256) {
                     let offs = lanes(|l| {
                         if bc == ELL_PAD {
@@ -367,14 +377,14 @@ impl KernelSpec for BlockedEllSpmm<'_> {
 
             if functional {
                 for j in 0..g {
-                    let bc = self.a.block_col(br, slot + j);
+                    let bc = self.block_col(br, slot + j);
                     if bc == ELL_PAD {
                         continue;
                     }
-                    let vals = self.a.block_values(br, slot + j);
+                    let base = (br * bpr + slot + j) * bb;
                     for r in 0..block {
                         for kk in 0..block {
-                            let a_val = vals[r * block + kk].to_f32();
+                            let a_val = w.read(self.bufs.values, base + r * block + kk);
                             if a_val == 0.0 {
                                 continue;
                             }
@@ -398,7 +408,7 @@ impl KernelSpec for BlockedEllSpmm<'_> {
         // Store the block × TILE_N stripe row-safely.
         let row_base = br * block;
         for r in 0..block {
-            if row_base + r >= self.a.rows() {
+            if row_base + r >= self.rows {
                 break;
             }
             if functional {
@@ -444,19 +454,17 @@ impl KernelSpec for BlockedEllSpmm<'_> {
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // Ascending slots, ascending `kk` within a block, skipping padding
         // blocks and, like the functional path, exact-zero A values.
-        let block = self.a.block();
-        let ([b], out) = ctx.split([self.b_buf], self.out_buf);
+        let (block, bpr) = (self.block, self.bpr);
+        let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
         let c = Contract::of(SCHEME.tile, SCHEME.out_bits).skipping_zero_a();
-        native::spmm_rows(out, b, self.b.cols(), c, |row| {
+        native::spmm_rows(out, b, self.n, c, |row| {
             let (br, r) = (row / block, row % block);
-            (0..self.a.blocks_per_row())
-                .filter(move |&slot| self.a.block_col(br, slot) != ELL_PAD)
+            (0..bpr)
+                .filter(move |&slot| self.block_col(br, slot) != ELL_PAD)
                 .flat_map(move |slot| {
-                    let bc = self.a.block_col(br, slot) as usize;
-                    let vals = &self.a.block_values(br, slot)[r * block..(r + 1) * block];
-                    vals.iter()
-                        .zip(bc * block..)
-                        .map(|(x, kr)| (x.to_f32(), kr))
+                    let bc = self.block_col(br, slot) as usize;
+                    let row = ((br * bpr + slot) * block + r) * block;
+                    values[row..row + block].iter().copied().zip(bc * block..)
                 })
         });
         true

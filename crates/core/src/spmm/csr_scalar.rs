@@ -11,7 +11,7 @@
 use crate::compose::scheme_for;
 use crate::native::{self, Contract};
 use crate::registry::KernelId;
-use crate::util::{download_dense, lanes, upload_csr, upload_dense, width_of, CsrBuffers};
+use crate::util::{alloc_output, download_dense, lanes, upload_csr, upload_dense, CsrBuffers};
 use vecsparse_formats::{Csr, DenseMatrix, Layout, Scalar};
 use vecsparse_fp16::{f16, hmul_fadd};
 use vecsparse_gpu_sim::{
@@ -51,10 +51,7 @@ impl<'m, T: Scalar> CsrScalarSpmm<'m, T> {
         assert_eq!(b.layout(), Layout::RowMajor);
         let bufs = upload_csr(mem, a, mode);
         let b_buf = upload_dense(mem, b, mode);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<T>(), a.rows() * b.cols()),
-            Mode::Performance => mem.alloc_ghost(width_of::<T>(), a.rows() * b.cols()),
-        };
+        let out_buf = alloc_output::<T>(mem, a.rows() * b.cols(), mode);
         let mut p = Program::new();
         let sites = Sites {
             ld_rowptr: p.site("ld_rowptr", 0),

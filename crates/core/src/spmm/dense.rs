@@ -12,7 +12,8 @@ use crate::compose::{scheme_for, TilingScheme};
 use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract};
 use crate::registry::KernelId;
-use crate::util::{download_dense, lanes, upload_dense, width_of};
+use crate::util::{alloc_output, download_dense, lanes, upload_dense};
+use std::marker::PhantomData;
 use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, Scalar};
 use vecsparse_gpu_sim::{
@@ -28,9 +29,13 @@ const CTA_WARPS: usize = 8;
 const KSTEP: usize = SCHEME.tile_k;
 
 /// Dense GEMM kernel (`C = A · B`, all row-major).
-pub struct DenseGemm<'m, T: Scalar> {
-    a: &'m DenseMatrix<T>,
-    b: &'m DenseMatrix<T>,
+pub struct DenseGemm<T: Scalar> {
+    /// Rows of `A` and of the output.
+    m: usize,
+    /// Columns of `A`, rows of `B`.
+    k: usize,
+    /// Columns of `B` and of the output.
+    n: usize,
     a_buf: BufferId,
     b_buf: BufferId,
     out_buf: BufferId,
@@ -43,6 +48,7 @@ pub struct DenseGemm<'m, T: Scalar> {
     /// one CTA per output tile.
     split_k: usize,
     listing: Arc<Listing<Sites>>,
+    precision: PhantomData<T>,
 }
 
 struct Sites {
@@ -101,57 +107,43 @@ fn listing((mma_count, fma_count): (usize, usize)) -> Listing<Sites> {
     }
 }
 
-impl<'m, T: Scalar> DenseGemm<'m, T> {
+impl<T: Scalar> DenseGemm<T> {
     /// Stage inputs and allocate the output buffer.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree or layouts are not
     /// row-major (`cublas*gemm` on row-major tensors, as the paper uses).
-    pub fn new(
-        mem: &mut MemPool,
-        a: &'m DenseMatrix<T>,
-        b: &'m DenseMatrix<T>,
-        mode: Mode,
-    ) -> Self {
+    pub fn new(mem: &mut MemPool, a: &DenseMatrix<T>, b: &DenseMatrix<T>, mode: Mode) -> Self {
+        assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
+        assert_eq!(a.layout(), Layout::RowMajor);
+        assert_eq!(b.layout(), Layout::RowMajor);
         let a_buf = upload_dense(mem, a, mode);
         let b_buf = upload_dense(mem, b, mode);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<T>(), a.rows() * b.cols()),
-            Mode::Performance => mem.alloc_ghost(width_of::<T>(), a.rows() * b.cols()),
-        };
-        Self::from_staged(a, b, a_buf, b_buf, out_buf, mode)
+        let out_buf = alloc_output::<T>(mem, a.rows() * b.cols(), mode);
+        Self::from_staged(a.rows(), a.cols(), b.cols(), a_buf, b_buf, out_buf, mode)
     }
 
-    /// Build the kernel over operands already staged in a pool (the
-    /// engine's plan path). `mode` still picks the split-K policy.
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions disagree or layouts are not
-    /// row-major.
-    pub fn from_staged(
-        a: &'m DenseMatrix<T>,
-        b: &'m DenseMatrix<T>,
+    /// Build the kernel over buffers already staged for an `m × k` `A`
+    /// and a `k × n` `B` (the engine's plan path; the caller has checked
+    /// the shapes). `mode` still picks the split-K policy.
+    pub(crate) fn from_staged(
+        m: usize,
+        k: usize,
+        n: usize,
         a_buf: BufferId,
         b_buf: BufferId,
         out_buf: BufferId,
         mode: Mode,
     ) -> Self {
-        assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
-        assert_eq!(a.layout(), Layout::RowMajor);
-        assert_eq!(b.layout(), Layout::RowMajor);
         // Adapt the tile to small problems the way a tuned BLAS would.
-        let tile_m = if a.rows() >= 128 {
-            128
-        } else {
-            64.min(a.rows().max(16))
-        };
-        let tile_n = if b.cols() >= SCHEME.tile_n {
+        let tile_m = if m >= 128 { 128 } else { 64.min(m.max(16)) };
+        let tile_n = if n >= SCHEME.tile_n {
             SCHEME.tile_n
         } else {
-            64.min(b.cols().max(16))
+            64.min(n.max(16))
         };
-        let base_grid = a.rows().div_ceil(tile_m) * b.cols().div_ceil(tile_n);
-        let k_slices = a.cols().div_ceil(KSTEP).max(1);
+        let base_grid = m.div_ceil(tile_m) * n.div_ceil(tile_n);
+        let k_slices = k.div_ceil(KSTEP).max(1);
         let split_k = match mode {
             Mode::Functional => 1,
             // Real BLAS split-K factors stay small (the reduction pass and
@@ -175,8 +167,9 @@ impl<'m, T: Scalar> DenseGemm<'m, T> {
         let key = (mma_count, fma_count);
 
         DenseGemm {
-            a,
-            b,
+            m,
+            k,
+            n,
             a_buf,
             b_buf,
             out_buf,
@@ -184,23 +177,21 @@ impl<'m, T: Scalar> DenseGemm<'m, T> {
             tile_n,
             split_k,
             listing: LISTINGS.get(key, || listing(key)),
+            precision: PhantomData,
         }
     }
 
     /// Download the functional result.
     pub fn result(&self, mem: &MemPool) -> DenseMatrix<T> {
-        download_dense(mem, self.out_buf, self.a.rows(), self.b.cols())
+        download_dense(mem, self.out_buf, self.m, self.n)
     }
 
     fn grid_dims(&self) -> (usize, usize) {
-        (
-            self.a.rows().div_ceil(self.tile_m),
-            self.b.cols().div_ceil(self.tile_n),
-        )
+        (self.m.div_ceil(self.tile_m), self.n.div_ceil(self.tile_n))
     }
 }
 
-impl<T: Scalar> KernelSpec for DenseGemm<'_, T> {
+impl<T: Scalar> KernelSpec for DenseGemm<T> {
     fn name(&self) -> String {
         if T::BITS == 16 {
             "cublasHgemm(sim)".into()
@@ -233,8 +224,7 @@ impl<T: Scalar> KernelSpec for DenseGemm<'_, T> {
         // honestly fails the write-disjointness obligation — the
         // cross-split reduction is fused and not shard-safe.
         let (gm, gn) = self.grid_dims();
-        let m = self.a.rows();
-        let n = self.b.cols();
+        let (m, n) = (self.m, self.n);
         if gm == 0 || gn == 0 {
             return None;
         }
@@ -259,7 +249,7 @@ impl<T: Scalar> KernelSpec for DenseGemm<'_, T> {
         let split = cta.cta_id / (gm * gn);
         let m0 = (tile_id / gn) * self.tile_m;
         let n0 = (tile_id % gn) * self.tile_n;
-        let (m, n, k) = (self.a.rows(), self.b.cols(), self.a.cols());
+        let (m, n, k) = (self.m, self.n, self.k);
         let tm = self.tile_m.min(m - m0);
         let tn = self.tile_n.min(n - n0);
 
@@ -278,17 +268,17 @@ impl<T: Scalar> KernelSpec for DenseGemm<'_, T> {
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // Functional mode never splits K: one ascending-l reduction that
         // skips exact-zero A values, rounded once at store (the F2F).
-        let k = self.a.cols();
+        let k = self.k;
         let ([a, b], out) = ctx.split([self.a_buf, self.b_buf], self.out_buf);
         let c = Contract::of(SCHEME.tile, T::BITS).skipping_zero_a();
-        native::spmm_rows(out, b, self.b.cols(), c, |row| {
+        native::spmm_rows(out, b, self.n, c, |row| {
             a[row * k..(row + 1) * k].iter().copied().zip(0..k)
         });
         true
     }
 }
 
-impl<T: Scalar> DenseGemm<'_, T> {
+impl<T: Scalar> DenseGemm<T> {
     /// Functional path: compute the CTA tile directly and store it through
     /// traced-store-compatible warp stores (the performance path emits the
     /// matching instruction stream).
@@ -399,8 +389,7 @@ impl<T: Scalar> DenseGemm<'_, T> {
                         let r = flat / ks.max(1);
                         let c = flat % ks.max(1);
                         // Rows past the matrix edge are predicated off.
-                        if r < rows_per_warp && c < ks && m0 + w * rows_per_warp + r < self.a.rows()
-                        {
+                        if r < rows_per_warp && c < ks && m0 + w * rows_per_warp + r < self.m {
                             Some((m0 + w * rows_per_warp + r) * k + k0 + c)
                         } else {
                             None
@@ -492,7 +481,7 @@ impl<T: Scalar> DenseGemm<'_, T> {
             let mut warp = cta.warp(w);
             let epl = (128 / T::BITS as usize).min(4);
             for r in 0..rows_per_warp {
-                if m0 + w * rows_per_warp + r >= self.a.rows() {
+                if m0 + w * rows_per_warp + r >= self.m {
                     break;
                 }
                 let offs = lanes(|l| {

@@ -20,9 +20,10 @@ use crate::compose::{scheme_for, TilingScheme};
 use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract};
 use crate::registry::KernelId;
-use crate::util::{download_dense, lanes, upload_dense, upload_vs, width_of, VsBuffers};
+use crate::util::{alloc_output, download_dense, lanes, upload_dense, upload_vs, VsBuffers};
+use std::marker::PhantomData;
 use std::sync::Arc;
-use vecsparse_formats::{DenseMatrix, Layout, Scalar, VectorSparse};
+use vecsparse_formats::{DenseMatrix, Layout, Scalar, SparsityPattern, VectorSparse};
 use vecsparse_fp16::{f16, hmul_fadd};
 use vecsparse_gpu_sim::{
     BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site,
@@ -41,13 +42,16 @@ const TILE_K: usize = SCHEME.tile_k;
 const COLS_PER_THREAD: usize = TILE_N / SUBWARP;
 
 /// The FPU subwarp-tiling SpMM kernel, generic over precision.
-pub struct FpuSubwarpSpmm<'m, T: Scalar> {
-    a: &'m VectorSparse<T>,
-    b: &'m DenseMatrix<T>,
+pub struct FpuSubwarpSpmm<T: Scalar> {
+    /// Structure of the sparse operand `A`, walked on the host.
+    pattern: Arc<SparsityPattern>,
+    /// Columns of `B` and of the output.
+    n: usize,
     bufs: VsBuffers,
     b_buf: BufferId,
     out_buf: BufferId,
     listing: Arc<Listing<Sites>>,
+    precision: PhantomData<T>,
 }
 
 struct Sites {
@@ -113,73 +117,65 @@ fn listing(v: usize) -> Listing<Sites> {
     }
 }
 
-impl<'m, T: Scalar> FpuSubwarpSpmm<'m, T> {
+impl<T: Scalar> FpuSubwarpSpmm<T> {
     /// Stage inputs and bind the shared listing.
     ///
     /// # Panics
     /// Panics on shape mismatch or unsupported V.
-    pub fn new(
-        mem: &mut MemPool,
-        a: &'m VectorSparse<T>,
-        b: &'m DenseMatrix<T>,
-        mode: Mode,
-    ) -> Self {
+    pub fn new(mem: &mut MemPool, a: &VectorSparse<T>, b: &DenseMatrix<T>, mode: Mode) -> Self {
+        assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
+        assert_eq!(b.layout(), Layout::RowMajor);
+        assert!(matches!(a.v(), 1 | 2 | 4 | 8));
         let bufs = upload_vs(mem, a, mode);
         let b_buf = upload_dense(mem, b, mode);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<T>(), a.rows() * b.cols()),
-            Mode::Performance => mem.alloc_ghost(width_of::<T>(), a.rows() * b.cols()),
-        };
-        Self::from_staged(a, b, bufs, b_buf, out_buf)
+        let out_buf = alloc_output::<T>(mem, a.rows() * b.cols(), mode);
+        Self::from_staged(a.shared_pattern(), b.cols(), bufs, b_buf, out_buf)
     }
 
-    /// Build the kernel over operands already staged in a pool (the
-    /// engine's plan path).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch or unsupported V.
-    pub fn from_staged(
-        a: &'m VectorSparse<T>,
-        b: &'m DenseMatrix<T>,
+    /// Build the kernel over buffers already staged for an `A` of
+    /// structure `pattern` and an `n`-column `B` (the engine's plan path;
+    /// the caller has checked the shapes).
+    pub(crate) fn from_staged(
+        pattern: Arc<SparsityPattern>,
+        n: usize,
         bufs: VsBuffers,
         b_buf: BufferId,
         out_buf: BufferId,
     ) -> Self {
-        assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
-        assert_eq!(b.layout(), Layout::RowMajor);
-        assert!(matches!(a.v(), 1 | 2 | 4 | 8));
+        let v = pattern.v();
         FpuSubwarpSpmm {
-            a,
-            b,
+            pattern,
+            n,
             bufs,
             b_buf,
             out_buf,
-            listing: LISTINGS.get(a.v(), || listing(a.v())),
+            listing: LISTINGS.get(v, || listing(v)),
+            precision: PhantomData,
         }
     }
 
     /// Download the functional result.
     pub fn result(&self, mem: &MemPool) -> DenseMatrix<T> {
-        download_dense(mem, self.out_buf, self.a.rows(), self.b.cols())
+        download_dense(mem, self.out_buf, self.pattern.rows(), self.n)
     }
 
     fn n_chunks(&self) -> usize {
-        self.b.cols().div_ceil(TILE_N)
+        self.n.div_ceil(TILE_N)
     }
 }
 
-impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<'_, T> {
+impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<T> {
     fn name(&self) -> String {
-        format!("spmm-fpu-subwarp(V={},{})", self.a.v(), T::NAME)
+        format!("spmm-fpu-subwarp(V={},{})", self.pattern.v(), T::NAME)
     }
 
     fn launch_config(&self) -> LaunchConfig {
         LaunchConfig {
-            grid: self.a.pattern().block_rows() * self.n_chunks(),
+            grid: self.pattern.block_rows() * self.n_chunks(),
             warps_per_cta: 1,
             // V × 8 f32 accumulators per thread plus operands.
-            regs_per_thread: (self.a.v() as u32 * COLS_PER_THREAD as u32) + 32,
-            smem_elems: TILE_K * self.a.v(),
+            regs_per_thread: (self.pattern.v() as u32 * COLS_PER_THREAD as u32) + 32,
+            smem_elems: TILE_K * self.pattern.v(),
             smem_elem_bytes: T::bytes() as u64,
             static_instrs: self.listing.static_len,
         }
@@ -192,19 +188,19 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<'_, T> {
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
         super::block_row_shard_layout(
             self.out_buf,
-            self.a.pattern().block_rows(),
-            self.a.v(),
-            self.a.rows(),
-            self.b.cols(),
+            self.pattern.block_rows(),
+            self.pattern.v(),
+            self.pattern.rows(),
+            self.n,
             self.n_chunks(),
         )
     }
 
     fn run_cta(&self, cta: &mut CtaCtx<'_>) {
-        let v = self.a.v();
-        let p = self.a.pattern();
-        let n = self.b.cols();
-        let k = self.b.rows();
+        let v = self.pattern.v();
+        let p = &self.pattern;
+        let n = self.n;
+        let k = self.pattern.cols();
         let chunks = self.n_chunks();
         let br = cta.cta_id / chunks;
         let n0 = (cta.cta_id % chunks) * TILE_N;
@@ -361,7 +357,7 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<'_, T> {
         let row_base = br * v;
         let tn = TILE_N.min(n - n0);
         for r in 0..v {
-            if row_base + r >= self.a.rows() {
+            if row_base + r >= self.pattern.rows() {
                 break;
             }
             if functional {
@@ -408,7 +404,7 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<'_, T> {
         // Ascending-j HMUL/FADD chain across strides (the paper's §4).
         let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
         let c = Contract::of(SCHEME.tile, T::BITS);
-        native::spmm_vector_sparse(out, b, self.b.cols(), c, self.a.pattern(), values);
+        native::spmm_vector_sparse(out, b, self.n, c, &self.pattern, values);
         true
     }
 }

@@ -34,9 +34,9 @@ use crate::compose::{LoadStrategy, TilingScheme};
 use crate::listing::Listing;
 use crate::native::{self, Contract};
 use crate::tile::{marshal_spmm_mat_a, marshal_spmm_mat_b, octet_lane};
-use crate::util::{lanes, upload_dense, upload_vs, width_of, VsBuffers};
+use crate::util::{alloc_output, lanes, upload_dense, upload_vs, VsBuffers};
 use std::sync::Arc;
-use vecsparse_formats::{DenseMatrix, Layout, VectorSparse};
+use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
     BufferId, CtaCtx, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program, Tok,
@@ -44,9 +44,11 @@ use vecsparse_gpu_sim::{
 };
 
 /// The octet-tiling SpMM kernel.
-pub struct OctetSpmm<'m> {
-    a: &'m VectorSparse<f16>,
-    b: &'m DenseMatrix<f16>,
+pub struct OctetSpmm {
+    /// Structure of the sparse operand `A`, walked on the host.
+    pattern: Arc<SparsityPattern>,
+    /// Columns of `B` and of the output.
+    n: usize,
     bufs: VsBuffers,
     b_buf: BufferId,
     out_buf: BufferId,
@@ -59,17 +61,12 @@ pub struct OctetSpmm<'m> {
     listing: Arc<Listing<OctetSites>>,
 }
 
-impl<'m> OctetSpmm<'m> {
+impl OctetSpmm {
     /// Stage inputs; `mode` decides whether values are materialised.
     ///
     /// # Panics
     /// Panics if shapes disagree, `B` is not row-major, or V > 8.
-    pub fn new(
-        mem: &mut MemPool,
-        a: &'m VectorSparse<f16>,
-        b: &'m DenseMatrix<f16>,
-        mode: Mode,
-    ) -> Self {
+    pub fn new(mem: &mut MemPool, a: &VectorSparse<f16>, b: &DenseMatrix<f16>, mode: Mode) -> Self {
         Self::with_scheme(mem, a, b, mode, DEFAULT_SCHEME)
     }
 
@@ -81,33 +78,9 @@ impl<'m> OctetSpmm<'m> {
     /// scheme's staging window is invalid for the octet listing.
     pub fn with_scheme(
         mem: &mut MemPool,
-        a: &'m VectorSparse<f16>,
-        b: &'m DenseMatrix<f16>,
+        a: &VectorSparse<f16>,
+        b: &DenseMatrix<f16>,
         mode: Mode,
-        scheme: TilingScheme,
-    ) -> Self {
-        let bufs = upload_vs(mem, a, mode);
-        let b_buf = upload_dense(mem, b, mode);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<f16>(), a.rows() * b.cols()),
-            Mode::Performance => mem.alloc_ghost(width_of::<f16>(), a.rows() * b.cols()),
-        };
-        Self::from_staged_scheme(a, b, bufs, b_buf, out_buf, scheme)
-    }
-
-    /// Build the kernel at `scheme` over operands **already staged** in
-    /// a pool — the engine's plan path, which uploads the sparse operand
-    /// once and reuses its buffers across launches.
-    ///
-    /// # Panics
-    /// Panics if shapes disagree, `B` is not row-major, V > 8, or the
-    /// scheme's staging window is invalid for the octet listing.
-    pub fn from_staged_scheme(
-        a: &'m VectorSparse<f16>,
-        b: &'m DenseMatrix<f16>,
-        bufs: VsBuffers,
-        b_buf: BufferId,
-        out_buf: BufferId,
         scheme: TilingScheme,
     ) -> Self {
         assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
@@ -116,10 +89,31 @@ impl<'m> OctetSpmm<'m> {
             matches!(a.v(), 1 | 2 | 4 | 8),
             "column vector length must be 1, 2, 4, or 8"
         );
+        let bufs = upload_vs(mem, a, mode);
+        let b_buf = upload_dense(mem, b, mode);
+        let out_buf = alloc_output::<f16>(mem, a.rows() * b.cols(), mode);
+        Self::from_staged(a.shared_pattern(), b.cols(), bufs, b_buf, out_buf, scheme)
+    }
 
+    /// Build the kernel at `scheme` over buffers **already staged** in a
+    /// pool for an `A` of structure `pattern` and an `n`-column `B` — the
+    /// engine's plan path, which builds the kernel once and reuses it
+    /// across launches. The caller has checked the shapes.
+    ///
+    /// # Panics
+    /// Panics if the scheme's staging window is invalid for the octet
+    /// listing.
+    pub(crate) fn from_staged(
+        pattern: Arc<SparsityPattern>,
+        n: usize,
+        bufs: VsBuffers,
+        b_buf: BufferId,
+        out_buf: BufferId,
+        scheme: TilingScheme,
+    ) -> Self {
         OctetSpmm {
-            a,
-            b,
+            pattern,
+            n,
             bufs,
             b_buf,
             out_buf,
@@ -131,7 +125,7 @@ impl<'m> OctetSpmm<'m> {
 
     /// Enable the redundant-HMMA removal ablation (V ≤ 4 only).
     pub fn with_truncated_hmma(mut self, on: bool) -> Self {
-        self.truncate_hmma = on && self.a.v() <= 4;
+        self.truncate_hmma = on && self.pattern.v() <= 4;
         self
     }
 
@@ -142,11 +136,11 @@ impl<'m> OctetSpmm<'m> {
 
     /// Download the functional result.
     pub fn result(&self, mem: &MemPool) -> DenseMatrix<f16> {
-        crate::util::download_dense(mem, self.out_buf, self.a.rows(), self.b.cols())
+        crate::util::download_dense(mem, self.out_buf, self.pattern.rows(), self.n)
     }
 
     fn n_chunks(&self) -> usize {
-        self.b.cols().div_ceil(self.scheme.tile_n)
+        self.n.div_ceil(self.scheme.tile_n)
     }
 
     fn flavor(&self) -> MmaFlavor {
@@ -158,20 +152,20 @@ impl<'m> OctetSpmm<'m> {
     }
 }
 
-impl KernelSpec for OctetSpmm<'_> {
+impl KernelSpec for OctetSpmm {
     fn name(&self) -> String {
-        format!("spmm-octet(V={})", self.a.v())
+        format!("spmm-octet(V={})", self.pattern.v())
     }
 
     fn launch_config(&self) -> LaunchConfig {
         LaunchConfig {
-            grid: self.a.pattern().block_rows() * self.n_chunks(),
+            grid: self.pattern.block_rows() * self.n_chunks(),
             warps_per_cta: 1,
             // Two 8-wide f32 accumulators, the B fragment, A fragment and
             // index registers.
             regs_per_thread: 40,
             // Staged A vectors: tile_k × V halves.
-            smem_elems: self.scheme.tile_k * self.a.v(),
+            smem_elems: self.scheme.tile_k * self.pattern.v(),
             smem_elem_bytes: 2,
             static_instrs: self.listing.static_len,
         }
@@ -184,18 +178,18 @@ impl KernelSpec for OctetSpmm<'_> {
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
         super::block_row_shard_layout(
             self.out_buf,
-            self.a.pattern().block_rows(),
-            self.a.v(),
-            self.a.rows(),
-            self.b.cols(),
+            self.pattern.block_rows(),
+            self.pattern.v(),
+            self.pattern.rows(),
+            self.n,
             self.n_chunks(),
         )
     }
 
     fn run_cta(&self, cta: &mut CtaCtx<'_>) {
-        let v_len = self.a.v();
-        let p = self.a.pattern();
-        let n = self.b.cols();
+        let v_len = self.pattern.v();
+        let p = &self.pattern;
+        let n = self.n;
         let tile_n = self.scheme.tile_n;
         let tile_k = self.scheme.tile_k;
         let chunks = self.n_chunks();
@@ -336,7 +330,7 @@ impl KernelSpec for OctetSpmm<'_> {
             let shuffled = w.shfl(s.shfl_out, &acc[0], |l| l, &[]);
             drop(shuffled);
             for r in 0..v_len {
-                if row_base + r >= self.a.rows() {
+                if row_base + r >= self.pattern.rows() {
                     break;
                 }
                 let vals: Vec<f32> = (0..tn)
@@ -374,7 +368,7 @@ impl KernelSpec for OctetSpmm<'_> {
                 t
             };
             for r in 0..v_len {
-                if row_base + r >= self.a.rows() {
+                if row_base + r >= self.pattern.rows() {
                     break;
                 }
                 crate::util::store_row_segment(
@@ -403,12 +397,12 @@ impl KernelSpec for OctetSpmm<'_> {
         }
         let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
         let c = Contract::of(self.scheme.tile, self.scheme.out_bits);
-        native::spmm_vector_sparse(out, b, self.b.cols(), c, self.a.pattern(), values);
+        native::spmm_vector_sparse(out, b, self.n, c, &self.pattern, values);
         true
     }
 }
 
-impl OctetSpmm<'_> {
+impl OctetSpmm {
     #[allow(clippy::too_many_arguments)]
     fn step_mma(
         &self,

@@ -22,9 +22,9 @@ use crate::compose::{scheme_for, TilingScheme};
 use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract};
 use crate::registry::KernelId;
-use crate::util::{download_dense, lanes, upload_dense, upload_vs, width_of, VsBuffers};
+use crate::util::{alloc_output, download_dense, lanes, upload_dense, upload_vs, VsBuffers};
 use std::sync::Arc;
-use vecsparse_formats::{DenseMatrix, Layout, VectorSparse};
+use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
     BufferId, CtaCtx, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program, Site,
@@ -39,9 +39,11 @@ const TILE_N: usize = SCHEME.tile_n;
 const WMMA_K: usize = SCHEME.tile_k;
 
 /// The §5.2 warp-tiling SpMM kernel.
-pub struct WmmaSpmm<'m> {
-    a: &'m VectorSparse<f16>,
-    b: &'m DenseMatrix<f16>,
+pub struct WmmaSpmm {
+    /// Structure of the sparse operand `A`, walked on the host.
+    pattern: Arc<SparsityPattern>,
+    /// Columns of `B` and of the output.
+    n: usize,
     bufs: VsBuffers,
     b_buf: BufferId,
     out_buf: BufferId,
@@ -90,44 +92,34 @@ fn listing() -> Listing<Sites> {
     }
 }
 
-impl<'m> WmmaSpmm<'m> {
+impl WmmaSpmm {
     /// Stage inputs.
     ///
     /// # Panics
     /// Panics on shape mismatch or unsupported V.
-    pub fn new(
-        mem: &mut MemPool,
-        a: &'m VectorSparse<f16>,
-        b: &'m DenseMatrix<f16>,
-        mode: Mode,
-    ) -> Self {
+    pub fn new(mem: &mut MemPool, a: &VectorSparse<f16>, b: &DenseMatrix<f16>, mode: Mode) -> Self {
+        assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
+        assert_eq!(b.layout(), Layout::RowMajor);
+        assert!(matches!(a.v(), 1 | 2 | 4 | 8));
         let bufs = upload_vs(mem, a, mode);
         let b_buf = upload_dense(mem, b, mode);
-        let out_buf = match mode {
-            Mode::Functional => mem.alloc_zeroed(width_of::<f16>(), a.rows() * b.cols()),
-            Mode::Performance => mem.alloc_ghost(width_of::<f16>(), a.rows() * b.cols()),
-        };
-        Self::from_staged(a, b, bufs, b_buf, out_buf)
+        let out_buf = alloc_output::<f16>(mem, a.rows() * b.cols(), mode);
+        Self::from_staged(a.shared_pattern(), b.cols(), bufs, b_buf, out_buf)
     }
 
-    /// Build the kernel over operands already staged in a pool (the
-    /// engine's plan path).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch or unsupported V.
-    pub fn from_staged(
-        a: &'m VectorSparse<f16>,
-        b: &'m DenseMatrix<f16>,
+    /// Build the kernel over buffers already staged for an `A` of
+    /// structure `pattern` and an `n`-column `B` (the engine's plan path;
+    /// the caller has checked the shapes).
+    pub(crate) fn from_staged(
+        pattern: Arc<SparsityPattern>,
+        n: usize,
         bufs: VsBuffers,
         b_buf: BufferId,
         out_buf: BufferId,
     ) -> Self {
-        assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
-        assert_eq!(b.layout(), Layout::RowMajor);
-        assert!(matches!(a.v(), 1 | 2 | 4 | 8));
         WmmaSpmm {
-            a,
-            b,
+            pattern,
+            n,
             bufs,
             b_buf,
             out_buf,
@@ -137,22 +129,22 @@ impl<'m> WmmaSpmm<'m> {
 
     /// Download the functional result.
     pub fn result(&self, mem: &MemPool) -> DenseMatrix<f16> {
-        download_dense(mem, self.out_buf, self.a.rows(), self.b.cols())
+        download_dense(mem, self.out_buf, self.pattern.rows(), self.n)
     }
 
     fn n_chunks(&self) -> usize {
-        self.b.cols().div_ceil(TILE_N)
+        self.n.div_ceil(TILE_N)
     }
 }
 
-impl KernelSpec for WmmaSpmm<'_> {
+impl KernelSpec for WmmaSpmm {
     fn name(&self) -> String {
-        format!("spmm-wmma(V={})", self.a.v())
+        format!("spmm-wmma(V={})", self.pattern.v())
     }
 
     fn launch_config(&self) -> LaunchConfig {
         LaunchConfig {
-            grid: self.a.pattern().block_rows() * self.n_chunks(),
+            grid: self.pattern.block_rows() * self.n_chunks(),
             warps_per_cta: 1,
             regs_per_thread: 56,
             smem_elems: 0,
@@ -168,18 +160,18 @@ impl KernelSpec for WmmaSpmm<'_> {
     fn shard_layout(&self) -> Option<vecsparse_gpu_sim::ShardLayout> {
         super::block_row_shard_layout(
             self.out_buf,
-            self.a.pattern().block_rows(),
-            self.a.v(),
-            self.a.rows(),
-            self.b.cols(),
+            self.pattern.block_rows(),
+            self.pattern.v(),
+            self.pattern.rows(),
+            self.n,
             self.n_chunks(),
         )
     }
 
     fn run_cta(&self, cta: &mut CtaCtx<'_>) {
-        let v_len = self.a.v();
-        let p = self.a.pattern();
-        let n = self.b.cols();
+        let v_len = self.pattern.v();
+        let p = &self.pattern;
+        let n = self.n;
         let chunks = self.n_chunks();
         let br = cta.cta_id / chunks;
         let n0 = (cta.cta_id % chunks) * TILE_N;
@@ -284,7 +276,7 @@ impl KernelSpec for WmmaSpmm<'_> {
 
         let row_base = br * v_len;
         for r in 0..v_len {
-            if row_base + r >= self.a.rows() {
+            if row_base + r >= self.pattern.rows() {
                 break;
             }
             if functional {
@@ -332,7 +324,7 @@ impl KernelSpec for WmmaSpmm<'_> {
         // path skips exact-zero A values.
         let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
         let c = Contract::of(SCHEME.tile, SCHEME.out_bits).skipping_zero_a();
-        native::spmm_vector_sparse(out, b, self.b.cols(), c, self.a.pattern(), values);
+        native::spmm_vector_sparse(out, b, self.n, c, &self.pattern, values);
         true
     }
 }

@@ -1,8 +1,8 @@
 //! Shared kernel plumbing: one-shot launches in a fresh pool, uploading
 //! matrices into simulator memory and building warp lane-offset patterns.
 
+use std::sync::Arc;
 use vecsparse_formats::{BlockedEll, Csr, DenseMatrix, Scalar, SparsityPattern, VectorSparse};
-use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
     BufferId, ElemWidth, GpuConfig, KernelProfile, KernelSpec, Launch, MemPool, Mode, WARP_SIZE,
 };
@@ -51,15 +51,29 @@ pub fn width_of<T: Scalar>() -> ElemWidth {
     }
 }
 
+/// Upload `values` into one device buffer. In [`Mode::Performance`] only
+/// addresses are allocated.
+fn upload_values<T: Scalar>(mem: &mut MemPool, values: &[T], mode: Mode) -> BufferId {
+    match mode {
+        Mode::Functional => {
+            mem.alloc_init(width_of::<T>(), values.iter().map(|v| v.to_f32()).collect())
+        }
+        Mode::Performance => mem.alloc_ghost(width_of::<T>(), values.len()),
+    }
+}
+
 /// Upload a dense matrix into device memory in its storage-layout order.
 /// In [`Mode::Performance`] only addresses are allocated.
 pub fn upload_dense<T: Scalar>(mem: &mut MemPool, m: &DenseMatrix<T>, mode: Mode) -> BufferId {
+    upload_values(mem, m.data(), mode)
+}
+
+/// Allocate a kernel's `len`-element output buffer by the same rule:
+/// zeroed in [`Mode::Functional`], address-only in [`Mode::Performance`].
+pub fn alloc_output<T: Scalar>(mem: &mut MemPool, len: usize, mode: Mode) -> BufferId {
     match mode {
-        Mode::Functional => mem.alloc_init(
-            width_of::<T>(),
-            m.data().iter().map(|v| v.to_f32()).collect(),
-        ),
-        Mode::Performance => mem.alloc_ghost(width_of::<T>(), m.data().len()),
+        Mode::Functional => mem.alloc_zeroed(width_of::<T>(), len),
+        Mode::Performance => mem.alloc_ghost(width_of::<T>(), len),
     }
 }
 
@@ -75,23 +89,14 @@ pub struct VsBuffers {
     pub col_idx: BufferId,
 }
 
-/// Upload a vector-sparse matrix.
+/// Upload a vector-sparse matrix. Indices are address-only in both modes
+/// since kernels read the structure host-side.
 pub fn upload_vs<T: Scalar>(mem: &mut MemPool, a: &VectorSparse<T>, mode: Mode) -> VsBuffers {
     let p = a.pattern();
-    match mode {
-        Mode::Functional => VsBuffers {
-            values: mem.alloc_init(
-                width_of::<T>(),
-                a.values().iter().map(|v| v.to_f32()).collect(),
-            ),
-            row_ptr: mem.alloc_ghost(ElemWidth::B32, p.row_ptr().len()),
-            col_idx: mem.alloc_ghost(ElemWidth::B32, p.col_idx().len()),
-        },
-        Mode::Performance => VsBuffers {
-            values: mem.alloc_ghost(width_of::<T>(), a.values().len()),
-            row_ptr: mem.alloc_ghost(ElemWidth::B32, p.row_ptr().len()),
-            col_idx: mem.alloc_ghost(ElemWidth::B32, p.col_idx().len()),
-        },
+    VsBuffers {
+        values: upload_values(mem, a.values(), mode),
+        row_ptr: mem.alloc_ghost(ElemWidth::B32, p.row_ptr().len()),
+        col_idx: mem.alloc_ghost(ElemWidth::B32, p.col_idx().len()),
     }
 }
 
@@ -115,20 +120,10 @@ pub struct CsrBuffers {
 
 /// Upload a CSR matrix (fine-grained kernels).
 pub fn upload_csr<T: Scalar>(mem: &mut MemPool, a: &Csr<T>, mode: Mode) -> CsrBuffers {
-    match mode {
-        Mode::Functional => CsrBuffers {
-            values: mem.alloc_init(
-                width_of::<T>(),
-                a.values().iter().map(|v| v.to_f32()).collect(),
-            ),
-            row_ptr: mem.alloc_ghost(ElemWidth::B32, a.row_ptr().len()),
-            col_idx: mem.alloc_ghost(ElemWidth::B32, a.col_idx().len()),
-        },
-        Mode::Performance => CsrBuffers {
-            values: mem.alloc_ghost(width_of::<T>(), a.values().len()),
-            row_ptr: mem.alloc_ghost(ElemWidth::B32, a.row_ptr().len()),
-            col_idx: mem.alloc_ghost(ElemWidth::B32, a.col_idx().len()),
-        },
+    CsrBuffers {
+        values: upload_values(mem, a.values(), mode),
+        row_ptr: mem.alloc_ghost(ElemWidth::B32, a.row_ptr().len()),
+        col_idx: mem.alloc_ghost(ElemWidth::B32, a.col_idx().len()),
     }
 }
 
@@ -141,18 +136,9 @@ pub struct EllBuffers {
 
 /// Upload a Blocked-ELL matrix.
 pub fn upload_ell<T: Scalar>(mem: &mut MemPool, a: &BlockedEll<T>, mode: Mode) -> EllBuffers {
-    match mode {
-        Mode::Functional => EllBuffers {
-            values: mem.alloc_init(
-                width_of::<T>(),
-                a.values().iter().map(|v| v.to_f32()).collect(),
-            ),
-            block_col_idx: mem.alloc_ghost(ElemWidth::B32, a.block_col_idx().len()),
-        },
-        Mode::Performance => EllBuffers {
-            values: mem.alloc_ghost(width_of::<T>(), a.values().len()),
-            block_col_idx: mem.alloc_ghost(ElemWidth::B32, a.block_col_idx().len()),
-        },
+    EllBuffers {
+        values: upload_values(mem, a.values(), mode),
+        block_col_idx: mem.alloc_ghost(ElemWidth::B32, a.block_col_idx().len()),
     }
 }
 
@@ -167,12 +153,16 @@ pub fn download_dense<T: Scalar>(
     DenseMatrix::from_row_major(rows, cols, data.iter().map(|&v| T::from_f32(v)).collect())
 }
 
-/// Read back a vector-sparse value buffer into a matrix with `pattern`.
-pub fn download_vs(mem: &MemPool, buf: BufferId, pattern: &SparsityPattern) -> VectorSparse<f16> {
+/// Read back a vector-sparse value buffer into a matrix sharing `pattern`.
+pub fn download_vs<T: Scalar>(
+    mem: &MemPool,
+    buf: BufferId,
+    pattern: &Arc<SparsityPattern>,
+) -> VectorSparse<T> {
     let data = mem.contents(buf);
     VectorSparse::new(
-        pattern.clone(),
-        data.iter().map(|&v| f16::from_f32(v)).collect(),
+        Arc::clone(pattern),
+        data.iter().map(|&v| T::from_f32(v)).collect(),
     )
 }
 
@@ -261,6 +251,7 @@ pub fn store_row_segment(
 mod tests {
     use super::*;
     use vecsparse_formats::{gen, Layout};
+    use vecsparse_fp16::f16;
 
     #[test]
     fn upload_roundtrip_dense() {

@@ -7,6 +7,7 @@
 //! densely, row-major inside each block.
 
 use crate::{DenseMatrix, Layout, Scalar};
+use std::sync::Arc;
 
 /// A Blocked-ELL sparse matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -17,8 +18,9 @@ pub struct BlockedEll<T> {
     /// Width of the ELL slab in scalar columns (`blocks_per_row * block`).
     ell_cols: usize,
     /// `(rows / block) * (ell_cols / block)` block-column indices, row-major.
-    /// An index of `u32::MAX` marks an explicit padding block.
-    block_col_idx: Vec<u32>,
+    /// An index of `u32::MAX` marks an explicit padding block. Shared, so
+    /// kernels built over the matrix hold it without copying.
+    block_col_idx: Arc<[u32]>,
     /// Block values: for block `(br, j)`, element `(r, c)` lives at
     /// `((br * blocks_per_row + j) * block + r) * block + c`.
     values: Vec<T>,
@@ -63,7 +65,7 @@ impl<T: Scalar> BlockedEll<T> {
             cols,
             block,
             ell_cols,
-            block_col_idx,
+            block_col_idx: block_col_idx.into(),
             values,
         }
     }
@@ -122,6 +124,13 @@ impl<T: Scalar> BlockedEll<T> {
     #[inline]
     pub fn block_col_idx(&self) -> &[u32] {
         &self.block_col_idx
+    }
+
+    /// The block-column index array as a shared handle, for holders that
+    /// outlive the borrow of `self`.
+    #[inline]
+    pub fn shared_block_col_idx(&self) -> Arc<[u32]> {
+        Arc::clone(&self.block_col_idx)
     }
 
     /// The raw value array.

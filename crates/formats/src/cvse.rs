@@ -11,6 +11,7 @@
 //! are driven through the same code paths.
 
 use crate::{Csr, DenseMatrix, Layout, Scalar};
+use std::sync::Arc;
 
 /// The structure (indices only) of a column-vector sparse matrix.
 ///
@@ -128,10 +129,11 @@ impl SparsityPattern {
 }
 
 /// A sparse matrix in column-vector sparse encoding: a [`SparsityPattern`]
-/// plus the packed vector values.
+/// plus the packed vector values. The pattern is shared: clones, casts and
+/// the kernels built over the matrix hold it without copying.
 #[derive(Clone, Debug, PartialEq)]
 pub struct VectorSparse<T> {
-    pattern: SparsityPattern,
+    pattern: Arc<SparsityPattern>,
     /// `pattern.nnz()` values; vector `i` occupies
     /// `values[i * v .. (i + 1) * v]`, element `e` of the vector being the
     /// scalar at row `br * v + e`.
@@ -143,7 +145,8 @@ impl<T: Scalar> VectorSparse<T> {
     ///
     /// # Panics
     /// Panics if `values.len() != pattern.nnz()`.
-    pub fn new(pattern: SparsityPattern, values: Vec<T>) -> Self {
+    pub fn new(pattern: impl Into<Arc<SparsityPattern>>, values: Vec<T>) -> Self {
+        let pattern = pattern.into();
         assert_eq!(values.len(), pattern.nnz(), "values length");
         VectorSparse { pattern, values }
     }
@@ -171,7 +174,13 @@ impl<T: Scalar> VectorSparse<T> {
             row_ptr.push(col_idx.len());
         }
         VectorSparse {
-            pattern: SparsityPattern::new(dense.rows(), dense.cols(), v, row_ptr, col_idx),
+            pattern: Arc::new(SparsityPattern::new(
+                dense.rows(),
+                dense.cols(),
+                v,
+                row_ptr,
+                col_idx,
+            )),
             values,
         }
     }
@@ -214,6 +223,13 @@ impl<T: Scalar> VectorSparse<T> {
     #[inline]
     pub fn pattern(&self) -> &SparsityPattern {
         &self.pattern
+    }
+
+    /// The index structure as a shared handle, for holders that outlive
+    /// the borrow of `self`.
+    #[inline]
+    pub fn shared_pattern(&self) -> Arc<SparsityPattern> {
+        Arc::clone(&self.pattern)
     }
 
     /// Packed values (vector-major).

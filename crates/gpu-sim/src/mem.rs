@@ -67,16 +67,6 @@ pub struct MemPool {
     next_base: u64,
 }
 
-/// A high-water mark of a [`MemPool`], captured with [`MemPool::mark`] and
-/// restored with [`MemPool::release_to`]. Lets a caller stage long-lived
-/// operands once, then repeatedly allocate and release per-launch scratch
-/// buffers on top without growing the pool across launches.
-#[derive(Clone, Copy, Debug)]
-pub struct PoolMark {
-    buffers: usize,
-    next_base: u64,
-}
-
 impl MemPool {
     /// Empty pool. Allocations start at a nonzero base so that address 0
     /// never aliases a real element.
@@ -127,66 +117,19 @@ impl MemPool {
         (0..self.buffers.len()).map(BufferId)
     }
 
-    /// Capture the current allocation high-water mark.
-    pub fn mark(&self) -> PoolMark {
-        PoolMark {
-            buffers: self.buffers.len(),
-            next_base: self.next_base,
-        }
-    }
-
-    /// Release every buffer allocated after `mark`, restoring the address
-    /// cursor so the next allocation reuses the same address range.
-    /// [`BufferId`]s handed out after the mark become invalid.
-    ///
-    /// # Panics
-    /// Panics if the mark is ahead of the pool (a mark from another pool).
-    pub fn release_to(&mut self, mark: PoolMark) {
-        assert!(
-            mark.buffers <= self.buffers.len(),
-            "mark does not belong to this pool"
-        );
-        self.buffers.truncate(mark.buffers);
-        self.next_base = mark.next_base;
-    }
-
-    /// Overwrite the functional contents of a buffer in place (no-op for
-    /// ghost buffers). The replacement must match the buffer's length —
-    /// this is the device-side `cudaMemcpy` a cached plan issues when only
-    /// operand *values* change between launches.
+    /// Write a buffer's functional contents, materialising a ghost
+    /// buffer. The replacement must match the buffer's length — this is
+    /// the device-side `cudaMemcpy` a plan issues when operand *values*
+    /// change between launches; a plan stages its buffers address-only
+    /// and writes values only for functional runs.
     ///
     /// # Panics
     /// Panics if `data` length differs from the buffer length.
     pub fn replace(&mut self, buf: BufferId, data: impl ExactSizeIterator<Item = f32>) {
         let b = &mut self.buffers[buf.0];
         assert_eq!(data.len(), b.len, "replace length mismatch");
-        if b.data.is_empty() {
-            return;
-        }
-        for (slot, v) in b.data.iter_mut().zip(data) {
-            *slot = v;
-        }
-    }
-
-    /// Provide functional contents for a buffer allocated without them
-    /// ([`Self::alloc_ghost`]) — the deferred host→device copy of a plan
-    /// that was built for profiling and only later runs functionally.
-    ///
-    /// # Panics
-    /// Panics if `data` length differs from the buffer length.
-    pub fn materialize(&mut self, buf: BufferId, data: Vec<f32>) {
-        let b = &mut self.buffers[buf.0];
-        assert_eq!(data.len(), b.len, "materialize length mismatch");
-        b.data = data;
-    }
-
-    /// Fill a buffer's functional contents with a constant (no-op for
-    /// ghost buffers) — re-zeroing an output buffer between launches.
-    pub fn fill(&mut self, buf: BufferId, v: f32) {
-        let b = &mut self.buffers[buf.0];
-        for slot in b.data.iter_mut() {
-            *slot = v;
-        }
+        b.data.clear();
+        b.data.extend(data);
     }
 
     /// Byte address of element `idx` in `buf`.
@@ -366,33 +309,17 @@ mod tests {
     }
 
     #[test]
-    fn mark_release_reuses_addresses() {
-        let mut pool = MemPool::new();
-        let keep = pool.alloc_init(ElemWidth::B32, vec![1.0, 2.0]);
-        let mark = pool.mark();
-        let scratch = pool.alloc_zeroed(ElemWidth::B16, 64);
-        let scratch_base = pool.addr(scratch, 0);
-        pool.release_to(mark);
-        // The persistent buffer survives untouched.
-        assert_eq!(pool.read(keep, 1), 2.0);
-        // A fresh scratch allocation lands at the same addresses.
-        let scratch2 = pool.alloc_zeroed(ElemWidth::B16, 64);
-        assert_eq!(pool.addr(scratch2, 0), scratch_base);
-    }
-
-    #[test]
-    fn replace_and_fill_update_values_in_place() {
+    fn replace_overwrites_values_and_materialises_ghosts() {
         let mut pool = MemPool::new();
         let buf = pool.alloc_init(ElemWidth::B32, vec![1.0, 2.0, 3.0]);
         pool.replace(buf, [4.0, 5.0, 6.0].into_iter());
         assert_eq!(pool.contents(buf), &[4.0, 5.0, 6.0]);
-        pool.fill(buf, 0.0);
-        assert_eq!(pool.contents(buf), &[0.0, 0.0, 0.0]);
-        // Ghost buffers ignore both.
+        // A ghost keeps its address and takes the values.
         let g = pool.alloc_ghost(ElemWidth::B32, 3);
-        pool.replace(g, [1.0, 1.0, 1.0].into_iter());
-        pool.fill(g, 9.0);
-        assert_eq!(pool.read(g, 0), 0.0);
+        let (addr, layout) = (pool.addr(g, 0), pool.layout_hash());
+        pool.replace(g, [7.0, 8.0, 9.0].into_iter());
+        assert_eq!(pool.contents(g), &[7.0, 8.0, 9.0]);
+        assert_eq!((pool.addr(g, 0), pool.layout_hash()), (addr, layout));
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //! [`LaunchOutput::native`]: vecsparse_gpu_sim::LaunchOutput
 //! [`TilingScheme`]: vecsparse::compose::TilingScheme
 
+mod common;
+
+use common::set_threads;
 use vecsparse::compose::{LoadStrategy, TilingScheme};
 use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
 use vecsparse::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, WmmaSddmm};
@@ -33,15 +36,6 @@ use vecsparse_formats::{gen, reference, BlockedEll, DenseMatrix, Layout, VectorS
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{Backend, GpuConfig, KernelSpec, Launch, MemPool, Mode};
 use vecsparse_sanitizer::sanitize_clean;
-
-/// Reconfigure the global worker count (the shim accepts repeated
-/// configuration, as tests/determinism.rs relies on).
-fn set_threads(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("thread-pool shim accepts reconfiguration");
-}
 
 /// Whole-pool bit comparison via `f32::to_bits` — so a NaN payload or a
 /// `-0.0`/`+0.0` swap counts as divergence even though `==` would not.

@@ -7,6 +7,9 @@
 //! certificates, and the launch-level Perfetto timeline — must be
 //! bit-identical whether the simulator runs on 1, 2, 4, or 8 workers.
 
+mod common;
+
+use common::set_threads;
 use proptest::prelude::*;
 use std::sync::Arc;
 use vecsparse::engine::Context;
@@ -16,16 +19,6 @@ use vecsparse_formats::{gen, DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{GpuConfig, Launch, Mode};
 use vecsparse_telemetry::{perfetto, TraceSink, DEFAULT_CAPACITY};
-
-/// Reconfigure the global worker count. The shim accepts repeated
-/// configuration (unlike real rayon), which is what lets one process
-/// compare runs at several widths.
-fn set_threads(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("thread-pool shim accepts reconfiguration");
-}
 
 /// Everything one full pass of the stack produces, in comparable form.
 struct Snapshot {

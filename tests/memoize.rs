@@ -7,27 +7,23 @@
 //! proven must never receive a signature, and therefore can never be
 //! memoized at all.
 
+mod common;
+
+use common::set_threads;
 use proptest::prelude::*;
 use std::sync::Arc;
-use vecsparse::engine::{Context, ContextBuilder};
+use vecsparse::engine::{Context, ContextBuilder, SddmmPlan, SpmmPlan};
 use vecsparse::registry::{self, KernelId, Shape};
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_certify::{certify, ProofFailure, WaveVerdict};
-use vecsparse_formats::{gen, DenseMatrix, Layout, VectorSparse};
+use vecsparse_formats::{gen, DenseMatrix, Layout};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::Fingerprint;
 use vecsparse_gpu_sim::{
-    BufferId, CtaCtx, ElemWidth, GpuConfig, KernelSpec, Launch, LaunchConfig, MemPool, Mode,
-    Program, Site, WVec, WaveMemo, NO_LANES,
+    Backend, BufferId, CtaCtx, ElemWidth, GpuConfig, KernelSpec, Launch, LaunchConfig, MemPool,
+    Mode, Program, Site, WVec, WaveMemo, NO_LANES,
 };
 use vecsparse_telemetry::{perfetto, EventKind, TraceSink, DEFAULT_CAPACITY};
-
-fn set_threads(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("thread-pool shim accepts reconfiguration");
-}
 
 /// One engine pass: functional run, repeated profiles, a small batch.
 struct Artifacts {
@@ -105,89 +101,6 @@ fn memoization_is_invisible_at_one_and_four_threads() {
     set_threads(1);
 }
 
-/// One SDDMM pass: a plan's interleaved profiles and outputs, then the
-/// first profile of a second mask with the same descriptor.
-#[derive(Debug, PartialEq)]
-struct SddmmArtifacts {
-    /// `csv_row` and cycle bits of each profile, in call order.
-    profiles: Vec<(String, u64)>,
-    outputs: Vec<VectorSparse<f16>>,
-}
-
-fn profile_bits(p: &vecsparse_gpu_sim::KernelProfile) -> (String, u64) {
-    (p.csv_row(), p.cycles.to_bits())
-}
-
-/// Interleave profile → run → run_batch → profile on one plan, then
-/// profile a plan of a second mask of the same shape class. Under
-/// memoization the repeated profile must be a launch hit (the plan's
-/// cached structure hash plus the layout hash taken at launch reproduce
-/// its key) and the second mask's first profile a launch miss.
-fn sddmm_stack(memoize: bool, algo: SddmmAlgo) -> SddmmArtifacts {
-    let mut builder = Context::builder().gpu(GpuConfig::small());
-    if memoize {
-        builder = builder.memoization();
-    }
-    let ctx = builder.build();
-    let (m, k, n, v, sparsity) = (32, 64, 48, 4, 0.7);
-    let mask = gen::random_pattern(m, n, v, sparsity, 41);
-    let a = gen::random_dense::<f16>(m, k, Layout::RowMajor, 42);
-    let b = gen::random_dense::<f16>(k, n, Layout::ColMajor, 43);
-    let a_batch: Vec<_> = (0..3)
-        .map(|i| gen::random_dense::<f16>(m, k, Layout::RowMajor, 50 + i))
-        .collect();
-    let b_batch: Vec<_> = (0..3)
-        .map(|i| gen::random_dense::<f16>(k, n, Layout::ColMajor, 60 + i))
-        .collect();
-    let launches = || {
-        ctx.memo_stats()
-            .map_or((0, 0), |s| (s.launch_hits, s.launch_misses))
-    };
-
-    let plan = ctx.plan_sddmm(&mask, k, algo);
-    let mut profiles = vec![profile_bits(&plan.profile(&a, &b))];
-    let mut outputs = vec![plan.run(&a, &b)];
-    outputs.extend(plan.run_batch(&a_batch, &b_batch));
-    let (hits, misses) = launches();
-    profiles.push(profile_bits(&plan.profile(&a, &b)));
-    if memoize {
-        assert_eq!(
-            launches(),
-            (hits + 1, misses),
-            "{algo:?}: repeated profile must hit"
-        );
-    }
-
-    let other = gen::random_pattern(m, n, v, sparsity, 44);
-    assert_ne!(other, mask, "the second mask must differ in structure");
-    let (hits, misses) = launches();
-    profiles.push(profile_bits(
-        &ctx.plan_sddmm(&other, k, algo).profile(&a, &b),
-    ));
-    if memoize {
-        assert_eq!(
-            launches(),
-            (hits, misses + 1),
-            "{algo:?}: a new mask must miss"
-        );
-    }
-    SddmmArtifacts { profiles, outputs }
-}
-
-#[test]
-fn sddmm_memoization_is_invisible_at_one_and_four_threads() {
-    for algo in [SddmmAlgo::OctetReg, SddmmAlgo::FpuSubwarp] {
-        set_threads(1);
-        let honest = sddmm_stack(false, algo);
-        for threads in [1usize, 4] {
-            set_threads(threads);
-            let memo = sddmm_stack(true, algo);
-            assert_eq!(memo, honest, "{algo:?} at {threads} threads");
-        }
-    }
-    set_threads(1);
-}
-
 /// The engine's ten fixed plan algorithms.
 #[derive(Clone, Copy, Debug)]
 enum PlanAlgo {
@@ -207,6 +120,178 @@ const PLAN_ALGOS: [PlanAlgo; 10] = [
     PlanAlgo::Sddmm(SddmmAlgo::FpuSubwarp),
     PlanAlgo::Sddmm(SddmmAlgo::Wmma),
 ];
+
+fn profile_bits(p: &vecsparse_gpu_sim::KernelProfile) -> (String, u64) {
+    (p.csv_row(), p.cycles.to_bits())
+}
+
+/// The shape class every [`AnyPlan`] is built at: `(m, k, n, v, sparsity)`.
+const CALL_SHAPE: (usize, usize, usize, usize, f64) = (32, 64, 48, 4, 0.7);
+
+/// A plan of either operation at [`CALL_SHAPE`]. Value operand `i` is
+/// drawn from a fixed seed, so any two plans can be fed the same inputs.
+enum AnyPlan {
+    Spmm(SpmmPlan),
+    Sddmm(SddmmPlan),
+}
+
+fn spmm_rhs(i: u64) -> DenseMatrix<f16> {
+    let (_, k, n, _, _) = CALL_SHAPE;
+    gen::random_dense::<f16>(k, n, Layout::RowMajor, 100 + i)
+}
+
+fn sddmm_operands(i: u64) -> (DenseMatrix<f16>, DenseMatrix<f16>) {
+    let (m, k, n, _, _) = CALL_SHAPE;
+    (
+        gen::random_dense::<f16>(m, k, Layout::RowMajor, 200 + i),
+        gen::random_dense::<f16>(k, n, Layout::ColMajor, 300 + i),
+    )
+}
+
+fn bits(values: &[f16]) -> Vec<u16> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+impl AnyPlan {
+    /// The `algo` plan through `ctx` over the structure drawn from `seed`.
+    fn build(ctx: &Context, algo: PlanAlgo, seed: u64) -> AnyPlan {
+        let (m, k, n, v, sparsity) = CALL_SHAPE;
+        match algo {
+            PlanAlgo::Spmm(algo) => {
+                let a = gen::random_vector_sparse::<f16>(m, k, v, sparsity, seed);
+                AnyPlan::Spmm(ctx.plan_spmm(&a, n, algo))
+            }
+            PlanAlgo::Sddmm(algo) => {
+                let mask = gen::random_pattern(m, n, v, sparsity, seed);
+                AnyPlan::Sddmm(ctx.plan_sddmm(&mask, k, algo))
+            }
+        }
+    }
+
+    /// The profile on value operand 0, as `profile_bits`.
+    fn profile(&self) -> (String, u64) {
+        profile_bits(&match self {
+            AnyPlan::Spmm(plan) => plan.profile(&spmm_rhs(0)),
+            AnyPlan::Sddmm(plan) => {
+                let (a, b) = sddmm_operands(0);
+                plan.profile(&a, &b)
+            }
+        })
+    }
+
+    /// Output bits of a run on each value operand in `inputs`: one
+    /// `run_batch` when `batch`, else one `run` each.
+    fn run(&self, inputs: std::ops::Range<u64>, batch: bool) -> Vec<Vec<u16>> {
+        match self {
+            AnyPlan::Spmm(plan) => {
+                let rhs: Vec<_> = inputs.map(spmm_rhs).collect();
+                let outs = match batch {
+                    true => plan.run_batch(&rhs),
+                    false => rhs.iter().map(|b| plan.run(b)).collect(),
+                };
+                outs.iter().map(|c| bits(c.data())).collect()
+            }
+            AnyPlan::Sddmm(plan) => {
+                let (a, b): (Vec<_>, Vec<_>) = inputs.map(sddmm_operands).unzip();
+                let outs = match batch {
+                    true => plan.run_batch(&a, &b),
+                    false => a.iter().zip(&b).map(|(a, b)| plan.run(a, b)).collect(),
+                };
+                outs.iter().map(|c| bits(c.values())).collect()
+            }
+        }
+    }
+}
+
+/// One plan's profiles and outputs in call order.
+#[derive(Debug, PartialEq)]
+struct PlanArtifacts {
+    /// `csv_row` and cycle bits of each profile.
+    profiles: Vec<(String, u64)>,
+    /// Bits of each output.
+    outputs: Vec<Vec<u16>>,
+}
+
+/// Drive one `algo` plan through profile → run → profile → run_batch →
+/// run on `backend`, so its first profile meets address-only operand and
+/// output buffers and its last run a pool a batch has left. Every output
+/// must equal a fresh plan's single run on the same input, and every
+/// profile a fresh plan's profile. Then profile a plan over a second
+/// structure of the same shape class. Under memoization the repeated
+/// profile must be a launch hit (the plan's cached structure hash plus
+/// its staged layout reproduce its key) and the second structure's first
+/// profile a launch miss.
+fn plan_stack(memoize: bool, algo: PlanAlgo, backend: Backend) -> PlanArtifacts {
+    let builder = || {
+        let builder = Context::builder().gpu(GpuConfig::small()).backend(backend);
+        match memoize {
+            true => builder.memoization(),
+            false => builder,
+        }
+    };
+    let ctx = builder().build();
+    let launches = || {
+        ctx.memo_stats()
+            .map_or((0, 0), |s| (s.launch_hits, s.launch_misses))
+    };
+    let fresh = || AnyPlan::build(&builder().build(), algo, 41);
+
+    let plan = AnyPlan::build(&ctx, algo, 41);
+    let mut profiles = vec![plan.profile()];
+    let mut outputs = plan.run(0..1, false);
+    let (hits, misses) = launches();
+    profiles.push(plan.profile());
+    if memoize {
+        assert_eq!(
+            launches(),
+            (hits + 1, misses),
+            "{algo:?}: repeated profile must hit"
+        );
+    }
+    outputs.extend(plan.run(1..4, true));
+    outputs.extend(plan.run(4..5, false));
+    let want = fresh().profile();
+    for (i, profile) in profiles.iter().enumerate() {
+        assert_eq!(profile, &want, "{algo:?} on {backend:?}: profile {i}");
+    }
+    for (i, out) in (0..).zip(&outputs) {
+        let want = fresh().run(i..i + 1, false);
+        assert_eq!(out, &want[0], "{algo:?} on {backend:?}: output {i}");
+    }
+
+    let (hits, misses) = launches();
+    profiles.push(AnyPlan::build(&ctx, algo, 44).profile());
+    if memoize {
+        assert_eq!(
+            launches(),
+            (hits, misses + 1),
+            "{algo:?}: a new structure must miss"
+        );
+    }
+    PlanArtifacts { profiles, outputs }
+}
+
+/// Every plan algorithm, interleaving its calls in the order that
+/// exercises lazy staging, returns the same profiles and outputs memoized
+/// or not, at 1 and 4 threads, on both backends.
+#[test]
+fn plan_memoization_is_invisible_at_one_and_four_threads() {
+    for algo in PLAN_ALGOS {
+        set_threads(1);
+        let honest = plan_stack(false, algo, Backend::Simulated);
+        for backend in [Backend::Simulated, Backend::Native] {
+            for threads in [1usize, 4] {
+                set_threads(threads);
+                let memo = plan_stack(true, algo, backend);
+                assert_eq!(memo, honest, "{algo:?} on {backend:?} at {threads} threads");
+            }
+        }
+        set_threads(1);
+        let native = plan_stack(false, algo, Backend::Native);
+        assert_eq!(native, honest, "{algo:?} on the native backend");
+    }
+    set_threads(1);
+}
 
 /// `k` profiles of one `algo` plan built through a small-GPU context
 /// from `builder`, as `profile_bits`, and the context.

@@ -12,6 +12,9 @@
 //!    bit-identical to running the same requests through a direct
 //!    engine [`Context`], at any simulator thread count.
 
+mod common;
+
+use common::set_threads;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use vecsparse::engine::{Context, EngineError};
@@ -23,15 +26,6 @@ use vecsparse_serve::{
     JobHandle, JobOutput, JobRequest, ServeConfig, ServeError, Server, TenantSpec,
 };
 use vecsparse_telemetry::{ArgValue, EventKind, TraceSink, DEFAULT_CAPACITY};
-
-/// Reconfigure the global worker count (the thread-pool shim accepts
-/// repeated configuration; see tests/determinism.rs).
-fn set_threads(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("thread-pool shim accepts reconfiguration");
-}
 
 fn weights(seed: u64) -> Arc<VectorSparse<f16>> {
     Arc::new(gen::random_vector_sparse::<f16>(64, 64, 4, 0.8, seed))

@@ -11,21 +11,15 @@
 //!
 //! [`ShardLayout`]: vecsparse_gpu_sim::ShardLayout
 
+mod common;
+
+use common::set_threads;
 use proptest::prelude::*;
 use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
 use vecsparse_certify::{
     analyze, launch_sharded, AccessKind, FootprintCertificate, ShardFailure, ShardVerdict,
 };
 use vecsparse_gpu_sim::{capture, KernelSpec, Launch, MemPool, Mode};
-
-/// Reconfigure the global worker count (the shim accepts repeated
-/// configuration, as tests/determinism.rs relies on).
-fn set_threads(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("thread-pool shim accepts reconfiguration");
-}
 
 /// Independently re-capture every CTA with per-lane detail and assert
 /// that each byte the trace touches is covered by the certificate for

@@ -17,6 +17,9 @@
 //! from the same event loop; the span-accounting test checks that they
 //! add up to the profile.
 
+mod common;
+
+use common::set_threads;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -29,15 +32,6 @@ use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::Fingerprint;
 use vecsparse_gpu_sim::{GpuConfig, KernelProfile, Launch, LaunchOutput, Mode, WaveMemo};
 use vecsparse_telemetry::{TraceSink, DEFAULT_CAPACITY};
-
-/// Reconfigure the global worker count (the shim accepts repeated
-/// configuration, letting one process compare widths).
-fn set_threads(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("thread-pool shim accepts reconfiguration");
-}
 
 /// Every counter of a profile in comparable form. Float `Debug` prints
 /// the shortest round-tripping representation, so string equality here
