@@ -50,13 +50,6 @@ pub enum EngineError {
         /// The offending V.
         v: usize,
     },
-    /// The requested algorithm cannot execute this descriptor.
-    UnsupportedAlgo {
-        /// The algorithm's label (e.g. `"spmm-wmma"`).
-        algo: &'static str,
-        /// Why it is unsupported here.
-        why: &'static str,
-    },
     /// The problem's caller-sized buffers do not fit in the modeled
     /// V100's 16 GiB of device memory.
     OutOfDeviceMemory {
@@ -99,9 +92,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::UnsupportedV { v } => {
                 write!(f, "unsupported vector length V={v} (supported: 1, 2, 4, 8)")
-            }
-            EngineError::UnsupportedAlgo { algo, why } => {
-                write!(f, "algorithm {algo} cannot run this problem: {why}")
             }
             EngineError::OutOfDeviceMemory { needed, capacity } => write!(
                 f,

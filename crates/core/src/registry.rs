@@ -2,10 +2,11 @@
 //!
 //! External tooling (the `vecsparse-sanitizer` crate, its `vsan` binary,
 //! property tests) needs to construct *every* kernel in this crate for a
-//! given problem shape without naming each concrete type. Kernels borrow
-//! their host-side inputs, so the registry owns the generated matrices for
-//! the duration of a callback instead of returning a self-referential
-//! bundle: [`with_kernel`] generates the inputs, stages them into a fresh
+//! given problem shape without naming each concrete type. Three kernels
+//! (`CsrScalarSpmm`, `CsrSddmm` and `SparseSoftmax`) still borrow their
+//! host-side inputs, so the registry owns the generated matrices for the
+//! duration of a callback instead of returning a self-referential bundle:
+//! [`with_kernel`] generates the inputs, stages them into a fresh
 //! [`MemPool`], builds the kernel, and hands `(&mut MemPool, &dyn
 //! KernelSpec)` to the caller.
 

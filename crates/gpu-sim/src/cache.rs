@@ -243,26 +243,6 @@ impl SectorCache {
     }
 }
 
-/// The L2 interface a wave simulation drives. Sequential callers pass
-/// the shared [`SectorCache`] directly; the parallel wave pipeline
-/// passes a [`RecordingL2`] so the wave's sector traffic can be
-/// replayed into the shared L2 afterwards, in canonical wave order.
-pub trait L2Port {
-    /// Warp-level load request; returns how many sectors missed.
-    fn access(&mut self, sectors: &[u64]) -> u64;
-    /// Warp-level write-through store request.
-    fn store(&mut self, sectors: &[u64]);
-}
-
-impl L2Port for SectorCache {
-    fn access(&mut self, sectors: &[u64]) -> u64 {
-        SectorCache::access(self, sectors)
-    }
-    fn store(&mut self, sectors: &[u64]) {
-        SectorCache::store(self, sectors)
-    }
-}
-
 /// One recorded L2-bound request from a wave's timing pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum L2Op {
@@ -297,14 +277,16 @@ impl RecordingL2 {
     pub fn into_ops(self) -> Vec<L2Op> {
         self.ops
     }
-}
 
-impl L2Port for RecordingL2 {
-    fn access(&mut self, sectors: &[u64]) -> u64 {
+    /// Warp-level load request; returns how many sectors missed the
+    /// private cache.
+    pub fn access(&mut self, sectors: &[u64]) -> u64 {
         self.ops.push(L2Op::Access(sectors.to_vec()));
         self.cache.access(sectors)
     }
-    fn store(&mut self, sectors: &[u64]) {
+
+    /// Warp-level write-through store request.
+    pub fn store(&mut self, sectors: &[u64]) {
         self.ops.push(L2Op::Store(sectors.to_vec()));
         self.cache.store(sectors)
     }
@@ -472,9 +454,9 @@ mod stats_tests {
 
         let mut rec = RecordingL2::new(4096, 4);
         for r in &requests {
-            L2Port::access(&mut rec, r);
+            rec.access(r);
         }
-        L2Port::store(&mut rec, &[7, 8]);
+        rec.store(&[7, 8]);
         let mut replayed = SectorCache::new(4096, 4);
         replay_l2(&rec.into_ops(), &mut replayed);
 

@@ -304,66 +304,57 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
                 "CTA subset exceeds the grid"
             );
         }
-        if self.shadow {
-            let shadow = run_shadow(self.mem, self.kernel, &lc);
+        if self.mode == Mode::Performance && !self.shadow {
+            let default_gpu;
+            let cfg = match self.gpu {
+                Some(cfg) => cfg,
+                None => {
+                    default_gpu = GpuConfig::default();
+                    &default_gpu
+                }
+            };
+            let sink = match self.sink {
+                Some(sink) => sink,
+                None => TraceSink::noop(),
+            };
+            let (profile, launch_key) = simulate(cfg, self.mem, self.kernel, &lc, sink, self.memo);
             return LaunchOutput {
-                profile: None,
-                shadow,
+                profile: Some(profile),
+                shadow: Vec::new(),
                 native: false,
-                launch_key: None,
+                launch_key,
             };
         }
-        match self.mode {
-            Mode::Functional => {
-                let native = self.backend == Backend::Native
-                    && self.ctas.is_none()
-                    && self.kernel.run_native(&mut crate::NativeCtx::new(self.mem));
-                if !native {
-                    run_functional(self.mem, self.kernel, &lc, self.ctas.as_deref());
-                }
-                LaunchOutput {
-                    profile: None,
-                    shadow: Vec::new(),
-                    native,
-                    launch_key: None,
-                }
-            }
-            Mode::Performance => {
-                let default_gpu;
-                let cfg = match self.gpu {
-                    Some(cfg) => cfg,
-                    None => {
-                        default_gpu = GpuConfig::default();
-                        &default_gpu
-                    }
-                };
-                let sink = match self.sink {
-                    Some(sink) => sink,
-                    None => TraceSink::noop(),
-                };
-                let (profile, launch_key) =
-                    simulate(cfg, self.mem, self.kernel, &lc, sink, self.memo);
-                LaunchOutput {
-                    profile: Some(profile),
-                    shadow: Vec::new(),
-                    native: false,
-                    launch_key,
-                }
-            }
+        let native = !self.shadow
+            && self.backend == Backend::Native
+            && self.ctas.is_none()
+            && self.kernel.run_native(&mut crate::NativeCtx::new(self.mem));
+        let shadow = if native {
+            Vec::new()
+        } else {
+            let ids = self.ctas.unwrap_or_else(|| (0..lc.grid).collect());
+            run_ctas(self.mem, self.kernel, &lc, ids, self.shadow)
+        };
+        LaunchOutput {
+            profile: None,
+            shadow,
+            native,
+            launch_key: None,
         }
     }
 }
 
-fn run_functional<K: KernelSpec + ?Sized>(
+/// Execute the listed CTAs functionally (in parallel over host threads),
+/// apply their buffered writes to `mem` in list order, and return their
+/// fp64 shadow observations folded per site and sorted by pc — empty
+/// unless `shadow` runs the twin.
+fn run_ctas<K: KernelSpec + ?Sized>(
     mem: &mut MemPool,
     kernel: &K,
     lc: &LaunchConfig,
-    ctas: Option<&[usize]>,
-) {
-    let ids: Vec<usize> = match ctas {
-        Some(subset) => subset.to_vec(),
-        None => (0..lc.grid).collect(),
-    };
+    ids: Vec<usize>,
+    shadow: bool,
+) -> Vec<ShadowObs> {
     let results: Vec<_> = ids
         .into_par_iter()
         .map(|cta_id| {
@@ -375,35 +366,7 @@ fn run_functional<K: KernelSpec + ?Sized>(
                 lc.smem_elems,
                 lc.smem_elem_bytes,
             );
-            kernel.run_cta(&mut cta);
-            let (_, writes) = cta.finish();
-            writes
-        })
-        .collect();
-    for writes in results {
-        for (buf, idx, v) in writes {
-            mem.write(buf, idx as usize, v);
-        }
-    }
-}
-
-fn run_shadow<K: KernelSpec + ?Sized>(
-    mem: &mut MemPool,
-    kernel: &K,
-    lc: &LaunchConfig,
-) -> Vec<ShadowObs> {
-    let results: Vec<_> = (0..lc.grid)
-        .into_par_iter()
-        .map(|cta_id| {
-            let mut cta = CtaCtx::new(
-                cta_id,
-                Mode::Functional,
-                mem,
-                lc.warps_per_cta,
-                lc.smem_elems,
-                lc.smem_elem_bytes,
-            );
-            cta.shadow_exec = true;
+            cta.shadow_exec = shadow;
             kernel.run_cta(&mut cta);
             let obs = cta.take_shadow_obs();
             let (_, writes) = cta.finish();
@@ -576,7 +539,7 @@ fn simulate<K: KernelSpec + ?Sized>(
             let mut l1 = SectorCache::new(l1_cache_bytes.max(128 * cfg.l1_ways), cfg.l1_ways);
             let mut l2 = RecordingL2::new(cfg.l2_bytes, cfg.l2_ways);
             let mut obs = tracing.then(WaveObs::new);
-            let (result, _) = simulate_wave_event(cfg, &wave, &mut l1, &mut l2, obs.as_mut());
+            let result = simulate_wave_event(cfg, &wave, &mut l1, &mut l2, obs.as_mut());
             let fresh = Arc::new(WaveArtifacts {
                 result,
                 ctas: wave.len(),
@@ -645,12 +608,11 @@ fn simulate<K: KernelSpec + ?Sized>(
         wave_cycles.push(r.cycles);
         stalls.merge(&r.stalls);
         instrs.merge(&r.instrs);
-        for (&pc, &n) in &r.pc_issues {
-            let pc = pc as usize;
-            if pc >= pc_issues.len() {
-                pc_issues.resize(pc + 1, 0);
-            }
-            pc_issues[pc] += n;
+        if pc_issues.len() < r.pc_issues.len() {
+            pc_issues.resize(r.pc_issues.len(), 0);
+        }
+        for (sum, &n) in pc_issues.iter_mut().zip(&r.pc_issues) {
+            *sum += n;
         }
         l1_stats.merge(&ws.l1_stats);
         if pipe_busy.is_empty() {

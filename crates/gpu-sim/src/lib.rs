@@ -51,7 +51,7 @@ mod warp;
 mod wvec;
 
 pub use cache::{
-    line_of_sector, replay_l2, sector_of_byte, CacheStats, L2Op, L2Port, RecordingL2, SectorCache,
+    line_of_sector, replay_l2, sector_of_byte, CacheStats, L2Op, RecordingL2, SectorCache,
     LINE_BYTES, SECTORS_PER_LINE, SECTOR_BYTES,
 };
 pub use capture::{capture, sample_ctas, CtaCapture, SAMPLE_CTAS};
@@ -64,7 +64,7 @@ pub use profile::{InstrCounts, KernelProfile, PipeUtil, Roofline, StallBreakdown
 // them so downstream crates need no direct dependency for common use.
 pub use program::{Program, Site};
 pub use sched::{simulate_wave, WaveResult};
-pub use sched_event::{simulate_wave_event, EventStats, WaveObs};
+pub use sched_event::{simulate_wave_event, WaveObs};
 pub use shard::ShardLayout;
 pub use tcu::{
     execute_mma, execute_mma_shadow, mma_m8n8k4_reference, pack_a_fragment, pack_b_fragment,

@@ -7,12 +7,11 @@
 //! sector caches for global accesses. The simulation yields cycles plus
 //! the stall attribution and cache statistics the profiler reports.
 
-use crate::cache::{L2Port, SectorCache};
+use crate::cache::{RecordingL2, SectorCache};
 use crate::config::GpuConfig;
 use crate::icache::ICache;
 use crate::profile::{InstrCounts, StallBreakdown};
 use crate::trace::{InstrKind, Pipe, Tok, WarpTrace, ALL_PIPES};
-use std::collections::BTreeMap;
 
 /// Result of simulating one SM wave.
 ///
@@ -28,11 +27,10 @@ pub struct WaveResult {
     pub instrs: InstrCounts,
     /// Busy cycles per pipe, summed over schedulers.
     pub pipe_busy: Vec<(Pipe, u64)>,
-    /// Dynamic issue count per static pc, for hot-spot reporting keyed to
-    /// the program listing. A `BTreeMap` so iteration (and hence every
-    /// merge and report derived from it) is in pc order, never in hash
-    /// order.
-    pub pc_issues: BTreeMap<u32, u64>,
+    /// Dynamic issue count per static pc, indexed by pc, for hot-spot
+    /// reporting keyed to the program listing. Its length is the highest
+    /// issued pc + 1 (empty when nothing issued).
+    pub pc_issues: Vec<u64>,
 }
 
 struct WarpState<'t> {
@@ -45,8 +43,6 @@ struct WarpState<'t> {
     completion: Vec<u64>,
     /// Issue time of the previous instruction.
     last_issue: u64,
-    /// Number of barriers this warp has passed.
-    bars_passed: usize,
     /// Earliest cycle the warp may issue again (set by barrier release).
     resume_at: u64,
 }
@@ -56,8 +52,6 @@ struct BarrierState {
     warps: usize,
     /// Arrivals at the current barrier instance.
     arrived: usize,
-    /// Instance counter.
-    instance: usize,
 }
 
 /// Simulate one SM wave with the reference tick scheduler: the timing
@@ -65,11 +59,11 @@ struct BarrierState {
 /// must match bit for bit. The launch's audit (`VECSPARSE_AUDIT`) and
 /// the tests call it. Arguments as for `simulate_wave_event`, without
 /// the observer: tick records no spans.
-pub fn simulate_wave<L2: L2Port + ?Sized>(
+pub fn simulate_wave(
     cfg: &GpuConfig,
     ctas: &[&[WarpTrace]],
     l1: &mut SectorCache,
-    l2: &mut L2,
+    l2: &mut RecordingL2,
 ) -> WaveResult {
     let timing = &cfg.timing;
     let nsched = cfg.schedulers_per_sm;
@@ -84,7 +78,6 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
         barriers.push(BarrierState {
             warps: cta.len(),
             arrived: 0,
-            instance: 0,
         });
         for trace in cta.iter() {
             warps.push(WarpState {
@@ -93,7 +86,6 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
                 next: 0,
                 completion: Vec::with_capacity(trace.len()),
                 last_issue: 0,
-                bars_passed: 0,
                 resume_at: 0,
             });
         }
@@ -132,7 +124,7 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
 
     let mut stalls = StallBreakdown::default();
     let mut instrs = InstrCounts::default();
-    let mut pc_issues: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut pc_issues: Vec<u64> = Vec::new();
     let mut last_retire: u64 = 0;
 
     // A warp's next instruction is feasible at `ready_time` =
@@ -298,11 +290,10 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
                     if let Some(mem) = imem {
                         let missed_l1 = l1.access(&mem.sectors);
                         if missed_l1 > 0 {
-                            // The missed sectors go to L2.
-                            let missed_sectors: Vec<u64> = mem.sectors.clone();
-                            // Approximation: re-probe all sectors in L2;
-                            // hits there cost L2 latency, misses DRAM.
-                            let missed_l2 = l2.access(&missed_sectors[..missed_l1 as usize]);
+                            // Approximation: the first `missed_l1` sectors
+                            // go to L2; hits there cost L2 latency, misses
+                            // DRAM.
+                            let missed_l2 = l2.access(&mem.sectors[..missed_l1 as usize]);
                             lat = if missed_l2 > 0 {
                                 timing.dram_latency
                             } else {
@@ -315,7 +306,11 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
             };
 
             instrs.bump(instr.kind);
-            *pc_issues.entry(instr.pc).or_insert(0) += 1;
+            let pc = instr.pc as usize;
+            if pc >= pc_issues.len() {
+                pc_issues.resize(pc + 1, 0);
+            }
+            pc_issues[pc] += 1;
             sched.cursor = issue_at + 1;
             // Shared-memory bank conflicts serialise the access: the pipe
             // stays occupied `conflict` times as long.
@@ -332,11 +327,9 @@ pub fn simulate_wave<L2: L2Port + ?Sized>(
             if matches!(instr.kind, InstrKind::Bar) {
                 let b = &mut barriers[w.cta];
                 b.arrived += 1;
-                w.bars_passed += 1;
                 if b.arrived == b.warps {
                     // Release: all warps of this CTA may resume now.
                     b.arrived = 0;
-                    b.instance += 1;
                     let release = issue_at + 1;
                     let cta = w.cta;
                     w.completion.push(completion);
@@ -430,7 +423,7 @@ mod tests {
 
     fn run(cfg: &GpuConfig, ctas: &[&[WarpTrace]]) -> WaveResult {
         let mut l1 = SectorCache::new(cfg.l1_bytes, cfg.l1_ways);
-        let mut l2 = SectorCache::new(cfg.l2_bytes, cfg.l2_ways);
+        let mut l2 = RecordingL2::new(cfg.l2_bytes, cfg.l2_ways);
         simulate_wave(cfg, ctas, &mut l1, &mut l2)
     }
 

@@ -5,11 +5,10 @@
 //! The tick scheduler re-derives every warp's readiness from scratch each
 //! round: three scoreboard lookups, the accumulator-forwarding window, and
 //! the barrier gate, for every resident warp, every round — plus a
-//! heap-allocated scheduler ordering per round, a hash-map L0 with an
-//! O(capacity) eviction scan, and a `BTreeMap` probe per issued
-//! instruction. For stall-free regions (the common case on the tensor-core
-//! kernels this simulator exists for) all of that work recomputes values
-//! that cannot have changed.
+//! heap-allocated scheduler ordering per round and a hash-map L0 with an
+//! O(capacity) eviction scan. For stall-free regions (the common case on
+//! the tensor-core kernels this simulator exists for) all of that work
+//! recomputes values that cannot have changed.
 //!
 //! `simulate_wave_event` runs the *same* round structure — the global
 //! issue order, and therefore every shared L1/L2 access order, is
@@ -17,22 +16,20 @@
 //! next-event time (`ready` = max of dependency completions, barrier
 //! resume, and its own issue-port serialisation) is computed once when the
 //! warp advances to a new instruction and cached until something that can
-//! move it actually happens. Because dependency tokens only ever point at
-//! *earlier instructions of the same warp* (the wave certificate checks
-//! def-use well-formedness, and `simulate_wave` would index out of
-//! bounds otherwise), a warp's readiness can change only when (a) the
+//! move it actually happens.
+//!
+//! **Readiness invariant.** Dependency tokens only ever point at *earlier
+//! instructions of the same warp* (the wave certificate checks def-use
+//! well-formedness, and `simulate_wave` would index out of bounds
+//! otherwise), so a warp's readiness changes in only two cases: (a) the
 //! warp itself issues, or (b) a barrier release rewrites its `resume_at`.
 //! Both sites refresh the cache, so the cached next-event time is always
-//! exactly the value the tick scheduler would recompute.
-//!
-//! **Fallback-window rule.** Inside *contended windows* — any warp parked
-//! at an unreleased barrier, or any barrier with a partial arrival count —
-//! the scan drops back to tick-exact stepping: readiness is recomputed
-//! from the live scoreboards exactly as `sched.rs` does, rather than read
-//! from the event cache. Cross-warp wakeups only exist in these windows,
-//! so bit-identity outside them follows from the intra-warp dependency
-//! invariant, and inside them from running the reference computation
-//! itself.
+//! exactly the value the tick scheduler recomputes from the scoreboards.
+//! Every round therefore scans the cached readiness in the tick
+//! scheduler's round-robin order and picks the same first strict minimum;
+//! a warp parked at an unreleased barrier (`resume_at == u64::MAX`) or
+//! with an exhausted trace reads `u64::MAX` and can never win. The release
+//! refreshes every parked warp of its CTA.
 //!
 //! **Spans.** A traced wave (an attached [`WaveObs`]) runs the same loop
 //! and records, per issue, the attributed stall portions back to back
@@ -50,15 +47,12 @@
 //!   the identical issue order; when a gap is zero the addition is skipped,
 //!   which is bitwise invisible (`x + 0.0 == x` for the non-negative
 //!   accumulators involved).
-//! - `pc_issues` is accumulated in a dense vector and converted to the
-//!   same `BTreeMap` at the end.
 
-use crate::cache::{L2Port, SectorCache};
+use crate::cache::{RecordingL2, SectorCache};
 use crate::config::GpuConfig;
 use crate::profile::{InstrCounts, StallBreakdown};
 use crate::sched::WaveResult;
 use crate::trace::{InstrKind, MemAccess, Pipe, Tok, TraceInstr, WarpTrace, ALL_PIPES};
-use std::collections::BTreeMap;
 use vecsparse_telemetry::{ArgValue, TraceShard};
 
 /// Telemetry observer for one simulated wave: a worker-local
@@ -127,19 +121,6 @@ impl WaveObs {
             args,
         );
     }
-}
-
-/// Regime counters for one event-simulated wave: how many scheduler
-/// rounds ran on the cached fast path vs. inside a tick-exact fallback
-/// window. Purely observational — the [`WaveResult`] is bit-identical
-/// either way — but lets tests assert that a pathological barrier fixture
-/// really exercised the fallback.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct EventStats {
-    /// Rounds scheduled from cached next-event times.
-    pub fast_rounds: u64,
-    /// Rounds stepped tick-exact inside a contended window.
-    pub fallback_rounds: u64,
 }
 
 const FETCH_GROUP: u32 = 8;
@@ -300,21 +281,20 @@ fn refresh(w: &mut WarpState, cfg: &GpuConfig) {
 
 /// Simulate one SM wave event-wise: the [`WaveResult`] is bit-identical
 /// to [`crate::sched::simulate_wave`]'s (see the module docs for the
-/// argument), and the [`EventStats`] count its scheduling regimes.
+/// argument).
 ///
 /// `ctas` are the resident thread blocks (each a slice of warp traces).
-/// `l1` is this SM's L1; `l2` is the wave's [`L2Port`] — the shared
-/// device L2 for sequential callers, or a [`crate::cache::RecordingL2`]
-/// when waves are timed in parallel and their sector traffic replayed
-/// later. When `obs` is set, every issue and attributed stall is
-/// buffered as a wave-relative span; timing is unaffected.
-pub fn simulate_wave_event<L2: L2Port + ?Sized>(
+/// `l1` is this SM's L1; `l2` is the wave's [`RecordingL2`], whose op log
+/// the launch replays into the shared device L2 in wave order. When `obs`
+/// is set, every issue and attributed stall is buffered as a
+/// wave-relative span; timing is unaffected.
+pub fn simulate_wave_event(
     cfg: &GpuConfig,
     ctas: &[&[WarpTrace]],
     l1: &mut SectorCache,
-    l2: &mut L2,
+    l2: &mut RecordingL2,
     mut obs: Option<&mut WaveObs>,
-) -> (WaveResult, EventStats) {
+) -> WaveResult {
     let timing = &cfg.timing;
     let nsched = cfg.schedulers_per_sm;
 
@@ -399,11 +379,10 @@ pub fn simulate_wave_event<L2: L2Port + ?Sized>(
     let mut instrs = InstrCounts::default();
     let mut pc_issues: Vec<u64> = Vec::new();
     let mut last_retire: u64 = 0;
-    let mut stats = EventStats::default();
 
     // Dense mirror of each warp's cached readiness, sharing the
-    // scheduler-major storage index, so the fast-path scan below is a
-    // contiguous u64 min-scan instead of chasing `WarpState` structs.
+    // scheduler-major storage index, so the scan below is a contiguous
+    // u64 min-scan instead of chasing `WarpState` structs.
     // `u64::MAX` marks exhausted or parked warps; a schedulable warp can
     // never reach it (readiness is bounded by issue times + latencies).
     let mut ready_cache: Vec<u64> = vec![u64::MAX; nsched * stride];
@@ -412,11 +391,6 @@ pub fn simulate_wave_event<L2: L2Port + ?Sized>(
             ready_cache[x] = w.ready;
         }
     }
-
-    // Contended-window tracking: warps parked at a barrier plus partial
-    // arrival counts. Both are zero in stall-free regions.
-    let mut parked: usize = 0;
-    let mut arrivals: usize = 0;
 
     // Scheduler ordering, reused across rounds (insertion sort below is
     // stable, matching the reference's stable `sort_by_key`).
@@ -441,13 +415,6 @@ pub fn simulate_wave_event<L2: L2Port + ?Sized>(
             break;
         }
 
-        let contended = parked > 0 || arrivals > 0;
-        if contended {
-            stats.fallback_rounds += 1;
-        } else {
-            stats.fast_rounds += 1;
-        }
-
         for oi in 0..order.len() {
             let s = order[oi];
             let sched = &scheds[s];
@@ -455,69 +422,31 @@ pub fn simulate_wave_event<L2: L2Port + ?Sized>(
                 continue;
             }
             let nw = sched.nw;
-            let best: Option<(u64, usize)> = if contended {
-                let mut best: Option<(u64, usize)> = None;
-                for k in 0..nw {
-                    let slot = (sched.rr + k) % nw;
-                    let w = &warps[s * stride + slot];
-                    if w.next >= w.trace.len() {
-                        continue;
-                    }
-                    if w.resume_at == u64::MAX {
-                        continue;
-                    }
-                    // Tick-exact fallback: recompute readiness from the
-                    // live scoreboards, exactly as `sched.rs` does.
-                    let instr = &w.trace.instrs[w.next];
-                    let mut ready = w.resume_at.max(w.last_issue + 1);
-                    for &d in &instr.deps {
-                        if d != Tok::NONE {
-                            ready = ready.max(w.completion[d.0 as usize]);
-                        }
-                    }
-                    if instr.acc_dep != Tok::NONE {
-                        let t = w.completion[instr.acc_dep.0 as usize];
-                        let issue_based = t
-                            .saturating_sub(timing.hmma_latency)
-                            .saturating_add(timing.hmma_acc_forward);
-                        ready = ready.max(issue_based.min(t));
-                    }
-                    match best {
-                        None => best = Some((ready, slot)),
-                        Some((br, _)) if ready < br => best = Some((ready, slot)),
-                        _ => {}
-                    }
+            // Contiguous min-scan over the readiness mirror in round-robin
+            // order from `rr`: the first strict minimum wins, exactly as in
+            // the tick scheduler. Exhausted and parked slots sit at
+            // `u64::MAX` and can never win.
+            let row = &ready_cache[s * stride..s * stride + nw];
+            let (tail, head) = row.split_at(sched.rr);
+            let mut ready = u64::MAX;
+            let mut slot = 0usize;
+            for (i, &r) in head.iter().enumerate() {
+                if r < ready {
+                    ready = r;
+                    slot = sched.rr + i;
                 }
-                best
-            } else {
-                // Fast path: contiguous min-scan over the readiness
-                // mirror, in the same round-robin order (first strict
-                // minimum from `rr` wins, exactly like the fallback —
-                // exhausted and parked slots sit at `u64::MAX` and can
-                // never win).
-                let row = &ready_cache[s * stride..s * stride + nw];
-                let (tail, head) = row.split_at(sched.rr);
-                let mut best_ready = u64::MAX;
-                let mut best_slot = 0usize;
-                for (i, &r) in head.iter().enumerate() {
-                    if r < best_ready {
-                        best_ready = r;
-                        best_slot = sched.rr + i;
-                    }
+            }
+            for (i, &r) in tail.iter().enumerate() {
+                if r < ready {
+                    ready = r;
+                    slot = i;
                 }
-                for (i, &r) in tail.iter().enumerate() {
-                    if r < best_ready {
-                        best_ready = r;
-                        best_slot = i;
-                    }
-                }
-                (best_ready != u64::MAX).then_some((best_ready, best_slot))
-            };
-            let Some((ready, slot)) = best else {
+            }
+            if ready == u64::MAX {
                 // All live warps parked at barriers; another scheduler
                 // must release them.
                 continue;
-            };
+            }
 
             let sched = &mut scheds[s];
             let wi = s * stride + slot;
@@ -620,8 +549,7 @@ pub fn simulate_wave_event<L2: L2Port + ?Sized>(
                     if let Some(mem) = imem {
                         l1_missed = l1.access(&mem.sectors);
                         if l1_missed > 0 {
-                            // Same L2 re-probe as the tick model, minus
-                            // its temporary sector copy.
+                            // Same L2 re-probe as the tick model.
                             let missed_l2 = l2.access(&mem.sectors[..l1_missed as usize]);
                             lat = if missed_l2 > 0 {
                                 timing.dram_latency
@@ -662,7 +590,6 @@ pub fn simulate_wave_event<L2: L2Port + ?Sized>(
                 b.arrived += 1;
                 if b.arrived == b.warps {
                     b.arrived = 0;
-                    arrivals -= b.warps - 1;
                     let release = issue_at + 1;
                     let cta = w.cta;
                     if w.next >= w.trace.len() {
@@ -675,7 +602,6 @@ pub fn simulate_wave_event<L2: L2Port + ?Sized>(
                     for (owi, other) in warps.iter_mut().enumerate() {
                         if other.cta == cta && other.resume_at == u64::MAX {
                             other.resume_at = release;
-                            parked -= 1;
                             refresh(other, cfg);
                             ready_cache[owi] = if other.next >= other.trace.len() {
                                 u64::MAX
@@ -685,9 +611,7 @@ pub fn simulate_wave_event<L2: L2Port + ?Sized>(
                         }
                     }
                 } else {
-                    arrivals += 1;
                     w.resume_at = u64::MAX;
-                    parked += 1;
                     ready_cache[wi] = u64::MAX;
                     if w.next >= w.trace.len() {
                         sched.live -= 1;
@@ -730,31 +654,23 @@ pub fn simulate_wave_event<L2: L2Port + ?Sized>(
         .collect();
     pipe_busy.sort_by_key(|&(_, busy)| std::cmp::Reverse(busy));
 
-    let pc_map: BTreeMap<u32, u64> = pc_issues
-        .iter()
-        .enumerate()
-        .filter(|&(_, &n)| n > 0)
-        .map(|(pc, &n)| (pc as u32, n))
-        .collect();
-
-    (
-        WaveResult {
-            cycles,
-            stalls,
-            instrs,
-            pipe_busy,
-            pc_issues: pc_map,
-        },
-        stats,
-    )
+    WaveResult {
+        cycles,
+        stalls,
+        instrs,
+        pipe_busy,
+        pc_issues,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheStats, L2Op};
     use crate::icache::ICache;
     use crate::sched::simulate_wave;
     use crate::trace::{MemAccess, TraceInstr};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn instr(pc: u32, kind: InstrKind, deps: [Tok; 3]) -> TraceInstr {
         TraceInstr {
@@ -766,14 +682,21 @@ mod tests {
         }
     }
 
-    fn both(cfg: &GpuConfig, ctas: &[&[WarpTrace]]) -> (WaveResult, WaveResult, EventStats) {
+    /// What one wave leaves behind: its result, its L1 statistics and
+    /// its L2 op log — everything the launch audit compares.
+    type Timed = (WaveResult, CacheStats, Vec<L2Op>);
+
+    /// Time `ctas` with the tick oracle and with the event scheduler, each
+    /// on fresh caches.
+    fn both(cfg: &GpuConfig, ctas: &[&[WarpTrace]]) -> (Timed, Timed) {
         let mut l1 = SectorCache::new(cfg.l1_bytes, cfg.l1_ways);
-        let mut l2 = SectorCache::new(cfg.l2_bytes, cfg.l2_ways);
+        let mut l2 = RecordingL2::new(cfg.l2_bytes, cfg.l2_ways);
         let tick = simulate_wave(cfg, ctas, &mut l1, &mut l2);
+        let tick = (tick, l1.stats, l2.into_ops());
         let mut l1 = SectorCache::new(cfg.l1_bytes, cfg.l1_ways);
-        let mut l2 = SectorCache::new(cfg.l2_bytes, cfg.l2_ways);
-        let (event, stats) = simulate_wave_event(cfg, ctas, &mut l1, &mut l2, None);
-        (tick, event, stats)
+        let mut l2 = RecordingL2::new(cfg.l2_bytes, cfg.l2_ways);
+        let event = simulate_wave_event(cfg, ctas, &mut l1, &mut l2, None);
+        (tick, (event, l1.stats, l2.into_ops()))
     }
 
     #[test]
@@ -833,10 +756,8 @@ mod tests {
         };
         let ctas: Vec<[WarpTrace; 1]> = (0..6).map(|s| [chain(s)]).collect();
         let refs: Vec<&[WarpTrace]> = ctas.iter().map(|c| &c[..]).collect();
-        let (tick, event, stats) = both(&cfg, &refs);
+        let (tick, event) = both(&cfg, &refs);
         assert_eq!(tick, event);
-        assert!(stats.fallback_rounds == 0, "no barriers → no fallback");
-        assert!(stats.fast_rounds > 0);
     }
 
     #[test]
@@ -860,32 +781,106 @@ mod tests {
             t.push(instr(40, InstrKind::Ffma, [ld, Tok::NONE, Tok::NONE]));
         }
         let cta = [t];
-        let (tick, event, _) = both(&cfg, &[&cta]);
+        let (tick, event) = both(&cfg, &[&cta]);
         assert_eq!(tick, event);
     }
 
-    #[test]
-    fn barrier_fixture_takes_fallback_and_matches_tick() {
-        let cfg = GpuConfig::small();
-        // Skewed arrival times force long contended windows.
-        let warp = |work: u32| {
-            let mut t = WarpTrace::default();
-            for round in 0..8u32 {
-                let mut prev = Tok::NONE;
-                for i in 0..work * (round % 3 + 1) {
-                    prev = t.push(instr(i % 8, InstrKind::Ffma, [prev, Tok::NONE, Tok::NONE]));
+    /// One random warp: `bars + 1` segments of up to 24 instructions
+    /// separated by barriers, with random intra-warp dependencies (HMMA
+    /// accumulator chains included), global loads and stores over a small
+    /// sector range (so L1 and L2 both hit and miss) and shared accesses
+    /// with bank conflicts. Pcs span either one L0 or several.
+    fn random_warp(rng: &mut StdRng, bars: usize, pc_span: u32) -> WarpTrace {
+        let mut t = WarpTrace::default();
+        let mut last_hmma = Tok::NONE;
+        for seg in 0..=bars {
+            for _ in 0..rng.gen_range(0..=24) {
+                let n = t.len() as u32;
+                let mut dep = || {
+                    if n > 0 && rng.gen_bool(0.6) {
+                        Tok(n - 1 - rng.gen_range(0..n.min(8)))
+                    } else {
+                        Tok::NONE
+                    }
+                };
+                let deps = [dep(), dep(), dep()];
+                let kind = match rng.gen_range(0..10) {
+                    0 => InstrKind::Ffma,
+                    1 => InstrKind::Hfma2,
+                    2 | 3 => InstrKind::Hmma,
+                    4 => InstrKind::Imad,
+                    5 => InstrKind::Ldg { bits: 128 },
+                    6 => InstrKind::Stg { bits: 64 },
+                    7 => InstrKind::Lds { bits: 64 },
+                    8 => InstrKind::Sts { bits: 32 },
+                    _ => [InstrKind::Shfl, InstrKind::Fence, InstrKind::Misc][rng.gen_range(0..3)],
+                };
+                let mem_idx = match kind {
+                    InstrKind::Ldg { .. } | InstrKind::Stg { .. } => {
+                        let first = rng.gen_range(0..256u64) * 4;
+                        t.push_mem(MemAccess {
+                            sectors: (first..first + rng.gen_range(1..=8u64)).collect(),
+                            global: true,
+                            store: matches!(kind, InstrKind::Stg { .. }),
+                            ..MemAccess::default()
+                        })
+                    }
+                    InstrKind::Lds { .. } | InstrKind::Sts { .. } => t.push_mem(MemAccess {
+                        store: matches!(kind, InstrKind::Sts { .. }),
+                        conflict: rng.gen_range(1..=4),
+                        ..MemAccess::default()
+                    }),
+                    _ => TraceInstr::NO_MEM,
+                };
+                let acc_dep = if kind == InstrKind::Hmma && rng.gen_bool(0.7) {
+                    last_hmma
+                } else {
+                    Tok::NONE
+                };
+                let tok = t.push(TraceInstr {
+                    pc: rng.gen_range(0..pc_span),
+                    kind,
+                    deps,
+                    acc_dep,
+                    mem_idx,
+                });
+                if kind == InstrKind::Hmma {
+                    last_hmma = tok;
                 }
-                t.push(instr(9, InstrKind::Bar, [Tok::NONE; 3]));
             }
-            t
-        };
-        let cta = [warp(3), warp(17), warp(5), warp(29)];
-        let (tick, event, stats) = both(&cfg, &[&cta]);
-        assert_eq!(tick, event);
-        assert!(
-            stats.fallback_rounds > 0,
-            "barriers must force the fallback"
-        );
-        assert!(stats.fast_rounds > 0, "uncontended prologue runs fast");
+            if seg < bars {
+                t.push(instr(pc_span, InstrKind::Bar, [Tok::NONE; 3]));
+            }
+        }
+        t
+    }
+
+    /// Random multi-warp barrier waves: 1–6 CTAs of 1–8 warps, each CTA
+    /// with 0–5 barriers every warp reaches, so most rounds run while some
+    /// warp is parked at a barrier. The event scheduler's wave result, L1
+    /// statistics and L2 op log must equal the tick oracle's on every
+    /// wave.
+    #[test]
+    fn random_barrier_waves_match_tick() {
+        let mut rng = StdRng::seed_from_u64(0xba55);
+        let mut barrier_stalls = 0.0;
+        for cfg in [GpuConfig::small(), GpuConfig::default()] {
+            for wave in 0..100 {
+                let pc_span = if rng.gen_bool(0.5) { 64 } else { 2048 };
+                let ctas: Vec<Vec<WarpTrace>> = (0..rng.gen_range(1..=6))
+                    .map(|_| {
+                        let bars = rng.gen_range(0..=5);
+                        (0..rng.gen_range(1..=8))
+                            .map(|_| random_warp(&mut rng, bars, pc_span))
+                            .collect()
+                    })
+                    .collect();
+                let refs: Vec<&[WarpTrace]> = ctas.iter().map(Vec::as_slice).collect();
+                let (tick, event) = both(&cfg, &refs);
+                assert_eq!(tick, event, "wave {wave} on {} SMs", cfg.num_sms);
+                barrier_stalls += tick.0.stalls.barrier;
+            }
+        }
+        assert!(barrier_stalls > 0.0, "no warp ever waited at a barrier");
     }
 }

@@ -6,10 +6,10 @@
 //! observable: every simulated artifact — cycle counts, the full
 //! performance profile, functional outputs — must be bit-identical to
 //! tick's, at any worker-thread count, across the whole kernel registry.
-//! The event scheduler may jump the clock only between issue events and
-//! must fall back to tick-exact stepping inside contended (barrier)
-//! windows; these tests are the external check that the fallback rule is
-//! airtight. The equivalence tests run launches under an auditing memo
+//! The event scheduler reads each warp's readiness from a cache that it
+//! refreshes only when the warp issues or a barrier release moves its
+//! resume time; these tests are the external check that no other event
+//! can move it. The equivalence tests run launches under an auditing memo
 //! (`WaveMemo::with_audit(1)`), which re-times every simulated wave with
 //! tick inside the launch and panics unless the `WaveResult`, the L1
 //! statistics and the L2 op log are equal, then compare the audited
@@ -40,33 +40,36 @@ fn render(p: &KernelProfile) -> String {
     format!("{:016x} {} {:?}", p.cycles.to_bits(), p.csv_row(), p)
 }
 
-/// Every kernel in the registry, default shape: a launch whose waves
-/// are all re-timed by tick (the audit asserts inside the launch) must
-/// profile exactly as a plain launch does.
+/// Every kernel in the registry, default shape, on both machine shapes:
+/// a launch whose waves are all re-timed by tick (the audit asserts
+/// inside the launch) must profile exactly as a plain launch does.
 #[test]
 fn full_registry_event_profiles_match_tick() {
     set_threads(1);
-    let gpu = GpuConfig::small();
     let shape = Shape::default();
-    for id in ALL_KERNELS {
-        let (audited, stats, plain) =
-            registry::with_kernel(id, &shape, Mode::Performance, |mem, kernel| {
-                let sig = certify(&*mem, kernel)
-                    .launch_sig(Fingerprint::default())
-                    .expect("registry kernels are provable");
-                let memo = WaveMemo::with_audit(1);
-                let audited = Launch::new(&mut *mem, kernel)
-                    .gpu(&gpu)
-                    .performance()
-                    .memo(Some((&memo, sig)))
-                    .run();
-                let plain = Launch::new(&mut *mem, kernel).gpu(&gpu).performance().run();
-                let profile =
-                    |out: LaunchOutput| render(&out.profile.expect("performance launch profiles"));
-                (profile(audited), memo.stats(), profile(plain))
-            });
-        assert!(stats.wave_misses > 0, "{id:?} simulated no audited wave");
-        assert_eq!(audited, plain, "audited profile diverged for {id:?}");
+    for gpu in [GpuConfig::small(), GpuConfig::default()] {
+        for id in ALL_KERNELS {
+            let (audited, stats, plain) =
+                registry::with_kernel(id, &shape, Mode::Performance, |mem, kernel| {
+                    let sig = certify(&*mem, kernel)
+                        .launch_sig(Fingerprint::default())
+                        .expect("registry kernels are provable");
+                    let memo = WaveMemo::with_audit(1);
+                    let audited = Launch::new(&mut *mem, kernel)
+                        .gpu(&gpu)
+                        .performance()
+                        .memo(Some((&memo, sig)))
+                        .run();
+                    let plain = Launch::new(&mut *mem, kernel).gpu(&gpu).performance().run();
+                    let profile = |out: LaunchOutput| {
+                        render(&out.profile.expect("performance launch profiles"))
+                    };
+                    (profile(audited), memo.stats(), profile(plain))
+                });
+            let what = format!("{id:?} on {} SMs", gpu.num_sms);
+            assert!(stats.wave_misses > 0, "{what}: simulated no audited wave");
+            assert_eq!(audited, plain, "{what}: audited profile diverged");
+        }
     }
 }
 
@@ -212,7 +215,9 @@ proptest! {
 
     /// Any grid shape, any worker count: the engine stack, with every
     /// simulated wave audited against tick, produces the same output bits
-    /// and cycle estimate as a plain single-threaded context.
+    /// and cycle estimate as a plain single-threaded context. Octet runs
+    /// one-warp CTAs; dense is the multi-warp kernel whose waves park
+    /// warps at barriers.
     #[test]
     fn grid_shape_event_matches_tick_across_threads(
         mb in 1usize..4,
@@ -220,6 +225,7 @@ proptest! {
         n in prop_oneof![Just(16usize), Just(32), Just(48)],
         v in prop_oneof![Just(2usize), Just(4), Just(8)],
         threads in prop_oneof![Just(1usize), Just(4)],
+        algo in prop_oneof![Just(SpmmAlgo::Octet), Just(SpmmAlgo::Dense)],
         seed in 0u64..500,
     ) {
         let m = mb * v * 4;
@@ -229,13 +235,13 @@ proptest! {
 
         set_threads(1);
         let plain_ctx = Context::builder().gpu(GpuConfig::small()).build();
-        let plain_plan = plain_ctx.plan_spmm(&a, n, SpmmAlgo::Octet);
+        let plain_plan = plain_ctx.plan_spmm(&a, n, algo);
         let out_plain = plain_plan.run(&b);
         let cycles_plain = plain_plan.profile(&b).cycles;
 
         set_threads(threads);
         let audited_ctx = audited_context();
-        let audited_plan = audited_ctx.plan_spmm(&a, n, SpmmAlgo::Octet);
+        let audited_plan = audited_ctx.plan_spmm(&a, n, algo);
         let out_audited = audited_plan.run(&b);
         let cycles_audited = audited_plan.profile(&b).cycles;
         set_threads(1);
