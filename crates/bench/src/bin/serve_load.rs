@@ -235,7 +235,6 @@ fn main() {
             max_queue_depth: report.max_queue_depth,
             p99_ms: live_p99,
             cache_hit_ratio: report.cache_hit_ratio(),
-            memo_hit_rate: report.memo.as_ref().map(|m| m.hit_rate()),
             backend,
         };
         let out = sweep_json::render_serve(&meta, &curve);

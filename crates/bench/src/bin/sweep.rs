@@ -40,19 +40,20 @@
 //!   knob as `VECSPARSE_THREADS`; `1` forces the sequential path). All
 //!   simulated counters and the JSON document are bit-identical at any
 //!   thread count — only `wall_ms` varies.
-//! * `--memoize` enables certified wave memoization: kernels whose wave
-//!   equivalence `vecsparse-certify` proves are simulated once per
-//!   structural signature and replayed thereafter. Profiles are
-//!   bit-identical to the unmemoized sweep (the JSON differs only in
-//!   `wall_ms` and the added `memo` block); `VECSPARSE_AUDIT=n` makes the
-//!   memoizer re-simulate every n-th memoized wave and assert identity.
-//!   Without `--memoize`, `VECSPARSE_AUDIT=n` re-times every n-th
-//!   simulated wave with the reference tick scheduler and asserts it
-//!   matches the event scheduler bit for bit.
+//! * `--memoize` enables certified launch memoization: kernels whose
+//!   wave equivalence `vecsparse-certify` proves are simulated once per
+//!   structural signature, and every later profile of the class is
+//!   answered from the cached profile. Profiles are bit-identical to the
+//!   unmemoized sweep (the JSON differs only in `wall_ms` and the added
+//!   `memo` block); with `--trace` no launch consults the memo.
+//!   `VECSPARSE_AUDIT=n` re-times every n-th simulated wave with the
+//!   reference tick scheduler and asserts it matches the event scheduler
+//!   bit for bit; under `--memoize` it also declines every n-th launch
+//!   hit, re-simulates it and asserts the profile matches the cached one.
 //! * `--repeat R` profiles each kernel row R times — the Fig. 17-style
 //!   repeated-shape workload where memoization pays: the first profile
-//!   simulates, the other R−1 replay. The reported row is the last
-//!   profile (all R are identical).
+//!   simulates, the other R−1 are memo hits. The reported row is the
+//!   last profile (all R are identical).
 //! * `--backend simulated|native` selects the functional execution
 //!   backend (default `simulated`). `native` runs functional launches
 //!   through each kernel's native CPU lowering; profiles always
@@ -215,12 +216,9 @@ fn main() {
     println!("({threads} worker threads, {repeat} profile(s)/row, {sweep_wall_ms:.1} ms total)");
     if let Some(ms) = ctx.memo_stats() {
         println!(
-            "memoizer: launch {} hit / {} miss, wave {} hit / {} miss, \
-             {} audits, hit rate {:.1}%",
+            "memoizer: launch {} hit / {} miss, {} audits, hit rate {:.1}%",
             ms.launch_hits,
             ms.launch_misses,
-            ms.wave_hits,
-            ms.wave_misses,
             ms.audits,
             100.0 * ms.hit_rate()
         );

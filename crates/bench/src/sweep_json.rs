@@ -20,6 +20,10 @@ use vecsparse_serve::SaturationPoint;
 /// plan-and-profile times, never their functional runs. It is the one
 /// machine-dependent field: determinism checks diff documents with it,
 /// and the knob under test (`threads`, `memo`, `backend`), stripped.
+///
+/// The optional `memo` block mirrors `MemoStats` (`launch_hits`,
+/// `launch_misses`, `audits`, `hit_rate`) and is not versioned: every
+/// consumer strips it before a diff, so it changes without a bump.
 pub const JSON_SCHEMA_VERSION: u32 = 11;
 
 /// One profiled kernel row of the sweep.
@@ -65,7 +69,7 @@ pub struct SweepMeta {
     pub wall_ms: f64,
     /// Profiles taken per kernel row (the `--repeat` knob; ≥ 1).
     pub repeat: usize,
-    /// Wave-memoizer counters, present only under `--memoize` (strip
+    /// Launch-memoizer counters, present only under `--memoize` (strip
     /// before diffing a memoized document against a baseline one).
     pub memo: Option<MemoStats>,
     /// Functional execution backend the sweep's functional runs used.
@@ -100,14 +104,11 @@ pub fn render(meta: &SweepMeta, rows: &[SweepRow], certs: &[Certificate]) -> Str
     out.push_str(&format!("  \"repeat\": {},\n", meta.repeat));
     if let Some(ms) = &meta.memo {
         out.push_str(&format!(
-            "  \"memo\": {{\"wave_hits\": {}, \"wave_misses\": {}, \"launch_hits\": {}, \
-             \"launch_misses\": {}, \"audits\": {}, \"wave_entries\": {}, \"hit_rate\": {:.4}}},\n",
-            ms.wave_hits,
-            ms.wave_misses,
+            "  \"memo\": {{\"launch_hits\": {}, \"launch_misses\": {}, \"audits\": {}, \
+             \"hit_rate\": {:.4}}},\n",
             ms.launch_hits,
             ms.launch_misses,
             ms.audits,
-            ms.wave_entries,
             ms.hit_rate()
         ));
     }
@@ -188,9 +189,6 @@ pub struct ServeMeta {
     pub p99_ms: f64,
     /// Plan-cache hit ratio of the live run, 0..1.
     pub cache_hit_ratio: f64,
-    /// Wave-memo hit rate of the live run (absent when memoization was
-    /// off).
-    pub memo_hit_rate: Option<f64>,
     /// Functional execution backend the worker contexts ran with.
     pub backend: Backend,
 }
@@ -227,16 +225,13 @@ pub fn render_serve(meta: &ServeMeta, curve: &[SaturationPoint]) -> String {
     out.push_str("],\n");
     out.push_str(&format!(
         "    \"live\": {{\"served\": {}, \"batches\": {}, \"coalesced\": {}, \
-         \"max_queue_depth\": {}, \"p99_ms\": {:.3}, \"cache_hit_ratio\": {:.4}{}}},\n",
+         \"max_queue_depth\": {}, \"p99_ms\": {:.3}, \"cache_hit_ratio\": {:.4}}},\n",
         meta.served,
         meta.batches,
         meta.coalesced,
         meta.max_queue_depth,
         meta.p99_ms,
         meta.cache_hit_ratio,
-        meta.memo_hit_rate
-            .map(|r| format!(", \"memo_hit_rate\": {r:.4}"))
-            .unwrap_or_default()
     ));
     out.push_str("    \"curve\": [\n");
     for (i, p) in curve.iter().enumerate() {
@@ -297,7 +292,6 @@ mod tests {
             max_queue_depth: 17,
             p99_ms: 12.5,
             cache_hit_ratio: 0.875,
-            memo_hit_rate: Some(0.5),
             backend: Backend::Native,
         };
         let curve = vec![
@@ -331,17 +325,10 @@ mod tests {
         assert_eq!(serve["tenants"].as_array().unwrap().len(), 2);
         assert_eq!(serve["tenants"][0]["name"].as_str(), Some("interactive"));
         assert_eq!(serve["live"]["served"].as_u64(), Some(64));
-        assert_eq!(serve["live"]["memo_hit_rate"].as_f64(), Some(0.5));
+        assert_eq!(serve["live"]["cache_hit_ratio"].as_f64(), Some(0.875));
         let curve_j = serve["curve"].as_array().expect("curve array");
         assert_eq!(curve_j.len(), 2);
         assert_eq!(curve_j[1]["p99_ms"].as_f64(), Some(20.0));
-        // Without memoization the key is absent, not null.
-        let no_memo = ServeMeta {
-            memo_hit_rate: None,
-            ..meta
-        };
-        let parsed = serde_json::from_str(&render_serve(&no_memo, &curve)).unwrap();
-        assert!(parsed["serve"]["live"].get("memo_hit_rate").is_none());
     }
 
     #[test]
@@ -358,12 +345,10 @@ mod tests {
             wall_ms: 17.25,
             repeat: 10,
             memo: Some(MemoStats {
-                wave_hits: 0,
-                wave_misses: 5,
-                audits: 0,
-                launch_hits: 36,
+                launch_hits: 24,
                 launch_misses: 4,
-                wave_entries: 5,
+                audits: 12,
+                ..MemoStats::default()
             }),
             backend: Backend::Simulated,
         };
@@ -401,8 +386,12 @@ mod tests {
         assert_eq!(parsed["threads"].as_u64(), Some(4));
         assert_eq!(parsed["wall_ms"].as_f64(), Some(17.25));
         assert_eq!(parsed["repeat"].as_u64(), Some(10));
-        assert_eq!(parsed["memo"]["launch_hits"].as_u64(), Some(36));
-        assert_eq!(parsed["memo"]["hit_rate"].as_f64(), Some(0.8));
+        // The block holds exactly these keys (listed in sorted order).
+        let memo = parsed["memo"].as_object().expect("memo block");
+        let keys: Vec<&str> = memo.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["audits", "hit_rate", "launch_hits", "launch_misses"]);
+        assert_eq!(parsed["memo"]["audits"].as_u64(), Some(12));
+        assert_eq!(parsed["memo"]["hit_rate"].as_f64(), Some(0.8571));
         assert_eq!(parsed["gpu_config_hash"].as_str(), Some("00000000deadbeef"));
         assert_eq!(parsed["auto"].as_str(), Some("spmm-octet"));
         assert_eq!(parsed["shape"]["m"].as_u64(), Some(128));

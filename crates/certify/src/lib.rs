@@ -1,7 +1,7 @@
 //! # vecsparse-certify
 //!
 //! Static certificates over a kernel's performance-mode traces — the
-//! analyses that turn wave memoization and row-split sharding from
+//! analyses that turn launch memoization and row-split sharding from
 //! heuristics into certified transformations. Both are passes over the
 //! simulator's one trace capture
 //! ([`vecsparse_gpu_sim::capture`](vecsparse_gpu_sim::capture())), which
@@ -40,8 +40,9 @@
 //! Kernels that fail any obligation get [`WaveVerdict::NotProvable`],
 //! produce no signature, and are simply simulated the honest way —
 //! exemption, not error. The dynamic backstop lives in the memoizer
-//! itself: `VECSPARSE_AUDIT=n` re-simulates every n-th memoized wave and
-//! asserts bit-identity.
+//! itself: `VECSPARSE_AUDIT=n` declines every n-th launch hit,
+//! re-simulates the launch and asserts its profile bit-identical to the
+//! cached one.
 //!
 //! ## Memory footprints ([`shard`])
 //!

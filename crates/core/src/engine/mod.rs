@@ -388,7 +388,7 @@ pub struct Context {
     cache: Mutex<HashMap<PlanKey, Choice>>,
     counters: Arc<Counters>,
     sink: Arc<TraceSink>,
-    /// Certified wave memoizer shared by every plan built through this
+    /// Certified launch memoizer shared by every plan built through this
     /// context (None: every performance launch simulates honestly).
     memo: Option<Arc<WaveMemo>>,
     /// Which engine executes functional launches planned through this
@@ -441,12 +441,14 @@ impl ContextBuilder {
         self
     }
 
-    /// Enable certified wave memoization: performance launches of kernels
-    /// whose wave equivalence [`certify`] proves are keyed by their
-    /// structural signature, simulated once per class, and replayed on
-    /// every later launch in the class. Functional runs and unprovable
-    /// kernels are unaffected. `VECSPARSE_AUDIT=n` re-simulates every
-    /// n-th memoized wave and asserts bit-identical timing.
+    /// Enable certified memoization: untraced performance launches of
+    /// kernels whose wave equivalence [`certify`] proves are keyed by
+    /// their structural signature, simulated once per class, and answered
+    /// from the cached profile on every later launch in the class.
+    /// Functional runs, traced launches and unprovable kernels are
+    /// unaffected. `VECSPARSE_AUDIT=n` declines every n-th launch hit,
+    /// re-simulates it and asserts the profile bit-identical to the
+    /// cached one.
     ///
     /// [`certify`]: vecsparse_certify::certify
     pub fn memoization(mut self) -> Self {
@@ -454,12 +456,12 @@ impl ContextBuilder {
         self
     }
 
-    /// Enable memoization against an **externally owned** wave memoizer.
-    /// Several contexts built with clones of the same `Arc` share one
-    /// wave-artifact cache — the mechanism `vecsparse-serve` uses to let
-    /// every worker context of a shard replay waves any of them
-    /// simulated. Soundness is unaffected: the memo key already covers
-    /// machine config, program, operand structure, and pool layout.
+    /// Enable memoization against an **externally owned** memoizer, such
+    /// as a test's `WaveMemo::with_audit(n)` that audits regardless of
+    /// the environment. Several contexts built with clones of the same
+    /// `Arc` share one profile cache. Soundness is unaffected: the memo
+    /// key already covers machine config, program, operand structure,
+    /// and pool layout.
     pub fn shared_memoization(mut self, memo: Arc<WaveMemo>) -> Self {
         self.memo = Some(memo);
         self

@@ -49,7 +49,7 @@ pub(super) struct PlanCore<S> {
     spares: Mutex<Vec<S>>,
     sink: Arc<TraceSink>,
     counters: Arc<Counters>,
-    /// Context-wide wave memoizer (None: honest simulation only).
+    /// Context-wide launch memoizer (None: honest simulation only).
     memo: Option<Arc<WaveMemo>>,
     /// Functional execution backend inherited from the context.
     backend: Backend,
@@ -164,12 +164,12 @@ impl<S: Clone + Send> PlanCore<S> {
 
     /// The profile cached under the plan's launch key: `None` until a
     /// memoized profile left a key, and whenever the probe declines (a
-    /// traced context, an auditing memo), so those keep the full launch.
+    /// traced context). An auditing memo skips this shortcut, so each
+    /// profile probes the memo once, inside its full launch.
     fn memoized_profile(&self) -> Option<KernelProfile> {
         let key = *self.launch_key.get()?;
-        self.memo
-            .as_ref()?
-            .probe_launch(key, self.sink.is_enabled())
+        let memo = self.memo.as_ref().filter(|m| m.audit_every() == 0)?;
+        memo.probe_launch(key, self.sink.is_enabled())
     }
 
     /// Run `exec` on elements `0..len` functionally, returning outputs in

@@ -46,7 +46,7 @@ pub struct Report {
     /// certification per kernel label), sorted by label. Empty unless the
     /// context memoizes.
     pub wave_certificates: Vec<(&'static str, WaveCertificate)>,
-    /// Wave-memoizer counters (None when memoization is disabled).
+    /// Launch-memoizer counters (None when memoization is disabled).
     pub memo: Option<MemoStats>,
     /// Distinct tuning decisions held in the plan cache.
     pub cached_plans: usize,
@@ -122,10 +122,7 @@ impl Report {
         if let Some(memo) = &self.memo {
             let _ = writeln!(
                 out,
-                "   memoizer: wave {} hit / {} miss, launch {} hit / {} miss, \
-                 {} audits, hit rate {:>5.1}%",
-                memo.wave_hits,
-                memo.wave_misses,
+                "   memoizer: launch {} hit / {} miss, {} audits, hit rate {:>5.1}%",
                 memo.launch_hits,
                 memo.launch_misses,
                 memo.audits,
@@ -201,12 +198,10 @@ mod tests {
             }],
             wave_certificates: Vec::new(),
             memo: Some(MemoStats {
-                wave_hits: 3,
-                wave_misses: 1,
                 audits: 1,
                 launch_hits: 4,
                 launch_misses: 2,
-                wave_entries: 1,
+                ..MemoStats::default()
             }),
             cached_plans: 1,
             trace_events: 42,

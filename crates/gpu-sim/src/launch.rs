@@ -1,21 +1,20 @@
 //! Kernel launch machinery: functional execution and performance
 //! simulation with occupancy-aware wave sampling and extrapolation.
 
-use crate::cache::{replay_l2, CacheStats, RecordingL2, SectorCache};
+use crate::cache::{replay_l2, CacheStats, L2Op, RecordingL2, SectorCache};
 use crate::capture::capture;
 use crate::config::GpuConfig;
 use crate::mem::MemPool;
-use crate::memo::{LaunchSig, WaveArtifacts, WaveDecision, WaveMemo};
+use crate::memo::{LaunchSig, WaveMemo};
 use crate::profile::{HotPc, InstrCounts, KernelProfile, PipeUtil, StallBreakdown};
-use crate::sched::simulate_wave;
+use crate::sched::{simulate_wave, WaveResult};
 use crate::sched_event::{simulate_wave_event, WaveObs};
 use crate::sig::{Fingerprint, FingerprintHasher};
 use crate::trace::WarpTrace;
 use crate::warp::{CtaCtx, ShadowObs};
 use crate::WARP_SIZE;
 use rayon::prelude::*;
-use std::sync::Arc;
-use vecsparse_telemetry::{ArgValue, TraceSink, Track};
+use vecsparse_telemetry::{ArgValue, TraceShard, TraceSink, Track};
 
 /// Execution mode of a launch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,7 +165,7 @@ pub struct LaunchOutput {
 ///     .gpu(&cfg)                        // machine to simulate
 ///     .performance()                    // or .mode(Mode::Performance)
 ///     .traced(&sink)                    // telemetry sink
-///     .memo(Some((&memo, sig)))         // certified wave memoization
+///     .memo(Some((&memo, sig)))         // certified launch memoization
 ///     .run()
 /// ```
 ///
@@ -197,14 +196,12 @@ pub struct LaunchOutput {
 /// `s + 1`) carrying every simulated issue and attributed stall; the
 /// sink's virtual clock advances by the simulated wave cycles.
 ///
-/// With a memo ([`Launch::memo`]), the performance simulation consults
-/// it before doing any work: whole launches whose signature class was
-/// simulated before replay the cached profile, and within a fresh launch
-/// each SM wave whose class is cached replays recorded
-/// timing/span/L2-op artifacts instead of re-simulating. The caller is
-/// responsible for passing a signature only for kernels holding a
-/// `Provable` wave-equivalence certificate — the signature *is* the
-/// proof carrier. Functional launches ignore the memo.
+/// With a memo ([`Launch::memo`]), an untraced performance launch
+/// consults it before doing any work: a launch whose signature class was
+/// simulated before returns the cached profile. A traced launch never
+/// consults it. The caller is responsible for passing a signature only
+/// for kernels holding a `Provable` wave-equivalence certificate — the
+/// signature *is* the proof carrier. Functional launches ignore the memo.
 pub struct Launch<'a, K: KernelSpec + ?Sized> {
     mem: &'a mut MemPool,
     kernel: &'a K,
@@ -256,7 +253,7 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
         self
     }
 
-    /// Consult (and fill) a certified wave memo under its signature;
+    /// Consult (and fill) a certified launch memo under its signature;
     /// `None` (an uncertified kernel) simulates honestly.
     pub fn memo(mut self, memo: Option<(&'a WaveMemo, LaunchSig)>) -> Launch<'a, K> {
         self.memo = memo;
@@ -389,11 +386,10 @@ fn run_ctas<K: KernelSpec + ?Sized>(
     folded
 }
 
-/// Memo key for one SM wave (or, with the full sample list, one launch):
-/// the certified launch signature plus every other input the per-wave
-/// timing phase consumes — machine config, launch geometry, the L1
-/// carve-out, and the sampled CTA ids.
-fn wave_key(
+/// Memo key for one launch: the certified launch signature plus every
+/// other input the simulation consumes — machine config, launch
+/// geometry, the L1 carve-out, and the sampled CTA ids.
+fn memo_key(
     sig: LaunchSig,
     cfg: &GpuConfig,
     lc: &LaunchConfig,
@@ -415,6 +411,21 @@ fn wave_key(
         h.write_u64(c as u64);
     }
     h.finish()
+}
+
+/// Everything phase 1 produces for one SM wave.
+struct WaveArtifacts {
+    /// Timing result of the wave's discrete-event simulation.
+    result: WaveResult,
+    /// CTAs resident in the wave.
+    ctas: usize,
+    /// The wave-private L1's counters.
+    l1_stats: CacheStats,
+    /// Recorded L2-bound sector traffic, replayed into the shared L2 in
+    /// canonical wave order by phase 2.
+    l2_ops: Vec<L2Op>,
+    /// Wave-relative telemetry spans, when the launch is traced.
+    shard: Option<TraceShard>,
 }
 
 fn simulate<K: KernelSpec + ?Sized>(
@@ -460,11 +471,13 @@ fn simulate<K: KernelSpec + ?Sized>(
 
     let tracing = sink.is_enabled();
 
-    // Launch-level fast path: a certified launch whose whole signature
-    // class was simulated before replays the cached profile outright
-    // (skipped while tracing — the profile cache carries no telemetry —
-    // and while auditing, so audits reach the wave level).
-    let launch_key = memo.map(|(_, sig)| wave_key(sig, cfg, lc, l1_cache_bytes, &sample_ids));
+    // A certified, untraced launch whose class was simulated before
+    // returns the cached profile outright. A traced launch never
+    // consults the memo (the profile cache carries no telemetry), so it
+    // reports no key; an audited hit is declined and simulates below.
+    let launch_key = memo
+        .filter(|_| !tracing)
+        .map(|(_, sig)| memo_key(sig, cfg, lc, l1_cache_bytes, &sample_ids));
     if let (Some((m, _)), Some(key)) = (memo, launch_key) {
         if let Some(profile) = m.probe_launch(key, tracing) {
             return (profile, launch_key);
@@ -474,20 +487,6 @@ fn simulate<K: KernelSpec + ?Sized>(
     let wave_ranges: Vec<(usize, usize)> = (0..sample_ids.len())
         .step_by(resident_per_sm)
         .map(|start| (start, (start + resident_per_sm).min(sample_ids.len())))
-        .collect();
-
-    // Phase 0 — memo probes, sequential and in canonical wave order, so
-    // audit selection (every n-th memoized wave under VECSPARSE_AUDIT)
-    // is independent of worker count.
-    let decisions: Vec<(Fingerprint, WaveDecision)> = wave_ranges
-        .iter()
-        .map(|&(start, end)| match memo {
-            Some((m, sig)) => {
-                let key = wave_key(sig, cfg, lc, l1_cache_bytes, &sample_ids[start..end]);
-                (key, m.probe(key, tracing))
-            }
-            None => (Fingerprint::default(), WaveDecision::Fresh),
-        })
         .collect();
 
     // Telemetry: claim a process-track group for this launch and name
@@ -510,43 +509,32 @@ fn simulate<K: KernelSpec + ?Sized>(
     }
 
     // Phase 1 — per-wave capture and timing, in parallel: one region per
-    // launch. A wave that simulates (fresh or audited) captures its own
-    // CTAs' traces, which live only as long as the wave; a replayed wave
-    // skips the kernel body entirely, which is where the memoized speedup
-    // comes from. Inside a pool worker the capture runs inline; a
+    // launch. Each wave captures its own CTAs' traces, which live only as
+    // long as the wave. Inside a pool worker the capture runs inline; a
     // one-wave launch runs this region inline, so its capture fans out.
-    // Each simulated wave owns a fresh L1 (each wave runs on "its own" SM
-    // slot) and a private *recording* L2: latency decisions come from the
+    // Each wave owns a fresh L1 (each wave runs on "its own" SM slot) and
+    // a private *recording* L2: latency decisions come from the
     // wave-local cache (cold at wave start, so timing is independent of
     // wave order and of every other wave), while the wave's L2-bound
     // sector traffic is captured in an op log. Telemetry, when on, is
-    // buffered into a wave-local shard at wave-relative ticks. The
-    // cold-start discipline is also what makes the artifacts
-    // *replayable*: a wave's outputs depend only on (config, L1 geometry,
-    // its own traces), so memoized waves reuse the cached
-    // [`WaveArtifacts`] verbatim, and audited waves re-simulate and must
-    // match them bit for bit.
-    let wave_sims: Vec<Arc<WaveArtifacts>> = (0..wave_ranges.len())
+    // buffered into a wave-local shard at wave-relative ticks.
+    let waves: Vec<WaveArtifacts> = (0..wave_ranges.len())
         .into_par_iter()
         .map(|w| {
             let (start, end) = wave_ranges[w];
-            let (key, decision) = &decisions[w];
-            if let WaveDecision::Replay(cached) = decision {
-                return cached.clone();
-            }
             let traces = capture(mem, kernel, &sample_ids[start..end], false, |c| c.traces);
             let wave: Vec<&[WarpTrace]> = traces.iter().map(Vec::as_slice).collect();
             let mut l1 = SectorCache::new(l1_cache_bytes.max(128 * cfg.l1_ways), cfg.l1_ways);
             let mut l2 = RecordingL2::new(cfg.l2_bytes, cfg.l2_ways);
             let mut obs = tracing.then(WaveObs::new);
             let result = simulate_wave_event(cfg, &wave, &mut l1, &mut l2, obs.as_mut());
-            let fresh = Arc::new(WaveArtifacts {
+            let fresh = WaveArtifacts {
                 result,
                 ctas: wave.len(),
                 l1_stats: l1.stats,
                 l2_ops: l2.into_ops(),
                 shard: obs.map(WaveObs::into_shard),
-            });
+            };
             if audit_every > 0 && (w as u64 + 1) % audit_every == 0 {
                 let mut l1t = SectorCache::new(l1_cache_bytes.max(128 * cfg.l1_ways), cfg.l1_ways);
                 let mut l2t = RecordingL2::new(cfg.l2_bytes, cfg.l2_ways);
@@ -560,17 +548,7 @@ fn simulate<K: KernelSpec + ?Sized>(
                     kernel.name()
                 );
             }
-            match (decision, memo) {
-                (WaveDecision::Audit(cached), _) => {
-                    WaveMemo::assert_audit_identical(cached, &fresh, &kernel.name());
-                    cached.clone()
-                }
-                (WaveDecision::Fresh, Some((m, _))) => {
-                    m.insert_wave(*key, fresh.clone());
-                    fresh
-                }
-                _ => fresh,
-            }
+            fresh
         })
         .collect();
 
@@ -588,13 +566,13 @@ fn simulate<K: KernelSpec + ?Sized>(
     let mut pipe_busy: Vec<(crate::trace::Pipe, u64)> = Vec::new();
     let mut wave_cycles: Vec<u64> = Vec::new();
     let mut pc_issues: Vec<u64> = Vec::new();
-    for (wave_idx, ws) in wave_sims.iter().enumerate() {
+    for (wave_idx, ws) in waves.into_iter().enumerate() {
         let r = &ws.result;
         replay_l2(&ws.l2_ops, &mut l2);
         let wave_base = launch_base + wave_cycles.iter().sum::<u64>();
         if tracing {
-            if let Some(shard) = &ws.shard {
-                sink.merge_shard(pid, wave_base, shard.clone());
+            if let Some(shard) = ws.shard {
+                sink.merge_shard(pid, wave_base, shard);
             }
             sink.span_at(
                 Track { pid, tid: 0 },
@@ -697,11 +675,10 @@ fn simulate<K: KernelSpec + ?Sized>(
         hot_pcs: hot_pcs.into(),
     };
 
-    // A traced launch's profile is not cached (the cache carries no
-    // telemetry), so it reports no key.
-    let launch_key = launch_key.filter(|_| !tracing);
+    // Cache the profile; an audited re-simulation is checked against
+    // the cached one instead.
     if let (Some((m, _)), Some(key)) = (memo, launch_key) {
-        m.insert_launch(key, profile.clone());
+        m.insert_launch(key, &profile);
     }
 
     if tracing {

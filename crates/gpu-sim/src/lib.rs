@@ -58,7 +58,7 @@ pub use capture::{capture, sample_ctas, CtaCapture, SAMPLE_CTAS};
 pub use config::{GpuConfig, Timing};
 pub use launch::{Backend, KernelSpec, Launch, LaunchConfig, LaunchOutput, Mode};
 pub use mem::{BufferId, ElemWidth, MemPool, NativeCtx};
-pub use memo::{LaunchSig, MemoStats, WaveArtifacts, WaveDecision, WaveMemo};
+pub use memo::{LaunchSig, MemoStats, WaveMemo};
 pub use profile::{InstrCounts, KernelProfile, PipeUtil, Roofline, StallBreakdown};
 // Telemetry types appear in this crate's API (`launch_traced`); re-export
 // them so downstream crates need no direct dependency for common use.

@@ -174,7 +174,7 @@ impl MemPool {
     /// Fingerprint of the pool's *address layout*: every buffer's base,
     /// element width and length (values excluded). Two pools with equal
     /// layout hashes present identical address arithmetic to a kernel,
-    /// which is one leg of the wave-memoization signature.
+    /// which is one leg of the memoization signature.
     pub fn layout_hash(&self) -> u64 {
         let mut h = crate::sig::FNV_OFFSET;
         let mut mix = |v: u64| h = crate::sig::fnv1a_word(h, v);

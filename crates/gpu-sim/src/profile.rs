@@ -425,10 +425,10 @@ impl KernelProfile {
 }
 
 #[cfg(test)]
-mod render_tests {
+pub(crate) mod render_tests {
     use super::*;
 
-    fn sample() -> KernelProfile {
+    pub(crate) fn sample() -> KernelProfile {
         KernelProfile {
             name: "test-kernel".into(),
             grid: 128,

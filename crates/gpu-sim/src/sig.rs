@@ -3,8 +3,8 @@
 //! Three consumers key work off "the structure of an operand": the
 //! engine's plan cache (sparsity bucketing in `PlanKey`), the engine's
 //! deterministic twin generation (`ell_twin` hashes a sparsity pattern
-//! into a seed), and the wave memoizer (a [`Fingerprint`] over program,
-//! operands and pool layout gates artifact replay). They used to carry
+//! into a seed), and the launch memoizer (a [`Fingerprint`] over program,
+//! operands and pool layout gates profile reuse). They used to carry
 //! separate FNV loops; divergence between them would silently split or —
 //! worse — *alias* memo classes. This module is the single definition
 //! all three use.

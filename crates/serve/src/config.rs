@@ -72,7 +72,6 @@ pub struct ServeConfig {
     pub(crate) default_queue_depth: usize,
     pub(crate) gpu: GpuConfig,
     pub(crate) backend: Backend,
-    pub(crate) memoization: bool,
     pub(crate) sink: Option<Arc<TraceSink>>,
     pub(crate) tenants: Vec<TenantSpec>,
 }
@@ -80,8 +79,8 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// Start building a configuration. Defaults: 2 workers, 1 shard,
     /// max batch 8, queue depth 256 per tenant, default GPU, the
-    /// [`Backend::Native`] fast path, no memoization, no telemetry, no
-    /// tenants (at least one must be added before `build`).
+    /// [`Backend::Native`] fast path, no telemetry, no tenants (at least
+    /// one must be added before `build`).
     pub fn builder() -> ServeConfigBuilder {
         ServeConfigBuilder::default()
     }
@@ -91,7 +90,7 @@ impl ServeConfig {
         self.workers
     }
 
-    /// Plan/memo cache shards.
+    /// Plan-cache shards.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -134,7 +133,6 @@ pub struct ServeConfigBuilder {
     default_queue_depth: Option<usize>,
     gpu: Option<GpuConfig>,
     backend: Option<Backend>,
-    memoization: bool,
     sink: Option<Arc<TraceSink>>,
     tenants: Vec<TenantSpec>,
 }
@@ -146,7 +144,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Number of plan/memo cache shards (default 1). Worker `w` serves
+    /// Number of plan-cache shards (default 1). Worker `w` serves
     /// shard `w % shards`, so `shards` must not exceed `workers`.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n);
@@ -184,15 +182,13 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Enable certified wave memoization on the worker contexts; each
-    /// shard shares one wave-artifact cache.
+    /// Does nothing; kept so existing callers still build.
     ///
-    /// This has no effect today. Wave memoization only engages on
-    /// performance launches, and a server never runs one: it plans, then
-    /// runs batches functionally, and the tuner profiles its probe plans
-    /// on a context of their own. Every shard's memo stays empty.
-    pub fn memoization(mut self) -> Self {
-        self.memoization = true;
+    /// Memoization only engages on performance launches, and a server
+    /// never runs one: it plans, then runs batches functionally, and the
+    /// tuner profiles its probe plans on a context of their own. So the
+    /// worker contexts carry no memo.
+    pub fn memoization(self) -> Self {
         self
     }
 
@@ -255,7 +251,6 @@ impl ServeConfigBuilder {
             default_queue_depth: self.default_queue_depth.unwrap_or(256),
             gpu: self.gpu.unwrap_or_default(),
             backend: self.backend.unwrap_or(Backend::Native),
-            memoization: self.memoization,
             sink: self.sink,
             tenants: self.tenants,
         })

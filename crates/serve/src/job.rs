@@ -69,7 +69,7 @@ impl JobRequest {
     /// Cache shard this job routes to: a hash of the *shape class*
     /// (operation, structural dimensions, V, sparsity bucket, free
     /// dimension), so repeated shapes land on the same shard's plan
-    /// cache and wave memo regardless of which tenant sent them.
+    /// cache regardless of which tenant sent them.
     pub(crate) fn shard_of(&self, shards: usize) -> usize {
         let (op, rows, cols, v, bucket, dim) = match self {
             JobRequest::Spmm { a, b, .. } => (

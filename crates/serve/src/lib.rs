@@ -13,14 +13,14 @@
 //!   plan and one `run_batch` dispatch, riding the engine's `PlanState`
 //!   fan-out and thread-pool shim.
 //! * **Sharding** — requests route to a cache shard by shape class;
-//!   each shard owns one engine `Context` (plan cache) and one shared
-//!   `WaveMemo`, and worker `w` serves shard `w % shards`.
+//!   each shard owns one engine `Context` (plan cache), and worker `w`
+//!   serves shard `w % shards`.
 //! * **Fairness & admission** — weighted round-robin anchoring with
 //!   per-tenant queue-depth limits ([`ServeError::QueueFull`] is
 //!   backpressure); every backlogged tenant anchors a batch each
 //!   rotation, so no tenant starves.
 //! * **SLOs & telemetry** — per-tenant p50/p99/mean latency, queue
-//!   depth, cache and memo hit rates in the final [`ServeReport`]; with
+//!   depth and plan-cache hit ratio in the final [`ServeReport`]; with
 //!   a [`TraceSink`](vecsparse_telemetry::TraceSink) attached, every
 //!   served request records a `"serve"` span whose duration is exactly
 //!   the latency the report accounts.

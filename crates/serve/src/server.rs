@@ -1,9 +1,9 @@
 //! The server: pooled worker threads over sharded engine contexts.
 //!
 //! Topology: requests route to a cache shard by shape class
-//! ([`JobRequest::shard_of`]); each shard owns one [`ShardQueue`], one
-//! shared engine [`Context`] (its plan cache *is* the shard) and one
-//! shared [`WaveMemo`]; worker `w` of `W` serves shard `w % S`. A
+//! ([`JobRequest::shard_of`]); each shard owns one [`ShardQueue`] and one
+//! shared engine [`Context`] (its plan cache *is* the shard); worker `w`
+//! of `W` serves shard `w % S`. A
 //! dispatched batch becomes a single engine plan plus a
 //! `run_batch` call, so the engine's existing `PlanState` fan-out (the
 //! rayon thread-pool shim) parallelizes inside the batch while the
@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 use vecsparse::engine::Context;
-use vecsparse_gpu_sim::WaveMemo;
 use vecsparse_telemetry::{TraceSink, Track};
 
 /// Per-tenant mutable accounting, guarded by one stats mutex.
@@ -156,17 +155,13 @@ impl Server {
             .collect();
         let contexts: Vec<Arc<Context>> = (0..config.shards)
             .map(|_| {
-                let mut b = Context::builder()
-                    .gpu(config.gpu.clone())
-                    .backend(config.backend)
-                    .telemetry(Arc::clone(&sink));
-                if config.memoization {
-                    // One wave cache per shard, shared by every plan the
-                    // shard's context builds (and by any future context
-                    // of the same shard).
-                    b = b.shared_memoization(Arc::new(WaveMemo::new()));
-                }
-                Arc::new(b.build())
+                Arc::new(
+                    Context::builder()
+                        .gpu(config.gpu.clone())
+                        .backend(config.backend)
+                        .telemetry(Arc::clone(&sink))
+                        .build(),
+                )
             })
             .collect();
 
@@ -455,13 +450,8 @@ fn build_report(shared: &Shared) -> ServeReport {
         .collect();
 
     let mut engine = vecsparse::engine::EngineStats::default();
-    let mut memo = None;
     for ctx in &shared.contexts {
         engine.absorb(&ctx.stats());
-        if let Some(m) = ctx.memo_stats() {
-            memo.get_or_insert_with(vecsparse_gpu_sim::MemoStats::default)
-                .absorb(&m);
-        }
     }
     let names: Vec<String> = shared
         .config
@@ -472,7 +462,6 @@ fn build_report(shared: &Shared) -> ServeReport {
     ServeReport {
         tenants,
         engine,
-        memo,
         batches: stats.batches,
         coalesced: stats.coalesced,
         panicked_batches: stats.panicked,

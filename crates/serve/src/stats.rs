@@ -1,8 +1,7 @@
 //! Fleet-wide serving report: per-tenant SLO accounting plus the
-//! absorbed engine/memo counters of every cache shard.
+//! absorbed engine counters of every cache shard.
 
 use vecsparse::engine::EngineStats;
-use vecsparse_gpu_sim::MemoStats;
 
 /// Nearest-rank percentile of an **ascending-sorted** latency sample,
 /// in the sample's own unit (empty sample → 0).
@@ -57,9 +56,6 @@ pub struct ServeReport {
     pub tenants: Vec<TenantReport>,
     /// Engine counters absorbed across every cache shard's context.
     pub engine: EngineStats,
-    /// Wave-memoizer counters absorbed across shards (None when
-    /// memoization was disabled).
-    pub memo: Option<MemoStats>,
     /// Batches dispatched.
     pub batches: u64,
     /// Jobs that rode along in a batch beyond its anchor job — the
@@ -154,15 +150,6 @@ impl ServeReport {
             100.0 * self.cache_hit_ratio(),
             self.engine.tuner_launches
         );
-        if let Some(memo) = &self.memo {
-            let _ = writeln!(
-                out,
-                "   wave memo: {} hit / {} miss (hit rate {:>5.1}%)",
-                memo.wave_hits,
-                memo.wave_misses,
-                100.0 * memo.hit_rate()
-            );
-        }
         let _ = writeln!(
             out,
             "   {:<14} {:>3} {:>9} {:>7} {:>8} {:>9} {:>9} {:>9} {:>8}",
@@ -228,7 +215,6 @@ mod tests {
                 cache_misses: 1,
                 plans_built: 10,
             },
-            memo: None,
             batches: 5,
             coalesced: 15,
             panicked_batches: 0,

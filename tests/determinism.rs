@@ -133,7 +133,7 @@ fn all_artifacts_bit_identical_across_thread_counts() {
     set_threads(1);
 }
 
-/// The full suite with wave memoization enabled: replayed artifacts must
+/// The full suite with memoization enabled: memoized artifacts must
 /// match the honest single-thread baseline at every worker count.
 #[test]
 fn memoized_artifacts_match_honest_baseline_across_thread_counts() {

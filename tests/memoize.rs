@@ -1,4 +1,4 @@
-//! Tier-1 soundness gate for certified wave memoization.
+//! Tier-1 soundness gate for certified launch memoization.
 //!
 //! Memoization must be *invisible*: every simulated artifact — functional
 //! outputs, performance profiles, Perfetto timelines — produced with
@@ -21,7 +21,7 @@ use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::Fingerprint;
 use vecsparse_gpu_sim::{
     Backend, BufferId, CtaCtx, ElemWidth, GpuConfig, KernelSpec, Launch, LaunchConfig, MemPool,
-    Mode, Program, Site, WVec, WaveMemo, NO_LANES,
+    MemoStats, Mode, Program, Site, WVec, WaveMemo, NO_LANES,
 };
 use vecsparse_telemetry::{perfetto, EventKind, TraceSink, DEFAULT_CAPACITY};
 
@@ -63,7 +63,7 @@ fn run_stack(
     if memoize {
         let stats = ctx.memo_stats().expect("memoizing context reports stats");
         assert!(
-            stats.launch_hits + stats.wave_hits > 0,
+            stats.launch_hits > 0,
             "repeated profiles of one plan must hit the memoizer"
         );
     } else {
@@ -324,9 +324,10 @@ fn repeated_profiles(
 
 /// A memoized plan simulates its first profile and answers every later
 /// one with one launch-level lookup, bit-identical to honest simulation.
-/// A traced context and an auditing memo keep the full launch: every
-/// traced profile records its kernel span and probes no launch, and
-/// audits still re-simulate repeated profiles.
+/// A traced context never consults the memo: every traced profile
+/// records its kernel span and probes nothing. An auditing memo at
+/// period 1 declines every hit: each repeated profile probes once,
+/// re-simulates and is checked against the cached profile.
 #[test]
 fn repeated_plan_profiles_are_one_launch_lookup_each() {
     const K: usize = 4;
@@ -370,18 +371,21 @@ fn repeated_plan_profiles_are_one_launch_lookup_each() {
             );
             assert_eq!(audited, honest, "{at}, audited");
             let s = ctx.memo_stats().expect("memoizing context");
-            assert!(s.audits > 0, "{at}: repeated profiles must be audited");
-            assert_eq!((s.launch_misses, s.launch_hits), (0, 0), "{at}, audited");
+            assert_eq!(
+                (s.launch_misses, s.audits, s.launch_hits),
+                (1, K as u64 - 1, 0),
+                "{at}: one miss, then every repeated profile audited"
+            );
         }
     }
     set_threads(1);
 }
 
-/// Traced replay: the Perfetto timeline of (simulate, replay) must be
-/// byte-identical to (simulate, simulate) — the recorded `TraceShard` is
-/// replayed with the same wave base times the scheduler would produce.
+/// A traced launch never consults the memo: the Perfetto timeline of two
+/// traced memoized launches is byte-identical to two traced plain ones,
+/// and the memo sees no probe.
 #[test]
-fn traced_replay_timeline_is_bit_identical() {
+fn traced_memoized_timeline_is_bit_identical() {
     set_threads(1);
     let gpu = GpuConfig::small();
     let shape = Shape::default();
@@ -426,11 +430,12 @@ fn traced_replay_timeline_is_bit_identical() {
         },
     );
 
-    assert!(
-        stats.wave_hits > 0,
-        "second traced launch must replay waves"
+    assert_eq!(
+        stats,
+        MemoStats::default(),
+        "a traced launch probed the memo"
     );
-    assert_eq!(memoized, honest, "replayed timeline bytes diverged");
+    assert_eq!(memoized, honest, "memoized timeline bytes diverged");
     set_threads(1);
 }
 
@@ -524,11 +529,11 @@ fn data_dependent_kernel_is_not_provable_and_never_memoized() {
             .memo(sig.map(|s| (&memo, s)))
             .run();
     }
-    let stats = memo.stats();
-    assert_eq!(stats.wave_hits, 0, "unprovable kernel must never hit");
-    assert_eq!(stats.wave_misses, 0, "unprovable kernel must never probe");
-    assert_eq!(stats.launch_hits + stats.launch_misses, 0);
-    assert_eq!(stats.wave_entries, 0, "nothing may be inserted");
+    assert_eq!(
+        memo.stats(),
+        MemoStats::default(),
+        "unprovable kernel must never probe the memo"
+    );
 }
 
 proptest! {

@@ -13,9 +13,11 @@
 //! (`WaveMemo::with_audit(1)`), which re-times every simulated wave with
 //! tick inside the launch and panics unless the `WaveResult`, the L1
 //! statistics and the L2 op log are equal, then compare the audited
-//! profile with a plain launch's. The spans a traced launch records come
-//! from the same event loop; the span-accounting test checks that they
-//! add up to the profile.
+//! profile with a plain launch's. The same memo declines every launch
+//! hit, so a repeated launch re-simulates and its profile is asserted
+//! bit-identical to the cached one. The spans a traced launch records
+//! come from the same event loop; the span-accounting test checks that
+//! they add up to the profile.
 
 mod common;
 
@@ -67,23 +69,26 @@ fn full_registry_event_profiles_match_tick() {
                     (profile(audited), memo.stats(), profile(plain))
                 });
             let what = format!("{id:?} on {} SMs", gpu.num_sms);
-            assert!(stats.wave_misses > 0, "{what}: simulated no audited wave");
+            assert_eq!(
+                stats.launch_misses, 1,
+                "{what}: simulated no audited launch"
+            );
             assert_eq!(audited, plain, "{what}: audited profile diverged");
         }
     }
 }
 
-/// The runtime audit hook on memoized waves: a second audited launch of
-/// the same certified kernel replays its waves from the memo, and with
-/// an audit period of 1 each replayed wave is re-simulated, re-timed by
-/// tick and asserted identical to the cached artifact inside the launch.
-/// On both machine shapes, the fresh and the replayed launch must
-/// profile exactly as a plain launch does.
+/// The runtime audit hook on memoized launches: a second audited launch
+/// of the same certified kernel hits the memo, and with an audit period
+/// of 1 the hit is declined, so the launch re-simulates, re-times every
+/// wave by tick and asserts its profile identical to the cached one. On
+/// both machine shapes, the fresh and the audited launch must profile
+/// exactly as a plain launch does.
 #[test]
 fn audited_event_launch_passes_and_matches_tick() {
     set_threads(1);
     for gpu in [GpuConfig::small(), GpuConfig::default()] {
-        let (fresh, replayed, stats, plain) = registry::with_kernel(
+        let (fresh, audited, stats, plain) = registry::with_kernel(
             KernelId::SpmmOctet,
             &Shape::default(),
             Mode::Performance,
@@ -92,32 +97,34 @@ fn audited_event_launch_passes_and_matches_tick() {
                     .launch_sig(Fingerprint::default())
                     .expect("registry kernels are provable");
                 let memo = WaveMemo::with_audit(1);
-                let mut audited = || {
+                let mut launch = || {
                     Launch::new(&mut *mem, kernel)
                         .gpu(&gpu)
                         .performance()
                         .memo(Some((&memo, sig)))
                         .run()
                 };
-                let fresh = audited();
-                let replayed = audited();
+                let fresh = launch();
+                let audited = launch();
                 let plain = Launch::new(&mut *mem, kernel).gpu(&gpu).performance().run();
                 let profile =
                     |out: LaunchOutput| render(&out.profile.expect("performance launch profiles"));
                 (
                     profile(fresh),
-                    profile(replayed),
+                    profile(audited),
                     memo.stats(),
                     profile(plain),
                 )
             },
         );
         let what = format!("SpmmOctet on {} SMs", gpu.num_sms);
-        assert!(stats.wave_misses > 0, "{what}: no wave simulated fresh");
-        assert!(stats.audits > 0, "{what}: no memoized wave was audited");
-        assert_eq!(stats.launch_hits, 0, "{what}: the launch cache answered");
+        assert_eq!(
+            (stats.launch_misses, stats.audits, stats.launch_hits),
+            (1, 1, 0),
+            "{what}: one fresh launch, then one audited hit"
+        );
         assert_eq!(fresh, plain, "{what}: fresh audited profile diverged");
-        assert_eq!(replayed, plain, "{what}: replayed audited profile diverged");
+        assert_eq!(audited, plain, "{what}: audited profile diverged");
     }
 }
 
@@ -198,7 +205,11 @@ fn engine_context_event_timing_matches_tick() {
     let audited_ctx = audited_context();
     let audited = run(&audited_ctx);
     let stats = audited_ctx.memo_stats().expect("audited context memoizes");
-    assert!(stats.wave_misses > 0, "the profile simulated audited waves");
+    assert_eq!(
+        (stats.launch_misses, stats.audits),
+        (1, 0),
+        "the profile simulated one audited launch"
+    );
     let plain = run(&Context::builder().gpu(GpuConfig::small()).build());
     assert_eq!(
         audited.0, plain.0,
