@@ -12,9 +12,10 @@
 //!
 //! 1. **Live smoke** — spin up a [`Server`] with three tenants of skewed
 //!    weights, pump `--jobs` SpMM requests per tenant over a DLMC
-//!    (ResNet-50) shape mix through per-tenant [`Client`]s, and print the
-//!    resulting [`ServeReport`] (per-tenant p50/p99, batching and
-//!    coalescing counters, plan-cache hit rate). The run
+//!    (ResNet-50) shape mix through per-tenant
+//!    [`Client`](vecsparse_serve::Client)s, and print the resulting
+//!    [`ServeReport`](vecsparse_serve::ServeReport) (per-tenant p50/p99,
+//!    batching and coalescing counters, plan-cache hit rate). The run
 //!    asserts every job was served and that the sharded plan caches got
 //!    hits — a serving layer that re-plans every request is broken.
 //!    `--diff` additionally replays every request through a direct

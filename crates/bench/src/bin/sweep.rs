@@ -34,7 +34,8 @@
 //! * `--csv PATH` dumps one `KernelProfile` row per sweep entry
 //!   (including the roofline columns) plus, when tracing, the sink's
 //!   counter samples.
-//! * `--report` prints the engine's aggregated [`Report`] table (cache
+//! * `--report` prints the engine's aggregated
+//!   [`Report`](vecsparse::engine::Report) table (cache
 //!   hit ratio, tuner launches, per-algo run/profile/cycle totals).
 //! * `--threads N` pins the simulator's worker-thread count (the same
 //!   knob as `VECSPARSE_THREADS`; `1` forces the sequential path). All

@@ -111,8 +111,7 @@ pub struct RegionFootprint {
 /// Why a kernel could not be certified shardable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardFailure {
-    /// The kernel publishes no
-    /// [`ShardLayout`](vecsparse_gpu_sim::ShardLayout).
+    /// The kernel publishes no [`ShardLayout`].
     NoLayout,
     /// The published layout is structurally malformed.
     BadLayout(String),

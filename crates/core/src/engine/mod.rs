@@ -233,12 +233,30 @@ impl EngineStats {
     }
 }
 
-/// Per-algorithm aggregate, keyed by the kernel label.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct AlgoAgg {
-    pub(crate) runs: u64,
-    pub(crate) profiles: u64,
-    pub(crate) cycles: f64,
+/// One algorithm's run, profile and cycle tallies, shared by every plan
+/// of that algorithm on a context (and kept by the context after its
+/// plans drop). Recording is lock-free: relaxed counters plus a
+/// compare-and-swap f64 sum, so a memoized profile only bumps them.
+#[derive(Debug, Default)]
+pub(crate) struct AlgoCell {
+    runs: AtomicU64,
+    profiles: AtomicU64,
+    /// Total profiled cycles, as `f64` bits.
+    cycles: AtomicU64,
+}
+
+impl AlgoCell {
+    pub(crate) fn record_run(&self) {
+        self.runs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_profile(&self, cycles: f64) {
+        self.profiles.fetch_add(1, Ordering::Relaxed);
+        let add = |bits| Some((f64::from_bits(bits) + cycles).to_bits());
+        let _ = self
+            .cycles
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+    }
 }
 
 #[derive(Default)]
@@ -248,12 +266,14 @@ pub(crate) struct Counters {
     cache_misses: AtomicU64,
     plans_built: AtomicU64,
     /// Wall-clock nanoseconds spent inside engine execution entry points
-    /// (runs, profiles, batches, tuning regions). Batch fan-out counts
-    /// the region once, not per element, so this stays a wall time even
-    /// when elements run concurrently.
+    /// (runs, simulated profiles, batches, tuning regions; memo answers
+    /// are not timed). Batch fan-out counts the region once, not per
+    /// element, so this stays a wall time even when elements run
+    /// concurrently.
     wall_nanos: AtomicU64,
-    /// Per-algorithm run/profile/cycle aggregation for [`Report`].
-    algos: Mutex<HashMap<&'static str, AlgoAgg>>, // lint: hash-ok — snapshot sorts by label
+    /// Per-algorithm run/profile/cycle tallies for [`Report`]; each plan
+    /// fetches its algorithm's cell once.
+    algos: Mutex<HashMap<&'static str, Arc<AlgoCell>>>, // lint: hash-ok — snapshot sorts by label
     /// Worst-case precision certificate per planned algorithm (the widest
     /// bound over every descriptor planned through this context).
     certs: Mutex<HashMap<&'static str, Certificate>>, // lint: hash-ok — snapshot sorts by label
@@ -284,24 +304,29 @@ impl Counters {
     }
 
     // lint: hash-ok (see field)
-    fn algos_lock(&self) -> std::sync::MutexGuard<'_, HashMap<&'static str, AlgoAgg>> {
+    fn algos_lock(&self) -> std::sync::MutexGuard<'_, HashMap<&'static str, Arc<AlgoCell>>> {
         self.algos.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    pub(crate) fn record_run(&self, label: &'static str) {
-        self.algos_lock().entry(label).or_default().runs += 1;
+    /// The tally cell of the algorithm `label`.
+    pub(crate) fn algo_cell(&self, label: &'static str) -> Arc<AlgoCell> {
+        Arc::clone(self.algos_lock().entry(label).or_default())
     }
 
-    pub(crate) fn record_profile(&self, label: &'static str, cycles: f64) {
-        let mut algos = self.algos_lock();
-        let agg = algos.entry(label).or_default();
-        agg.profiles += 1;
-        agg.cycles += cycles;
-    }
-
-    pub(crate) fn algo_snapshot(&self) -> Vec<(&'static str, AlgoAgg)> {
-        let mut v: Vec<_> = self.algos_lock().iter().map(|(k, a)| (*k, *a)).collect();
-        v.sort_by_key(|(k, _)| *k);
+    /// Every algorithm that ran or profiled, sorted by label.
+    pub(crate) fn algo_snapshot(&self) -> Vec<AlgoReport> {
+        let mut v: Vec<_> = self
+            .algos_lock()
+            .iter()
+            .map(|(&algo, cell)| AlgoReport {
+                algo,
+                runs: cell.runs.load(Ordering::Relaxed),
+                profiles: cell.profiles.load(Ordering::Relaxed),
+                total_cycles: f64::from_bits(cell.cycles.load(Ordering::Relaxed)),
+            })
+            .filter(|a| a.runs + a.profiles > 0)
+            .collect();
+        v.sort_by_key(|a| a.algo);
         v
     }
 
@@ -540,17 +565,7 @@ impl Context {
     pub fn report(&self) -> Report {
         Report {
             stats: self.stats(),
-            algos: self
-                .counters
-                .algo_snapshot()
-                .into_iter()
-                .map(|(label, agg)| AlgoReport {
-                    algo: label,
-                    runs: agg.runs,
-                    profiles: agg.profiles,
-                    total_cycles: agg.cycles,
-                })
-                .collect(),
+            algos: self.counters.algo_snapshot(),
             certificates: self.counters.cert_snapshot(),
             wave_certificates: self.counters.wave_cert_snapshot(),
             memo: self.memo_stats(),

@@ -2,7 +2,7 @@
 //! primary-plus-spares device-state pool, the timed and spanned run and
 //! profile wrappers, and the batch fan-out.
 
-use super::{Context, Counters, EngineError, OpKind};
+use super::{AlgoCell, Context, Counters, EngineError, OpKind};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use vecsparse_certify::certify;
@@ -41,6 +41,8 @@ pub(super) struct PlanCore<S> {
     op: OpKind,
     /// Label of the concrete algorithm the plan executes.
     label: &'static str,
+    /// The context's run/profile tallies for `label`.
+    algo: Arc<AlgoCell>,
     gpu: GpuConfig,
     state: Mutex<S>,
     /// Checked-in clones of the primary state for batched fan-out. A
@@ -67,6 +69,7 @@ impl<S: Clone + Send> PlanCore<S> {
         PlanCore {
             op,
             label,
+            algo: ctx.counters.algo_cell(label),
             gpu: ctx.gpu.clone(),
             state: Mutex::new(state),
             spares: Mutex::new(Vec::new()),
@@ -136,28 +139,30 @@ impl<S: Clone + Send> PlanCore<S> {
         let mut span = self.sink.span(Track::ENGINE, self.op.spans().run, "engine");
         span.arg("algo", self.label);
         let out = exec(&mut self.primary(), Mode::Functional).output()?;
-        self.counters.record_run(self.label);
+        self.algo.record_run();
         self.counters.add_wall(t0.elapsed());
         Ok(out)
     }
 
     /// Profile `exec` once on the primary state, or answer from the memo
     /// under the plan's launch key without executing anything. The caller
-    /// has checked the operands.
+    /// has checked the operands. A memo answer opens no span and is not
+    /// timed: a traced context never gets one, and the memo counts it.
     pub(super) fn profile<R>(
         &self,
         exec: impl FnOnce(&mut S, Mode) -> Launched<R>,
     ) -> Result<KernelProfile, EngineError> {
+        if let Some(profile) = self.memoized_profile() {
+            self.algo.record_profile(profile.cycles);
+            return Ok(profile);
+        }
         let t0 = std::time::Instant::now(); // lint: hash-ok — engine wall bookkeeping only
         let mut span = self
             .sink
             .span(Track::ENGINE, self.op.spans().profile, "engine");
         span.arg("algo", self.label);
-        let profile = match self.memoized_profile() {
-            Some(profile) => profile,
-            None => exec(&mut self.primary(), Mode::Performance).profile()?,
-        };
-        self.counters.record_profile(self.label, profile.cycles);
+        let profile = exec(&mut self.primary(), Mode::Performance).profile()?;
+        self.algo.record_profile(profile.cycles);
         self.counters.add_wall(t0.elapsed());
         Ok(profile)
     }
@@ -165,7 +170,7 @@ impl<S: Clone + Send> PlanCore<S> {
     /// The profile cached under the plan's launch key: `None` until a
     /// memoized profile left a key, and whenever the probe declines (a
     /// traced context). An auditing memo skips this shortcut, so each
-    /// profile probes the memo once, inside its full launch.
+    /// profile probes the memo once, inside its full, timed launch.
     fn memoized_profile(&self) -> Option<KernelProfile> {
         let key = *self.launch_key.get()?;
         let memo = self.memo.as_ref().filter(|m| m.audit_every() == 0)?;
@@ -199,7 +204,7 @@ impl<S: Clone + Send> PlanCore<S> {
                 let out = exec(&mut state, Mode::Functional, i);
                 self.spares().push(state);
                 let out = out.output()?;
-                self.counters.record_run(self.label);
+                self.algo.record_run();
                 Ok(out)
             })
             .collect::<Vec<_>>()

@@ -58,9 +58,10 @@ pub struct Report {
     /// fan-out, wave simulation) use, as configured at snapshot time.
     pub threads: usize,
     /// Wall-clock milliseconds spent inside engine execution entry
-    /// points (runs, profiles, batches, tuning). Batch fan-out is
-    /// measured at the region boundary, so concurrent elements count
-    /// elapsed time once.
+    /// points: runs, simulated profiles, batches and tuning. Batch
+    /// fan-out is measured at the region boundary, so concurrent
+    /// elements count elapsed time once. A profile a plan answers from
+    /// the memo is not timed; [`MemoStats::launch_hits`] counts it.
     pub wall_ms: f64,
 }
 

@@ -1,17 +1,19 @@
 //! Integration tests for the engine's plan/cache/tuner workflow: cache
 //! hit/miss accounting, bit-identity of planned execution against the
 //! scalar references for every algorithm (including `Auto`), batch
-//! semantics, and the cached-plan performance claim against the legacy
-//! throwaway-context-per-element batch path.
+//! semantics, the report's per-algorithm tallies, and the cached-plan
+//! performance claim against the legacy throwaway-context-per-element
+//! batch path.
 
 use proptest::prelude::*;
+use rayon::ThreadPoolBuilder;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 use vecsparse::engine::Context;
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, reference, Layout};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{ArgValue, GpuConfig, TraceSink};
+use vecsparse_gpu_sim::{ArgValue, GpuConfig, TraceSink, WaveMemo};
 
 /// Keeps this file's other tests off the host while
 /// `cached_plan_batch_beats_legacy_batch` times its two sides: they share
@@ -143,6 +145,85 @@ fn sddmm_batch_matches_sequential_runs() {
             assert_eq!(got.values(), reference::sddmm(a, b, &mask).values());
         }
     }
+}
+
+/// `Report::algos` is exact: two octet plans and one FPU plan on one
+/// memoizing context, through single runs, a 16-element batch at 4
+/// threads and K repeated profiles each (one miss, then K − 1 memo
+/// hits). Cycles sum bit for bit, the tallies outlive the plans, and
+/// only a simulated profile adds engine wall time. Runs alone: it
+/// widens the process's thread pool for the batch.
+#[test]
+fn report_algos_are_exact_and_memo_hits_are_untimed() {
+    const K: usize = 5;
+    let _alone = HOST.write().unwrap_or_else(PoisonError::into_inner);
+    let ctx = Context::builder()
+        .gpu(GpuConfig::small())
+        .shared_memoization(Arc::new(WaveMemo::with_audit(0)))
+        .build();
+    let a = gen::random_vector_sparse::<f16>(32, 64, 4, 0.8, 70);
+    let a2 = gen::random_vector_sparse::<f16>(32, 64, 4, 0.6, 71);
+    let b = gen::random_dense::<f16>(64, 32, Layout::RowMajor, 72);
+    let batch: Vec<_> = (0..16u64)
+        .map(|i| gen::random_dense::<f16>(64, 32, Layout::RowMajor, 73 + i))
+        .collect();
+    let plans = [
+        ctx.plan_spmm(&a, 32, SpmmAlgo::Octet),
+        ctx.plan_spmm(&a2, 32, SpmmAlgo::Octet),
+        ctx.plan_spmm(&a, 32, SpmmAlgo::FpuSubwarp),
+    ];
+    for plan in &plans {
+        plan.run(&b);
+    }
+    ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build_global()
+        .expect("the pool shim never refuses");
+    let batched = plans[0].run_batch(&batch);
+    ThreadPoolBuilder::new()
+        .num_threads(0)
+        .build_global()
+        .expect("the pool shim never refuses");
+    assert_eq!(batched.len(), batch.len());
+
+    // Summed in profile order, as the tallies add them.
+    let (mut octet_cycles, mut fpu_cycles) = (0.0f64, 0.0f64);
+    for (i, plan) in plans.iter().enumerate() {
+        for k in 0..K {
+            let before = ctx.report().wall_ms;
+            let cycles = plan.profile(&b).cycles;
+            let after = ctx.report().wall_ms;
+            if k == 0 {
+                assert!(after > before, "plan {i}: a simulated profile is timed");
+            } else {
+                assert_eq!(after, before, "plan {i}: a memo hit is not timed");
+            }
+            match i {
+                2 => fpu_cycles += cycles,
+                _ => octet_cycles += cycles,
+            }
+        }
+    }
+    let memo = ctx.memo_stats().expect("memoizing context");
+    assert_eq!(
+        (memo.launch_misses, memo.launch_hits),
+        (3, 3 * (K as u64 - 1))
+    );
+
+    let algos = ctx.report().algos;
+    let got: Vec<_> = algos
+        .iter()
+        .map(|r| (r.algo, r.runs, r.profiles, r.total_cycles.to_bits()))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("spmm-fpu", 1, K as u64, fpu_cycles.to_bits()),
+            ("spmm-octet", 2 + 16, 2 * K as u64, octet_cycles.to_bits()),
+        ]
+    );
+    drop(plans);
+    assert_eq!(ctx.report().algos, algos, "the tallies outlive the plans");
 }
 
 /// The plan API's headline perf claim: re-executing a cached plan over a

@@ -12,7 +12,7 @@
 //! This module parses and writes that format, so the synthetic suite in
 //! `vecsparse-dlmc` can be swapped for the real dataset byte-for-byte:
 //! load an `.smtx`, apply the paper's Fig. 16 construction
-//! ([`to_vector_sparse`]) and feed the kernels.
+//! ([`Smtx::to_vector_sparse`]) and feed the kernels.
 
 use crate::{Csr, Scalar, SparsityPattern, VectorSparse};
 use rand::prelude::*;

@@ -37,6 +37,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap; // lint: hash-ok — keyed lookup/insert only, never iterated.
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -86,13 +87,45 @@ impl MemoStats {
     }
 }
 
+/// Hashes a [`Fingerprint`] for the launch map: each word is mixed in
+/// with a splitmix64 finalizer. Neither lane may be used as is: an FNV
+/// lane's low bits depend only on its inputs' low bits, so keys that
+/// differ only in high input bits would share their low hash bits and
+/// crowd into few buckets. SipHash's keying is not needed: a key is a
+/// fingerprint the program computed, and keys that collide here cost
+/// probe time, never a wrong answer (the map compares whole keys).
+#[derive(Default)]
+struct FingerprintMix(u64);
+
+impl Hasher for FingerprintMix {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let mut z = (self.0 ^ word).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+// lint: hash-ok — keyed lookup/insert only, never iterated.
+type LaunchMap = HashMap<Fingerprint, KernelProfile, BuildHasherDefault<FingerprintMix>>;
+
 /// The launch-profile cache. One per engine context; shared by every
 /// plan the context builds. Grows monotonically (entries are never
 /// evicted — a sweep's working set is bounded by its distinct launch
 /// classes).
 pub struct WaveMemo {
-    // lint: hash-ok — keyed lookup/insert only, never iterated.
-    launches: Mutex<HashMap<Fingerprint, KernelProfile>>,
+    launches: Mutex<LaunchMap>,
     /// Audit period: decline every n-th launch hit. 0 = off.
     audit_every: u64,
     /// Launch-hit counter driving audit selection (probe order).
@@ -128,7 +161,7 @@ impl WaveMemo {
     /// A memo auditing every `audit_every`-th launch hit (0 = off).
     pub fn with_audit(audit_every: u64) -> Self {
         WaveMemo {
-            launches: Mutex::new(HashMap::new()), // lint: hash-ok
+            launches: Mutex::default(),
             audit_every,
             audit_clock: AtomicU64::new(0),
             audits: AtomicU64::new(0),
@@ -192,8 +225,7 @@ impl WaveMemo {
         }
     }
 
-    // lint: hash-ok — keyed lookup/insert only, never iterated.
-    fn launches(&self) -> MutexGuard<'_, HashMap<Fingerprint, KernelProfile>> {
+    fn launches(&self) -> MutexGuard<'_, LaunchMap> {
         self.launches
             .lock()
             .expect("a thread panicked while holding the launch memo")
@@ -247,6 +279,40 @@ mod tests {
         assert_eq!(declined, 3, "every 2nd hit is declined");
         let s = memo.stats();
         assert_eq!((s.launch_misses, s.launch_hits, s.audits), (0, 3, 3));
+    }
+
+    /// Keys whose hasher inputs differ only above bit 16 share the low
+    /// 17 bits of both FNV lanes; the map's hash must still spread them
+    /// over the low bits a table indexes by.
+    #[test]
+    fn keys_differing_in_high_input_bits_spread_over_low_hash_bits() {
+        use crate::sig::FingerprintHasher;
+        use std::hash::BuildHasher;
+        let keys: Vec<Fingerprint> = (0..4096u64)
+            .map(|i| {
+                let mut h = FingerprintHasher::new();
+                h.write_u64(i << 17);
+                h.finish()
+            })
+            .collect();
+        let memo = WaveMemo::with_audit(0);
+        for (i, &k) in keys.iter().enumerate() {
+            memo.insert_launch(k, &profile(i as f64));
+        }
+        for (i, &k) in keys.iter().enumerate() {
+            let hit = memo.probe_launch(k, false).expect("cached");
+            assert_eq!(hit.cycles, i as f64, "key {i} returns its own profile");
+        }
+        let low_bits = |hash: &dyn Fn(&Fingerprint) -> u64| {
+            let mut seen: Vec<u64> = keys.iter().map(|k| hash(k) & 0xfff).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len()
+        };
+        let build = BuildHasherDefault::<FingerprintMix>::default();
+        let mixed = low_bits(&|k| build.hash_one(k));
+        assert!(mixed >= 2048, "{mixed} distinct low-12-bit hashes");
+        assert_eq!(low_bits(&|k| k.lo), 1, "the raw lane would not spread");
     }
 
     #[test]

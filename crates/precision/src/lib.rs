@@ -4,7 +4,7 @@
 //! kernels, in the spirit of what a `compute-sanitizer`-style tool would
 //! do for fp16 tensor-core code:
 //!
-//! * **Static** ([`analyze`]): an abstract interpreter over a kernel's
+//! * **Static** ([`analyze()`]): an abstract interpreter over a kernel's
 //!   registered [`Program`](vecsparse_gpu_sim::Program) sites. Each site
 //!   carries an interval of reachable values plus a propagated worst-case
 //!   absolute error versus exact arithmetic. The walk emits per-site

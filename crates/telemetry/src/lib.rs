@@ -342,17 +342,19 @@ impl TraceSink {
     /// the measured wall-clock microseconds (at least one tick), so
     /// subsequent events nest *after* this span's children.
     ///
-    /// Cheap when disabled: the guard records nothing on drop.
+    /// Free when disabled: the guard neither names nor times anything,
+    /// and records nothing on drop.
     pub fn span<'a>(&'a self, track: Track, name: &str, cat: &'static str) -> SpanGuard<'a> {
         SpanGuard {
             sink: self,
-            track,
-            name: name.to_string(),
-            cat,
-            start_ticks: self.now(),
-            started: Instant::now(), // lint: hash-ok — host span duration, never in simulated counters
-            args: Vec::new(),
-            active: self.is_enabled(),
+            open: self.is_enabled().then(|| OpenSpan {
+                track,
+                name: name.to_string(),
+                cat,
+                start_ticks: self.now(),
+                started: Instant::now(), // lint: hash-ok — host span duration, never in simulated counters
+                args: Vec::new(),
+            }),
         }
     }
 
@@ -476,56 +478,51 @@ impl TraceSink {
 #[must_use = "the span is recorded when the guard drops"]
 pub struct SpanGuard<'a> {
     sink: &'a TraceSink,
+    /// The span being recorded; `None` on a disabled sink.
+    open: Option<OpenSpan>,
+}
+
+/// What an open span records when it closes.
+struct OpenSpan {
     track: Track,
     name: String,
     cat: &'static str,
     start_ticks: u64,
     started: Instant,
     args: Vec<(&'static str, ArgValue)>,
-    active: bool,
 }
 
 impl SpanGuard<'_> {
     /// Attach an argument to the span before it closes.
     pub fn arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
-        if self.active {
-            self.args.push((key, value.into()));
+        if let Some(open) = &mut self.open {
+            open.args.push((key, value.into()));
         }
-    }
-
-    /// The span's start time in virtual ticks.
-    pub fn start_ticks(&self) -> u64 {
-        self.start_ticks
     }
 
     /// Close the span now (equivalent to dropping it).
     pub fn finish(self) {}
-
-    fn close(&mut self) {
-        if !self.active {
-            return;
-        }
-        self.active = false;
-        let elapsed = (self.started.elapsed().as_micros() as u64).max(1);
-        // Children (kernel launches inside this span) may already have
-        // advanced the clock past start + elapsed; the span must cover
-        // them, so end at whichever is later.
-        self.sink.advance_to(self.start_ticks + elapsed);
-        let end = self.sink.now().max(self.start_ticks + 1);
-        self.sink.span_at(
-            self.track,
-            std::mem::take(&mut self.name),
-            self.cat,
-            self.start_ticks,
-            end - self.start_ticks,
-            std::mem::take(&mut self.args),
-        );
-    }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.close();
+        let Some(open) = self.open.take() else {
+            return;
+        };
+        let elapsed = (open.started.elapsed().as_micros() as u64).max(1);
+        // Children (kernel launches inside this span) may already have
+        // advanced the clock past start + elapsed; the span must cover
+        // them, so end at whichever is later.
+        self.sink.advance_to(open.start_ticks + elapsed);
+        let end = self.sink.now().max(open.start_ticks + 1);
+        self.sink.span_at(
+            open.track,
+            open.name,
+            open.cat,
+            open.start_ticks,
+            end - open.start_ticks,
+            open.args,
+        );
     }
 }
 
@@ -545,6 +542,7 @@ mod tests {
         }
         assert!(sink.events().is_empty());
         assert_eq!(sink.dropped(), 0);
+        assert_eq!(sink.now(), 0, "a disabled span leaves the clock alone");
     }
 
     #[test]
@@ -576,6 +574,12 @@ mod tests {
 
     #[test]
     fn span_guard_advances_clock_and_covers_children() {
+        // A childless span lasts at least one tick of host time.
+        let leaf = TraceSink::enabled(16);
+        leaf.span(Track::ENGINE, "leaf", "engine").finish();
+        let ev = leaf.events();
+        assert!(ev.len() == 1 && ev[0].dur >= 1 && leaf.now() >= 1);
+
         let sink = TraceSink::enabled(16);
         let before = sink.now();
         {
