@@ -59,12 +59,6 @@ pub enum EngineError {
         /// The device's memory in bytes.
         capacity: u64,
     },
-    /// An internal contract broke (e.g. a performance launch returned no
-    /// profile). Not reachable from malformed caller inputs.
-    Internal {
-        /// What broke.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -97,7 +91,6 @@ impl fmt::Display for EngineError {
                 f,
                 "problem needs {needed} bytes of device memory; the device has {capacity}"
             ),
-            EngineError::Internal { what } => write!(f, "internal error: {what}"),
         }
     }
 }

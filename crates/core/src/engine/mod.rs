@@ -57,9 +57,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use vecsparse_certify::WaveCertificate;
 use vecsparse_formats::{gen, BlockedEll, DenseMatrix, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::sig::{self, Fingerprint};
+use vecsparse_gpu_sim::sig;
 use vecsparse_gpu_sim::{
-    Backend, ElemWidth, GpuConfig, KernelProfile, LaunchSig, MemoStats, TraceSink, Track, WaveMemo,
+    Backend, ElemWidth, GpuConfig, KernelProfile, MemoStats, TraceSink, Track, WaveMemo,
 };
 use vecsparse_precision::Certificate;
 
@@ -280,13 +280,6 @@ pub(crate) struct Counters {
     /// Latest wave-equivalence certificate per planned algorithm
     /// (surfaced in [`Report`]).
     wave_certs: Mutex<HashMap<&'static str, WaveCertificate>>, // lint: hash-ok — snapshot sorts by label
-    /// Memoization-signature cache keyed by (algorithm, operand
-    /// fingerprint): repeated plans over the same operand structure reuse
-    /// one certification instead of re-proving per plan. `None` records a
-    /// NotProvable verdict, so unprovable kernels are not re-certified
-    /// either.
-    // lint: hash-ok — keyed lookup/insert only, never iterated.
-    launch_sigs: Mutex<HashMap<(&'static str, Fingerprint), Option<LaunchSig>>>,
 }
 
 impl Counters {
@@ -368,36 +361,6 @@ impl Counters {
             .collect();
         v.sort_by_key(|(k, _)| *k);
         v
-    }
-
-    /// Resolve the memoization signature for `(label, operand_fp)`,
-    /// certifying wave equivalence at most once per key: plans rebuilt
-    /// over the same operand structure (a `--repeat` sweep) hit the cache
-    /// instead of re-proving. `certify` runs outside the lock; concurrent
-    /// first-probes may both certify, which is benign (same verdict).
-    pub(crate) fn launch_sig_for(
-        &self,
-        label: &'static str,
-        operand_fp: Fingerprint,
-        certify: impl FnOnce() -> WaveCertificate,
-    ) -> Option<LaunchSig> {
-        {
-            let sigs = self
-                .launch_sigs
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(sig) = sigs.get(&(label, operand_fp)) {
-                return *sig;
-            }
-        }
-        let cert = certify();
-        let sig = cert.launch_sig(operand_fp);
-        self.wave_certs_lock().insert(label, cert);
-        self.launch_sigs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert((label, operand_fp), sig);
-        sig
     }
 }
 

@@ -2,7 +2,7 @@
 //! the kernel and its buffers are built once, and every run writes both
 //! value operands into them.
 
-use super::plan_core::{Launched, PlanCore};
+use super::plan_core::{Kernel, PlanCore};
 use super::{pattern_structure_hash, Context, EngineError, OpKind, PlanKey};
 use crate::api::SddmmAlgo;
 use crate::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, SddmmBuffers, WmmaSddmm};
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
-use vecsparse_gpu_sim::{ElemWidth, KernelProfile, KernelSpec, MemPool, Mode};
+use vecsparse_gpu_sim::{ElemWidth, KernelProfile, MemPool};
 
 /// A planned SDDMM. Unlike SpMM, both value operands change per run (the
 /// mask contributes structure, not values, and its device residency is
@@ -26,8 +26,7 @@ pub struct SddmmPlan {
     /// The mask, shared with the kernel.
     mask: Arc<SparsityPattern>,
     bufs: SddmmBuffers,
-    kernel: Box<dyn KernelSpec + Send>,
-    core: PlanCore<MemPool>,
+    core: PlanCore,
 }
 
 impl SddmmPlan {
@@ -49,7 +48,7 @@ impl SddmmPlan {
             out: mem.alloc_ghost(ElemWidth::B16, mask.nnz()),
         };
         let shared = Arc::clone(&mask);
-        let kernel: Box<dyn KernelSpec + Send> = match algo {
+        let kernel: Kernel = match algo {
             SddmmAlgo::FpuSubwarp => {
                 Box::new(FpuSubwarpSddmm::<f16>::from_staged(shared, key.k, bufs))
             }
@@ -68,8 +67,7 @@ impl SddmmPlan {
             algo,
             mask,
             bufs,
-            kernel,
-            core: PlanCore::new(ctx, OpKind::Sddmm, algo.label(), mem),
+            core: PlanCore::new(ctx, OpKind::Sddmm, algo.label(), mem, kernel, None),
         }
     }
 
@@ -133,33 +131,21 @@ impl SddmmPlan {
         Ok(())
     }
 
-    /// Write the checked operands and a zeroed output into `mem`
-    /// (functional launches only) and launch the plan's kernel.
-    fn execute(
-        &self,
-        mem: &mut MemPool,
-        a: &DenseMatrix<f16>,
-        b: &DenseMatrix<f16>,
-        mode: Mode,
-    ) -> Launched<VectorSparse<f16>> {
-        if mode == Mode::Functional {
-            mem.replace(self.bufs.a, a.data().iter().map(|v| v.to_f32()));
-            mem.replace(self.bufs.b, b.data().iter().map(|v| v.to_f32()));
-            mem.replace(self.bufs.out, (0..self.mask.nnz()).map(|_| 0.0));
-        }
-        self.core.launch(
-            mem,
-            self.kernel.as_ref(),
-            mode,
-            |mem| self.operand_fp(mem),
-            |mem| download_vs(mem, self.bufs.out, &self.mask),
-        )
+    /// Write a functional run's values into `mem`: the checked operands
+    /// and a zeroed output.
+    fn stage(&self, mem: &mut MemPool, a: &DenseMatrix<f16>, b: &DenseMatrix<f16>) {
+        mem.replace(self.bufs.a, a.data().iter().map(|v| v.to_f32()));
+        mem.replace(self.bufs.b, b.data().iter().map(|v| v.to_f32()));
+        mem.replace(self.bufs.out, (0..self.mask.nnz()).map(|_| 0.0));
+    }
+
+    fn read(&self, mem: &MemPool) -> VectorSparse<f16> {
+        download_vs(mem, self.bufs.out, &self.mask)
     }
 
     /// The memoization operand fingerprint: operation, algorithm,
-    /// descriptor, mask structure and the staged pool layout. Taken only
-    /// by full memoized launches: once per plan, then by traced or
-    /// audited ones.
+    /// descriptor, mask structure and the staged pool layout. Taken once
+    /// per plan, by its first memoized profile.
     fn operand_fp(&self, mem: &MemPool) -> Fingerprint {
         let mut h = FingerprintHasher::new();
         h.write_bytes(b"sddmm");
@@ -179,7 +165,9 @@ impl SddmmPlan {
         b: &DenseMatrix<f16>,
     ) -> Result<VectorSparse<f16>, EngineError> {
         self.check_operands(a, b)?;
-        self.core.run(|state, mode| self.execute(state, a, b, mode))
+        Ok(self
+            .core
+            .run(|mem| self.stage(mem, a, b), |mem| self.read(mem)))
     }
 
     /// Infallible [`SddmmPlan::try_run`].
@@ -201,8 +189,7 @@ impl SddmmPlan {
         b: &DenseMatrix<f16>,
     ) -> Result<KernelProfile, EngineError> {
         self.check_operands(a, b)?;
-        self.core
-            .profile(|state, mode| self.execute(state, a, b, mode))
+        Ok(self.core.profile(|mem| self.operand_fp(mem)))
     }
 
     /// Infallible [`SddmmPlan::try_profile`].
@@ -231,9 +218,11 @@ impl SddmmPlan {
         for (a, b) in a_batch.iter().zip(b_batch) {
             self.check_operands(a, b)?;
         }
-        self.core.run_batch(a_batch.len(), |state, mode, i| {
-            self.execute(state, &a_batch[i], &b_batch[i], mode)
-        })
+        self.core.run_batch(
+            a_batch.len(),
+            |mem, i| self.stage(mem, &a_batch[i], &b_batch[i]),
+            |mem| self.read(mem),
+        )
     }
 
     /// Infallible [`SddmmPlan::try_run_batch`].

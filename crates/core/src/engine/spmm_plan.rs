@@ -1,7 +1,7 @@
 //! A captured SpMM problem: encode, stage and build the kernel once, run
 //! many times.
 
-use super::plan_core::{Launched, PlanCore};
+use super::plan_core::{Kernel, PlanCore};
 use super::{ell_twin, pattern_structure_hash, Context, EngineError, OpKind, PlanKey};
 use crate::api::SpmmAlgo;
 use crate::compose::TilingScheme;
@@ -10,10 +10,7 @@ use crate::util::{download_dense, upload_ell, upload_vs, EllBuffers, VsBuffers};
 use vecsparse_formats::{BlockedEll, DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
-use vecsparse_gpu_sim::{BufferId, ElemWidth, KernelProfile, KernelSpec, MemPool, Mode};
-
-/// A kernel a plan builds once and launches on every call.
-type Kernel = Box<dyn KernelSpec + Send>;
+use vecsparse_gpu_sim::{BufferId, ElemWidth, KernelProfile, MemPool, Mode};
 
 /// The staged sparse operand: its device buffers and, for Blocked-ELL,
 /// the surrogate whose values they receive.
@@ -24,15 +21,15 @@ enum Staged {
     Dense(BufferId),
 }
 
-/// Mutable per-plan device state: the staged pool.
-#[derive(Clone)]
-struct PlanState {
-    mem: MemPool,
-    /// Whether the sparse operand's *values* are in the pool. Every
-    /// buffer is staged address-only (kernels read structure host-side),
-    /// and the operand's values are written on the state's first
-    /// functional run: a plan that only ever profiles holds no values.
-    resident: bool,
+impl Staged {
+    /// The buffer that receives the operand's values.
+    fn values(&self) -> BufferId {
+        match self {
+            Staged::Vs(bufs) => bufs.values,
+            Staged::Ell(bufs, _) => bufs.values,
+            Staged::Dense(buf) => *buf,
+        }
+    }
 }
 
 /// A planned SpMM: the sparse operand is encoded and staged in the plan's
@@ -51,13 +48,7 @@ pub struct SpmmPlan {
     staged: Staged,
     b_buf: BufferId,
     out_buf: BufferId,
-    /// The kernel every functional launch runs.
-    kernel: Kernel,
-    /// `Dense` only: its performance-mode instance, since split-K
-    /// applies to performance launches only. Every other plan profiles
-    /// `kernel`.
-    perf_kernel: Option<Kernel>,
-    core: PlanCore<PlanState>,
+    core: PlanCore,
 }
 
 impl SpmmPlan {
@@ -116,15 +107,15 @@ impl SpmmPlan {
                 }
             }
         };
-        let (kernel, perf_kernel) = (
-            kernel(Mode::Functional),
-            (algo == SpmmAlgo::Dense).then(|| kernel(Mode::Performance)),
-        );
-        let state = PlanState {
-            mem,
-            resident: false,
-        };
         SpmmPlan {
+            core: PlanCore::new(
+                ctx,
+                OpKind::Spmm,
+                algo.label(),
+                mem,
+                kernel(Mode::Functional),
+                (algo == SpmmAlgo::Dense).then(|| kernel(Mode::Performance)),
+            ),
             key,
             algo,
             scheme,
@@ -132,17 +123,14 @@ impl SpmmPlan {
             staged,
             b_buf,
             out_buf,
-            kernel,
-            perf_kernel,
-            core: PlanCore::new(ctx, OpKind::Spmm, algo.label(), state),
         }
     }
 
     /// The memoization operand fingerprint of the plan staged in `mem`:
     /// everything the signature must cover beyond the certificate
     /// (operation, algorithm, scheme, descriptor, the full pattern
-    /// structure and the staged pool layout). Taken only by full
-    /// memoized launches: once per plan, then by traced or audited ones.
+    /// structure and the staged pool layout). Taken once per plan, by
+    /// its first memoized profile.
     fn operand_fp(&self, mem: &MemPool) -> Fingerprint {
         let mut h = FingerprintHasher::new();
         h.write_bytes(b"spmm");
@@ -205,54 +193,36 @@ impl SpmmPlan {
         Ok(())
     }
 
-    /// Write the sparse operand's values into the staged pool. The dense
-    /// image scatters only stored vectors into a zero image: untouched
-    /// `f16` zeros convert to the `+0.0` a fresh image already holds, so
-    /// the bits match a full-image conversion.
-    fn stage_operand(&self, mem: &mut MemPool) {
+    /// Write a functional run's values into `mem`: the checked `b`, a
+    /// zeroed output and, while its buffer is still address-only (the
+    /// pool's first run), the sparse operand, so a plan that only
+    /// profiles holds no values. The dense image scatters only stored
+    /// vectors into a zero image: untouched `f16` zeros convert to the
+    /// `+0.0` a fresh image already holds, so the bits match a
+    /// full-image conversion.
+    fn stage(&self, mem: &mut MemPool, b: &DenseMatrix<f16>) {
         let to_f32 = |v: &f16| v.to_f32();
-        match &self.staged {
-            Staged::Vs(bufs) => mem.replace(bufs.values, self.a.values().iter().map(to_f32)),
-            Staged::Ell(bufs, ell) => mem.replace(bufs.values, ell.values().iter().map(to_f32)),
-            Staged::Dense(buf) => mem.replace(*buf, self.a.to_f32_image().into_iter()),
+        if mem.contents(self.staged.values()).is_empty() {
+            match &self.staged {
+                Staged::Vs(bufs) => mem.replace(bufs.values, self.a.values().iter().map(to_f32)),
+                Staged::Ell(bufs, ell) => mem.replace(bufs.values, ell.values().iter().map(to_f32)),
+                Staged::Dense(buf) => mem.replace(*buf, self.a.to_f32_image().into_iter()),
+            }
         }
+        mem.replace(self.b_buf, b.data().iter().map(to_f32));
+        mem.replace(self.out_buf, (0..self.key.m * self.key.n).map(|_| 0.0));
     }
 
-    /// Write the checked `b` and a zeroed output into `state` (functional
-    /// launches only) and launch the plan's kernel.
-    fn execute(
-        &self,
-        state: &mut PlanState,
-        b: &DenseMatrix<f16>,
-        mode: Mode,
-    ) -> Launched<DenseMatrix<f16>> {
-        let PlanState { mem, resident } = state;
-        let (m, n, out_buf) = (self.key.m, self.key.n, self.out_buf);
-        let kernel = match (mode, &self.perf_kernel) {
-            (Mode::Performance, Some(perf)) => perf,
-            _ => &self.kernel,
-        };
-        if mode == Mode::Functional {
-            if !*resident {
-                self.stage_operand(mem);
-                *resident = true;
-            }
-            mem.replace(self.b_buf, b.data().iter().map(|v| v.to_f32()));
-            mem.replace(out_buf, (0..m * n).map(|_| 0.0));
-        }
-        self.core.launch(
-            mem,
-            kernel.as_ref(),
-            mode,
-            |mem| self.operand_fp(mem),
-            |mem| download_dense(mem, out_buf, m, n),
-        )
+    fn read(&self, mem: &MemPool) -> DenseMatrix<f16> {
+        download_dense(mem, self.out_buf, self.key.m, self.key.n)
     }
 
     /// Run the planned SpMM on one RHS.
     pub fn try_run(&self, b: &DenseMatrix<f16>) -> Result<DenseMatrix<f16>, EngineError> {
         self.check_rhs(b)?;
-        self.core.run(|state, mode| self.execute(state, b, mode))
+        Ok(self
+            .core
+            .run(|mem| self.stage(mem, b), |mem| self.read(mem)))
     }
 
     /// Infallible [`SpmmPlan::try_run`].
@@ -269,8 +239,7 @@ impl SpmmPlan {
     /// lookup.
     pub fn try_profile(&self, b: &DenseMatrix<f16>) -> Result<KernelProfile, EngineError> {
         self.check_rhs(b)?;
-        self.core
-            .profile(|state, mode| self.execute(state, b, mode))
+        Ok(self.core.profile(|mem| self.operand_fp(mem)))
     }
 
     /// Infallible [`SpmmPlan::try_profile`].
@@ -292,9 +261,11 @@ impl SpmmPlan {
         for b in batch {
             self.check_rhs(b)?;
         }
-        self.core.run_batch(batch.len(), |state, mode, i| {
-            self.execute(state, &batch[i], mode)
-        })
+        self.core.run_batch(
+            batch.len(),
+            |mem, i| self.stage(mem, &batch[i]),
+            |mem| self.read(mem),
+        )
     }
 
     /// Infallible [`SpmmPlan::try_run_batch`].
@@ -330,8 +301,7 @@ mod tests {
         ] {
             let plan = ctx.plan_spmm(&a, 48, algo);
             let values = || {
-                let state = plan.core.primary();
-                let mem = &state.mem;
+                let mem = plan.core.primary();
                 mem.buffer_ids()
                     .map(|id| mem.contents(id).len())
                     .sum::<usize>()

@@ -226,6 +226,42 @@ fn report_algos_are_exact_and_memo_hits_are_untimed() {
     assert_eq!(ctx.report().algos, algos, "the tallies outlive the plans");
 }
 
+/// `Report::wave_certificates` names each algorithm a memoizing context
+/// profiled, once however often its plans profiled, with a provable
+/// certificate; a context without memoization certifies nothing.
+#[test]
+fn wave_certificates_list_each_memoized_algorithm() {
+    let _host = shared_host();
+    let a = gen::random_vector_sparse::<f16>(32, 64, 4, 0.8, 60);
+    let b = gen::random_dense::<f16>(64, 48, Layout::RowMajor, 61);
+    let mask = gen::random_pattern(32, 48, 4, 0.7, 62);
+    let sa = gen::random_dense::<f16>(32, 64, Layout::RowMajor, 63);
+    let sb = gen::random_dense::<f16>(64, 48, Layout::ColMajor, 64);
+    let certified = |ctx: Context| {
+        let spmm = ctx.plan_spmm(&a, 48, SpmmAlgo::Octet);
+        let sddmm = ctx.plan_sddmm(&mask, 64, SddmmAlgo::FpuSubwarp);
+        for _ in 0..2 {
+            spmm.profile(&b);
+            sddmm.profile(&sa, &sb);
+        }
+        let certs = ctx.report().wave_certificates;
+        assert!(
+            certs.iter().all(|(_, cert)| cert.is_provable()),
+            "{certs:?}"
+        );
+        certs
+            .into_iter()
+            .map(|(label, _)| label)
+            .collect::<Vec<_>>()
+    };
+    let builder = || Context::builder().gpu(GpuConfig::small());
+    assert_eq!(
+        certified(builder().memoization().build()),
+        ["sddmm-fpu", "spmm-octet"]
+    );
+    assert!(certified(builder().build()).is_empty());
+}
+
 /// The plan API's headline perf claim: re-executing a cached plan over a
 /// 16-element batch launches the tuner zero times and beats the legacy
 /// batch path (the removed `batch::spmm_batch`, inlined here: a fresh

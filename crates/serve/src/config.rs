@@ -5,6 +5,10 @@ use std::sync::Arc;
 use vecsparse_gpu_sim::{Backend, GpuConfig};
 use vecsparse_telemetry::TraceSink;
 
+/// Admission limit of a tenant whose spec sets no
+/// [`TenantSpec::queue_depth`].
+pub(crate) const DEFAULT_QUEUE_DEPTH: usize = 256;
+
 /// One tenant's contract with the server: identity, fair-share weight,
 /// admission limit, and an optional latency SLO.
 ///
@@ -25,8 +29,7 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// A tenant with weight 1, the server's default queue depth, and no
-    /// SLO.
+    /// A tenant with weight 1, a queue depth of 256 jobs, and no SLO.
     pub fn new(name: impl Into<String>) -> TenantSpec {
         TenantSpec {
             name: name.into(),
@@ -69,7 +72,6 @@ pub struct ServeConfig {
     pub(crate) workers: usize,
     pub(crate) shards: usize,
     pub(crate) max_batch: usize,
-    pub(crate) default_queue_depth: usize,
     pub(crate) gpu: GpuConfig,
     pub(crate) backend: Backend,
     pub(crate) sink: Option<Arc<TraceSink>>,
@@ -78,9 +80,10 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Start building a configuration. Defaults: 2 workers, 1 shard,
-    /// max batch 8, queue depth 256 per tenant, default GPU, the
-    /// [`Backend::Native`] fast path, no telemetry, no tenants (at least
-    /// one must be added before `build`).
+    /// max batch 8, default GPU, the [`Backend::Native`] fast path, no
+    /// telemetry, no tenants (at least one must be added before `build`).
+    /// A tenant's admission limit is its [`TenantSpec::queue_depth`]
+    /// (256 when unset).
     pub fn builder() -> ServeConfigBuilder {
         ServeConfigBuilder::default()
     }
@@ -130,7 +133,6 @@ pub struct ServeConfigBuilder {
     workers: Option<usize>,
     shards: Option<usize>,
     max_batch: Option<usize>,
-    default_queue_depth: Option<usize>,
     gpu: Option<GpuConfig>,
     backend: Option<Backend>,
     sink: Option<Arc<TraceSink>>,
@@ -154,13 +156,6 @@ impl ServeConfigBuilder {
     /// Maximum same-shape jobs coalesced into one dispatch (default 8).
     pub fn max_batch(mut self, n: usize) -> Self {
         self.max_batch = Some(n);
-        self
-    }
-
-    /// Per-tenant admission limit when the tenant spec does not set its
-    /// own (default 256).
-    pub fn default_queue_depth(mut self, n: usize) -> Self {
-        self.default_queue_depth = Some(n);
         self
     }
 
@@ -248,7 +243,6 @@ impl ServeConfigBuilder {
             workers,
             shards,
             max_batch,
-            default_queue_depth: self.default_queue_depth.unwrap_or(256),
             gpu: self.gpu.unwrap_or_default(),
             backend: self.backend.unwrap_or(Backend::Native),
             sink: self.sink,

@@ -10,7 +10,7 @@
 //!   (`std`-only: a `Mutex` + `Condvar` oneshot, no async runtime).
 //! * **Batching** — same-shape requests (same resident operand, free
 //!   dimension, and algorithm) coalesce across tenants into one engine
-//!   plan and one `run_batch` dispatch, riding the engine's `PlanState`
+//!   plan and one `run_batch` dispatch, riding the engine's batch
 //!   fan-out and thread-pool shim.
 //! * **Sharding** — requests route to a cache shard by shape class;
 //!   each shard owns one engine `Context` (plan cache), and worker `w`

@@ -5,11 +5,11 @@
 //! shared engine [`Context`] (its plan cache *is* the shard); worker `w`
 //! of `W` serves shard `w % S`. A
 //! dispatched batch becomes a single engine plan plus a
-//! `run_batch` call, so the engine's existing `PlanState` fan-out (the
-//! rayon thread-pool shim) parallelizes inside the batch while the
-//! worker pool parallelizes across shards.
+//! `run_batch` call, so the engine's batch fan-out over per-worker
+//! device pools (the rayon thread-pool shim) parallelizes inside the
+//! batch while the worker pool parallelizes across shards.
 
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, DEFAULT_QUEUE_DEPTH};
 use crate::error::ServeError;
 use crate::job::{JobHandle, JobOutput, JobRequest, JobSlot};
 use crate::queue::{Batch, Pending, ShardQueue};
@@ -116,7 +116,7 @@ impl Server {
         let limits: Vec<usize> = config
             .tenants
             .iter()
-            .map(|t| t.queue_depth.unwrap_or(config.default_queue_depth))
+            .map(|t| t.queue_depth.unwrap_or(DEFAULT_QUEUE_DEPTH))
             .collect();
         let tenant_index = config
             .tenants

@@ -23,7 +23,6 @@
 
 mod common;
 
-use common::set_threads;
 use vecsparse::compose::{LoadStrategy, TilingScheme};
 use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
 use vecsparse::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, WmmaSddmm};
@@ -119,8 +118,9 @@ fn shape_grid() -> Vec<Shape> {
 /// construction — and the gate pins that they land on the same bits.
 #[test]
 fn native_backend_bit_identical_for_full_registry() {
+    let width = common::width();
     for threads in [1usize, 4] {
-        set_threads(threads);
+        width.set(threads);
         for shape in shape_grid() {
             for id in ALL_KERNELS {
                 let what = format!(
@@ -135,7 +135,7 @@ fn native_backend_bit_identical_for_full_registry() {
             }
         }
     }
-    set_threads(1);
+    width.set(1);
 }
 
 /// Every SpMM registry kernel on a right-hand side with one `+Inf` row
@@ -146,6 +146,7 @@ fn native_backend_bit_identical_for_full_registry() {
 /// octet, FPU and CSR skip none). Every block row of A stores such a zero.
 #[test]
 fn native_matches_simulated_on_non_finite_rhs() {
+    let width = common::width();
     let (m, k, n, v, sparsity, seed) = (64, 128, 32, 4, 0.9, 41);
     // Row 0 is +Inf so a lowering that read B for a padding slot (column
     // index 0) would show it.
@@ -203,7 +204,7 @@ fn native_matches_simulated_on_non_finite_rhs() {
         .filter(|id| id.label().starts_with("spmm-"));
     let f = Mode::Functional;
     for threads in [1usize, 4] {
-        set_threads(threads);
+        width.set(threads);
         for id in spmm_ids.clone() {
             let what = format!("{} on a non-finite B ({threads} threads)", id.label());
             let mem = &mut MemPool::new();
@@ -245,7 +246,7 @@ fn native_matches_simulated_on_non_finite_rhs() {
             assert!(vals.iter().any(|x| x.is_nan()), "{what}: no NaN output");
         }
     }
-    set_threads(1);
+    width.set(1);
 }
 
 /// The half SDDMM kernels on operands whose products overflow binary16
@@ -255,6 +256,7 @@ fn native_matches_simulated_on_non_finite_rhs() {
 /// dot meeting both signs of infinity reads NaN).
 #[test]
 fn sddmm_native_matches_simulated_when_products_overflow_binary16() {
+    let width = common::width();
     let (m, k, n, v) = (32, 64, 32, 4);
     let big = |x: DenseMatrix<f16>| {
         DenseMatrix::from_fn(x.rows(), x.cols(), x.layout(), |r, c| {
@@ -266,7 +268,7 @@ fn sddmm_native_matches_simulated_when_products_overflow_binary16() {
     let mask = gen::random_pattern(m, n, v, 0.5, 53);
     let f = Mode::Functional;
     for threads in [1usize, 4] {
-        set_threads(threads);
+        width.set(threads);
         for id in [
             KernelId::SddmmOctetReg,
             KernelId::SddmmOctetShfl,
@@ -302,7 +304,7 @@ fn sddmm_native_matches_simulated_when_products_overflow_binary16() {
             );
         }
     }
-    set_threads(1);
+    width.set(1);
 }
 
 /// A native *request* outside plain functional execution falls back to

@@ -9,15 +9,14 @@
 
 mod common;
 
-use common::set_threads;
 use proptest::prelude::*;
 use std::sync::Arc;
-use vecsparse::engine::Context;
+use vecsparse::engine::{Context, ContextBuilder};
 use vecsparse::registry::{self, KernelId, Shape};
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{GpuConfig, Launch, Mode};
+use vecsparse_gpu_sim::{Backend, GpuConfig, Launch, MemoStats, Mode, WaveMemo};
 use vecsparse_telemetry::{perfetto, TraceSink, DEFAULT_CAPACITY};
 
 /// Everything one full pass of the stack produces, in comparable form.
@@ -96,10 +95,11 @@ fn snapshot_with(memoize: bool) -> Snapshot {
 
 #[test]
 fn all_artifacts_bit_identical_across_thread_counts() {
-    set_threads(1);
+    let width = common::width();
+    width.set(1);
     let baseline = snapshot();
     for threads in [2usize, 4, 8] {
-        set_threads(threads);
+        width.set(threads);
         let got = snapshot();
         assert_eq!(
             got.spmm_out, baseline.spmm_out,
@@ -130,17 +130,18 @@ fn all_artifacts_bit_identical_across_thread_counts() {
             "perfetto timeline bytes diverged at {threads} threads"
         );
     }
-    set_threads(1);
+    width.set(1);
 }
 
 /// The full suite with memoization enabled: memoized artifacts must
 /// match the honest single-thread baseline at every worker count.
 #[test]
 fn memoized_artifacts_match_honest_baseline_across_thread_counts() {
-    set_threads(1);
+    let width = common::width();
+    width.set(1);
     let baseline = snapshot();
     for threads in [1usize, 2, 4, 8] {
-        set_threads(threads);
+        width.set(threads);
         let got = snapshot_with(true);
         assert_eq!(
             got.spmm_out, baseline.spmm_out,
@@ -171,12 +172,13 @@ fn memoized_artifacts_match_honest_baseline_across_thread_counts() {
             "perfetto timeline diverged under memoization at {threads} threads"
         );
     }
-    set_threads(1);
+    width.set(1);
 }
 
 #[test]
 fn batch_fan_out_matches_sequential_runs() {
-    set_threads(4);
+    let width = common::width();
+    width.set(4);
     let ctx = Context::builder().gpu(GpuConfig::small()).build();
     let a = gen::random_vector_sparse::<f16>(16, 32, 4, 0.75, 21);
     let plan = ctx.plan_spmm(&a, 32, SpmmAlgo::Octet);
@@ -186,42 +188,106 @@ fn batch_fan_out_matches_sequential_runs() {
     let fanned = plan.run_batch(&batch);
     let sequential: Vec<DenseMatrix<f16>> = batch.iter().map(|b| plan.run(b)).collect();
     assert_eq!(fanned, sequential);
-    set_threads(1);
+    width.set(1);
+}
+
+/// One SpMM plan's outputs and profiles, in comparable form.
+#[derive(Debug, PartialEq)]
+struct Stack {
+    out: DenseMatrix<f16>,
+    batch: Vec<DenseMatrix<f16>>,
+    /// `csv_row` and cycle bits of each profile.
+    profiles: Vec<(String, u64)>,
+}
+
+/// An `algo` plan over `a` on a small-GPU context from `builder`: one
+/// run, a three-element batch, then three profiles. Returns what they
+/// produced and the context's memo counters.
+fn spmm_stack(
+    builder: ContextBuilder,
+    algo: SpmmAlgo,
+    a: &VectorSparse<f16>,
+    n: usize,
+    seed: u64,
+) -> (Stack, Option<MemoStats>) {
+    let ctx = builder.gpu(GpuConfig::small()).build();
+    let k = a.cols();
+    let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 1);
+    let plan = ctx.plan_spmm(a, n, algo);
+    let out = plan.run(&b);
+    let batch: Vec<DenseMatrix<f16>> = (0..3)
+        .map(|i| gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 10 + i))
+        .collect();
+    let batch = plan.run_batch(&batch);
+    let profiles = (0..3)
+        .map(|_| {
+            let p = plan.profile(&b);
+            (p.csv_row(), p.cycles.to_bits())
+        })
+        .collect();
+    (
+        Stack {
+            out,
+            batch,
+            profiles,
+        },
+        ctx.memo_stats(),
+    )
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any grid shape at any worker count produces the same bits and the
-    /// same cycle estimate as the sequential simulator.
+    /// Any grid shape and sparsity, octet or dense, at any worker count:
+    /// four engine stacks produce the bits of a plain one-thread stack.
+    /// A plain stack; a memoized one, whose first profile simulates and
+    /// whose later two are launch hits; one whose every simulated wave
+    /// is re-timed with the tick scheduler (an auditing memo, which also
+    /// declines both hits, re-simulates and checks them against the
+    /// cached profile); and one on the native backend. Octet runs
+    /// one-warp CTAs; dense is the multi-warp kernel whose waves park
+    /// warps at barriers.
     #[test]
     fn grid_shape_times_threads_matches_sequential(
         mb in 1usize..4,
         k_blocks in 1usize..4,
         n in prop_oneof![Just(16usize), Just(32), Just(48)],
         v in prop_oneof![Just(2usize), Just(4), Just(8)],
-        threads in 2usize..9,
+        sparsity in prop_oneof![Just(0.5f64), Just(0.7), Just(0.9), Just(0.98)],
+        algo in prop_oneof![Just(SpmmAlgo::Octet), Just(SpmmAlgo::Dense)],
+        threads in 1usize..=8,
         seed in 0u64..500,
     ) {
-        let m = mb * v * 4;
-        let k = k_blocks * 32;
-        let a = gen::random_vector_sparse::<f16>(m, k, v, 0.7, seed);
-        let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 1);
+        let width = common::width();
+        let a = gen::random_vector_sparse::<f16>(mb * v * 4, k_blocks * 32, v, sparsity, seed);
+        let at = format!("{algo:?} at {threads} threads, sparsity {sparsity}");
+        let stack = |builder| spmm_stack(builder, algo, &a, n, seed);
+        width.set(1);
+        let (plain, memo) = stack(Context::builder());
+        prop_assert!(memo.is_none());
 
-        set_threads(1);
-        let ctx1 = Context::builder().gpu(GpuConfig::small()).build();
-        let plan1 = ctx1.plan_spmm(&a, n, SpmmAlgo::Octet);
-        let out_seq = plan1.run(&b);
-        let cycles_seq = plan1.profile(&b).cycles;
+        width.set(threads);
+        let (got, _) = stack(Context::builder());
+        prop_assert_eq!(&got, &plain, "plain, {}", at);
 
-        set_threads(threads);
-        let ctx2 = Context::builder().gpu(GpuConfig::small()).build();
-        let plan2 = ctx2.plan_spmm(&a, n, SpmmAlgo::Octet);
-        let out_par = plan2.run(&b);
-        let cycles_par = plan2.profile(&b).cycles;
-        set_threads(1);
+        let (got, memo) = stack(Context::builder().memoization());
+        prop_assert_eq!(&got, &plain, "memoized, {}", at);
+        let memo = memo.expect("memoizing context");
+        prop_assert_eq!((memo.launch_misses, memo.launch_hits), (1, 2), "{}", at);
 
-        prop_assert_eq!(out_par, out_seq);
-        prop_assert_eq!(cycles_par, cycles_seq);
+        let audit = Arc::new(WaveMemo::with_audit(1));
+        let (got, memo) = stack(Context::builder().shared_memoization(audit));
+        prop_assert_eq!(&got, &plain, "audited, {}", at);
+        let memo = memo.expect("auditing context");
+        prop_assert_eq!(
+            (memo.launch_misses, memo.audits, memo.launch_hits),
+            (1, 2, 0),
+            "{}",
+            at
+        );
+
+        let (got, _) = stack(Context::builder().backend(Backend::Native));
+        prop_assert_eq!(&got, &plain, "native, {}", at);
+        width.set(1);
     }
 }

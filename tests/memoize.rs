@@ -9,8 +9,6 @@
 
 mod common;
 
-use common::set_threads;
-use proptest::prelude::*;
 use std::sync::Arc;
 use vecsparse::engine::{Context, ContextBuilder, SddmmPlan, SpmmPlan};
 use vecsparse::registry::{self, KernelId, Shape};
@@ -24,82 +22,6 @@ use vecsparse_gpu_sim::{
     MemoStats, Mode, Program, Site, WVec, WaveMemo, NO_LANES,
 };
 use vecsparse_telemetry::{perfetto, EventKind, TraceSink, DEFAULT_CAPACITY};
-
-/// One engine pass: functional run, repeated profiles, a small batch.
-struct Artifacts {
-    out: DenseMatrix<f16>,
-    batch: Vec<DenseMatrix<f16>>,
-    profile_csv: Vec<String>,
-    cycles: Vec<f64>,
-}
-
-fn run_stack(
-    memoize: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    v: usize,
-    sparsity: f64,
-    seed: u64,
-) -> Artifacts {
-    let ctx = if memoize {
-        Context::builder()
-            .gpu(GpuConfig::small())
-            .memoization()
-            .build()
-    } else {
-        Context::builder().gpu(GpuConfig::small()).build()
-    };
-    let a = gen::random_vector_sparse::<f16>(m, k, v, sparsity, seed);
-    let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 1);
-    let plan = ctx.plan_spmm(&a, n, SpmmAlgo::Octet);
-    let out = plan.run(&b);
-    let batch: Vec<DenseMatrix<f16>> = (0..3)
-        .map(|i| gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 10 + i))
-        .collect();
-    let batch = plan.run_batch(&batch);
-    // Repeated profiles: under memoization the 2nd/3rd replay from cache.
-    let profiles: Vec<_> = (0..3).map(|_| plan.profile(&b)).collect();
-    if memoize {
-        let stats = ctx.memo_stats().expect("memoizing context reports stats");
-        assert!(
-            stats.launch_hits > 0,
-            "repeated profiles of one plan must hit the memoizer"
-        );
-    } else {
-        assert!(ctx.memo_stats().is_none());
-    }
-    Artifacts {
-        out,
-        batch,
-        profile_csv: profiles.iter().map(|p| p.csv_row()).collect(),
-        cycles: profiles.iter().map(|p| p.cycles).collect(),
-    }
-}
-
-#[test]
-fn memoization_is_invisible_at_one_and_four_threads() {
-    set_threads(1);
-    let plain = run_stack(false, 32, 64, 48, 4, 0.8, 31);
-    for threads in [1usize, 4] {
-        set_threads(threads);
-        let memo = run_stack(true, 32, 64, 48, 4, 0.8, 31);
-        assert_eq!(
-            memo.out, plain.out,
-            "functional output at {threads} threads"
-        );
-        assert_eq!(
-            memo.batch, plain.batch,
-            "batch outputs at {threads} threads"
-        );
-        assert_eq!(
-            memo.profile_csv, plain.profile_csv,
-            "profile counters at {threads} threads"
-        );
-        assert_eq!(memo.cycles, plain.cycles, "cycles at {threads} threads");
-    }
-    set_threads(1);
-}
 
 /// The engine's ten fixed plan algorithms.
 #[derive(Clone, Copy, Debug)]
@@ -276,21 +198,22 @@ fn plan_stack(memoize: bool, algo: PlanAlgo, backend: Backend) -> PlanArtifacts 
 /// or not, at 1 and 4 threads, on both backends.
 #[test]
 fn plan_memoization_is_invisible_at_one_and_four_threads() {
+    let width = common::width();
     for algo in PLAN_ALGOS {
-        set_threads(1);
+        width.set(1);
         let honest = plan_stack(false, algo, Backend::Simulated);
         for backend in [Backend::Simulated, Backend::Native] {
             for threads in [1usize, 4] {
-                set_threads(threads);
+                width.set(threads);
                 let memo = plan_stack(true, algo, backend);
                 assert_eq!(memo, honest, "{algo:?} on {backend:?} at {threads} threads");
             }
         }
-        set_threads(1);
+        width.set(1);
         let native = plan_stack(false, algo, Backend::Native);
         assert_eq!(native, honest, "{algo:?} on the native backend");
     }
-    set_threads(1);
+    width.set(1);
 }
 
 /// `k` profiles of one `algo` plan built through a small-GPU context
@@ -330,9 +253,10 @@ fn repeated_profiles(
 /// re-simulates and is checked against the cached profile.
 #[test]
 fn repeated_plan_profiles_are_one_launch_lookup_each() {
+    let width = common::width();
     const K: usize = 4;
     for threads in [1usize, 4] {
-        set_threads(threads);
+        width.set(threads);
         for algo in PLAN_ALGOS {
             let at = format!("{algo:?} at {threads} threads");
             let (honest, _) = repeated_profiles(Context::builder(), algo, K);
@@ -378,7 +302,7 @@ fn repeated_plan_profiles_are_one_launch_lookup_each() {
             );
         }
     }
-    set_threads(1);
+    width.set(1);
 }
 
 /// A traced launch never consults the memo: the Perfetto timeline of two
@@ -386,7 +310,8 @@ fn repeated_plan_profiles_are_one_launch_lookup_each() {
 /// and the memo sees no probe.
 #[test]
 fn traced_memoized_timeline_is_bit_identical() {
-    set_threads(1);
+    let width = common::width();
+    width.set(1);
     let gpu = GpuConfig::small();
     let shape = Shape::default();
 
@@ -436,7 +361,7 @@ fn traced_memoized_timeline_is_bit_identical() {
         "a traced launch probed the memo"
     );
     assert_eq!(memoized, honest, "memoized timeline bytes diverged");
-    set_threads(1);
+    width.set(1);
 }
 
 // A gather whose load addresses come from operand values: the canonical
@@ -534,34 +459,4 @@ fn data_dependent_kernel_is_not_provable_and_never_memoized() {
         MemoStats::default(),
         "unprovable kernel must never probe the memo"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// DLMC-like grid: random shapes and sparsities — memoized profiles,
-    /// outputs, and batches bit-identical to the plain engine at 1 and 4
-    /// worker threads.
-    #[test]
-    fn dlmc_like_grid_memoization_is_invisible(
-        mb in 1usize..4,
-        k_blocks in 1usize..4,
-        n in prop_oneof![Just(16usize), Just(32), Just(48)],
-        v in prop_oneof![Just(2usize), Just(4), Just(8)],
-        sparsity in prop_oneof![Just(0.5f64), Just(0.7), Just(0.9), Just(0.98)],
-        threads in prop_oneof![Just(1usize), Just(4)],
-        seed in 0u64..300,
-    ) {
-        let m = mb * v * 4;
-        let k = k_blocks * 32;
-        set_threads(1);
-        let plain = run_stack(false, m, k, n, v, sparsity, seed);
-        set_threads(threads);
-        let memo = run_stack(true, m, k, n, v, sparsity, seed);
-        set_threads(1);
-        prop_assert_eq!(memo.out, plain.out);
-        prop_assert_eq!(memo.batch, plain.batch);
-        prop_assert_eq!(memo.profile_csv, plain.profile_csv);
-        prop_assert_eq!(memo.cycles, plain.cycles);
-    }
 }

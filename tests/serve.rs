@@ -14,7 +14,6 @@
 
 mod common;
 
-use common::set_threads;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use vecsparse::engine::{Context, EngineError};
@@ -305,10 +304,11 @@ fn assert_identical(served: &[JobOutput], direct: &[JobOutput]) {
 
 #[test]
 fn serving_is_bit_identical_to_direct_execution() {
+    let width = common::width();
     let reqs = identity_requests();
     let direct = direct_all(&reqs);
     for threads in [1, 4] {
-        set_threads(threads);
+        width.set(threads);
         let served = serve_all(&reqs);
         assert_identical(&served, &direct);
     }

@@ -13,7 +13,6 @@
 
 mod common;
 
-use common::set_threads;
 use proptest::prelude::*;
 use vecsparse::registry::{self, KernelId, Shape, ALL_KERNELS};
 use vecsparse_certify::{
@@ -195,13 +194,14 @@ fn performance_mode_dense_gemm_is_refused_for_write_overlap() {
 
 #[test]
 fn observed_within_certified_across_threads() {
+    let width = common::width();
     // Both the certificate and the oracle capture CTAs in parallel;
     // re-check the soundness relation under both worker-pool widths the
     // determinism gate uses, so threading can never widen the observed
     // set.
-    set_threads(1);
+    width.set(1);
     check_soundness_at(&Shape::default());
-    set_threads(4);
+    width.set(4);
     check_soundness_at(&Shape::default());
 }
 

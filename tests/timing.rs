@@ -21,8 +21,6 @@
 
 mod common;
 
-use common::set_threads;
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vecsparse::engine::Context;
@@ -47,7 +45,8 @@ fn render(p: &KernelProfile) -> String {
 /// inside the launch) must profile exactly as a plain launch does.
 #[test]
 fn full_registry_event_profiles_match_tick() {
-    set_threads(1);
+    let width = common::width();
+    width.set(1);
     let shape = Shape::default();
     for gpu in [GpuConfig::small(), GpuConfig::default()] {
         for id in ALL_KERNELS {
@@ -86,7 +85,8 @@ fn full_registry_event_profiles_match_tick() {
 /// exactly as a plain launch does.
 #[test]
 fn audited_event_launch_passes_and_matches_tick() {
-    set_threads(1);
+    let width = common::width();
+    width.set(1);
     for gpu in [GpuConfig::small(), GpuConfig::default()] {
         let (fresh, audited, stats, plain) = registry::with_kernel(
             KernelId::SpmmOctet,
@@ -135,7 +135,8 @@ fn audited_event_launch_passes_and_matches_tick() {
 /// sink must have kept them all.
 #[test]
 fn traced_spans_account_for_every_stall_and_issue() {
-    set_threads(1);
+    let width = common::width();
+    width.set(1);
     for gpu in [GpuConfig::small(), GpuConfig::default()] {
         for id in ALL_KERNELS {
             let sink = TraceSink::enabled(DEFAULT_CAPACITY);
@@ -193,7 +194,8 @@ fn audited_context() -> Context {
 /// a plain context's plan.
 #[test]
 fn engine_context_event_timing_matches_tick() {
-    set_threads(1);
+    let width = common::width();
+    width.set(1);
     let a = gen::random_vector_sparse::<f16>(64, 128, 4, 0.85, 31);
     let b = gen::random_dense::<f16>(128, 48, Layout::RowMajor, 32);
     let run = |ctx: &Context| {
@@ -219,45 +221,4 @@ fn engine_context_event_timing_matches_tick() {
         audited.1, plain.1,
         "profile cycles diverged under the audited context"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Any grid shape, any worker count: the engine stack, with every
-    /// simulated wave audited against tick, produces the same output bits
-    /// and cycle estimate as a plain single-threaded context. Octet runs
-    /// one-warp CTAs; dense is the multi-warp kernel whose waves park
-    /// warps at barriers.
-    #[test]
-    fn grid_shape_event_matches_tick_across_threads(
-        mb in 1usize..4,
-        k_blocks in 1usize..4,
-        n in prop_oneof![Just(16usize), Just(32), Just(48)],
-        v in prop_oneof![Just(2usize), Just(4), Just(8)],
-        threads in prop_oneof![Just(1usize), Just(4)],
-        algo in prop_oneof![Just(SpmmAlgo::Octet), Just(SpmmAlgo::Dense)],
-        seed in 0u64..500,
-    ) {
-        let m = mb * v * 4;
-        let k = k_blocks * 32;
-        let a = gen::random_vector_sparse::<f16>(m, k, v, 0.7, seed);
-        let b = gen::random_dense::<f16>(k, n, Layout::RowMajor, seed + 1);
-
-        set_threads(1);
-        let plain_ctx = Context::builder().gpu(GpuConfig::small()).build();
-        let plain_plan = plain_ctx.plan_spmm(&a, n, algo);
-        let out_plain = plain_plan.run(&b);
-        let cycles_plain = plain_plan.profile(&b).cycles;
-
-        set_threads(threads);
-        let audited_ctx = audited_context();
-        let audited_plan = audited_ctx.plan_spmm(&a, n, algo);
-        let out_audited = audited_plan.run(&b);
-        let cycles_audited = audited_plan.profile(&b).cycles;
-        set_threads(1);
-
-        prop_assert_eq!(out_audited, out_plain);
-        prop_assert_eq!(cycles_audited.to_bits(), cycles_plain.to_bits());
-    }
 }
