@@ -8,7 +8,11 @@
 //! memoized at all.
 
 mod common;
+#[path = "common/stack.rs"]
+mod stack;
 
+use proptest::prelude::*;
+use stack::spmm_stack;
 use std::sync::Arc;
 use vecsparse::engine::{Context, ContextBuilder, SddmmPlan, SpmmPlan};
 use vecsparse::registry::{self, KernelId, Shape};
@@ -22,6 +26,31 @@ use vecsparse_gpu_sim::{
     MemoStats, Mode, Program, Site, WVec, WaveMemo, NO_LANES,
 };
 use vecsparse_telemetry::{perfetto, EventKind, TraceSink, DEFAULT_CAPACITY};
+
+/// An octet plan's run, three-element batch and three profiles on a
+/// memoizing context equal a plain one-thread context's, at 1 and 4
+/// threads: the first profile simulates, the later two are launch hits.
+#[test]
+fn memoization_is_invisible_at_one_and_four_threads() {
+    let width = common::width();
+    let a = gen::random_vector_sparse::<f16>(32, 64, 4, 0.8, 31);
+    let stack = |builder| spmm_stack(builder, SpmmAlgo::Octet, &a, 48, 31);
+    width.set(1);
+    let (plain, memo) = stack(Context::builder());
+    assert!(memo.is_none());
+    for threads in [1usize, 4] {
+        width.set(threads);
+        let (got, memo) = stack(Context::builder().memoization());
+        assert_eq!(got, plain, "at {threads} threads");
+        let memo = memo.expect("memoizing context");
+        assert_eq!(
+            (memo.launch_misses, memo.launch_hits),
+            (1, 2),
+            "at {threads} threads"
+        );
+    }
+    width.set(1);
+}
 
 /// The engine's ten fixed plan algorithms.
 #[derive(Clone, Copy, Debug)]
@@ -459,4 +488,35 @@ fn data_dependent_kernel_is_not_provable_and_never_memoized() {
         MemoStats::default(),
         "unprovable kernel must never probe the memo"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// DLMC-like grid: random shapes and sparsities. An octet plan's
+    /// outputs, batch and profiles on a memoizing context equal a plain
+    /// one-thread context's at 1 and 4 threads.
+    #[test]
+    fn dlmc_like_grid_memoization_is_invisible(
+        mb in 1usize..4,
+        k_blocks in 1usize..4,
+        n in prop_oneof![Just(16usize), Just(32), Just(48)],
+        v in prop_oneof![Just(2usize), Just(4), Just(8)],
+        sparsity in prop_oneof![Just(0.5f64), Just(0.7), Just(0.9), Just(0.98)],
+        threads in prop_oneof![Just(1usize), Just(4)],
+        seed in 0u64..300,
+    ) {
+        let width = common::width();
+        let a = gen::random_vector_sparse::<f16>(mb * v * 4, k_blocks * 32, v, sparsity, seed);
+        let stack = |builder| spmm_stack(builder, SpmmAlgo::Octet, &a, n, seed);
+        width.set(1);
+        let (plain, memo) = stack(Context::builder());
+        prop_assert!(memo.is_none());
+        width.set(threads);
+        let (got, memo) = stack(Context::builder().memoization());
+        prop_assert_eq!(&got, &plain, "at {} threads", threads);
+        let memo = memo.expect("memoizing context");
+        prop_assert_eq!((memo.launch_misses, memo.launch_hits), (1, 2));
+        width.set(1);
+    }
 }

@@ -20,7 +20,11 @@
 //! they add up to the profile.
 
 mod common;
+#[path = "common/stack.rs"]
+mod stack;
 
+use proptest::prelude::*;
+use stack::spmm_stack;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vecsparse::engine::Context;
@@ -221,4 +225,38 @@ fn engine_context_event_timing_matches_tick() {
         audited.1, plain.1,
         "profile cycles diverged under the audited context"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Any grid shape, at 1 or 4 workers: an octet or dense plan whose
+    /// every simulated wave is re-timed with tick produces the run, batch
+    /// and profile bits of a plain one-thread context. The auditing memo
+    /// declines both repeated profiles' hits, re-simulates and checks
+    /// them. Octet runs one-warp CTAs; dense is the multi-warp kernel
+    /// whose waves park warps at barriers.
+    #[test]
+    fn grid_shape_event_matches_tick_across_threads(
+        mb in 1usize..4,
+        k_blocks in 1usize..4,
+        n in prop_oneof![Just(16usize), Just(32), Just(48)],
+        v in prop_oneof![Just(2usize), Just(4), Just(8)],
+        threads in prop_oneof![Just(1usize), Just(4)],
+        algo in prop_oneof![Just(SpmmAlgo::Octet), Just(SpmmAlgo::Dense)],
+        seed in 0u64..500,
+    ) {
+        let width = common::width();
+        let a = gen::random_vector_sparse::<f16>(mb * v * 4, k_blocks * 32, v, 0.7, seed);
+        let stack = |builder| spmm_stack(builder, algo, &a, n, seed);
+        width.set(1);
+        let (plain, _) = stack(Context::builder());
+        width.set(threads);
+        let audit = Arc::new(WaveMemo::with_audit(1));
+        let (got, memo) = stack(Context::builder().shared_memoization(audit));
+        prop_assert_eq!(&got, &plain, "{:?} at {} threads", algo, threads);
+        let memo = memo.expect("auditing context");
+        prop_assert_eq!((memo.launch_misses, memo.audits, memo.launch_hits), (1, 2, 0));
+        width.set(1);
+    }
 }
