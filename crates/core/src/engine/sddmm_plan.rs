@@ -76,11 +76,6 @@ impl SddmmPlan {
         self.algo
     }
 
-    /// The mask the plan captured.
-    pub fn mask(&self) -> &SparsityPattern {
-        &self.mask
-    }
-
     fn check_operands(
         &self,
         a: &DenseMatrix<f16>,

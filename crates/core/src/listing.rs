@@ -5,10 +5,10 @@
 //! read), its site table, and the static length its launch config
 //! reports. Like the SASS listing of a compiled CUDA kernel it is a
 //! compile-time artifact: a pure function of a small key — V for the FPU
-//! kernels, the [`TilingScheme`] for the octet composers, the tile shape
-//! and precision for dense, nothing for the fixed listings. So each kernel
-//! module keeps one static `ListingCache`, and constructing a kernel only
-//! binds its buffers to the shared listing.
+//! kernels, the [`TilingScheme`] for the octet SpMM composer, the tile
+//! shape and precision for dense, nothing for the fixed listings. So each
+//! kernel module keeps one static `ListingCache`, and constructing a
+//! kernel only binds its buffers to the shared listing.
 //!
 //! Caching is exact: a build reads nothing but its key and numbers its
 //! sites in call order, so the cached listing equals a fresh build —

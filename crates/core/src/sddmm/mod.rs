@@ -3,7 +3,6 @@
 //! row-major `M × K`; `B` is column-major `K × N` (a transposed row-major
 //! matrix, as in self-attention's `QKᵀ`).
 
-pub mod compose;
 mod csr;
 mod fpu_subwarp;
 mod octet;

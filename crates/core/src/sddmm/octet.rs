@@ -13,11 +13,12 @@
 //! shuffles and FADDs when K is exhausted — the reduction the paper
 //! measures at 29.5% of instructions for V = 8, K = 64.
 //!
-//! The tiling above is the kernel's default
-//! [`crate::compose::TilingScheme`]; [`super::compose::compile_octet`]
-//! compiles the scheme into the program listing, and the
-//! [`crate::tile`] marshal maps both operands' loaded lane layouts onto
-//! the mma fragment convention.
+//! The tiling above is the kernel's registry
+//! [`crate::compose::TilingScheme`], a compile-time constant: the listing
+//! (index prologue, two-register A and B fragment loads, `tile_k / 16`
+//! mma slices per sub-step, the cross-octet shuffle/FADD reduction and
+//! the vector store) is fixed, and the [`crate::tile`] marshal maps both
+//! operands' loaded lane layouts onto the mma fragment convention.
 //!
 //! The "inverted pattern" of source operands between thread groups is
 //! resolved three ways, matching the paper's variants:
@@ -30,20 +31,72 @@
 //!   (Fig. 15): the TCU's operand multiplexers switch the thread-group
 //!   sources, no extra registers or shuffles.
 
-use super::compose::{compile_octet, SddmmOctetSites, DEFAULT_SCHEME};
 use super::{vector_tiles, SddmmBuffers};
-use crate::compose::TilingScheme;
-use crate::listing::Listing;
+use crate::compose::{scheme_for, TilingScheme};
+use crate::listing::{Listing, ListingCache};
 use crate::native::{self, Contract, Grouping};
+use crate::registry::KernelId;
 use crate::tile::{marshal_sddmm_frag, octet_lane};
 use crate::util::lanes;
 use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{
-    CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program, Tok,
-    WVec,
+    CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, MmaFlavor, Mode, NativeCtx, Program,
+    Site, Tok, WVec,
 };
+
+/// The kernel's named point in the tiling space, shared by the reg, shfl
+/// and arch variants (they differ in operand routing, not tiling).
+const SCHEME: TilingScheme = scheme_for(KernelId::SddmmOctetReg);
+/// Sub-step rounds per tile: `tile_n / sub_warp`.
+const SUBS: usize = SCHEME.tile_n / SCHEME.sub_warp;
+/// Octet k-slices per stride: `tile_k / 16`.
+const M_SLICES: usize = SCHEME.tile_k / 16;
+
+/// The listing's sites: `mma[sub][m]` covers sub-step `sub` and octet
+/// k-slice `m`.
+struct Sites {
+    ld_rowptr: Site,
+    ld_colidx: Site,
+    ldg_a: [Site; 2],
+    ldg_b: [Site; 2],
+    mma: [[Site; M_SLICES]; SUBS],
+    shfl_sw: Site,
+    red_shfl: Site,
+    red_fadd: Site,
+    addr: Site,
+    stg: Site,
+}
+
+/// The process-wide listing (it reads no input).
+static LISTINGS: ListingCache<(), Sites> = ListingCache::new();
+
+fn listing() -> Listing<Sites> {
+    let mut p = Program::new();
+    let sites = Sites {
+        ld_rowptr: p.site("ld_rowptr", 0),
+        ld_colidx: p.site("ld_colidx", 0),
+        ldg_a: [p.site("ldg_a", 0), p.site("ldg_a", 1)],
+        ldg_b: [p.site("ldg_b", 0), p.site("ldg_b", 1)],
+        // Each mma spans its 4 static HMMA slots.
+        mma: std::array::from_fn(|sub| {
+            std::array::from_fn(|m| p.site_span("mma", (sub * 4 * M_SLICES + m * 4) as u32, 4))
+        }),
+        shfl_sw: p.site("shfl_sw", 0),
+        red_shfl: p.site("red_shfl", 0),
+        red_fadd: p.site("red_fadd", 0),
+        addr: p.site("addr", 0),
+        stg: p.site("stg", 0),
+    };
+    // Modest scalar prologue on top of the registered sites.
+    let static_len = p.static_len() + 48;
+    Listing {
+        prog: p,
+        sites,
+        static_len,
+    }
+}
 
 /// How the inverted source-operand pattern is handled (§6.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,10 +126,9 @@ pub struct OctetSddmm {
     /// The inner dimension: columns of `A`, rows of `B`.
     k: usize,
     variant: OctetVariant,
-    scheme: TilingScheme,
     bufs: SddmmBuffers,
     tiles: Vec<(usize, usize, usize)>,
-    listing: Arc<Listing<SddmmOctetSites>>,
+    listing: Arc<Listing<Sites>>,
 }
 
 impl OctetSddmm {
@@ -111,16 +163,14 @@ impl OctetSddmm {
         bufs: SddmmBuffers,
         variant: OctetVariant,
     ) -> Self {
-        let scheme = DEFAULT_SCHEME;
-        let tiles = vector_tiles(&mask, scheme.tile_n);
+        let tiles = vector_tiles(&mask, SCHEME.tile_n);
         OctetSddmm {
             mask,
             k,
             variant,
-            scheme,
             bufs,
             tiles,
-            listing: compile_octet(&scheme),
+            listing: LISTINGS.get((), listing),
         }
     }
 
@@ -170,9 +220,8 @@ impl KernelSpec for OctetSddmm {
         let v_len = self.mask.v();
         let k_total = self.k;
         let n = self.mask.cols();
-        let tile_k = self.scheme.tile_k;
-        let sub_n = self.scheme.sub_warp;
-        let m_slices = tile_k / 16;
+        let tile_k = SCHEME.tile_k;
+        let sub_n = SCHEME.sub_warp;
         let functional = cta.mode == Mode::Functional;
         let shadow = functional && cta.shadow_exec;
         let switch = self.variant == OctetVariant::Arch;
@@ -260,7 +309,7 @@ impl KernelSpec for OctetSddmm {
                     b_tok = w.shfl(s.shfl_sw, &g2, |l| l ^ 16, &[b_tok]).tok();
                 }
 
-                for m in 0..m_slices {
+                for m in 0..M_SLICES {
                     let a_frag = marshal_sddmm_frag(
                         &b_loaded,
                         cols.len(),
@@ -273,7 +322,7 @@ impl KernelSpec for OctetSddmm {
                     );
                     let b_frag =
                         marshal_sddmm_frag(&a_loaded, v_len, tile_k, k0, m, self.k, switch, a_tok);
-                    let site = s.mma[sub % s.subs()][m];
+                    let site = s.mma[sub][m];
                     if functional {
                         // Compute octet partials directly with the TCU
                         // model, then fold into the host-side partial
@@ -374,8 +423,8 @@ impl KernelSpec for OctetSddmm {
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // All three routing variants share the fragment groupings.
         let (ab, out) = ctx.split([self.bufs.a, self.bufs.b], self.bufs.out);
-        let c = Contract::of(self.scheme.tile, self.scheme.out_bits);
-        let g = Grouping::Octet(self.scheme.tile_k);
+        let c = Contract::of(SCHEME.tile, SCHEME.out_bits);
+        let g = Grouping::Octet(SCHEME.tile_k);
         native::sddmm_vectors(out, ab, self.k, &self.mask, c, g)
     }
 }
@@ -429,6 +478,14 @@ mod tests {
     fn k_residue_matches_reference() {
         // K = 96 exercises a partial final 64-stride.
         check(OctetVariant::Reg, 16, 96, 64, 4, 0.7, 7);
+    }
+
+    #[test]
+    fn listing_is_a_four_by_four_mma_table() {
+        let l = LISTINGS.get((), listing);
+        assert_eq!((SUBS, M_SLICES), (4, 4));
+        assert_eq!(l.sites.mma[SUBS - 1][M_SLICES - 1].0 + 4, l.sites.shfl_sw.0);
+        assert_eq!(l.static_len, l.prog.static_len() + 48);
     }
 
     #[test]

@@ -112,12 +112,6 @@ impl<T: Scalar> DenseMatrix<T> {
         &self.data
     }
 
-    /// Mutable backing storage in layout order.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Re-layout into the requested storage order (copying if it differs).
     pub fn to_layout(&self, layout: Layout) -> DenseMatrix<T> {
         if layout == self.layout {

@@ -1,6 +1,6 @@
 //! Matrix containers and reference operations for vecsparse.
 //!
-//! This crate provides every storage format that appears in the paper:
+//! This crate provides every storage format the paper's kernels consume:
 //!
 //! * [`DenseMatrix`] — row- or column-major dense matrices over [`Scalar`]
 //!   elements (`f32` for single precision, [`vecsparse_fp16::f16`] for half).
@@ -23,7 +23,6 @@ mod cvse;
 mod dense;
 pub mod gen;
 pub mod reference;
-mod rvse;
 mod scalar;
 pub mod smtx;
 pub mod square_block;
@@ -32,5 +31,4 @@ pub use blocked_ell::{BlockedEll, ELL_PAD};
 pub use csr::Csr;
 pub use cvse::{SparsityPattern, VectorSparse};
 pub use dense::{DenseMatrix, Layout};
-pub use rvse::RowVectorSparse;
 pub use scalar::Scalar;

@@ -6,10 +6,9 @@
 //! include a half-precision type, so this crate provides one from scratch:
 //!
 //! * <code>f16</code> — a bit-exact binary16 storage type with round-to-nearest-even
-//!   conversions to and from `f32`.
-//! * [`Half2`], [`Half4`], [`Float4`] — the packed register types the paper
-//!   uses for its column-vector sparse encoding (`half2` for V=2, `half4`
-//!   for V=4, `float4` i.e. eight halves for V=8).
+//!   conversions to and from `f32`;
+//! * [`hmul_fadd`] and [`round_to_f16_grid`] — the FPU baselines' HMUL
+//!   rounding, shared by the simulated and native kernels.
 //!
 //! Arithmetic on `f16` is performed by converting to `f32`, operating, and
 //! rounding back, which matches how scalar half arithmetic behaves on real
@@ -21,10 +20,8 @@
 #![forbid(unsafe_code)]
 
 mod half_type;
-mod packed;
 
 pub use half_type::f16;
-pub use packed::{vector_load_bits, Float4, Half2, Half4};
 
 /// `acc + HMUL(a, b)`: the FPU baselines' `HMUL` (half multiply) then
 /// `FADD` (single-precision add). The product of two binary16 values is
@@ -72,18 +69,6 @@ pub fn round_to_f16_grid_in_range(x: f32) -> f32 {
     f32::from_bits(((x + magic) - magic).to_bits() | (bits & 0x8000_0000))
 }
 
-/// The Tensor Core inner product step: four fp16 products accumulated in
-/// fp32 without intermediate rounding (each TCU lane owns a 4-wide dot
-/// product unit; see Fig. 1 of the paper).
-#[inline]
-pub fn tcu_dot4(a: [f16; 4], b: [f16; 4], acc: f32) -> f32 {
-    let mut sum = acc;
-    for i in 0..4 {
-        sum += a[i].to_f32() * b[i].to_f32();
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,13 +82,5 @@ mod tests {
         let rounded = f16::from_f32(exact).to_f32();
         assert_ne!(exact, rounded, "test needs a product that rounds");
         assert_eq!(hmul_fadd(a, b, 0.0), rounded);
-    }
-
-    #[test]
-    fn tcu_dot4_keeps_full_precision_products() {
-        let a = [f16::from_f32(0.1); 4];
-        let b = [f16::from_f32(3.0); 4];
-        let exact = a[0].to_f32() * b[0].to_f32() * 4.0;
-        assert_eq!(tcu_dot4(a, b, 0.0), exact);
     }
 }

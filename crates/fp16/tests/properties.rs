@@ -1,7 +1,7 @@
 //! Property-based tests of the binary16 implementation.
 
 use proptest::prelude::*;
-use vecsparse_fp16::{f16, hmul_fadd, tcu_dot4, Half4};
+use vecsparse_fp16::{f16, hmul_fadd};
 
 proptest! {
     /// from_f32 is monotone on finite inputs (order-preserving rounding).
@@ -69,32 +69,6 @@ proptest! {
         let got = hmul_fadd(ha, hb, acc);
         let want = acc + f16::from_f32(ha.to_f32() * hb.to_f32()).to_f32();
         prop_assert_eq!(got, want);
-    }
-
-    /// tcu_dot4 accumulates without intermediate rounding: it equals the
-    /// f32 dot product of the (already rounded) operands.
-    #[test]
-    fn tcu_dot4_is_f32_exact(
-        a in prop::array::uniform4(-8.0f32..8.0),
-        b in prop::array::uniform4(-8.0f32..8.0),
-        acc in -100.0f32..100.0,
-    ) {
-        let ha = a.map(f16::from_f32);
-        let hb = b.map(f16::from_f32);
-        let got = tcu_dot4(ha, hb, acc);
-        let mut want = acc;
-        for i in 0..4 {
-            want += ha[i].to_f32() * hb[i].to_f32();
-        }
-        prop_assert_eq!(got, want);
-    }
-
-    /// Packed lanes roundtrip through slices.
-    #[test]
-    fn half4_roundtrip(vals in prop::array::uniform4(-100.0f32..100.0)) {
-        let h = vals.map(f16::from_f32);
-        let v = Half4::from_slice(&h);
-        prop_assert_eq!(v.as_slice(), &h[..]);
     }
 
     /// Comparisons agree with f32 comparisons of the rounded values.

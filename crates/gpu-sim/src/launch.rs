@@ -163,7 +163,7 @@ pub struct LaunchOutput {
 /// ```text
 /// Launch::new(&mut mem, &kernel)        // functional, default GPU
 ///     .gpu(&cfg)                        // machine to simulate
-///     .performance()                    // or .mode(Mode::Performance)
+///     .performance()                    // sampled timing simulation
 ///     .traced(&sink)                    // telemetry sink
 ///     .memo(Some((&memo, sig)))         // certified launch memoization
 ///     .run()
@@ -236,15 +236,10 @@ impl<'a, K: KernelSpec + ?Sized> Launch<'a, K> {
         self
     }
 
-    /// Execution mode.
-    pub fn mode(mut self, mode: Mode) -> Launch<'a, K> {
-        self.mode = mode;
+    /// Run in [`Mode::Performance`].
+    pub fn performance(mut self) -> Launch<'a, K> {
+        self.mode = Mode::Performance;
         self
-    }
-
-    /// Shorthand for `.mode(Mode::Performance)`.
-    pub fn performance(self) -> Launch<'a, K> {
-        self.mode(Mode::Performance)
     }
 
     /// Record telemetry into `sink`.

@@ -80,8 +80,6 @@ pub use wvec::WVec;
 
 /// Number of lanes in a warp.
 pub const WARP_SIZE: usize = 32;
-/// Lanes per thread group (quarter of an octet).
-pub const THREAD_GROUP: usize = 4;
 /// Largest finite binary16 value; finite f32 values beyond this overflow
 /// to ±Inf when stored through a 16-bit element.
 pub const F16_MAX: f32 = 65504.0;

@@ -97,12 +97,6 @@ impl KernelModel {
     /// know the model but have no [`Program`] in hand (the engine's plan
     /// path) still attach a certificate.
     pub fn certificate(&self, kernel: &str) -> Certificate {
-        self.base_certificate(kernel)
-    }
-
-    /// The certificate this model implies, before any extra per-site
-    /// error the listing walk discovers (fp16 accumulation chains).
-    fn base_certificate(&self, kernel: &str) -> Certificate {
         let store = |mag: f64| {
             if self.out_elem_bytes == 2 {
                 half_ulp16(mag)
@@ -487,7 +481,7 @@ pub fn analyze(kernel: &str, program: &Program, model: &KernelModel) -> Analysis
     // Certificate: the model's closed-form bound plus any fp16-chain error
     // the walk found on top of it (conservative: the closed form already
     // covers the main reduction).
-    let mut certificate = model.base_certificate(kernel);
+    let mut certificate = model.certificate(kernel);
     certificate.abs_error_bound += extra_f16_err;
     certificate.rel_error_bound = certificate.abs_error_bound / certificate.max_abs_output;
 

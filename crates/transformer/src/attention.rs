@@ -1,14 +1,14 @@
 //! Sparse self-attention on the vecsparse kernels.
 
 use std::sync::Arc;
-use vecsparse::engine::{Context, SddmmPlan};
+use vecsparse::engine::Context;
 use vecsparse::softmax::{DenseSoftmax, SparseSoftmax};
 use vecsparse::spmm::DenseGemm;
 use vecsparse::util::{profile, run};
 use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, reference, DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
-use vecsparse_gpu_sim::{GpuConfig, KernelSpec, TraceSink};
+use vecsparse_gpu_sim::{GpuConfig, TraceSink};
 
 /// Shape of one attention layer instance.
 #[derive(Clone, Copy, Debug)]
@@ -54,10 +54,6 @@ impl AttentionConfig {
 /// `1/√head_dim` before the softmax (applied on the sparse values, as the
 /// paper's custom softmax kernel does).
 ///
-/// Plans a fresh SDDMM for the mask on every call; when the mask is
-/// reused across heads or layers, plan once and use
-/// [`sparse_attention_head_planned`] instead.
-///
 /// # Panics
 /// Panics on shape mismatches.
 pub fn sparse_attention_head(
@@ -67,23 +63,6 @@ pub fn sparse_attention_head(
     v: &DenseMatrix<f16>,
     mask: &SparsityPattern,
 ) -> DenseMatrix<f16> {
-    let plan = ctx.plan_sddmm(mask, q.cols(), SddmmAlgo::OctetArch);
-    sparse_attention_head_planned(ctx, &plan, q, k, v)
-}
-
-/// [`sparse_attention_head`] against a pre-built SDDMM plan for the
-/// shared mask — the form the encoder pipeline uses, so the mask is
-/// captured once per forward pass rather than once per head.
-///
-/// # Panics
-/// Panics on shape mismatches against the plan's descriptor.
-pub fn sparse_attention_head_planned(
-    ctx: &Context,
-    plan: &SddmmPlan,
-    q: &DenseMatrix<f16>,
-    k: &DenseMatrix<f16>,
-    v: &DenseMatrix<f16>,
-) -> DenseMatrix<f16> {
     let head_dim = q.cols();
     assert_eq!(k.cols(), head_dim);
     assert_eq!(v.cols(), head_dim);
@@ -91,10 +70,10 @@ pub fn sparse_attention_head_planned(
     // SDDMM wants B = Kᵀ in column-major, which shares K's row-major
     // bytes: re-tag via transpose + layout conversion.
     let kt = k.transpose().to_layout(Layout::ColMajor);
-    let scores = plan.run(q, &kt);
+    let scores = ctx.sddmm(q, &kt, mask, SddmmAlgo::OctetArch);
     let scale = 1.0 / (head_dim as f32).sqrt();
     let scaled = VectorSparse::new(
-        plan.mask().clone(),
+        mask.clone(),
         scores
             .values()
             .iter()
@@ -223,12 +202,6 @@ fn projection_cycles(gpu: &GpuConfig, cfg: &AttentionConfig) -> f64 {
     let x = gen::random_dense::<f16>(cfg.seq_len, d_model, Layout::RowMajor, 5);
     let w = gen::random_dense::<f16>(d_model, d_model, Layout::RowMajor, 6);
     profile(gpu, |mem, mode| DenseGemm::new(mem, &x, &w, mode)).cycles * 4.0
-}
-
-/// Check that a profiled kernel's name mentions the expected algorithm
-/// (tiny helper for tests/reports).
-pub fn describe<K: KernelSpec>(kernel: &K) -> String {
-    kernel.name()
 }
 
 #[cfg(test)]

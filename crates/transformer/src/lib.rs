@@ -31,12 +31,9 @@
 pub mod attention;
 pub mod memory;
 pub mod model;
-pub mod pipeline;
 
 pub use attention::{
-    dense_attention_reference, sparse_attention_head, sparse_attention_head_planned,
-    AttentionConfig, AttentionLatency,
+    dense_attention_reference, sparse_attention_head, AttentionConfig, AttentionLatency,
 };
 pub use memory::{attention_peak_memory, MemoryReport, Precision};
 pub use model::{SyntheticTask, TinyTransformer, TrainConfig};
-pub use pipeline::{LayerWeights, SparseEncoder};

@@ -23,9 +23,6 @@ use rand::rngs::StdRng;
 use vecsparse_formats::SparsityPattern;
 use vecsparse_fp16::f16;
 
-/// Reserved token id (unused by the counting task; kept for tasks that
-/// need a marker symbol).
-pub const MARK: usize = 14;
 /// Vocabulary size (tokens 0..=13 are data, 14 reserved, 15 padding).
 pub const VOCAB: usize = 16;
 

@@ -258,18 +258,6 @@ proptest! {
         prop_assert_eq!(back.pattern(), &p);
     }
 
-    /// Row-vector transposition is exact for any structure.
-    #[test]
-    fn rvse_transpose_exact((rows, cols, v, s, seed) in vs_params()) {
-        use vecsparse_formats::RowVectorSparse;
-        let m = gen::random_vector_sparse::<f16>(rows, cols, v, s, seed);
-        let t = RowVectorSparse::transpose_of(&m);
-        prop_assert_eq!(
-            t.to_dense(Layout::RowMajor),
-            m.to_dense(Layout::RowMajor).transpose()
-        );
-    }
-
     /// The §5.2 wmma SpMM matches the reference for any structure.
     #[test]
     fn wmma_spmm_matches_reference((rows, cols, v, s, seed) in vs_params()) {

@@ -1,7 +1,8 @@
 //! End-to-end telemetry tests: the fallible engine API rejects malformed
-//! inputs with typed errors (no panics), and a traced profiling run
-//! exports a Perfetto document whose engine spans nest over one timeline
-//! track per SM scheduler.
+//! inputs with typed errors (no panics), a traced profiling run exports a
+//! Perfetto document whose engine spans nest over one timeline track per
+//! SM scheduler, and a traced attention head records exactly its plans'
+//! engine spans.
 
 use std::sync::Arc;
 use vecsparse::engine::{Context, EngineError};
@@ -9,7 +10,8 @@ use vecsparse::{SddmmAlgo, SpmmAlgo};
 use vecsparse_formats::{gen, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{Backend, GpuConfig, TraceSink};
-use vecsparse_telemetry::perfetto;
+use vecsparse_telemetry::{perfetto, ENGINE_PID};
+use vecsparse_transformer::{sparse_attention_head, AttentionConfig};
 
 #[test]
 fn try_plan_rejects_malformed_inputs() {
@@ -261,4 +263,58 @@ fn perfetto_export_has_engine_spans_over_scheduler_tracks() {
             "kernel span missing {key}"
         );
     }
+}
+
+/// One attention head on a traced context plans, stages and runs one
+/// SDDMM and one SpMM, each exactly once and never tuned (both algorithms
+/// are fixed), on the engine track the Perfetto export names; the same
+/// call on an untraced context records nothing.
+#[test]
+fn traced_attention_head_records_one_span_per_engine_phase() {
+    let cfg = AttentionConfig {
+        seq_len: 32,
+        head_dim: 16,
+        heads: 1,
+        sparsity: 0.6,
+        v: 8,
+        band: 8,
+    };
+    let mask = cfg.mask(7);
+    let q = gen::random_dense::<f16>(32, 16, Layout::RowMajor, 8);
+    let k = gen::random_dense::<f16>(32, 16, Layout::RowMajor, 9);
+    let v = gen::random_dense::<f16>(32, 16, Layout::RowMajor, 10);
+
+    let sink = Arc::new(TraceSink::enabled(1 << 16));
+    let ctx = Context::builder()
+        .gpu(GpuConfig::small())
+        .telemetry(Arc::clone(&sink))
+        .build();
+    sparse_attention_head(&ctx, &q, &k, &v, &mask);
+    let events = sink.events();
+    for name in [
+        "plan sddmm",
+        "stage sddmm",
+        "run sddmm",
+        "plan spmm",
+        "stage spmm",
+        "run spmm",
+    ] {
+        let spans = events
+            .iter()
+            .filter(|e| e.track.pid == ENGINE_PID && e.name == name)
+            .count();
+        assert_eq!(spans, 1, "engine spans named {name}");
+    }
+    assert!(
+        !events.iter().any(|e| e.name.starts_with("tune")),
+        "a fixed algorithm never tunes"
+    );
+    assert!(sink
+        .process_names()
+        .iter()
+        .any(|(pid, name)| *pid == ENGINE_PID && name == "engine"));
+
+    let quiet = Context::builder().gpu(GpuConfig::small()).build();
+    sparse_attention_head(&quiet, &q, &k, &v, &mask);
+    assert!(quiet.sink().events().is_empty());
 }
