@@ -453,7 +453,7 @@ impl Fixture {
                 Launch::new(&mut reference, kernel).run();
                 let mut sharded = mem.clone();
                 launch_sharded(&mut sharded, kernel, &plan);
-                if reference.contents(out) != sharded.contents(out) {
+                if reference.bits(out) != sharded.bits(out) {
                     return Err("sharded merge diverged from unsharded reference".into());
                 }
                 Ok(())
@@ -572,7 +572,7 @@ mod tests {
         let mut reference = mem.clone();
         Launch::new(&mut reference, &kernel).run();
         launch_sharded(&mut mem, &kernel, &plan);
-        assert_eq!(reference.contents(kernel.out), mem.contents(kernel.out));
+        assert_eq!(reference.bits(kernel.out), mem.bits(kernel.out));
     }
 
     #[test]

@@ -760,11 +760,8 @@ pub fn launch_sharded<K: KernelSpec + ?Sized>(mem: &mut MemPool, kernel: &K, pla
             .ctas(shard.ctas.clone())
             .run();
         let out = plan.out;
-        let slice = &device.contents(out)[shard.elems.0 as usize..shard.elems.1 as usize];
-        let writes: Vec<(u32, f32)> = slice
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (shard.elems.0 + i as u32, v))
+        let writes: Vec<(u32, f32)> = (shard.elems.0..shard.elems.1)
+            .map(|i| (i, device.read(out, i as usize)))
             .collect();
         mem.apply_writes(out, &writes);
     }

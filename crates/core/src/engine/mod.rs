@@ -66,6 +66,8 @@ use vecsparse_precision::Certificate;
 /// Device memory of the modeled V100, in bytes. A problem whose
 /// caller-sized buffers need more is refused with
 /// [`EngineError::OutOfDeviceMemory`] before anything is allocated.
+/// A plan's pool holds every buffer at its device width, so this also
+/// bounds the host bytes a functional run materialises.
 pub(crate) const DEVICE_MEMORY_BYTES: u64 = 16 << 30;
 
 /// The operation a plan executes.
@@ -166,7 +168,9 @@ impl PlanKey {
     /// the m × k dense image of A when `dense_a`; SDDMM's m × k and
     /// k × n operands, which the tuner also builds as host zeros. The
     /// count is checked arithmetic and runs before any allocation, so an
-    /// over-large request is an error instead of an aborted process.
+    /// over-large request is an error instead of an aborted process. The
+    /// pool stores these buffers as binary16, so the same bound covers
+    /// the host bytes a run writes into them.
     fn check_fits(&self, dense_a: bool) -> Result<(), EngineError> {
         let (m, k, n) = (self.m, self.k, self.n);
         let buffers: &[(usize, usize)] = match self.op {
@@ -751,6 +755,27 @@ pub(crate) fn ell_twin(a: &VectorSparse<f16>) -> BlockedEll<f16> {
 pub(crate) fn pattern_structure_hash(p: &SparsityPattern) -> u64 {
     let h = sig::fnv1a_u32s(sig::FNV_OFFSET, p.col_idx().iter().copied());
     sig::fnv1a_u32s(h, p.row_ptr().iter().map(|&r| r as u32))
+}
+
+/// The binary16 elements `mem` holds values for, asserting that every
+/// materialised buffer is binary16 and takes exactly its device bytes on
+/// the host (2 per element, that buffer's share of
+/// [`MemPool::allocated_bytes`](vecsparse_gpu_sim::MemPool::allocated_bytes)).
+#[cfg(test)]
+fn materialised_halves(mem: &vecsparse_gpu_sim::MemPool) -> usize {
+    mem.buffer_ids()
+        .filter(|&id| mem.host_bytes(id) > 0)
+        .map(|id| {
+            let what = format!("buffer {}", id.index());
+            assert_eq!(mem.width(id), ElemWidth::B16, "{what} width");
+            assert_eq!(
+                mem.host_bytes(id),
+                2 * mem.len(id) as u64,
+                "{what} host bytes"
+            );
+            mem.len(id)
+        })
+        .sum()
 }
 
 #[cfg(test)]

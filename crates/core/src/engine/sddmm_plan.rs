@@ -7,6 +7,7 @@ use super::{pattern_structure_hash, Context, EngineError, OpKind, PlanKey};
 use crate::api::SddmmAlgo;
 use crate::sddmm::{FpuSubwarpSddmm, OctetSddmm, OctetVariant, SddmmBuffers, WmmaSddmm};
 use crate::util::{download_vs, upload_pattern};
+use std::iter;
 use std::sync::Arc;
 use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_fp16::f16;
@@ -126,12 +127,12 @@ impl SddmmPlan {
         Ok(())
     }
 
-    /// Write a functional run's values into `mem`: the checked operands
-    /// and a zeroed output.
+    /// Write a functional run's binary16 values into `mem`, copied as
+    /// they are: the checked operands and a zeroed output.
     fn stage(&self, mem: &mut MemPool, a: &DenseMatrix<f16>, b: &DenseMatrix<f16>) {
-        mem.replace(self.bufs.a, a.data().iter().map(|v| v.to_f32()));
-        mem.replace(self.bufs.b, b.data().iter().map(|v| v.to_f32()));
-        mem.replace(self.bufs.out, (0..self.mask.nnz()).map(|_| 0.0));
+        mem.replace(self.bufs.a, a.data().iter().copied());
+        mem.replace(self.bufs.b, b.data().iter().copied());
+        mem.replace(self.bufs.out, iter::repeat_n(f16::ZERO, self.mask.nnz()));
     }
 
     fn read(&self, mem: &MemPool) -> VectorSparse<f16> {
@@ -237,41 +238,42 @@ impl SddmmPlan {
 
 #[cfg(test)]
 mod tests {
+    use super::super::materialised_halves;
     use super::*;
     use vecsparse_formats::gen;
-    use vecsparse_gpu_sim::GpuConfig;
+    use vecsparse_gpu_sim::{Backend, GpuConfig};
 
     /// A plan that has only profiled holds no host values in its pool:
     /// both operands and the output stay address-only until the first
-    /// functional run writes them.
+    /// functional run writes them, at 2 host bytes per binary16 element.
     #[test]
     fn profile_only_plan_holds_no_values() {
-        let ctx = Context::builder().gpu(GpuConfig::small()).build();
         let mask = gen::random_pattern(32, 48, 4, 0.6, 1);
         let a = gen::random_dense::<f16>(32, 64, Layout::RowMajor, 2);
         let b = gen::random_dense::<f16>(64, 48, Layout::ColMajor, 3);
-        for algo in [
-            SddmmAlgo::OctetReg,
-            SddmmAlgo::OctetShfl,
-            SddmmAlgo::OctetArch,
-            SddmmAlgo::FpuSubwarp,
-            SddmmAlgo::Wmma,
-        ] {
-            let plan = ctx.plan_sddmm(&mask, 64, algo);
-            let values = || {
-                let mem = plan.core.primary();
-                mem.buffer_ids()
-                    .map(|id| mem.contents(id).len())
-                    .sum::<usize>()
-            };
-            plan.profile(&a, &b);
-            assert_eq!(values(), 0, "{algo:?} after a profile");
-            plan.run(&a, &b);
-            assert_eq!(
-                values(),
-                32 * 64 + 64 * 48 + mask.nnz(),
-                "{algo:?} after a run"
-            );
+        for backend in [Backend::Simulated, Backend::Native] {
+            let ctx = Context::builder()
+                .gpu(GpuConfig::small())
+                .backend(backend)
+                .build();
+            for algo in [
+                SddmmAlgo::OctetReg,
+                SddmmAlgo::OctetShfl,
+                SddmmAlgo::OctetArch,
+                SddmmAlgo::FpuSubwarp,
+                SddmmAlgo::Wmma,
+            ] {
+                let plan = ctx.plan_sddmm(&mask, 64, algo);
+                let values = || materialised_halves(&plan.core.primary());
+                plan.profile(&a, &b);
+                assert_eq!(values(), 0, "{algo:?} after a profile");
+                plan.run(&a, &b);
+                assert_eq!(
+                    values(),
+                    32 * 64 + 64 * 48 + mask.nnz(),
+                    "{algo:?} after a run"
+                );
+            }
         }
     }
 }

@@ -7,6 +7,7 @@ use crate::api::SpmmAlgo;
 use crate::compose::TilingScheme;
 use crate::spmm::{BlockedEllSpmm, DenseGemm, FpuSubwarpSpmm, OctetSpmm, WmmaSpmm};
 use crate::util::{download_dense, upload_ell, upload_vs, EllBuffers, VsBuffers};
+use std::iter;
 use vecsparse_formats::{BlockedEll, DenseMatrix, Layout, VectorSparse};
 use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::sig::{Fingerprint, FingerprintHasher};
@@ -193,24 +194,26 @@ impl SpmmPlan {
         Ok(())
     }
 
-    /// Write a functional run's values into `mem`: the checked `b`, a
-    /// zeroed output and, while its buffer is still address-only (the
-    /// pool's first run), the sparse operand, so a plan that only
-    /// profiles holds no values. The dense image scatters only stored
-    /// vectors into a zero image: untouched `f16` zeros convert to the
-    /// `+0.0` a fresh image already holds, so the bits match a
-    /// full-image conversion.
+    /// Write a functional run's binary16 values into `mem`, copied as
+    /// they are: the checked `b`, a zeroed output and, while its buffer
+    /// is still address-only (the pool's first run), the sparse operand,
+    /// so a plan that only profiles holds no values.
     fn stage(&self, mem: &mut MemPool, b: &DenseMatrix<f16>) {
-        let to_f32 = |v: &f16| v.to_f32();
-        if mem.contents(self.staged.values()).is_empty() {
+        if mem.contents::<f16>(self.staged.values()).is_empty() {
             match &self.staged {
-                Staged::Vs(bufs) => mem.replace(bufs.values, self.a.values().iter().map(to_f32)),
-                Staged::Ell(bufs, ell) => mem.replace(bufs.values, ell.values().iter().map(to_f32)),
-                Staged::Dense(buf) => mem.replace(*buf, self.a.to_f32_image().into_iter()),
+                Staged::Vs(bufs) => mem.replace(bufs.values, self.a.values().iter().copied()),
+                Staged::Ell(bufs, ell) => mem.replace(bufs.values, ell.values().iter().copied()),
+                Staged::Dense(buf) => {
+                    let image = self.a.to_dense(Layout::RowMajor);
+                    mem.replace(*buf, image.data().iter().copied())
+                }
             }
         }
-        mem.replace(self.b_buf, b.data().iter().map(to_f32));
-        mem.replace(self.out_buf, (0..self.key.m * self.key.n).map(|_| 0.0));
+        mem.replace(self.b_buf, b.data().iter().copied());
+        mem.replace(
+            self.out_buf,
+            iter::repeat_n(f16::ZERO, self.key.m * self.key.n),
+        );
     }
 
     fn read(&self, mem: &MemPool) -> DenseMatrix<f16> {
@@ -280,36 +283,38 @@ impl SpmmPlan {
 
 #[cfg(test)]
 mod tests {
+    use super::super::materialised_halves;
     use super::*;
     use vecsparse_formats::gen;
-    use vecsparse_gpu_sim::GpuConfig;
+    use vecsparse_gpu_sim::{Backend, GpuConfig};
 
     /// A plan that has only profiled holds no host values in its pool:
     /// the operand, the RHS and the output stay address-only until the
-    /// first functional run writes them.
+    /// first functional run writes them, at 2 host bytes per binary16
+    /// element.
     #[test]
     fn profile_only_plan_holds_no_values() {
-        let ctx = Context::builder().gpu(GpuConfig::small()).build();
         let a = gen::random_vector_sparse::<f16>(32, 64, 4, 0.6, 1);
         let b = gen::random_dense::<f16>(64, 48, Layout::RowMajor, 2);
-        for algo in [
-            SpmmAlgo::Octet,
-            SpmmAlgo::Wmma,
-            SpmmAlgo::FpuSubwarp,
-            SpmmAlgo::BlockedEll,
-            SpmmAlgo::Dense,
-        ] {
-            let plan = ctx.plan_spmm(&a, 48, algo);
-            let values = || {
-                let mem = plan.core.primary();
-                mem.buffer_ids()
-                    .map(|id| mem.contents(id).len())
-                    .sum::<usize>()
-            };
-            plan.profile(&b);
-            assert_eq!(values(), 0, "{algo:?} after a profile");
-            plan.run(&b);
-            assert!(values() >= 64 * 48 + 32 * 48, "{algo:?} after a run");
+        for backend in [Backend::Simulated, Backend::Native] {
+            let ctx = Context::builder()
+                .gpu(GpuConfig::small())
+                .backend(backend)
+                .build();
+            for algo in [
+                SpmmAlgo::Octet,
+                SpmmAlgo::Wmma,
+                SpmmAlgo::FpuSubwarp,
+                SpmmAlgo::BlockedEll,
+                SpmmAlgo::Dense,
+            ] {
+                let plan = ctx.plan_spmm(&a, 48, algo);
+                let values = || materialised_halves(&plan.core.primary());
+                plan.profile(&b);
+                assert_eq!(values(), 0, "{algo:?} after a profile");
+                plan.run(&b);
+                assert!(values() >= 64 * 48 + 32 * 48, "{algo:?} after a run");
+            }
         }
     }
 }

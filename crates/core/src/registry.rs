@@ -240,7 +240,7 @@ pub fn with_kernel<R>(
                 // Fill the score buffer the way the attention pipeline
                 // would, so the value-checking pass sees live data.
                 let vals = gen::random_dense::<f16>(m, n, Layout::RowMajor, seed);
-                mem.replace(kern.input(), vals.data().iter().map(|x| x.to_f32()));
+                mem.replace(kern.input(), vals.data().iter().copied());
             }
             f(&mut mem, &kern)
         }

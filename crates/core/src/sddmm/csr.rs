@@ -11,7 +11,7 @@ use crate::compose::scheme_for;
 use crate::native::{self, Contract, Grouping};
 use crate::registry::KernelId;
 use crate::util::{alloc_output, lanes, upload_dense, upload_pattern, VsBuffers};
-use vecsparse_formats::{DenseMatrix, Layout, Scalar, SparsityPattern, VectorSparse};
+use vecsparse_formats::{DenseMatrix, Layout, SparsityPattern, VectorSparse};
 use vecsparse_gpu_sim::{
     BufferId, CtaCtx, InstrKind, KernelSpec, LaunchConfig, MemPool, Mode, NativeCtx, Program, Site,
     Tok, WVec,
@@ -82,11 +82,8 @@ impl<'m> CsrSddmm<'m> {
 
     /// Download the functional result.
     pub fn result(&self, mem: &MemPool) -> VectorSparse<f32> {
-        let data = mem.contents(self.out_buf);
-        VectorSparse::new(
-            self.mask.clone(),
-            data.iter().map(|&x| f32::from_f32(x)).collect(),
-        )
+        let data = mem.contents::<f32>(self.out_buf);
+        VectorSparse::new(self.mask.clone(), data.to_vec())
     }
 }
 
@@ -199,7 +196,7 @@ impl KernelSpec for CsrSddmm<'_> {
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // Flat ascending-k dots, stored as raw f32.
-        let (ab, out) = ctx.split([self.a_buf, self.b_buf], self.out_buf);
+        let (ab, out) = ctx.split::<f32, 2>([self.a_buf, self.b_buf], self.out_buf);
         let s = scheme_for(KernelId::SddmmCsr);
         let c = Contract::of(s.tile, s.out_bits);
         native::sddmm_vectors(out, ab, self.a.cols(), self.mask, c, Grouping::Flat)

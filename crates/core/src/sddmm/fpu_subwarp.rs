@@ -314,7 +314,7 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSddmm<T> {
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // One HMUL/FADD chain in ascending k across the K-strides.
-        let (ab, out) = ctx.split([self.bufs.a, self.bufs.b], self.bufs.out);
+        let (ab, out) = ctx.split::<T, 2>([self.bufs.a, self.bufs.b], self.bufs.out);
         let c = Contract::of(SCHEME.tile, T::BITS);
         native::sddmm_vectors(out, ab, self.k, &self.mask, c, Grouping::Flat)
     }

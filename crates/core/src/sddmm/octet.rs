@@ -422,7 +422,7 @@ impl KernelSpec for OctetSddmm {
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // All three routing variants share the fragment groupings.
-        let (ab, out) = ctx.split([self.bufs.a, self.bufs.b], self.bufs.out);
+        let (ab, out) = ctx.split::<f16, 2>([self.bufs.a, self.bufs.b], self.bufs.out);
         let c = Contract::of(SCHEME.tile, SCHEME.out_bits);
         let g = Grouping::Octet(SCHEME.tile_k);
         native::sddmm_vectors(out, ab, self.k, &self.mask, c, g)

@@ -312,7 +312,7 @@ impl KernelSpec for WmmaSddmm {
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // Each K-stride reduces into a fresh fragment, added in order.
-        let (ab, out) = ctx.split([self.bufs.a, self.bufs.b], self.bufs.out);
+        let (ab, out) = ctx.split::<f16, 2>([self.bufs.a, self.bufs.b], self.bufs.out);
         let c = Contract::of(SCHEME.tile, SCHEME.out_bits);
         let g = Grouping::Chunks(TILE_K);
         native::sddmm_vectors(out, ab, self.k, &self.mask, c, g)

@@ -196,12 +196,10 @@ impl KernelSpec for SparseSoftmax<'_> {
         // Scalar row `e` of each block row.
         let p = self.x.pattern();
         let v = p.v();
-        let ([vals], out) = ctx.split([self.bufs.values], self.out_buf);
-        for br in 0..p.block_rows() {
-            for e in 0..v {
-                native::softmax_row(vals, out, p.block_row_range(br).map(|i| i * v + e));
-            }
-        }
+        let ([vals], out) = ctx.split::<f16, 1>([self.bufs.values], self.out_buf);
+        let rows = (0..p.block_rows())
+            .flat_map(|br| (0..v).map(move |e| p.block_row_range(br).map(move |i| i * v + e)));
+        native::softmax_rows(vals, out, rows);
         true
     }
 }
@@ -352,10 +350,8 @@ impl KernelSpec for DenseSoftmax {
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         let n = self.cols;
-        let ([x], out) = ctx.split([self.in_buf], self.out_buf);
-        for row in 0..self.rows {
-            native::softmax_row(x, out, row * n..(row + 1) * n);
-        }
+        let ([x], out) = ctx.split::<f16, 1>([self.in_buf], self.out_buf);
+        native::softmax_rows(x, out, (0..self.rows).map(|row| row * n..(row + 1) * n));
         true
     }
 }

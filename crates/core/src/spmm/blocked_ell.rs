@@ -455,7 +455,7 @@ impl KernelSpec for BlockedEllSpmm {
         // Ascending slots, ascending `kk` within a block, skipping padding
         // blocks and, like the functional path, exact-zero A values.
         let (block, bpr) = (self.block, self.bpr);
-        let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
+        let ([values, b], out) = ctx.split::<f16, 2>([self.bufs.values, self.b_buf], self.out_buf);
         let c = Contract::of(SCHEME.tile, SCHEME.out_bits).skipping_zero_a();
         native::spmm_rows(out, b, self.n, c, |row| {
             let (br, r) = (row / block, row % block);

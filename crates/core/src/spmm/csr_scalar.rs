@@ -205,7 +205,7 @@ impl<T: Scalar> KernelSpec for CsrScalarSpmm<'_, T> {
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // The row's scalar nonzeros in ascending order.
-        let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
+        let ([values, b], out) = ctx.split::<T, 2>([self.bufs.values, self.b_buf], self.out_buf);
         let col_idx = self.a.col_idx();
         let c = Contract::of(scheme_for(KernelId::SpmmCsrScalar).tile, T::BITS);
         native::spmm_rows(out, b, self.b.cols(), c, |row| {

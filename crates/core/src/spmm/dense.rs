@@ -269,7 +269,7 @@ impl<T: Scalar> KernelSpec for DenseGemm<T> {
         // Functional mode never splits K: one ascending-l reduction that
         // skips exact-zero A values, rounded once at store (the F2F).
         let k = self.k;
-        let ([a, b], out) = ctx.split([self.a_buf, self.b_buf], self.out_buf);
+        let ([a, b], out) = ctx.split::<T, 2>([self.a_buf, self.b_buf], self.out_buf);
         let c = Contract::of(SCHEME.tile, T::BITS).skipping_zero_a();
         native::spmm_rows(out, b, self.n, c, |row| {
             a[row * k..(row + 1) * k].iter().copied().zip(0..k)

@@ -402,7 +402,7 @@ impl<T: Scalar> KernelSpec for FpuSubwarpSpmm<T> {
 
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // Ascending-j HMUL/FADD chain across strides (the paper's §4).
-        let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
+        let ([values, b], out) = ctx.split::<T, 2>([self.bufs.values, self.b_buf], self.out_buf);
         let c = Contract::of(SCHEME.tile, T::BITS);
         native::spmm_vector_sparse(out, b, self.n, c, &self.pattern, values);
         true

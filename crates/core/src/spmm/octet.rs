@@ -395,7 +395,7 @@ impl KernelSpec for OctetSpmm {
         if self.truncate_hmma {
             return false;
         }
-        let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
+        let ([values, b], out) = ctx.split::<f16, 2>([self.bufs.values, self.b_buf], self.out_buf);
         let c = Contract::of(self.scheme.tile, self.scheme.out_bits);
         native::spmm_vector_sparse(out, b, self.n, c, &self.pattern, values);
         true

@@ -322,7 +322,7 @@ impl KernelSpec for WmmaSpmm {
     fn run_native(&self, ctx: &mut NativeCtx<'_>) -> bool {
         // Ascending k-steps into one f32 accumulator; the functional
         // path skips exact-zero A values.
-        let ([values, b], out) = ctx.split([self.bufs.values, self.b_buf], self.out_buf);
+        let ([values, b], out) = ctx.split::<f16, 2>([self.bufs.values, self.b_buf], self.out_buf);
         let c = Contract::of(SCHEME.tile, SCHEME.out_bits).skipping_zero_a();
         native::spmm_vector_sparse(out, b, self.n, c, &self.pattern, values);
         true

@@ -55,9 +55,7 @@ pub fn width_of<T: Scalar>() -> ElemWidth {
 /// addresses are allocated.
 fn upload_values<T: Scalar>(mem: &mut MemPool, values: &[T], mode: Mode) -> BufferId {
     match mode {
-        Mode::Functional => {
-            mem.alloc_init(width_of::<T>(), values.iter().map(|v| v.to_f32()).collect())
-        }
+        Mode::Functional => mem.alloc_init(width_of::<T>(), values.to_vec()),
         Mode::Performance => mem.alloc_ghost(width_of::<T>(), values.len()),
     }
 }
@@ -142,28 +140,25 @@ pub fn upload_ell<T: Scalar>(mem: &mut MemPool, a: &BlockedEll<T>, mode: Mode) -
     }
 }
 
-/// Read back a row-major dense output buffer into a matrix.
+/// Read back a row-major dense output buffer into a matrix: a copy of
+/// its stored elements.
 pub fn download_dense<T: Scalar>(
     mem: &MemPool,
     buf: BufferId,
     rows: usize,
     cols: usize,
 ) -> DenseMatrix<T> {
-    let data = mem.contents(buf);
-    DenseMatrix::from_row_major(rows, cols, data.iter().map(|&v| T::from_f32(v)).collect())
+    DenseMatrix::from_row_major(rows, cols, mem.contents::<T>(buf).to_vec())
 }
 
-/// Read back a vector-sparse value buffer into a matrix sharing `pattern`.
+/// Read back a vector-sparse value buffer into a matrix sharing
+/// `pattern`: a copy of its stored elements.
 pub fn download_vs<T: Scalar>(
     mem: &MemPool,
     buf: BufferId,
     pattern: &Arc<SparsityPattern>,
 ) -> VectorSparse<T> {
-    let data = mem.contents(buf);
-    VectorSparse::new(
-        Arc::clone(pattern),
-        data.iter().map(|&v| T::from_f32(v)).collect(),
-    )
+    VectorSparse::new(Arc::clone(pattern), mem.contents::<T>(buf).to_vec())
 }
 
 /// Build lane offsets where lane `l` starts at `f(l)`; `None` deactivates
@@ -268,7 +263,7 @@ mod tests {
         let mut pool = MemPool::new();
         let buf = upload_dense(&mut pool, &m, Mode::Performance);
         assert_eq!(pool.len(buf), 64);
-        assert!(pool.contents(buf).is_empty());
+        assert!(pool.contents::<f16>(buf).is_empty());
     }
 
     #[test]

@@ -100,10 +100,7 @@ fn shadow_execution_is_perturbation_free() {
         let kern = OctetSpmm::new(&mut mem, &a, &b, Mode::Functional);
         let launch = Launch::new(&mut mem, &kern).gpu(&gpu);
         if shadow { launch.shadow() } else { launch }.run();
-        mem.contents(kern.output())
-            .iter()
-            .map(|v| v.to_bits())
-            .collect()
+        mem.bits(kern.output())
     };
     assert_eq!(spmm_bits(false), spmm_bits(true));
 

@@ -200,25 +200,6 @@ impl<T: Scalar> VectorSparse<T> {
         out
     }
 
-    /// Row-major `f32` image of the matrix, as staged into simulator
-    /// memory. Only stored vectors are converted; untouched entries keep
-    /// the `+0.0` a fresh image holds, which is exactly what converting a
-    /// zero element yields, so this matches a full [`Self::to_dense`]
-    /// image converted element by element.
-    pub fn to_f32_image(&self) -> Vec<f32> {
-        let p = &self.pattern;
-        let mut img = vec![0.0f32; p.rows * p.cols];
-        for br in 0..p.block_rows() {
-            for i in p.block_row_range(br) {
-                let c = p.col_idx[i] as usize;
-                for e in 0..p.v {
-                    img[(br * p.v + e) * p.cols + c] = self.values[i * p.v + e].to_f32();
-                }
-            }
-        }
-        img
-    }
-
     /// The index structure.
     #[inline]
     pub fn pattern(&self) -> &SparsityPattern {

@@ -22,6 +22,8 @@ pub trait Scalar: Copy + Default + PartialEq + Debug + Send + Sync + 'static {
     fn from_f32(v: f32) -> Self;
     /// Widen to the f32 accumulation domain (exact).
     fn to_f32(self) -> f32;
+    /// Exact zero of either sign, tested on the stored bits (no widening).
+    fn is_zero(self) -> bool;
 
     /// Storage width in bytes.
     #[inline]
@@ -44,6 +46,11 @@ impl Scalar for f32 {
     fn to_f32(self) -> f32 {
         self
     }
+
+    #[inline]
+    fn is_zero(self) -> bool {
+        self == 0.0
+    }
 }
 
 impl Scalar for f16 {
@@ -60,6 +67,11 @@ impl Scalar for f16 {
     fn to_f32(self) -> f32 {
         f16::to_f32(self)
     }
+
+    #[inline]
+    fn is_zero(self) -> bool {
+        f16::is_zero(self)
+    }
 }
 
 #[cfg(test)]
@@ -70,6 +82,12 @@ mod tests {
     fn widths() {
         assert_eq!(<f32 as Scalar>::bytes(), 4);
         assert_eq!(<f16 as Scalar>::bytes(), 2);
+    }
+
+    #[test]
+    fn zero_tests_see_both_signs_only() {
+        assert!(Scalar::is_zero(f16::NEG_ZERO) && Scalar::is_zero(-0.0f32));
+        assert!(!Scalar::is_zero(f16::MIN_POSITIVE_SUBNORMAL) && !Scalar::is_zero(f32::NAN));
     }
 
     #[test]

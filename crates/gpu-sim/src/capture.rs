@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn value_reads_are_counted_per_cta_at_any_thread_count() {
         let mut mem = MemPool::new();
-        let buf = mem.alloc_init(ElemWidth::B32, vec![1.0]);
+        let buf = mem.alloc_init(ElemWidth::B32, vec![1.0f32]);
         let kernel = OneReader { buf, reader: 5 };
         let ctas: Vec<usize> = (0..8).collect();
         let expected: Vec<(usize, u64)> = ctas.iter().map(|&c| (c, u64::from(c == 5))).collect();

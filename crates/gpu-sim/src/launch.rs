@@ -784,7 +784,7 @@ mod tests {
         }
 
         fn run_native(&self, ctx: &mut crate::NativeCtx<'_>) -> bool {
-            let ([input], out) = ctx.split([self.input], self.output);
+            let ([input], out) = ctx.split::<f32, 1>([self.input], self.output);
             for (o, &x) in out.iter_mut().zip(input).take(self.grid * 32) {
                 *o = x * 2.0;
             }

@@ -811,7 +811,8 @@ mod tests {
 
     fn pool_with_data() -> (MemPool, BufferId) {
         let mut pool = MemPool::new();
-        let buf = pool.alloc_init(ElemWidth::B16, (0..64).map(|i| i as f32).collect());
+        let halves = (0..64).map(|i| vecsparse_fp16::f16::from_f32(i as f32));
+        let buf = pool.alloc_init(ElemWidth::B16, halves.collect());
         (pool, buf)
     }
 

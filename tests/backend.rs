@@ -36,22 +36,23 @@ use vecsparse_fp16::f16;
 use vecsparse_gpu_sim::{Backend, GpuConfig, KernelSpec, Launch, MemPool, Mode};
 use vecsparse_sanitizer::sanitize_clean;
 
-/// Whole-pool bit comparison via `f32::to_bits` — so a NaN payload or a
-/// `-0.0`/`+0.0` swap counts as divergence even though `==` would not.
+/// Whole-pool bit comparison of every stored element at its buffer's own
+/// width (binary16 bits for B16, `f32` bits for B32) — so a NaN payload
+/// or a `-0.0`/`+0.0` swap counts as divergence even though `==` would
+/// not.
 fn assert_pools_identical(sim: &MemPool, native: &MemPool, what: &str) {
     let sim_bufs: Vec<_> = sim.buffer_ids().collect();
     let nat_bufs: Vec<_> = native.buffer_ids().collect();
     assert_eq!(sim_bufs.len(), nat_bufs.len(), "{what}: buffer count");
     for (&s, &n) in sim_bufs.iter().zip(&nat_bufs) {
-        let a = sim.contents(s);
-        let b = native.contents(n);
-        assert_eq!(a.len(), b.len(), "{what}: buffer {} length", s.index());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        let buf = s.index();
+        assert_eq!(sim.width(s), native.width(n), "{what}: buffer {buf} width");
+        let (a, b) = (sim.bits(s), native.bits(n));
+        assert_eq!(a.len(), b.len(), "{what}: buffer {buf} length");
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{what}: buffer {} elem {i}: simulated {x:?}, native {y:?}",
-                s.index()
+                x, y,
+                "{what}: buffer {buf} elem {i}: simulated {x:#x}, native {y:#x}"
             );
         }
     }
@@ -237,7 +238,7 @@ fn native_matches_simulated_on_non_finite_rhs() {
             };
             // The case bites: some outputs are infinite and some NaN.
             let out = sim.buffer_ids().last().expect("output buffer");
-            let vals = sim.contents(out);
+            let vals = sim.contents::<f16>(out);
             assert_eq!(vals.len(), m * n, "{what}: last buffer is the output");
             assert!(
                 vals.iter().any(|x| x.is_infinite()),
@@ -299,7 +300,7 @@ fn sddmm_native_matches_simulated_when_products_overflow_binary16() {
             };
             let out = sim.buffer_ids().last().expect("output buffer");
             assert!(
-                sim.contents(out).iter().any(|x| !x.is_finite()),
+                sim.contents::<f16>(out).iter().any(|x| !x.is_finite()),
                 "{what}: every output finite"
             );
         }

@@ -152,8 +152,8 @@ fn four_way_row_split_is_bit_identical() {
                 launch_sharded(mem, kernel, &plan);
                 let buf = cert.layout.as_ref().expect("shardable has layout").out;
                 assert_eq!(
-                    reference.contents(buf),
-                    mem.contents(buf),
+                    reference.bits(buf),
+                    mem.bits(buf),
                     "{}: sharded merge diverged at {shape:?}",
                     kernel.name()
                 );
